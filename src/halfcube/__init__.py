@@ -31,13 +31,8 @@ from .chains import (
     BoundaryMatrix,
     ChainComplex,
     ChainVector,
-    OrientationFrame,
-    apply_boundary,
     boundary_matrix,
     det_sign,
-    incidence,
-    int_rank,
-    orientation_frame,
 )
 from .morse import (
     MorseBoundary,

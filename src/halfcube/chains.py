@@ -1,11 +1,35 @@
 """Oriented cellular chain complex of the half cube over the integers.
 
-Each cell of dimension >= 1 is oriented by a deterministic geometric frame:
-the lexicographically smallest vertex as base point plus a greedy maximal
-set of exact integer edge vectors.  The incidence number of a facet is the
-sign of an exact determinant comparing the facet's frame, preceded by the
-outward centroid direction, against the cell's frame.  All arithmetic is
-arbitrary-precision integer; signs are never computed in floating point.
+Vertex points have coordinate +1 for digit '0' and -1 for digit '1'.  A face
+of dimension >= 1 is oriented by a frame: a base vertex and dim(f) exact
+integer edge vectors.  It is the frame a greedy search over the
+lexicographically sorted vertices would pick (smallest vertex as base, keep
+each edge vector that raises the rank), given here in closed form:
+
+* simplex or edge face with mask size m and underline-erased digits b: the
+  vertices toggle one mask coordinate of b each and are affinely
+  independent, so every one is kept.  In sorted order the toggles of the
+  '1' mask positions come first, rising, then those of the '0' positions,
+  falling; the first is the base, and each later vertex minus the base is
+  a frame vector.
+* half-cube face with star positions s_0 < ... < s_{m-1}: the base fills
+  every star with '0', except s_{m-1} gets '1' when the count of fixed '1'
+  digits is odd.  The frame vectors toggle the star pairs (m-2, m-1),
+  (m-3, m-1), (m-3, m-2), then (j, m-1) for j = m-4 down to 0.
+
+Every frame vector has two nonzero coordinates, both on the face's mask.
+
+The vertex sum of a face, also in closed form, is 2**(m-1) times the
+fixed coordinates and 0 on the stars for a half-cube face (2**(m-1)
+vertices); m * b_i off the mask and (m - 2) * b_i on it for a simplex or
+edge face (m vertices); and the point itself for a vertex.
+
+The incidence number of a facet g of f is the sign of an exact
+determinant: the Gram matrix of f's frame against the outward direction
+nf*ng * (centroid(g) - centroid(f)) followed by g's frame.  A zero
+determinant raises.  An edge has -1 on its base and +1 on its other vertex;
+a vertex has +1 on the empty face.  All arithmetic is arbitrary-precision
+integer; signs are never computed in floating point.
 """
 
 from __future__ import annotations
@@ -13,14 +37,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
+from .faces import (
+    ONE_SYMBOLS,
+    PLAIN0,
+    PLAIN1,
+    STAR,
+    UND0,
+    UND1,
+    UNDERLINED,
+    FaceTable,
+    Kind,
+    classify,
+    facets,
+    mask,
+)
 
 
 class ChainError(Exception):
-    pass
-
-
-class DegenerateFace(ChainError):
     pass
 
 
@@ -57,123 +90,69 @@ def det_sign(m: list[list[int]]) -> int:
     return sign * (1 if d > 0 else -1 if d < 0 else 0)
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination with row and
-    column pivoting."""
-    a = [row[:] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    rank = 0
-    prev = 1
-    while rank < nr and rank < nc:
-        pr = pc = -1
-        for r in range(rank, nr):
-            row = a[r]
-            for c in range(rank, nc):
-                if row[c] != 0:
-                    pr, pc = r, c
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        a[rank], a[pr] = a[pr], a[rank]
-        if pc != rank:
-            for row in a:
-                row[rank], row[pc] = row[pc], row[rank]
-        piv = a[rank][rank]
-        for r in range(rank + 1, nr):
-            arc = a[r]
-            fac = arc[rank]
-            base = a[rank]
-            for c in range(rank + 1, nc):
-                arc[c] = (arc[c] * piv - fac * base[c]) // prev
-            arc[rank] = 0
-        prev = piv
-        rank += 1
-    return rank
-
-
 def vertex_point(v: str) -> tuple[int, ...]:
     """Coordinates of a vertex sequence: digit '0' is +1, digit '1' is -1."""
     return tuple(1 if c == "0" else -1 for c in v)
 
 
-@dataclass(frozen=True)
-class OrientationFrame:
-    base: str
-    vectors: tuple[tuple[int, ...], ...]
+def _sign(c: str) -> int:
+    # coordinate of a digit, plain or underlined
+    return 1 if c in (PLAIN0, UND0) else -1
 
 
-def orientation_frame(f: str) -> OrientationFrame:
-    """Deterministic orientation frame of a face of dimension >= 1.
+def vertex_sum(f: str) -> tuple[tuple[int, ...], int]:
+    """Sum of the vertex points of a face and its number of vertices, in
+    closed form (see the module docstring)."""
+    kind, d = classify(f)
+    if kind is Kind.VERTEX:
+        return vertex_point(f), 1
+    if kind is Kind.HALFCUBE:
+        w = 2 ** (d - 1)
+        return tuple(0 if c == STAR else w * _sign(c) for c in f), w
+    m = d + 1
+    return tuple((m - 2 if c in UNDERLINED else m) * _sign(c) for c in f), m
 
-    Base is the lexicographically smallest vertex; frame vectors are picked
-    greedily from the remaining vertices in lexicographic order, keeping a
-    vector whenever it raises the exact rank.
+
+# A frame vector is (p, a, q, b): a at coordinate p, b at coordinate q, zero
+# elsewhere.
+FrameVector = tuple[int, int, int, int]
+
+
+def orientation(f: str) -> tuple[str, tuple[FrameVector, ...]]:
+    """Base vertex and frame vectors of a face of dimension >= 1.
+
+    This is the frame a greedy search picks from the lexicographically
+    sorted vertices: the smallest vertex as base, and the edge vector of
+    each later vertex that raises the rank.  Both face shapes give it in
+    closed form (see the module docstring).
     """
     kind, d = classify(f)
     if d < 1:
         raise ChainError(f"no frame for a face of dimension {d}")
-    verts = sorted(vertices_of(f))
-    base = vertex_point(verts[0])
-    vecs: list[tuple[int, ...]] = []
-    rows: list[list[int]] = []
-    for v in verts[1:]:
-        if len(vecs) == d:
-            break
-        cand = tuple(a - b for a, b in zip(vertex_point(v), base))
-        if int_rank(rows + [list(cand)]) > len(vecs):
-            vecs.append(cand)
-            rows.append(list(cand))
-    if len(vecs) != d:
-        raise DegenerateFace(f"rank {len(vecs)} < {d} for {f!r}")
-    return OrientationFrame(verts[0], tuple(vecs))
-
-
-def _vertex_sum(f: str) -> tuple[tuple[int, ...], int]:
-    verts = vertices_of(f)
-    n = len(f)
-    total = [0] * n
-    for v in verts:
-        for i, x in enumerate(vertex_point(v)):
-            total[i] += x
-    return tuple(total), len(verts)
-
-
-def _facet_incidence(f: str, g: str, frame) -> int:
-    # sign of the facet g inside the boundary of f; g must be a facet of f
-    dg = -1 if g == EMPTY else classify(g).dim
-    if dg == -1:
-        return 1  # augmentation: every vertex hits the empty cell with +1
-    frame_f = frame(f)
-    if dg == 0:
-        # +1 on the head vertex of the frame vector, -1 on the base
-        return -1 if g == frame_f.base else 1
-    frame_g = frame(g)
-    sum_f, nf = _vertex_sum(f)
-    sum_g, ng = _vertex_sum(g)
-    # nf*ng * (centroid(g) - centroid(f)), an exact outward direction
-    u = [nf * sg - ng * sf for sf, sg in zip(sum_f, sum_g)]
-    cols = [u] + [list(v) for v in frame_g.vectors]
-    m = [[sum(fv[i] * col[i] for i in range(len(fv))) for col in cols]
-         for fv in frame_f.vectors]
-    s = det_sign(m)
-    if s == 0:
-        raise ChainError(f"degenerate incidence determinant for {f!r}:{g!r}")
-    return s
-
-
-def incidence(f: str, g: str) -> int:
-    """Incidence number of the facet g in the boundary of f: 0 when g is
-    not a facet, otherwise +1 or -1 from the induced orientation."""
-    df = -1 if f == EMPTY else classify(f).dim
-    dg = -1 if g == EMPTY else classify(g).dim
-    if df != dg + 1:
-        raise DimensionMismatch(f"dim {df} vs {dg}")
-    if g not in facets(f):
-        return 0
-    return _facet_incidence(f, g, orientation_frame)
+    pos = mask(f)
+    if kind is Kind.HALFCUBE:
+        base = [PLAIN0] * d
+        if f.count(PLAIN1) % 2:
+            base[-1] = PLAIN1
+        v = list(f)
+        for i, c in zip(pos, base):
+            v[i] = c
+        # toggling star s moves the base point by -2 * its coordinate there
+        step = [-2 if c == PLAIN0 else 2 for c in base]
+        pairs = [(d - 2, d - 1), (d - 3, d - 1), (d - 3, d - 2)]
+        pairs += [(j, d - 1) for j in range(d - 4, -1, -1)]
+        return "".join(v), tuple((pos[s], step[s], pos[t], step[t])
+                                 for s, t in pairs)
+    # simplex shaped: vertex i toggles mask coordinate i of the erased
+    # digits; in lexicographic order the '1' positions come first, rising,
+    # then the '0' positions, falling
+    order = ([i for i in pos if f[i] in ONE_SYMBOLS]
+             + [i for i in reversed(pos) if f[i] not in ONE_SYMBOLS])
+    i0 = order[0]
+    v = list(f.replace(UND0, PLAIN0).replace(UND1, PLAIN1))
+    v[i0] = PLAIN0 if v[i0] == PLAIN1 else PLAIN1
+    return "".join(v), tuple((i0, 2 * _sign(f[i0]), j, -2 * _sign(f[j]))
+                             for j in order[1:])
 
 
 @dataclass
@@ -247,47 +226,62 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     if d < 0 or d > table.n:
         raise DimensionMismatch(f"no boundary in dimension {d}")
     cells = table.faces(d)
-    rows = table.faces(d - 1)
-    cols: list[dict[int, int]] = []
+    n_rows = len(table.faces(d - 1))
+    index_of = table.index_of
     if d == 0:
-        for _ in cells:
-            cols.append({0: 1})
-        return BoundaryMatrix(d, len(rows), len(cells), cols)
-    frames: dict[str, OrientationFrame] = {}
-
-    def frame(x: str) -> OrientationFrame:
-        fr = frames.get(x)
-        if fr is None:
-            fr = frames[x] = orientation_frame(x)
-        return fr
-
+        return BoundaryMatrix(d, n_rows, len(cells), [{0: 1} for _ in cells])
+    cols: list[dict[int, int]] = []
+    if d == 1:
+        # -1 on the frame base, the smaller vertex, and +1 on the head
+        for f in cells:
+            base, head = facets(f)
+            cols.append({index_of(base): -1, index_of(head): 1})
+        return BoundaryMatrix(d, n_rows, len(cells), cols)
+    # (frame vectors, vertex sum, vertex count) of the facets met so far
+    seen: dict[str, tuple] = {}
     for f in cells:
+        vecs_f = orientation(f)[1]
+        sum_f, nf = vertex_sum(f)
+        dense_f = []
+        for p, a, q, b in vecs_f:
+            row = [0] * table.n
+            row[p], row[q] = a, b
+            dense_f.append(row)
         col: dict[int, int] = {}
         for g in facets(f):
-            col[table.index_of(g)] = _facet_incidence(f, g, frame)
+            info = seen.get(g)
+            if info is None:
+                info = seen[g] = (orientation(g)[1], *vertex_sum(g))
+            vecs_g, sum_g, ng = info
+            # Gram matrix of f's frame against the outward direction
+            # nf*ng * (centroid(g) - centroid(f)) followed by g's frame
+            m = [[a * (nf * sum_g[p] - ng * sum_f[p])
+                  + b * (nf * sum_g[q] - ng * sum_f[q])]
+                 + [row[p2] * a2 + row[q2] * b2 for p2, a2, q2, b2 in vecs_g]
+                 for (p, a, q, b), row in zip(vecs_f, dense_f)]
+            s = det_sign(m)
+            if s == 0:
+                raise ChainError(f"degenerate incidence determinant for {f!r}:{g!r}")
+            col[index_of(g)] = s
         cols.append(col)
-    return BoundaryMatrix(d, len(rows), len(cells), cols)
+    return BoundaryMatrix(d, n_rows, len(cells), cols)
 
 
 class ChainComplex:
     """Boundary matrices of a face table, built once per dimension and
-    shared; frames and facet lists are cached for reuse."""
+    shared."""
 
     def __init__(self, table: FaceTable):
         self.table = table
-        self._frames: dict[str, OrientationFrame] = {}
         self._bmats: dict[int, BoundaryMatrix] = {}
 
-    def frame(self, f: str) -> OrientationFrame:
-        fr = self._frames.get(f)
-        if fr is None:
-            fr = self._frames[f] = orientation_frame(f)
-        return fr
-
     def incidence(self, f: str, g: str) -> int:
+        """Incidence number of g in the boundary of f: 0 when g is not a
+        facet of f, otherwise +1 or -1 from the induced orientation."""
         d = self.table.dim_of(f)
-        b = self.boundary(d)
-        return b.entry(self.table.index_of(g), self.table.index_of(f))
+        if self.table.dim_of(g) != d - 1:
+            raise DimensionMismatch(f"{g!r} is not one dimension below {f!r}")
+        return self.boundary(d).entry(self.table.index_of(g), self.table.index_of(f))
 
     def boundary(self, d: int) -> BoundaryMatrix:
         b = self._bmats.get(d)
@@ -308,7 +302,3 @@ class ChainComplex:
                 else:
                     del out[i]
         return ChainVector(c.dim - 1, out)
-
-
-def apply_boundary(c: ChainVector, table: FaceTable) -> ChainVector:
-    return ChainComplex(table).apply(c)

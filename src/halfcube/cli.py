@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import faces, morse, snf
 from . import subcomplex as subc
-from .chains import ChainComplex
+from .chains import ChainComplex, ChainError
 
 ORACLE_N_CAP = 6  # SNF cost grows quickly; require --force beyond this
+
+# the library's own errors; `basis` and `betti` report them as a failed
+# RESULT line instead of a traceback
+LIBRARY_ERRORS = (faces.FaceError, ChainError, morse.MorseError,
+                  subc.SubcomplexError, snf.OracleError)
 
 
 def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -72,18 +78,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Sink:
-    """Data lines go to --out when given, otherwise to stdout."""
+    """Data lines go to --out when given, otherwise to stdout.
+
+    Use as a context manager.  A regular --out file is written to a
+    temporary file in the same directory and renamed into place when the
+    block ends normally; when it raises, the temporary file is removed, so
+    a failed command never leaves a partial file.  A non-regular target,
+    such as /dev/null, is written directly.
+    """
 
     def __init__(self, path: str | None):
-        self.fh = open(path, "w") if path else sys.stdout
-        self.owned = path is not None
+        self.path = path
+        self.tmp = None
+        if path is None:
+            self.fh = sys.stdout
+        elif os.path.exists(path) and not os.path.isfile(path):
+            self.fh = open(path, "w")
+        else:
+            head, tail = os.path.split(path)
+            self.tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            self.fh = open(self.tmp, "w")
 
     def line(self, s: str) -> None:
         print(s, file=self.fh)
 
-    def close(self) -> None:
-        if self.owned:
-            self.fh.close()
+    def __enter__(self) -> "_Sink":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.path is None:
+            return
+        self.fh.close()
+        if self.tmp is None:
+            return
+        if exc_type is None:
+            os.replace(self.tmp, self.path)
+        else:
+            os.remove(self.tmp)
 
 
 def _require_n(args, parser) -> int:
@@ -105,12 +136,11 @@ def _require_k(args, parser, n: int) -> int:
 def cmd_enum(args, parser) -> int:
     n = _require_n(args, parser)
     table = faces.enumerate_faces(n)
-    sink = _Sink(args.out)
     dims = [args.dim] if args.dim is not None else sorted(table.cells)
-    for d in dims:
-        for f in table.faces(d):
-            sink.line(faces.face_jsonl(f))
-    sink.close()
+    with _Sink(args.out) as sink:
+        for d in dims:
+            for f in table.faces(d):
+                sink.line(faces.face_jsonl(f))
     want = faces.expected_counts(n)
     got = table.counts()
     ok = got == want
@@ -138,10 +168,9 @@ def cmd_match(args, parser) -> int:
     except morse.MorseError as e:
         print(f"RESULT fail n={n} error={e}")
         return 1
-    sink = _Sink(args.out)
-    for line in m.jsonl_lines(table):
-        sink.line(line)
-    sink.close()
+    with _Sink(args.out) as sink:
+        for line in m.jsonl_lines(table):
+            sink.line(line)
     if args.verify:
         for f in table:
             apps = morse.rule_applicability(f)
@@ -160,27 +189,66 @@ def cmd_match(args, parser) -> int:
     return 0
 
 
+def _library_failure(where: str, e: Exception) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    print(f"RESULT fail {where} error={type(e).__name__}")
+    return 1
+
+
 def cmd_basis(args, parser) -> int:
     n = _require_n(args, parser)
     k = _require_k(args, parser, n)
-    table = faces.enumerate_faces(n)
-    cx = ChainComplex(table)
-    basis = subc.homology_basis(n, k, table, cx)
-    sink = _Sink(args.out)
-    for line in basis.jsonl_lines(table):
-        sink.line(line)
-    sink.close()
-    expected = subc.betti_power(n, k)
-    ok = len(basis.chains) == expected
-    if args.certify:
-        sub = subc.subcomplex_faces(n, k, table)
-        verdict = snf.class_independence(basis.chains, sub, table, cx)
-        print(f"independent and generating: {str(verdict.ok).lower()}")
-        if args.verbose:
-            print(json.dumps(verdict.detail))
-        ok = ok and verdict.ok
+    try:
+        table = faces.enumerate_faces(n)
+        cx = ChainComplex(table)
+        basis = subc.homology_basis(n, k, table, cx)
+        with _Sink(args.out) as sink:
+            for line in basis.jsonl_lines(table):
+                sink.line(line)
+        expected = subc.betti_power(n, k)
+        ok = len(basis.chains) == expected
+        if args.certify:
+            sub = subc.subcomplex_faces(n, k, table)
+            verdict = snf.class_independence(basis.chains, sub, table, cx)
+            print(f"independent and generating: {str(verdict.ok).lower()}")
+            if args.verbose:
+                print(json.dumps(verdict.detail))
+            ok = ok and verdict.ok
+    except LIBRARY_ERRORS as e:
+        return _library_failure(f"n={n} k={k}", e)
     print(f"RESULT {'pass' if ok else 'fail'} n={n} k={k} chains={len(basis.chains)}")
     return 0 if ok else 1
+
+
+def _betti_rows(n: int, args) -> tuple[list[tuple], bool]:
+    """The Betti table rows of one n, and whether every column agreed."""
+    rows = []
+    ok = True
+    table = faces.enumerate_faces(n)
+    matching = morse.build_matching(table)
+    cx = ChainComplex(table) if args.oracle else None
+    k_top = n + 1 if args.include_k_eq_n else n
+    for k in range(3, k_top):
+        a = subc.betti_binomial(n, k)
+        b = subc.betti_power(n, k)
+        unmatched = oracle = ""
+        if k < n:
+            spec = subc.build_subcomplex(n, k, table, matching)
+            u = morse.morse_counts(spec.pairing, table, spec.faces)
+            unmatched = u.get(k - 1, 0)
+            if set(u) - {k - 1}:
+                ok = False
+            if unmatched != a:
+                ok = False
+            if args.oracle and (n <= ORACLE_N_CAP or args.force):
+                h = snf.homology(spec.faces, table, k - 1, cx)
+                oracle = h["betti"]
+                if oracle != a or h["torsion"]:
+                    ok = False
+        if a != b:
+            ok = False
+        rows.append((n, k, a, b, unmatched, oracle))
+    return rows, ok
 
 
 def cmd_betti(args, parser) -> int:
@@ -191,35 +259,16 @@ def cmd_betti(args, parser) -> int:
     rows = []
     ok = True
     for n in range(args.n_min, args.n_max + 1):
-        table = faces.enumerate_faces(n)
-        matching = morse.build_matching(table)
-        cx = ChainComplex(table) if args.oracle else None
-        k_top = n + 1 if args.include_k_eq_n else n
-        for k in range(3, k_top):
-            a = subc.betti_binomial(n, k)
-            b = subc.betti_power(n, k)
-            unmatched = oracle = ""
-            if k < n:
-                spec = subc.build_subcomplex(n, k, table, matching)
-                u = morse.morse_counts(spec.pairing, table, spec.faces)
-                unmatched = u.get(k - 1, 0)
-                if set(u) - {k - 1}:
-                    ok = False
-                if unmatched != a:
-                    ok = False
-                if args.oracle and (n <= ORACLE_N_CAP or args.force):
-                    h = snf.homology(spec.faces, table, k - 1, cx)
-                    oracle = h["betti"]
-                    if oracle != a or h["torsion"]:
-                        ok = False
-            if a != b:
-                ok = False
-            rows.append((n, k, a, b, unmatched, oracle))
-    sink = _Sink(args.out)
-    sink.line("n,k,betti_binomial,betti_power,unmatched,oracle_rank")
-    for row in rows:
-        sink.line(",".join(str(x) for x in row))
-    sink.close()
+        try:
+            n_rows, n_ok = _betti_rows(n, args)
+        except LIBRARY_ERRORS as e:
+            return _library_failure(f"n={n}", e)
+        rows += n_rows
+        ok = ok and n_ok
+    with _Sink(args.out) as sink:
+        sink.line("n,k,betti_binomial,betti_power,unmatched,oracle_rank")
+        for row in rows:
+            sink.line(",".join(str(x) for x in row))
     print(f"RESULT {'pass' if ok else 'fail'} rows={len(rows)}")
     return 0 if ok else 1
 

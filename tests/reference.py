@@ -1,0 +1,125 @@
+"""Slow exact reference for the closed forms in `halfcube.chains`.
+
+The orientation frame is found by a greedy search over the lexicographically
+sorted vertex list, keeping a vertex whenever its edge vector raises the
+exact rank; vertex sums enumerate every vertex.  `boundary_matrix` builds
+`∂_d` from these, with the package's exact `det_sign`, so tests can require
+the closed-form path to give bit-identical matrices.
+"""
+
+from __future__ import annotations
+
+from halfcube.chains import BoundaryMatrix, ChainError, det_sign, vertex_point
+from halfcube.faces import EMPTY, FaceTable, classify, facets, vertices_of
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination with row and
+    column pivoting."""
+    a = [row[:] for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    rank = 0
+    prev = 1
+    while rank < nr and rank < nc:
+        pr = pc = -1
+        for r in range(rank, nr):
+            row = a[r]
+            for c in range(rank, nc):
+                if row[c] != 0:
+                    pr, pc = r, c
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        a[rank], a[pr] = a[pr], a[rank]
+        if pc != rank:
+            for row in a:
+                row[rank], row[pc] = row[pc], row[rank]
+        piv = a[rank][rank]
+        for r in range(rank + 1, nr):
+            arc = a[r]
+            fac = arc[rank]
+            base = a[rank]
+            for c in range(rank + 1, nc):
+                arc[c] = (arc[c] * piv - fac * base[c]) // prev
+            arc[rank] = 0
+        prev = piv
+        rank += 1
+    return rank
+
+
+def orientation_frame(f: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """Base vertex and dense frame vectors of a face of dimension >= 1.
+
+    Base is the lexicographically smallest vertex; frame vectors are picked
+    greedily from the remaining vertices in lexicographic order, keeping a
+    vector whenever it raises the exact rank.
+    """
+    d = classify(f).dim
+    if d < 1:
+        raise ChainError(f"no frame for a face of dimension {d}")
+    verts = sorted(vertices_of(f))
+    base = vertex_point(verts[0])
+    vecs: list[tuple[int, ...]] = []
+    for v in verts[1:]:
+        if len(vecs) == d:
+            break
+        cand = tuple(a - b for a, b in zip(vertex_point(v), base))
+        if int_rank([list(w) for w in vecs] + [list(cand)]) > len(vecs):
+            vecs.append(cand)
+    if len(vecs) != d:
+        raise ChainError(f"rank {len(vecs)} < {d} for {f!r}")
+    return verts[0], tuple(vecs)
+
+
+def vertex_sum(f: str) -> tuple[tuple[int, ...], int]:
+    """Sum of the vertex points of a face, and its number of vertices."""
+    verts = vertices_of(f)
+    total = [0] * len(f)
+    for v in verts:
+        for i, x in enumerate(vertex_point(v)):
+            total[i] += x
+    return tuple(total), len(verts)
+
+
+def facet_incidence(f: str, g: str) -> int:
+    """Sign of the facet g in the boundary of f, from the greedy frames and
+    the enumerated centroids."""
+    if g == EMPTY:
+        return 1
+    base_f, vecs_f = orientation_frame(f)
+    if classify(g).dim == 0:
+        return -1 if g == base_f else 1
+    _, vecs_g = orientation_frame(g)
+    sum_f, nf = vertex_sum(f)
+    sum_g, ng = vertex_sum(g)
+    u = [nf * sg - ng * sf for sf, sg in zip(sum_f, sum_g)]
+    cols = [u] + [list(v) for v in vecs_g]
+    m = [[sum(a * b for a, b in zip(fv, col)) for col in cols] for fv in vecs_f]
+    s = det_sign(m)
+    if s == 0:
+        raise ChainError(f"degenerate incidence determinant for {f!r}:{g!r}")
+    return s
+
+
+def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
+    """`∂_d` of the full complex, one reference incidence per facet."""
+    cells = table.faces(d)
+    cols = [{table.index_of(g): facet_incidence(f, g) for g in facets(f)}
+            for f in cells]
+    return BoundaryMatrix(d, len(table.faces(d - 1)), len(cells), cols)
+
+
+def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, int, int]]:
+    """The nonzero entries (column, row, value) of `∂_{d-1} ∂_d`, given
+    b = `∂_d` and bprev = `∂_{d-1}`; empty when the chain condition holds."""
+    out = []
+    for j, col in enumerate(b.cols):
+        acc: dict[int, int] = {}
+        for i, v in col.items():
+            for i2, v2 in bprev.cols[i].items():
+                acc[i2] = acc.get(i2, 0) + v * v2
+        out += [(j, i2, x) for i2, x in sorted(acc.items()) if x]
+    return out

@@ -21,6 +21,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
+from reference import square_defects
 
 
 def report(num, name, elapsed, budget=None):
@@ -55,17 +56,11 @@ def test_criterion_01_face_census():
 
 def test_criterion_02_chain_condition():
     t0 = time.monotonic()
-    for n in range(4, 8):
+    for n in range(4, 9):
         cx = ChainComplex(faces.enumerate_faces(n))
         for d in range(1, n + 1):
-            b, bprev = cx.boundary(d), cx.boundary(d - 1)
-            for col in b.cols:
-                acc = {}
-                for i, v in col.items():
-                    for i2, v2 in bprev.cols[i].items():
-                        acc[i2] = acc.get(i2, 0) + v * v2
-                assert all(x == 0 for x in acc.values()), (n, d)
-    report(2, "boundary squared vanishes n=4..7", time.monotonic() - t0, budget=60)
+            assert not square_defects(cx.boundary(d), cx.boundary(d - 1)), (n, d)
+    report(2, "boundary squared vanishes n=4..8", time.monotonic() - t0, budget=60)
 
 
 def test_criterion_03_perfect_matching():

@@ -1,22 +1,26 @@
-import itertools
-
 import pytest
 
+import reference
 from halfcube import faces
 from halfcube.chains import (
     BoundaryMatrix,
-    ChainComplex,
     ChainVector,
     ChainError,
     DimensionMismatch,
-    apply_boundary,
     boundary_matrix,
     det_sign,
-    incidence,
-    int_rank,
-    orientation_frame,
+    orientation,
     vertex_point,
+    vertex_sum,
 )
+from reference import int_rank, square_defects
+
+
+def dense(vec, n):
+    p, a, q, b = vec
+    out = [0] * n
+    out[p], out[q] = a, b
+    return tuple(out)
 
 
 def brute_det(m):
@@ -92,48 +96,75 @@ class TestExactLinalg:
 
 class TestOrientationFrame:
     def test_edge_frame(self):
-        fr = orientation_frame("I1O0100")
-        assert fr.base == "0100100"
+        base, vecs = orientation("I1O0100")
+        assert base == "0100100"
         diff = tuple(a - b for a, b in
                      zip(vertex_point("1110100"), vertex_point("0100100")))
-        assert fr.vectors == (diff,)
+        assert [dense(v, 7) for v in vecs] == [diff]
 
     def test_triangle_rank(self):
-        fr = orientation_frame("0I1I10I")
-        assert len(fr.vectors) == 2
-        assert int_rank([list(v) for v in fr.vectors]) == 2
+        _, vecs = orientation("0I1I10I")
+        assert len(vecs) == 2
+        assert int_rank([list(dense(v, 7)) for v in vecs]) == 2
 
     def test_vertex_rejected(self):
         with pytest.raises(ChainError):
-            orientation_frame("0110")
+            orientation("0110")
 
     def test_deterministic(self):
-        assert orientation_frame("****0000") == orientation_frame("****0000")
+        assert orientation("****0000") == orientation("****0000")
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_frames_and_vertex_sums_match_reference(self, tables, n):
+        for f in tables(n):
+            if f == faces.EMPTY:
+                continue
+            assert vertex_sum(f) == reference.vertex_sum(f), f
+            if tables(n).dim_of(f) >= 1:
+                base, vecs = orientation(f)
+                assert (base, tuple(dense(v, n) for v in vecs)) == \
+                    reference.orientation_frame(f), f
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_boundaries_bit_identical_to_reference(self, tables, complexes, n):
+        for d in range(0, n + 1):
+            got = complexes(n).boundary(d).cols
+            want = reference.boundary_matrix(tables(n), d).cols
+            # same entries in the same column insertion order
+            assert [list(c.items()) for c in got] == \
+                [list(c.items()) for c in want], (n, d)
 
 
 class TestIncidence:
-    def test_vertex_empty(self):
-        assert incidence("1110100", faces.EMPTY) == 1
+    def test_vertex_empty(self, complexes):
+        assert complexes(7).incidence("1110100", faces.EMPTY) == 1
 
-    def test_edge_vertex_signs(self):
+    def test_edge_vertex_signs(self, complexes):
         e = "I1O0100"
-        assert incidence(e, "0100100") == -1  # base vertex
-        assert incidence(e, "1110100") == 1   # head vertex
+        assert complexes(7).incidence(e, "0100100") == -1  # base vertex
+        assert complexes(7).incidence(e, "1110100") == 1   # head vertex
 
-    def test_non_incident_zero(self):
+    def test_non_incident_zero(self, complexes):
         tri = "0I1I10I"
         other = "I1O0100"  # a valid edge that is not a facet of tri
         assert other not in faces.facets(tri)
-        assert incidence(tri, other) == 0
+        assert complexes(7).incidence(tri, other) == 0
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, complexes):
         with pytest.raises(DimensionMismatch):
-            incidence("0I1I10I", "0100100")
+            complexes(7).incidence("0I1I10I", "0100100")
 
-    def test_all_pm_one_on_facets(self):
+    def test_dimension_mismatch_above(self, complexes):
+        # a face one dimension above is no facet either
+        with pytest.raises(DimensionMismatch):
+            complexes(7).incidence("I1O0100", "0I1I10I")
+
+    def test_all_pm_one_on_facets(self, complexes):
         f = "***00"
         for g in faces.facets(f):
-            assert incidence(f, g) in (1, -1)
+            assert complexes(5).incidence(f, g) in (1, -1)
 
 
 class TestBoundaryMatrix:
@@ -150,25 +181,23 @@ class TestBoundaryMatrix:
 
     def test_d2_after_d3_vanishes(self, complexes):
         cx = complexes(4)
-        b3, b2 = cx.boundary(3), cx.boundary(2)
-        for col in b3.cols:
-            acc = {}
-            for i, v in col.items():
-                for i2, v2 in b2.cols[i].items():
-                    acc[i2] = acc.get(i2, 0) + v * v2
-            assert all(x == 0 for x in acc.values())
+        assert not square_defects(cx.boundary(3), cx.boundary(2))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_chain_condition(self, complexes, n):
         cx = complexes(n)
         for d in range(1, n + 1):
-            b, bprev = cx.boundary(d), cx.boundary(d - 1)
-            for col in b.cols:
-                acc = {}
-                for i, v in col.items():
-                    for i2, v2 in bprev.cols[i].items():
-                        acc[i2] = acc.get(i2, 0) + v * v2
-                assert all(x == 0 for x in acc.values())
+            assert not square_defects(cx.boundary(d), cx.boundary(d - 1)), d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_flipped_sign_breaks_chain_condition(self, complexes, d):
+        cx = complexes(5)
+        b = cx.boundary(d)
+        cols = [dict(c) for c in b.cols]
+        i = next(iter(cols[0]))
+        cols[0][i] = -cols[0][i]
+        planted = BoundaryMatrix(d, b.n_rows, b.n_cols, cols)
+        assert square_defects(planted, cx.boundary(d - 1))
 
     def test_column_support_is_facet_list(self, tables, complexes):
         t, cx = tables(4), complexes(4)
@@ -197,14 +226,14 @@ class TestBoundaryMatrix:
 
 
 class TestApplyBoundary:
-    def test_single_edge(self, tables):
+    def test_single_edge(self, tables, complexes):
         t = tables(4)
         e = t.faces(1)[0]
-        fr = orientation_frame(e)
-        head = next(v for v in faces.vertices_of(e) if v != fr.base)
+        base = orientation(e)[0]
+        head = next(v for v in faces.vertices_of(e) if v != base)
         c = ChainVector(1, {t.index_of(e): 1})
-        out = apply_boundary(c, t)
-        assert out.coeffs == {t.index_of(head): 1, t.index_of(fr.base): -1}
+        out = complexes(4).apply(c)
+        assert out.coeffs == {t.index_of(head): 1, t.index_of(base): -1}
 
     def test_boundary_squared_all_3_cells(self, tables, complexes):
         t, cx = tables(4), complexes(4)
@@ -212,8 +241,8 @@ class TestApplyBoundary:
             c = ChainVector(3, {t.index_of(f): 1})
             assert cx.apply(cx.apply(c)).is_zero()
 
-    def test_zero_chain(self, tables):
-        out = apply_boundary(ChainVector(2, {}), tables(4))
+    def test_zero_chain(self, complexes):
+        out = complexes(4).apply(ChainVector(2, {}))
         assert out.is_zero() and out.dim == 1
 
     def test_linearity(self, tables, complexes):

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from halfcube import morse, snf
+from halfcube import subcomplex as subc
+from halfcube.chains import ChainError
 from halfcube.cli import main
 
 
@@ -90,6 +93,38 @@ class TestBasis:
             main(["--n", "5", "--k", "5", "basis"])
         assert exc.value.code == 2
 
+    def test_library_error_is_a_fail_line(self, capsys, monkeypatch):
+        def broken(*args):
+            raise snf.NotCycles("planted")
+
+        monkeypatch.setattr(snf, "class_independence", broken)
+        code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify")
+        assert code == 1
+        assert lines[-1] == "RESULT fail n=5 k=4 error=NotCycles"
+        assert not any("Traceback" in l for l in lines)
+
+    def test_failure_mid_write_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        def broken(self, table):
+            yield "{}"
+            raise ChainError("planted")
+
+        monkeypatch.setattr(subc.HomologyBasis, "jsonl_lines", broken)
+        path = tmp_path / "basis.jsonl"
+        code, lines = run(capsys, "--n", "4", "--k", "3", "basis",
+                          "--out", str(path))
+        assert code == 1
+        assert lines[-1] == "RESULT fail n=4 k=3 error=ChainError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_file_replaces_old_content(self, capsys, tmp_path):
+        path = tmp_path / "basis.jsonl"
+        path.write_text("stale\n")
+        code, lines = run(capsys, "--n", "4", "--k", "3", "basis",
+                          "--out", str(path))
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 7
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestBetti:
     def test_columns_agree(self, capsys):
@@ -113,6 +148,17 @@ class TestBetti:
     def test_header(self, capsys):
         code, lines = run(capsys, "betti", "--n-max", "4")
         assert lines[0] == "n,k,betti_binomial,betti_power,unmatched,oracle_rank"
+
+    def test_library_error_is_a_fail_line(self, capsys, monkeypatch, tmp_path):
+        def broken(table):
+            raise morse.Unpaired("planted")
+
+        monkeypatch.setattr(morse, "build_matching", broken)
+        path = tmp_path / "betti.csv"
+        code, lines = run(capsys, "betti", "--n-max", "5", "--out", str(path))
+        assert code == 1
+        assert lines == ["RESULT fail n=4 error=Unpaired"]
+        assert not path.exists()
 
 
 class TestGlobalFlags:
