@@ -14,6 +14,7 @@ from .faces import (
     EMPTY,
     FaceError,
     FaceKind,
+    FaceSubset,
     FaceTable,
     Kind,
     canonical_edge,
@@ -21,7 +22,6 @@ from .faces import (
     enumerate_faces,
     expected_counts,
     expected_shape_counts,
-    face_dim,
     facets,
     parse_seq,
     total_and_u,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .faces import (
     ONE_SYMBOLS,
@@ -48,7 +49,6 @@ from .faces import (
     FaceTable,
     Kind,
     classify,
-    facets,
     mask,
 )
 
@@ -211,13 +211,12 @@ class BoundaryMatrix:
     def column_chain(self, j: int) -> ChainVector:
         return ChainVector(self.d - 1, dict(self.cols[j]))
 
-    def jsonl_lines(self, n: int) -> list[str]:
-        lines = [json.dumps({"dim": self.d, "rows": self.n_rows,
-                             "cols": self.n_cols, "n": n})]
+    def jsonl_lines(self, n: int) -> Iterator[str]:
+        yield json.dumps({"dim": self.d, "rows": self.n_rows,
+                          "cols": self.n_cols, "n": n})
         for j, col in enumerate(self.cols):
             for i in sorted(col):
-                lines.append(json.dumps({"row": i, "col": j, "val": col[i]}))
-        return lines
+                yield json.dumps({"row": i, "col": j, "val": col[i]})
 
 
 def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
@@ -226,20 +225,22 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     if d < 0 or d > table.n:
         raise DimensionMismatch(f"no boundary in dimension {d}")
     cells = table.faces(d)
-    n_rows = len(table.faces(d - 1))
-    index_of = table.index_of
+    below = table.faces(d - 1)
+    n_rows = len(below)
     if d == 0:
         return BoundaryMatrix(d, n_rows, len(cells), [{0: 1} for _ in cells])
+    flat, offsets = table.facet_index(d)
     cols: list[dict[int, int]] = []
     if d == 1:
         # -1 on the frame base, the smaller vertex, and +1 on the head
-        for f in cells:
-            base, head = facets(f)
-            cols.append({index_of(base): -1, index_of(head): 1})
+        for i in range(len(cells)):
+            base, head = flat[offsets[i]:offsets[i + 1]]
+            cols.append({base: -1, head: 1})
         return BoundaryMatrix(d, n_rows, len(cells), cols)
-    # (frame vectors, vertex sum, vertex count) of the facets met so far
-    seen: dict[str, tuple] = {}
-    for f in cells:
+    # (frame vectors, vertex sum, vertex count) of the facets met so far,
+    # by position among the (d-1)-cells
+    seen: dict[int, tuple] = {}
+    for i, f in enumerate(cells):
         vecs_f = orientation(f)[1]
         sum_f, nf = vertex_sum(f)
         dense_f = []
@@ -248,10 +249,11 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
             row[p], row[q] = a, b
             dense_f.append(row)
         col: dict[int, int] = {}
-        for g in facets(f):
-            info = seen.get(g)
+        for j in flat[offsets[i]:offsets[i + 1]]:
+            info = seen.get(j)
             if info is None:
-                info = seen[g] = (orientation(g)[1], *vertex_sum(g))
+                g = below[j]
+                info = seen[j] = (orientation(g)[1], *vertex_sum(g))
             vecs_g, sum_g, ng = info
             # Gram matrix of f's frame against the outward direction
             # nf*ng * (centroid(g) - centroid(f)) followed by g's frame
@@ -261,8 +263,9 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
                  for (p, a, q, b), row in zip(vecs_f, dense_f)]
             s = det_sign(m)
             if s == 0:
-                raise ChainError(f"degenerate incidence determinant for {f!r}:{g!r}")
-            col[index_of(g)] = s
+                raise ChainError(
+                    f"degenerate incidence determinant for {f!r}:{below[j]!r}")
+            col[j] = s
         cols.append(col)
     return BoundaryMatrix(d, n_rows, len(cells), cols)
 

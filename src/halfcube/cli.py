@@ -21,8 +21,8 @@ from .chains import ChainComplex, ChainError
 
 ORACLE_N_CAP = 6  # SNF cost grows quickly; require --force beyond this
 
-# the library's own errors; `basis` and `betti` report them as a failed
-# RESULT line instead of a traceback
+# the library's own errors; every command reports them as a failed RESULT
+# line instead of a traceback
 LIBRARY_ERRORS = (faces.FaceError, ChainError, morse.MorseError,
                   subc.SubcomplexError, snf.OracleError)
 
@@ -32,10 +32,7 @@ def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--n", type=int, **({} if suppress else {"default": None}), **d)
     p.add_argument("--k", type=int, **({} if suppress else {"default": None}), **d)
     p.add_argument("--dim", type=int, **({} if suppress else {"default": None}), **d)
-    p.add_argument("--format", choices=("jsonl", "csv"),
-                   **({} if suppress else {"default": None}), **d)
     p.add_argument("--out", **({} if suppress else {"default": None}), **d)
-    p.add_argument("--jobs", type=int, **({} if suppress else {"default": 1}), **d)
     p.add_argument("-v", "--verbose", action="store_true",
                    **({} if suppress else {"default": False}), **d)
 
@@ -135,20 +132,21 @@ def _require_k(args, parser, n: int) -> int:
 
 def cmd_enum(args, parser) -> int:
     n = _require_n(args, parser)
-    table = faces.enumerate_faces(n)
-    dims = [args.dim] if args.dim is not None else sorted(table.cells)
-    with _Sink(args.out) as sink:
-        for d in dims:
-            for f in table.faces(d):
-                sink.line(faces.face_jsonl(f))
-    want = faces.expected_counts(n)
-    got = table.counts()
-    ok = got == want
-    for d in sorted(got):
-        mark = "ok" if got[d] == want.get(d) else f"MISMATCH expect {want.get(d)}"
-        print(f"dim {d:2d}: {got[d]:8d} {mark}")
-    print(f"RESULT {'pass' if ok else 'fail'} n={n} cells={table.size}")
-    return 0 if ok else 1
+    if args.dim is not None and not -1 <= args.dim <= n:
+        parser.error(f"--dim must satisfy -1 <= dim <= n, got dim={args.dim}, n={n}")
+    try:
+        table = faces.enumerate_faces(n)  # raises on a census mismatch
+        dims = [args.dim] if args.dim is not None else sorted(table.cells)
+        with _Sink(args.out) as sink:
+            for d in dims:
+                for f in table.faces(d):
+                    sink.line(faces.face_jsonl(f))
+    except LIBRARY_ERRORS as e:
+        return _library_failure(f"n={n}", e)
+    for d, count in table.counts().items():
+        print(f"dim {d:2d}: {count:8d} ok")
+    print(f"RESULT pass n={n} cells={table.size}")
+    return 0
 
 
 def cmd_match(args, parser) -> int:
@@ -162,23 +160,23 @@ def cmd_match(args, parser) -> int:
         print(json.dumps({"face": f, "partner": partner, "rule": rule}))
         print(f"RESULT pass n={n} face={f}")
         return 0
-    table = faces.enumerate_faces(n)
     try:
+        table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
-    except morse.MorseError as e:
-        print(f"RESULT fail n={n} error={e}")
-        return 1
-    with _Sink(args.out) as sink:
-        for line in m.jsonl_lines(table):
-            sink.line(line)
+        with _Sink(args.out) as sink:
+            for line in m.jsonl_lines(table):
+                sink.line(line)
+        if args.verify:
+            for f in table:
+                apps = morse.rule_applicability(f)
+                if apps != {m.rule[f]}:
+                    print(f"RESULT fail n={n} exclusivity face={f} rules={sorted(apps)}")
+                    return 1
+            report = morse.verify_acyclic(m, table)
+            unpaired = morse.morse_counts(m, table)
+    except LIBRARY_ERRORS as e:
+        return _library_failure(f"n={n}", e)
     if args.verify:
-        for f in table:
-            apps = morse.rule_applicability(f)
-            if apps != {m.rule[f]}:
-                print(f"RESULT fail n={n} exclusivity face={f} rules={sorted(apps)}")
-                return 1
-        report = morse.verify_acyclic(m, table)
-        unpaired = morse.morse_counts(m, table)
         if args.verbose:
             print(json.dumps(report))
         if not report["acyclic"] or unpaired:
@@ -220,10 +218,11 @@ def cmd_basis(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _betti_rows(n: int, args) -> tuple[list[tuple], bool]:
-    """The Betti table rows of one n, and whether every column agreed."""
+def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
+    """The Betti table rows of one n, and the (k, column) of the first
+    column that disagrees with betti_binomial, or None."""
     rows = []
-    ok = True
+    first_bad = None
     table = faces.enumerate_faces(n)
     matching = morse.build_matching(table)
     cx = ChainComplex(table) if args.oracle else None
@@ -231,24 +230,23 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], bool]:
     for k in range(3, k_top):
         a = subc.betti_binomial(n, k)
         b = subc.betti_power(n, k)
+        bad = [] if a == b else ["betti_power"]
         unmatched = oracle = ""
         if k < n:
             spec = subc.build_subcomplex(n, k, table, matching)
             u = morse.morse_counts(spec.pairing, table, spec.faces)
             unmatched = u.get(k - 1, 0)
-            if set(u) - {k - 1}:
-                ok = False
-            if unmatched != a:
-                ok = False
+            if unmatched != a or set(u) - {k - 1}:
+                bad.append("unmatched")
             if args.oracle and (n <= ORACLE_N_CAP or args.force):
                 h = snf.homology(spec.faces, table, k - 1, cx)
                 oracle = h["betti"]
                 if oracle != a or h["torsion"]:
-                    ok = False
-        if a != b:
-            ok = False
+                    bad.append("oracle_rank")
+        if bad and first_bad is None:
+            first_bad = (k, bad[0])
         rows.append((n, k, a, b, unmatched, oracle))
-    return rows, ok
+    return rows, first_bad
 
 
 def cmd_betti(args, parser) -> int:
@@ -257,27 +255,26 @@ def cmd_betti(args, parser) -> int:
     if args.n_max < args.n_min:
         parser.error("--n-max must be >= --n-min")
     rows = []
-    ok = True
+    failure = ""
     for n in range(args.n_min, args.n_max + 1):
         try:
-            n_rows, n_ok = _betti_rows(n, args)
+            n_rows, bad = _betti_rows(n, args)
         except LIBRARY_ERRORS as e:
             return _library_failure(f"n={n}", e)
         rows += n_rows
-        ok = ok and n_ok
+        if bad and not failure:
+            failure = f" n={n} k={bad[0]} column={bad[1]}"
     with _Sink(args.out) as sink:
         sink.line("n,k,betti_binomial,betti_power,unmatched,oracle_rank")
         for row in rows:
             sink.line(",".join(str(x) for x in row))
-    print(f"RESULT {'pass' if ok else 'fail'} rows={len(rows)}")
-    return 0 if ok else 1
+    print(f"RESULT {'fail' if failure else 'pass'} rows={len(rows)}{failure}")
+    return 1 if failure else 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     handlers = {
         "enum": cmd_enum,
         "match": cmd_match,

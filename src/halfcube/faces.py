@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
+from collections.abc import Set
 from enum import Enum
 from math import comb
 from typing import Iterator, NamedTuple
@@ -106,10 +108,6 @@ def classify(f: str) -> FaceKind:
     if m == 2:
         return FaceKind(Kind.EDGE, 1)
     return FaceKind(Kind.SIMPLEX, m - 1)
-
-
-def face_dim(f: str) -> int:
-    return classify(f).dim
 
 
 def parse_seq(text: str, n: int) -> str:
@@ -279,6 +277,9 @@ class FaceTable:
 
     Faces are stored per dimension in lexicographic order of their text
     form; `index_of` gives the position of a face within its dimension.
+    `facet_index(d)` gives the facets of every d-cell as positions among
+    the (d-1)-cells; it is built from `facets()` the first time d is asked
+    for, and is the only place the package parses facets.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
@@ -290,6 +291,7 @@ class FaceTable:
             for i, f in enumerate(faces):
                 self._index[f] = i
                 self._dim[f] = d
+        self._facets: dict[int, tuple[array, array]] = {}
 
     def faces(self, d: int) -> tuple[str, ...]:
         return self.cells.get(d, ())
@@ -299,6 +301,33 @@ class FaceTable:
 
     def dim_of(self, f: str) -> int:
         return self._dim[f]
+
+    def facet_index(self, d: int) -> tuple[array, array]:
+        """Facets of the d-cells as (flat, offsets): those of the i-th
+        d-cell are the (d-1)-cell positions flat[offsets[i]:offsets[i+1]],
+        in `facets()` order."""
+        idx = self._facets.get(d)
+        if idx is None:
+            index = self._index
+            flat = array("i")
+            offsets = array("i", [0])
+            for f in self.faces(d):
+                if f != EMPTY:
+                    try:
+                        flat.extend(map(index.__getitem__, facets(f)))
+                    except KeyError as e:
+                        raise FaceError(f"facet {e.args[0]!r} of {f!r} "
+                                        "is not in the table") from None
+                offsets.append(len(flat))
+            idx = self._facets[d] = (flat, offsets)
+        return idx
+
+    def facet_ids(self, f: str) -> array:
+        """Positions of the facets of f among the faces one dimension
+        down, in `facets()` order."""
+        flat, offsets = self.facet_index(self._dim[f])
+        i = self._index[f]
+        return flat[offsets[i]:offsets[i + 1]]
 
     def __contains__(self, f: str) -> bool:
         return f in self._index
@@ -313,6 +342,69 @@ class FaceTable:
     @property
     def size(self) -> int:
         return len(self._index)
+
+
+class FaceSubset(Set):
+    """A set of faces of one table, held as one bytearray mask per
+    dimension: masks[d][i] is 1 when the i-th d-cell belongs to the set.
+
+    Iteration follows the table order: by dimension, then lexicographic.
+    The set operators (&, |, -, ^) return plain frozensets.
+    """
+
+    def __init__(self, table: FaceTable, masks: dict[int, bytearray]):
+        self.table = table
+        self.masks = masks
+
+    @classmethod
+    def of(cls, table: FaceTable, faces) -> "FaceSubset":
+        """`faces` as a subset of `table`; each must be a face of it."""
+        if isinstance(faces, FaceSubset) and faces.table is table:
+            return faces
+        masks = {d: bytearray(len(cells)) for d, cells in table.cells.items()}
+        for f in faces:
+            masks[table.dim_of(f)][table.index_of(f)] = 1
+        return cls(table, masks)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def mask(self, d: int) -> bytearray:
+        return self.masks.get(d, bytearray())
+
+    def indices(self, d: int) -> list[int]:
+        """Positions of the d-cells in the set, ascending."""
+        m = self.mask(d)
+        return list(itertools.compress(range(len(m)), m))
+
+    def missing_facet(self, start: int = 0) -> tuple[str, str] | None:
+        """The first (face, facet) pair, in table order from dimension
+        `start` up, of a face in the set whose facet is not in it; None
+        when there is none."""
+        table = self.table
+        for d in table.cells:
+            below = self.mask(d - 1)
+            if d < start or 0 not in below:
+                continue  # every facet one dimension down is in the set
+            cells, cells_below = table.faces(d), table.faces(d - 1)
+            flat, offsets = table.facet_index(d)
+            for i in self.indices(d):
+                for j in flat[offsets[i]:offsets[i + 1]]:
+                    if not below[j]:
+                        return cells[i], cells_below[j]
+        return None
+
+    def __contains__(self, f) -> bool:
+        d = self.table._dim.get(f)
+        return d is not None and self.masks[d][self.table._index[f]] == 1
+
+    def __iter__(self) -> Iterator[str]:
+        for d, cells in self.table.cells.items():
+            yield from itertools.compress(cells, self.mask(d))
+
+    def __len__(self) -> int:
+        return sum(m.count(1) for m in self.masks.values())
 
 
 def enumerate_faces(n: int) -> FaceTable:

@@ -14,7 +14,9 @@ boundary by exact back-substitution.
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
 from .faces import (
@@ -29,7 +31,6 @@ from .faces import (
     Kind,
     canonical_edge,
     classify,
-    facets,
     mask,
 )
 
@@ -201,20 +202,47 @@ class MorseMatching:
     def down_cells(self, k: int) -> list[str]:
         return self.downs.get(k, [])
 
-    def jsonl_lines(self, table: FaceTable) -> list[str]:
-        import json
-
-        lines = []
+    def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
         for d in sorted(table.cells):
             for f in table.faces(d):
-                lines.append(json.dumps(
-                    {"face": f, "partner": self.partner[f], "rule": self.rule[f]}))
-        return lines
+                yield json.dumps(
+                    {"face": f, "partner": self.partner[f], "rule": self.rule[f]})
+
+
+def validate_matching(partner: dict[str, str], rule: dict[str, int],
+                      table: FaceTable) -> None:
+    """Check that `partner` pairs every face of the table with another
+    face, involutively and with mutually inverse rules, and that each pair
+    is a facet incidence one dimension apart.  Raises Unpaired,
+    InvolutionBroken or NotCodimOne at the first violation in table
+    order."""
+    for d in sorted(table.cells):
+        flat, offsets = table.facet_index(d + 1)
+        for f in table.faces(d):
+            p = partner.get(f)
+            if p is None or p == f:
+                raise Unpaired(f"face {f!r} has no partner")
+            if p not in partner:
+                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
+            if partner[p] != f:
+                raise InvolutionBroken(f"{f!r} -> {p!r} -> {partner[p]!r}")
+            if _INVERSE_RULE[rule[f]] != rule[p]:
+                raise InvolutionBroken(
+                    f"rules {rule[f]}/{rule[p]} of {f!r}/{p!r} are not inverse")
+            dp = table.dim_of(p)
+            if abs(d - dp) != 1:
+                raise NotCodimOne(f"{f!r} (dim {d}) paired with {p!r} (dim {dp})")
+            # each pair is met first from its lower face, so checking the
+            # incidence from there alone raises at the same face
+            if d < dp:
+                j = table.index_of(p)
+                if table.index_of(f) not in flat[offsets[j]:offsets[j + 1]]:
+                    raise NotCodimOne(f"{f!r} is not a facet of {p!r}")
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
-    """Match every face of the table and validate the pairing: involution,
-    codimension-1 incidence, and completeness."""
+    """Match every face of the table and validate the pairing with
+    `validate_matching`."""
     n = table.n
     partner: dict[str, str] = {}
     rule: dict[str, int] = {}
@@ -222,32 +250,18 @@ def build_matching(table: FaceTable) -> MorseMatching:
         p, r = match_face(f, n)
         partner[f] = p
         rule[f] = r
+    validate_matching(partner, rule, table)
     ups: dict[int, list[str]] = {}
     downs: dict[int, list[str]] = {}
-    for f in table:
-        p = partner.get(f)
-        if p is None or p == f:
-            raise Unpaired(f"face {f!r} has no partner")
-        if p not in partner:
-            raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
-        if partner[p] != f:
-            raise InvolutionBroken(f"{f!r} -> {p!r} -> {partner[p]!r}")
-        if _INVERSE_RULE[rule[f]] != rule[p]:
-            raise InvolutionBroken(
-                f"rules {rule[f]}/{rule[p]} of {f!r}/{p!r} are not inverse")
-        df = table.dim_of(f)
-        dp = table.dim_of(p)
-        if abs(df - dp) != 1:
-            raise NotCodimOne(f"{f!r} (dim {df}) paired with {p!r} (dim {dp})")
-        small, large = (f, p) if df < dp else (p, f)
-        if small != EMPTY and small not in facets(large):
-            raise NotCodimOne(f"{small!r} is not a facet of {large!r}")
-        if df < dp:
-            ups.setdefault(df, []).append(f)
-            downs.setdefault(df, []).append(p)
+    for d in sorted(table.cells):
+        for f in table.faces(d):
+            p = partner[f]
+            if table.dim_of(p) > d:
+                ups.setdefault(d, []).append(f)
+                downs.setdefault(d, []).append(p)
     for k in ups:
         ups[k].sort()
-        downs[k] = sorted(downs[k])
+        downs[k].sort()
     return MorseMatching(n, partner, rule, ups, downs)
 
 
@@ -255,10 +269,13 @@ def _layer_digraph(pairing: dict[str, str], table: FaceTable, p: int):
     """Modified Hasse digraph of the layer (p, p+1): matched incidences point
     up, all other incidences point down."""
     edges: dict[str, list[str]] = {}
-    nodes = list(table.faces(p)) + list(table.faces(p + 1))
-    for b in table.faces(p + 1):
+    cells_p = table.faces(p)
+    nodes = list(cells_p) + list(table.faces(p + 1))
+    flat, offsets = table.facet_index(p + 1)
+    for i, b in enumerate(table.faces(p + 1)):
         down = []
-        for a in facets(b):
+        for j in flat[offsets[i]:offsets[i + 1]]:
+            a = cells_p[j]
             if pairing.get(a) == b:
                 edges.setdefault(a, []).append(b)
             else:
@@ -372,9 +389,12 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     upset = set(ups)
     prec: dict[str, list[str]] = {e: [] for e in ups}
     indeg = {e: 0 for e in ups}
+    cells_k = table.faces(k)
+    flat, offsets = table.facet_index(k + 1)
     for e in ups:
-        d = m.partner[e]
-        for e2 in facets(d):
+        j = table.index_of(m.partner[e])
+        for i in flat[offsets[j]:offsets[j + 1]]:
+            e2 = cells_k[i]
             if e2 != e and e2 in upset:
                 prec[e].append(e2)  # e2 strictly precedes e
                 indeg[e] += 1
@@ -400,7 +420,6 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     pos = {e: i for i, e in enumerate(order)}
     downs = [m.partner[e] for e in order]
     bmat = cx.boundary(k + 1)
-    cells_k = table.faces(k)
     cols: list[dict[int, int]] = []
     for d in downs:
         col: dict[int, int] = {}

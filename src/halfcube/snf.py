@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .chains import ChainComplex
-from .faces import EMPTY, FaceTable, facets
+from .faces import EMPTY, FaceSubset, FaceTable
 
 
 class OracleError(Exception):
@@ -146,44 +146,46 @@ def smith_normal_form(matrix) -> SNFResult:
     return _sparse_snf(n_rows, n_cols, entries)
 
 
-def check_closed(subset, table: FaceTable, reduced: bool = True) -> set[str]:
-    """Validate facet closure of a face subset; with `reduced`, the empty
-    face must be present (it is the facet of every vertex)."""
-    sub = set(subset)
-    for f in sub:
-        if f not in table:
-            raise NotClosed(f"{f!r} is not a face of the table")
-    if reduced and any(table.dim_of(f) == 0 for f in sub) and EMPTY not in sub:
+def check_closed(subset, table: FaceTable, reduced: bool = True) -> FaceSubset:
+    """Validate facet closure of a face subset and return it as a
+    FaceSubset; with `reduced`, the empty face must be present (it is the
+    facet of every vertex)."""
+    if not (isinstance(subset, FaceSubset) and subset.table is table):
+        for f in subset:
+            if f not in table:
+                raise NotClosed(f"{f!r} is not a face of the table")
+    sub = FaceSubset.of(table, subset)
+    if reduced and 1 in sub.mask(0) and EMPTY not in sub:
         raise NotClosed("reduced homology needs the empty face in the subset")
-    for f in sub:
-        if f == EMPTY:
-            continue
-        for g in facets(f):
-            if g == EMPTY and not reduced:
-                continue
-            if g not in sub:
-                raise NotClosed(f"{g!r} missing: facet of {f!r}")
+    # without `reduced`, the empty face need not be there under the vertices
+    gap = sub.missing_facet(start=0 if reduced else 1)
+    if gap is not None:
+        f, g = gap
+        raise NotClosed(f"{g!r} missing: facet of {f!r}")
     return sub
 
 
-def restricted_boundary(sub: set[str], table: FaceTable, d: int,
+def restricted_boundary(sub, table: FaceTable, d: int,
                         cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int], list[str], list[str]]:
-    """Boundary matrix of the subcomplex in dimension d with local indices."""
-    col_faces = sorted(f for f in sub if f != EMPTY and table.dim_of(f) == d)
+    """Boundary matrix of the subcomplex in dimension d with local indices;
+    rows and columns follow the table order."""
+    sub = FaceSubset.of(table, sub)
+    cols = sub.indices(d)
+    col_faces = [table.faces(d)[j] for j in cols]
     if d == 0:
         rows = [EMPTY]
         entries = {(0, j): 1 for j in range(len(col_faces))}
         return 1, len(col_faces), entries, rows, col_faces
-    row_faces = sorted(f for f in sub if f != EMPTY and table.dim_of(f) == d - 1)
+    row_ids = sub.indices(d - 1)
+    row_faces = [table.faces(d - 1)[i] for i in row_ids]
     if not col_faces:
         return len(row_faces), 0, {}, row_faces, []
-    row_pos = {f: i for i, f in enumerate(row_faces)}
+    row_pos = {i: r for r, i in enumerate(row_ids)}
     bmat = cx.boundary(d)
-    cells = table.faces(d - 1)
     entries: dict[tuple[int, int], int] = {}
-    for j, f in enumerate(col_faces):
-        for i, v in bmat.cols[table.index_of(f)].items():
-            entries[(row_pos[cells[i]], j)] = v
+    for j, c in enumerate(cols):
+        for i, v in bmat.cols[c].items():
+            entries[(row_pos[i], j)] = v
     return len(row_faces), len(col_faces), entries, row_faces, col_faces
 
 
@@ -195,7 +197,7 @@ def homology(subset, table: FaceTable, degree: int,
     sub = check_closed(subset, table, reduced)
     if cx is None:
         cx = ChainComplex(table)
-    n_cells = sum(1 for f in sub if f != EMPTY and table.dim_of(f) == degree)
+    n_cells = sub.mask(degree).count(1) if degree >= 0 else 0
     if degree == 0 and not reduced:
         rank_d = 0
     else:
@@ -213,7 +215,7 @@ def homology_report(subset, table: FaceTable, cx: ChainComplex | None = None,
     sub = check_closed(subset, table, reduced)
     if cx is None:
         cx = ChainComplex(table)
-    top = max((table.dim_of(f) for f in sub if f != EMPTY), default=-1)
+    top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     for d in range(0, top + 1):
@@ -261,27 +263,30 @@ def class_independence(cycles, subset, table: FaceTable,
     degree = cycles[0].dim
     sub = check_closed(subset, table, reduced=True)
     cells = table.faces(degree)
-    row_faces = sorted(f for f in sub if f != EMPTY and table.dim_of(f) == degree)
-    row_pos = {f: i for i, f in enumerate(row_faces)}
+    row_ids = sub.indices(degree) if degree >= 0 else []
+    row_pos = {i: r for r, i in enumerate(row_ids)}
     for ch in cycles:
         if ch.dim != degree:
             raise NotCycles("cycles of mixed degree")
         if not cx.apply(ch).is_zero():
             raise NotCycles("input chain has nonzero boundary")
         for i in ch.coeffs:
-            if cells[i] not in row_pos:
+            if i not in row_pos:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
 
-    rb, cb, entries_b, _, _ = restricted_boundary(sub, table, degree + 1, cx)
-    rank_b = _sparse_snf(rb, cb, dict(entries_b)).rank
-    stacked = dict(entries_b)
+    # _sparse_snf does not modify its entries, so the cycle columns are
+    # added to the boundary entries in place, and they are dropped before
+    # the next elimination
+    rb, cb, stacked, _, _ = restricted_boundary(sub, table, degree + 1, cx)
+    rank_b = _sparse_snf(rb, cb, stacked).rank
     for j, ch in enumerate(cycles):
         for i, v in ch.coeffs.items():
-            stacked[(row_pos[cells[i]], cb + j)] = v
+            stacked[(row_pos[i], cb + j)] = v
     snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
+    del stacked
 
     rd, cd, entries_d, _, _ = restricted_boundary(sub, table, degree, cx)
-    kernel_rank = len(row_faces) - _sparse_snf(rd, cd, entries_d).rank
+    kernel_rank = len(row_ids) - _sparse_snf(rd, cd, entries_d).rank
 
     independent = snf_stack.rank == rank_b + len(cycles)
     generating = (snf_stack.rank == kernel_rank

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
-from .faces import EMPTY, PLAIN1, STAR, FaceTable, Kind, classify, facets
+from .faces import PLAIN1, STAR, FaceSubset, FaceTable, Kind, classify
 from .morse import MorseMatching, build_matching
 
 
@@ -48,16 +49,17 @@ def betti_power(n: int, k: int) -> int:
     return sum((2 ** (i - k)) * comb(i - 1, k - 1) for i in range(k, n + 1))
 
 
-def subcomplex_faces(n: int, k: int, table: FaceTable) -> set[str]:
+def subcomplex_faces(n: int, k: int, table: FaceTable) -> FaceSubset:
     """Every face of the half cube except the half-cube shaped faces of
-    dimension >= k; the empty face is kept."""
-    out = set()
-    for f in table:
-        kind, d = classify(f)
-        if kind is Kind.HALFCUBE and d >= k:
-            continue
-        out.add(f)
-    return out
+    dimension >= k; the empty face is kept.  A face is half-cube shaped
+    exactly when it holds a '*'."""
+    masks = {}
+    for d, cells in table.cells.items():
+        if d < k:
+            masks[d] = bytearray(b"\x01") * len(cells)
+        else:
+            masks[d] = bytearray(STAR not in f for f in cells)
+    return FaceSubset(table, masks)
 
 
 @dataclass
@@ -72,7 +74,7 @@ class SubcomplexSpec:
 
     n: int
     k: int
-    faces: frozenset[str]
+    faces: FaceSubset
     pairing: dict[str, str]
     unmatched: list[str]
     external: list[str]
@@ -102,25 +104,26 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     unmatched.sort()
     external.sort()
 
-    for f in faces_y:
-        if f == EMPTY:
-            continue
-        for g in facets(f):
-            if g not in faces_y:
-                raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
+    gap = faces_y.missing_facet()
+    if gap is not None:
+        f, g = gap
+        raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
     for f in unmatched:
         if table.dim_of(f) != k - 1:
             raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
     if len(unmatched) != len(external):
         raise SubcomplexError("unmatched/external size mismatch")
+    below = faces_y.mask(k - 1)
+    cells_below = table.faces(k - 1)
     for b in external:
         kind, d = classify(b)
         if kind is not Kind.HALFCUBE or d != k:
             raise SubcomplexError(f"external partner {b!r} is not a k-half-cube")
-        for g in facets(b):
-            if g not in faces_y:
-                raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
-    return SubcomplexSpec(n, k, frozenset(faces_y), pairing, unmatched, external)
+        for j in table.facet_ids(b):
+            if not below[j]:
+                raise SupportLeak(f"facet {cells_below[j]!r} of external {b!r} "
+                                  "left the subcomplex")
+    return SubcomplexSpec(n, k, faces_y, pairing, unmatched, external)
 
 
 def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:
@@ -146,14 +149,12 @@ class HomologyBasis:
     faces: list[str]
     chains: list[ChainVector]
 
-    def jsonl_lines(self, table: FaceTable) -> list[str]:
+    def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
         cells = table.faces(self.k - 1)
-        lines = []
         for f, ch in zip(self.faces, self.chains):
             terms = [{"face": cells[i], "coeff": ch.coeffs[i]}
                      for i in sorted(ch.coeffs)]
-            lines.append(json.dumps({"bface": f, "chain": terms}))
-        return lines
+            yield json.dumps({"bface": f, "chain": terms})
 
 
 def homology_basis(n: int, k: int, table: FaceTable,
@@ -163,14 +164,14 @@ def homology_basis(n: int, k: int, table: FaceTable,
     if cx is None:
         cx = ChainComplex(table)
     bfaces = basis_faces(n, k, table)
-    faces_y = subcomplex_faces(n, k, table)
+    kept = subcomplex_faces(n, k, table).mask(k - 1)
     bmat = cx.boundary(k)
     cells = table.faces(k - 1)
     chains = []
     for b in bfaces:
         ch = bmat.column_chain(table.index_of(b))
         for i in ch.coeffs:
-            if cells[i] not in faces_y:
+            if not kept[i]:
                 raise SupportLeak(f"boundary of {b!r} touches {cells[i]!r}")
         if not cx.apply(ch).is_zero():
             raise SubcomplexError(f"boundary of {b!r} is not a cycle")

@@ -1,16 +1,22 @@
-"""Slow exact reference for the closed forms in `halfcube.chains`.
+"""Slow exact references for the fast paths of the package.
 
 The orientation frame is found by a greedy search over the lexicographically
 sorted vertex list, keeping a vertex whenever its edge vector raises the
 exact rank; vertex sums enumerate every vertex.  `boundary_matrix` builds
 `∂_d` from these, with the package's exact `det_sign`, so tests can require
 the closed-form path to give bit-identical matrices.
+
+`subcomplex_faces`, `closure_defects` and `build_subcomplex` work on sets of
+face strings and parse every facet list with `facets()`, as the package did
+before it kept one facet index per table.
 """
 
 from __future__ import annotations
 
 from halfcube.chains import BoundaryMatrix, ChainError, det_sign, vertex_point
-from halfcube.faces import EMPTY, FaceTable, classify, facets, vertices_of
+from halfcube.faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
+from halfcube.morse import MorseMatching
+from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -123,3 +129,51 @@ def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, 
                 acc[i2] = acc.get(i2, 0) + v * v2
         out += [(j, i2, x) for i2, x in sorted(acc.items()) if x]
     return out
+
+
+def subcomplex_faces(n: int, k: int, table: FaceTable) -> set[str]:
+    """Every face except the half-cube shaped faces of dimension >= k."""
+    out = set()
+    for f in table:
+        kind, d = classify(f)
+        if kind is Kind.HALFCUBE and d >= k:
+            continue
+        out.add(f)
+    return out
+
+
+def closure_defects(faces: set[str]) -> list[tuple[str, str]]:
+    """The (face, facet) pairs of `faces` whose facet is missing from it."""
+    return sorted((f, g) for f in faces if f != EMPTY
+                  for g in facets(f) if g not in faces)
+
+
+def build_subcomplex(n: int, k: int, table: FaceTable,
+                     matching: MorseMatching) -> SubcomplexSpec:
+    """The deleted-cell subcomplex with its restricted matching, checked as
+    `halfcube.subcomplex.build_subcomplex` checks it."""
+    faces_y = subcomplex_faces(n, k, table)
+    pairing: dict[str, str] = {}
+    unmatched: list[str] = []
+    external: list[str] = []
+    for f in faces_y:
+        p = matching.partner[f]
+        if p in faces_y:
+            pairing[f] = p
+        else:
+            unmatched.append(f)
+            external.append(p)
+    unmatched.sort()
+    external.sort()
+    for f, g in closure_defects(faces_y):
+        raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
+    for f in unmatched:
+        if table.dim_of(f) != k - 1:
+            raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
+    for b in external:
+        if classify(b) != (Kind.HALFCUBE, k):
+            raise SubcomplexError(f"external partner {b!r} is not a k-half-cube")
+        for g in facets(b):
+            if g not in faces_y:
+                raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
+    return SubcomplexSpec(n, k, frozenset(faces_y), pairing, unmatched, external)

@@ -78,13 +78,13 @@ def test_criterion_03_perfect_matching():
 
 def test_criterion_04_acyclicity():
     t0 = time.monotonic()
-    for n in range(4, 8):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         rep = morse.verify_acyclic(m, table)
         assert rep["acyclic"], n
         assert all(layer["cycle"] is None for layer in rep["layers"])
-    report(4, "acyclic in every layer n=4..7", time.monotonic() - t0, budget=120)
+    report(4, "acyclic in every layer n=4..8", time.monotonic() - t0, budget=120)
 
 
 def test_criterion_05_triangularity_and_solver():
@@ -123,14 +123,14 @@ def test_criterion_06_betti_identity():
 
 def test_criterion_07_unmatched_census():
     t0 = time.monotonic()
-    for n in range(4, 8):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         for k in range(3, n):
             spec = build_subcomplex(n, k, table, m)
             u = morse.morse_counts(spec.pairing, table, spec.faces)
             assert u == {k - 1: betti_power(n, k)}, (n, k, u)
-    report(7, "restricted matching census n=4..7", time.monotonic() - t0)
+    report(7, "restricted matching census n=4..8", time.monotonic() - t0)
 
 
 def test_criterion_08_oracle_homology():

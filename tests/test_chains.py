@@ -217,7 +217,7 @@ class TestBoundaryMatrix:
 
     def test_jsonl_header(self, tables):
         b = boundary_matrix(tables(4), 1)
-        lines = b.jsonl_lines(4)
+        lines = list(b.jsonl_lines(4))
         import json
         head = json.loads(lines[0])
         assert head == {"dim": 1, "rows": 8, "cols": 24, "n": 4}

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from halfcube import morse, snf
+import halfcube
+from halfcube import faces, morse, snf
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainError
 from halfcube.cli import main
@@ -42,6 +44,31 @@ class TestEnum:
         assert len(path.read_text().splitlines()) == 82
         assert not any(l.startswith("{") for l in lines)
 
+    def test_dim_bounds(self, capsys):
+        code, lines = run(capsys, "--n", "4", "--dim", "-1", "enum")
+        assert code == 0
+        assert lines[0] == '{"seq": "EMPTY", "dim": -1, "kind": "empty"}'
+        code, lines = run(capsys, "--n", "4", "--dim", "4", "enum")
+        assert code == 0
+        assert lines[0] == '{"seq": "****", "dim": 4, "kind": "halfcube"}'
+
+    @pytest.mark.parametrize("dim", ["5", "-2"])
+    def test_dim_out_of_range_is_usage_error(self, capsys, dim):
+        with pytest.raises(SystemExit) as exc:
+            main(["--n", "4", "--dim", dim, "enum"])
+        assert exc.value.code == 2
+
+    def test_library_error_is_a_fail_line(self, capsys, monkeypatch, tmp_path):
+        def broken(n):
+            raise faces.FaceError("planted census mismatch")
+
+        monkeypatch.setattr(faces, "enumerate_faces", broken)
+        path = tmp_path / "faces.jsonl"
+        code, lines = run(capsys, "--n", "4", "enum", "--out", str(path))
+        assert code == 1
+        assert lines == ["RESULT fail n=4 error=FaceError"]
+        assert not path.exists()
+
 
 class TestMatch:
     def test_verify(self, capsys):
@@ -73,6 +100,27 @@ class TestMatch:
         run(capsys, "--n", "4", "match", "--out", str(a))
         run(capsys, "--n", "4", "match", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dump_is_streamed(self, capsys, tmp_path, tables, matchings):
+        # one JSON line per face, produced one at a time
+        lines = matchings(4).jsonl_lines(tables(4))
+        assert inspect.isgenerator(lines)
+        path = tmp_path / "m.jsonl"
+        run(capsys, "--n", "4", "match", "--out", str(path))
+        assert path.read_text() == "".join(l + "\n" for l in lines)
+        assert len(path.read_text().splitlines()) == 82
+
+    def test_library_error_is_a_fail_line(self, capsys, monkeypatch, tmp_path):
+        def broken(table):
+            raise morse.InvolutionBroken("planted")
+
+        monkeypatch.setattr(morse, "build_matching", broken)
+        path = tmp_path / "m.jsonl"
+        code, lines = run(capsys, "--n", "4", "match", "--verify",
+                          "--out", str(path))
+        assert code == 1
+        assert lines == ["RESULT fail n=4 error=InvolutionBroken"]
+        assert not path.exists()
 
 
 class TestBasis:
@@ -160,6 +208,29 @@ class TestBetti:
         assert lines == ["RESULT fail n=4 error=Unpaired"]
         assert not path.exists()
 
+    def test_fail_line_names_first_bad_power_column(self, capsys, monkeypatch):
+        power = subc.betti_power
+        monkeypatch.setattr(subc, "betti_power",
+                            lambda n, k: power(n, k) + ((n, k) in ((5, 4), (6, 3))))
+        code, lines = run(capsys, "betti", "--n-max", "6")
+        assert code == 1
+        assert "5,4,9,10,9," in lines
+        assert lines[-1] == "RESULT fail rows=6 n=5 k=4 column=betti_power"
+
+    def test_fail_line_names_first_bad_unmatched_column(self, capsys, monkeypatch):
+        counts = morse.morse_counts
+
+        def stray_cell(pairing, table, subset=None):
+            u = counts(pairing, table, subset)
+            if table.n == 5 and subset is not None:
+                u[0] = 1
+            return u
+
+        monkeypatch.setattr(morse, "morse_counts", stray_cell)
+        code, lines = run(capsys, "betti", "--n-max", "5")
+        assert code == 1
+        assert lines[-1] == "RESULT fail rows=3 n=5 k=3 column=unmatched"
+
 
 class TestGlobalFlags:
     def test_flags_after_subcommand(self, capsys):
@@ -167,7 +238,12 @@ class TestGlobalFlags:
         assert code == 0
         assert lines[-1].startswith("RESULT pass n=4")
 
-    def test_jobs_validated(self, capsys):
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--format", "csv"]])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["--n", "4", "--jobs", "0", "enum"])
+            main(["--n", "4", *flag, "enum"])
         assert exc.value.code == 2
+
+    def test_face_dim_removed(self):
+        assert not hasattr(halfcube, "face_dim")
+        assert not hasattr(faces, "face_dim")

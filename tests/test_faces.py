@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from halfcube.faces import (
     BadParity,
     BadSymbol,
     FaceError,
+    FaceSubset,
+    FaceTable,
     Kind,
     MixedMask,
     NonCanonicalEdge,
@@ -168,6 +172,62 @@ class TestFacets:
         fs = facets("0*1*10*")
         assert len(fs) == 4
         assert all(classify(g) == (Kind.SIMPLEX, 2) for g in fs)
+
+
+class TestFacetIndex:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_equals_parsed_facets(self, tables, n):
+        t = tables(n)
+        for d in sorted(t.cells):
+            flat, offsets = t.facet_index(d)
+            assert len(offsets) == len(t.faces(d)) + 1
+            for i, f in enumerate(t.faces(d)):
+                want = [t.index_of(g) for g in facets(f)]
+                assert list(flat[offsets[i]:offsets[i + 1]]) == want, f
+                assert list(t.facet_ids(f)) == want
+
+    def test_built_lazily_once_per_dimension(self, monkeypatch):
+        calls = []
+        parse = faces.facets
+        monkeypatch.setattr(faces, "facets", lambda f: calls.append(f) or parse(f))
+        t = enumerate_faces(5)
+        assert calls == []
+        t.facet_index(3)
+        assert calls == list(t.faces(3))
+        t.facet_index(3)
+        t.facet_ids(t.faces(3)[0])
+        assert len(calls) == len(t.faces(3))
+        t.facet_index(-1)
+        assert len(calls) == len(t.faces(3))  # the empty face has no facets
+
+    def test_facet_missing_from_table(self):
+        t = enumerate_faces(4)
+        cells = {d: list(c) for d, c in t.cells.items()}
+        cells[1].remove(facets(t.faces(2)[0])[0])
+        with pytest.raises(FaceError, match="is not in the table"):
+            FaceTable(4, cells).facet_index(2)
+
+    def test_only_faces_module_parses_facets(self):
+        # every other module reads facets from the table's index
+        src = Path(faces.__file__).parent
+        callers = sorted(p.name for p in src.glob("*.py")
+                         if re.search(r"\bfacets\(", p.read_text()))
+        assert callers == ["faces.py"]
+
+
+class TestFaceSubset:
+    def test_set_semantics(self, tables):
+        t = tables(4)
+        members = {EMPTY, t.faces(0)[3], t.faces(2)[5], t.faces(4)[0]}
+        sub = FaceSubset.of(t, members)
+        assert len(sub) == 4
+        assert sub == members and members == sub
+        assert members <= sub
+        assert list(sub) == [f for f in t if f in members]
+        assert "not a face" not in sub
+        assert sub.indices(2) == [5]
+        assert sub - {EMPTY} == frozenset(members - {EMPTY})
+        assert FaceSubset.of(t, sub) is sub
 
 
 class TestCanonicalEdge:

@@ -8,15 +8,18 @@ from halfcube.chains import ChainComplex, ChainVector
 from halfcube.faces import EMPTY, Kind, classify, facets, total_and_u, vertices_of
 from halfcube.morse import (
     CyclicPrec,
+    InvolutionBroken,
     MorseError,
     NotACycle,
     NotCodimOne,
+    Unpaired,
     build_matching,
     match_face,
     morse_boundary,
     morse_counts,
     rule_applicability,
     solve_cycle,
+    validate_matching,
     verify_acyclic,
 )
 from reference import int_rank
@@ -114,18 +117,54 @@ class TestBuildMatching:
         e1, e2 = m.partner[v1], m.partner[v2]
         bad = dict(m.partner)
         bad[v1], bad[v2], bad[e1], bad[e2] = e2, e1, v2, v1
+        with pytest.raises(NotCodimOne, match="is not a facet of"):
+            validate_matching(bad, m.rule, t)
 
-        def violated():
-            for f, p in bad.items():
-                df, dp = t.dim_of(f), t.dim_of(p)
-                if abs(df - dp) != 1:
-                    return True
-                small, large = (f, p) if df < dp else (p, f)
-                if small != EMPTY and small not in facets(large):
-                    return True
-            return False
+    def test_validates_the_built_matching(self, tables, matchings):
+        m = matchings(5)
+        validate_matching(m.partner, m.rule, tables(5))
 
-        assert violated() or not verify_acyclic(bad, t)["acyclic"]
+    @pytest.mark.parametrize("plant", ["missing", "self"])
+    def test_unpaired_detected(self, tables, matchings, plant):
+        t, m = tables(4), matchings(4)
+        v = [f for f in t.faces(0) if m.rule[f] == 9][0]
+        bad = dict(m.partner)
+        if plant == "missing":
+            del bad[v]
+        else:
+            bad[v] = v
+        with pytest.raises(Unpaired, match=repr(v)):
+            validate_matching(bad, m.rule, t)
+
+    def test_one_way_partner_breaks_involution(self, tables, matchings):
+        t, m = tables(4), matchings(4)
+        v1, v2 = [f for f in t.faces(0) if m.rule[f] == 9][:2]
+        bad = dict(m.partner)
+        bad[v1] = m.partner[v2]
+        with pytest.raises(InvolutionBroken, match="->"):
+            validate_matching(bad, m.rule, t)
+
+    def test_non_inverse_rules_break_involution(self, tables, matchings):
+        t, m = tables(4), matchings(4)
+        v = [f for f in t.faces(0) if m.rule[f] == 9][0]
+        bad_rule = dict(m.rule)
+        bad_rule[v] = 7
+        with pytest.raises(InvolutionBroken, match="not inverse"):
+            validate_matching(m.partner, bad_rule, t)
+
+    def test_pair_two_dimensions_apart(self, tables, matchings):
+        # re-pair a vertex with a tetrahedron and its edge with the
+        # tetrahedron's triangle, with rules kept mutually inverse
+        t, m = tables(4), matchings(4)
+        v = [f for f in t.faces(0) if m.rule[f] == 9][0]
+        tet = [f for f in t.faces(3) if m.rule[f] == 4][0]
+        e, tri = m.partner[v], m.partner[tet]
+        bad = dict(m.partner)
+        bad[v], bad[tet], bad[e], bad[tri] = tet, v, tri, e
+        bad_rule = dict(m.rule)
+        bad_rule[v], bad_rule[e] = 3, 4
+        with pytest.raises(NotCodimOne, match=r"\(dim 0\) paired with"):
+            validate_matching(bad, bad_rule, t)
 
 
 class TestAcyclicity:

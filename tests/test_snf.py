@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from halfcube import faces
+from halfcube.faces import FaceSubset
 from halfcube.chains import ChainVector
 from halfcube.snf import (
     NotClosed,
@@ -135,6 +136,27 @@ class TestHomology:
             check_closed({t.faces(2)[0], faces.EMPTY}, t)
         with pytest.raises(NotClosed):
             homology({t.faces(0)[0]}, t, 0)  # vertex without the empty face
+
+    def test_not_closed_on_face_subset(self, tables):
+        # a deleted-cell subcomplex without one of its edges
+        t = tables(5)
+        sub = subcomplex_faces(5, 3, t)
+        edge = t.faces(1)[0]
+        masks = {d: bytearray(m) for d, m in sub.masks.items()}
+        masks[1][0] = 0
+        planted = FaceSubset(t, masks)
+        check_closed(sub, t)
+        with pytest.raises(NotClosed, match=f"{edge!r} missing"):
+            check_closed(planted, t)
+        with pytest.raises(NotClosed, match=f"{edge!r} missing"):
+            check_closed(set(planted), t)
+
+    def test_unreduced_needs_no_empty_face(self, tables):
+        t = tables(4)
+        v = t.faces(0)[0]
+        assert set(check_closed({v}, t, reduced=False)) == {v}
+        with pytest.raises(NotClosed, match="empty face"):
+            check_closed({v}, t)
 
     def test_rank_consistency(self, tables, complexes):
         # per degree: SNF rank agrees with the fraction-free rank, and

@@ -3,10 +3,14 @@ from math import comb
 
 import pytest
 
-from halfcube.faces import EMPTY, STAR, Kind, classify, facets
+import reference
+from halfcube import subcomplex as subc
+from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify, facets
 from halfcube.morse import morse_counts
 from halfcube.subcomplex import (
     BadRange,
+    SubcomplexError,
+    SupportLeak,
     basis_faces,
     betti_binomial,
     betti_power,
@@ -14,6 +18,14 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
+
+
+def without(sub, *drop):
+    """A copy of the face subset `sub` with the faces in `drop` removed."""
+    masks = {d: bytearray(m) for d, m in sub.masks.items()}
+    for f in drop:
+        masks[sub.table.dim_of(f)][sub.table.index_of(f)] = 0
+    return FaceSubset(sub.table, masks)
 
 
 class TestBettiForms:
@@ -91,6 +103,43 @@ class TestBuildSubcomplex:
             u = morse_counts(spec.pairing, t, spec.faces)
             assert u == {k - 1: betti_power(n, k)}
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_equals_string_set_reference(self, tables, matchings, n):
+        t, m = tables(n), matchings(n)
+        for k in range(3, n):
+            want = reference.build_subcomplex(n, k, t, m)
+            spec = build_subcomplex(n, k, t, m)
+            assert set(spec.faces) == want.faces
+            assert len(spec.faces) == len(want.faces)
+            assert spec.pairing == want.pairing
+            assert spec.unmatched == want.unmatched
+            assert spec.external == want.external
+            assert set(subcomplex_faces(n, k, t)) == reference.subcomplex_faces(n, k, t)
+
+    def test_dropped_facet_breaks_closure(self, tables, matchings, monkeypatch):
+        # a kept triangle removed: the tetrahedra on it lose a facet
+        t = tables(5)
+        tri = t.faces(2)[0]
+        planted = without(subcomplex_faces(5, 3, t), tri)
+        assert reference.closure_defects(set(planted))
+        monkeypatch.setattr(subc, "subcomplex_faces", lambda n, k, table: planted)
+        with pytest.raises(SubcomplexError, match="not facet-closed"):
+            build_subcomplex(5, 3, t, matchings(5))
+
+    def test_external_facet_outside_is_a_leak(self, tables, matchings, monkeypatch):
+        # '***10' has only half-cube cofaces, all deleted at k=4, so the set
+        # without it stays closed; it is still a facet of an external cell
+        t, m = tables(5), matchings(5)
+        g = "***10"
+        spec = build_subcomplex(5, 4, t, m)
+        assert m.rule[g] == 1 and g in spec.unmatched
+        assert any(g in facets(b) for b in spec.external if b != m.partner[g])
+        planted = without(spec.faces, g)
+        assert not reference.closure_defects(set(planted))
+        monkeypatch.setattr(subc, "subcomplex_faces", lambda n, k, table: planted)
+        with pytest.raises(SupportLeak):
+            build_subcomplex(5, 4, t, m)
+
 
 class TestBasisFaces:
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (6, 5)])
@@ -133,8 +182,8 @@ class TestHomologyBasis:
 
     def test_jsonl_format(self, tables, complexes):
         hb = homology_basis(4, 3, tables(4), complexes(4))
-        line = json.loads(hb.jsonl_lines(tables(4))[0])
+        lines = list(hb.jsonl_lines(tables(4)))
+        line = json.loads(lines[0])
         assert set(line) == {"bface", "chain"}
         assert all(set(t) == {"face", "coeff"} for t in line["chain"])
-        assert [l for l in hb.jsonl_lines(tables(4))] == sorted(
-            hb.jsonl_lines(tables(4)), key=lambda s: json.loads(s)["bface"])
+        assert lines == sorted(lines, key=lambda s: json.loads(s)["bface"])
