@@ -40,7 +40,6 @@ from .morse import (
     build_matching,
     match_face,
     morse_boundary,
-    morse_counts,
     rule_applicability,
     solve_cycle,
     verify_acyclic,

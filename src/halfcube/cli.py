@@ -27,14 +27,28 @@ LIBRARY_ERRORS = (faces.FaceError, ChainError, morse.MorseError,
                   subc.SubcomplexError, snf.OracleError)
 
 
-def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    d = {"default": argparse.SUPPRESS} if suppress else {}
-    p.add_argument("--n", type=int, **({} if suppress else {"default": None}), **d)
-    p.add_argument("--k", type=int, **({} if suppress else {"default": None}), **d)
-    p.add_argument("--dim", type=int, **({} if suppress else {"default": None}), **d)
-    p.add_argument("--out", **({} if suppress else {"default": None}), **d)
-    p.add_argument("-v", "--verbose", action="store_true",
-                   **({} if suppress else {"default": False}), **d)
+def _global_flags(p: argparse.ArgumentParser, default) -> None:
+    """Flags accepted before and after the subcommand.  The main parser's
+    default None marks a flag not given; the subparsers pass SUPPRESS so
+    that a value given before the subcommand is kept."""
+    p.add_argument("--n", type=int, default=default)
+    p.add_argument("--k", type=int, default=default)
+    p.add_argument("--dim", type=int, default=default)
+    p.add_argument("--out", default=default)
+    p.add_argument("-v", "--verbose", action="store_true", default=default)
+
+
+def _unread_flags(args) -> list[str]:
+    """The global flags given to a command that does not read them."""
+    opts = vars(args)
+    reads = {"enum": "n dim out", "match": "n out", "basis": "n k out",
+             "betti": "out"}[args.command].split()
+    if opts.get("verify") or opts.get("certify"):
+        reads.append("verbose")
+    if opts.get("face") is not None:
+        reads = ["n"]
+    return [f"--{d}" for d in ("n", "k", "dim", "out", "verbose")
+            if opts[d] is not None and d not in reads]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="halfcube",
         description="Half-cube face complexes: enumeration, complete acyclic "
                     "matching, homology bases, Betti tables.")
-    _global_flags(p, suppress=False)
+    _global_flags(p, None)
     sub = p.add_subparsers(dest="command", required=True)
 
     enum = sub.add_parser("enum", help="enumerate faces and check the census")
-    _global_flags(enum, suppress=True)
+    _global_flags(enum, argparse.SUPPRESS)
 
     match = sub.add_parser("match", help="dump the matching, optionally verify it")
-    _global_flags(match, suppress=True)
+    _global_flags(match, argparse.SUPPRESS)
     match.add_argument("--face", default=None,
                        help="print only this face's partner and rule")
     match.add_argument("--verify", action="store_true",
@@ -57,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "completeness/acyclicity checks")
 
     basis = sub.add_parser("basis", help="homology basis chains for one (n, k)")
-    _global_flags(basis, suppress=True)
+    _global_flags(basis, argparse.SUPPRESS)
     basis.add_argument("--certify", action="store_true",
                        help="certify independence/generation with the SNF oracle")
 
     betti = sub.add_parser("betti", help="Betti table across n and k")
-    _global_flags(betti, suppress=True)
+    _global_flags(betti, argparse.SUPPRESS)
     betti.add_argument("--n-max", type=int, default=8)
     betti.add_argument("--n-min", type=int, default=4)
     betti.add_argument("--include-k-eq-n", action="store_true",
@@ -152,6 +166,8 @@ def cmd_enum(args, parser) -> int:
 def cmd_match(args, parser) -> int:
     n = _require_n(args, parser)
     if args.face is not None:
+        if args.verify:
+            parser.error("--verify cannot be combined with --face")
         try:
             f = faces.parse_seq(args.face, n)
         except faces.FaceError as e:
@@ -173,14 +189,16 @@ def cmd_match(args, parser) -> int:
                     print(f"RESULT fail n={n} exclusivity face={f} rules={sorted(apps)}")
                     return 1
             report = morse.verify_acyclic(m, table)
-            unpaired = morse.morse_counts(m, table)
     except LIBRARY_ERRORS as e:
         return _library_failure(f"n={n}", e)
     if args.verify:
         if args.verbose:
             print(json.dumps(report))
-        if not report["acyclic"] or unpaired:
-            print(f"RESULT fail n={n} acyclic={report['acyclic']} unpaired={unpaired}")
+        # build_matching has already checked that every face is paired
+        if not report["acyclic"]:
+            layer = next(l for l in report["layers"] if l["cycle"] is not None)
+            print(f"RESULT fail n={n} acyclic=false layer={layer['p']} "
+                  f"face={layer['cycle'][0]}")
             return 1
         print(f"pairs: {m.pair_count()}, unpaired: 0, cycles: none")
     print(f"RESULT pass n={n} pairs={m.pair_count()}")
@@ -225,7 +243,7 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
     first_bad = None
     table = faces.enumerate_faces(n)
     matching = morse.build_matching(table)
-    cx = ChainComplex(table) if args.oracle else None
+    cx = ChainComplex(table)  # boundaries are built only when the oracle runs
     k_top = n + 1 if args.include_k_eq_n else n
     for k in range(3, k_top):
         a = subc.betti_binomial(n, k)
@@ -234,9 +252,9 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
         unmatched = oracle = ""
         if k < n:
             spec = subc.build_subcomplex(n, k, table, matching)
-            u = morse.morse_counts(spec.pairing, table, spec.faces)
-            unmatched = u.get(k - 1, 0)
-            if unmatched != a or set(u) - {k - 1}:
+            # build_subcomplex has checked that every unmatched cell has dim k-1
+            unmatched = len(spec.unmatched)
+            if unmatched != a:
                 bad.append("unmatched")
             if args.oracle and (n <= ORACLE_N_CAP or args.force):
                 h = snf.homology(spec.faces, table, k - 1, cx)
@@ -275,6 +293,9 @@ def cmd_betti(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = _unread_flags(args)
+    if unread:
+        parser.error(f"{args.command} does not use {', '.join(unread)}")
     handlers = {
         "enum": cmd_enum,
         "match": cmd_match,

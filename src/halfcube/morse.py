@@ -183,24 +183,20 @@ def rule_applicability(f: str) -> set[int]:
 class MorseMatching:
     """Involutive pairing of every face with a per-face rule tag.
 
-    `ups[k]` lists the upward-matched k-cells, `downs[k]` the
-    downward-matched (k+1)-cells, both lexicographically sorted.
+    `ups[k]` lists the upward-matched k-cells, lexicographically sorted;
+    their partners are the downward-matched (k+1)-cells.
     """
 
     n: int
     partner: dict[str, str]
     rule: dict[str, int]
     ups: dict[int, list[str]] = field(default_factory=dict)
-    downs: dict[int, list[str]] = field(default_factory=dict)
 
     def pair_count(self) -> int:
         return len(self.partner) // 2
 
     def up_cells(self, k: int) -> list[str]:
         return self.ups.get(k, [])
-
-    def down_cells(self, k: int) -> list[str]:
-        return self.downs.get(k, [])
 
     def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
         for d in sorted(table.cells):
@@ -252,20 +248,16 @@ def build_matching(table: FaceTable) -> MorseMatching:
         rule[f] = r
     validate_matching(partner, rule, table)
     ups: dict[int, list[str]] = {}
-    downs: dict[int, list[str]] = {}
     for d in sorted(table.cells):
         for f in table.faces(d):
-            p = partner[f]
-            if table.dim_of(p) > d:
+            if table.dim_of(partner[f]) > d:
                 ups.setdefault(d, []).append(f)
-                downs.setdefault(d, []).append(p)
     for k in ups:
         ups[k].sort()
-        downs[k].sort()
-    return MorseMatching(n, partner, rule, ups, downs)
+    return MorseMatching(n, partner, rule, ups)
 
 
-def _layer_digraph(pairing: dict[str, str], table: FaceTable, p: int):
+def _layer_digraph(partner: dict[str, str], table: FaceTable, p: int):
     """Modified Hasse digraph of the layer (p, p+1): matched incidences point
     up, all other incidences point down."""
     edges: dict[str, list[str]] = {}
@@ -276,7 +268,7 @@ def _layer_digraph(pairing: dict[str, str], table: FaceTable, p: int):
         down = []
         for j in flat[offsets[i]:offsets[i + 1]]:
             a = cells_p[j]
-            if pairing.get(a) == b:
+            if partner.get(a) == b:
                 edges.setdefault(a, []).append(b)
             else:
                 down.append(a)
@@ -311,14 +303,13 @@ def _find_cycle(nodes: list[str], edges: dict[str, list[str]]) -> list[str] | No
     return None
 
 
-def verify_acyclic(m: MorseMatching | dict, table: FaceTable) -> dict:
+def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
     """Search every dimension layer of the modified Hasse digraph for a
     directed cycle.  Cycles are reported, not raised."""
-    pairing = m.partner if isinstance(m, MorseMatching) else m
     layers = []
     acyclic = True
     for p in range(-1, table.n):
-        nodes, edges = _layer_digraph(pairing, table, p)
+        nodes, edges = _layer_digraph(m.partner, table, p)
         cycle = _find_cycle(nodes, edges)
         if cycle is not None:
             acyclic = False
@@ -329,20 +320,6 @@ def verify_acyclic(m: MorseMatching | dict, table: FaceTable) -> dict:
             "cycle": cycle,
         })
     return {"n": table.n, "acyclic": acyclic, "layers": layers}
-
-
-def morse_counts(m: MorseMatching | dict, table: FaceTable,
-                 subset=None) -> dict[int, int]:
-    """Unpaired-cell census u_p per dimension of a (possibly partial)
-    matching over the table, or over `subset` when given."""
-    pairing = m.partner if isinstance(m, MorseMatching) else m
-    universe = subset if subset is not None else table
-    counts: dict[int, int] = {}
-    for f in universe:
-        if f not in pairing:
-            d = table.dim_of(f)
-            counts[d] = counts.get(d, 0) + 1
-    return counts
 
 
 @dataclass
@@ -375,7 +352,7 @@ class MorseBoundary:
 
 
 def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
-                   cx: ChainComplex | None = None) -> MorseBoundary:
+                   cx: ChainComplex) -> MorseBoundary:
     """Build the level-k restricted boundary with its topological order.
 
     The order on upward-matched k-cells is generated by: e' precedes e
@@ -383,8 +360,6 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     traversal with lexicographic tie-break fixes one linear extension;
     a cycle in the relation raises CyclicPrec.
     """
-    if cx is None:
-        cx = ChainComplex(table)
     ups = m.up_cells(k)
     upset = set(ups)
     prec: dict[str, list[str]] = {e: [] for e in ups}
@@ -435,7 +410,7 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
 
 
 def solve_cycle(y: ChainVector, m: MorseMatching, table: FaceTable,
-                cx: ChainComplex | None = None,
+                cx: ChainComplex,
                 mb: MorseBoundary | None = None) -> ChainVector:
     """Given a k-cycle y, return the (k+1)-chain supported on the
     downward-matched cells whose boundary is exactly y.
@@ -443,8 +418,6 @@ def solve_cycle(y: ChainVector, m: MorseMatching, table: FaceTable,
     Solved by back-substitution along the stored topological order; all
     divisions are by +-1 so the coefficients stay integral.
     """
-    if cx is None:
-        cx = ChainComplex(table)
     if not cx.apply(y).is_zero():
         raise NotACycle(f"input chain of dimension {y.dim} has nonzero boundary")
     if mb is None:

@@ -166,60 +166,67 @@ def check_closed(subset, table: FaceTable, reduced: bool = True) -> FaceSubset:
 
 
 def restricted_boundary(sub, table: FaceTable, d: int,
-                        cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int], list[str], list[str]]:
-    """Boundary matrix of the subcomplex in dimension d with local indices;
-    rows and columns follow the table order."""
+                        cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """Boundary matrix of the subcomplex in dimension d with local indices,
+    as (n_rows, n_cols, entries); rows and columns follow the table
+    order."""
     sub = FaceSubset.of(table, sub)
     cols = sub.indices(d)
-    col_faces = [table.faces(d)[j] for j in cols]
     if d == 0:
-        rows = [EMPTY]
-        entries = {(0, j): 1 for j in range(len(col_faces))}
-        return 1, len(col_faces), entries, rows, col_faces
+        return 1, len(cols), {(0, j): 1 for j in range(len(cols))}
     row_ids = sub.indices(d - 1)
-    row_faces = [table.faces(d - 1)[i] for i in row_ids]
-    if not col_faces:
-        return len(row_faces), 0, {}, row_faces, []
+    if not cols:
+        return len(row_ids), 0, {}
     row_pos = {i: r for r, i in enumerate(row_ids)}
     bmat = cx.boundary(d)
     entries: dict[tuple[int, int], int] = {}
     for j, c in enumerate(cols):
         for i, v in bmat.cols[c].items():
             entries[(row_pos[i], j)] = v
-    return len(row_faces), len(col_faces), entries, row_faces, col_faces
+    return len(row_ids), len(cols), entries
+
+
+def _boundary_snf(sub: FaceSubset, table: FaceTable, d: int,
+                  cx: ChainComplex, reduced: bool) -> SNFResult:
+    """SNF of the subset's boundary map in dimension d; without `reduced`
+    the map out of the vertices is zero."""
+    if d == 0 and not reduced:
+        return SNFResult((), 0, 0)
+    return _sparse_snf(*restricted_boundary(sub, table, d, cx))
+
+
+def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
+                     snf_next: SNFResult) -> dict:
+    """betti = cells - rank of the degree map - rank of the next boundary;
+    torsion from the next boundary's invariant factors."""
+    n_cells = sub.mask(degree).count(1) if degree >= 0 else 0
+    return {"degree": degree, "betti": n_cells - snf_d.rank - snf_next.rank,
+            "torsion": list(snf_next.torsion())}
 
 
 def homology(subset, table: FaceTable, degree: int,
-             cx: ChainComplex | None = None, reduced: bool = True) -> dict:
+             cx: ChainComplex, reduced: bool = True) -> dict:
     """Betti number and torsion coefficients of a facet-closed subset in
-    one degree: betti = dim ker of the degree map minus the rank of the
-    next boundary; torsion from the next boundary's invariant factors."""
+    one degree."""
     sub = check_closed(subset, table, reduced)
-    if cx is None:
-        cx = ChainComplex(table)
-    n_cells = sub.mask(degree).count(1) if degree >= 0 else 0
-    if degree == 0 and not reduced:
-        rank_d = 0
-    else:
-        r, c, entries, _, _ = restricted_boundary(sub, table, degree, cx)
-        rank_d = _sparse_snf(r, c, entries).rank
-    r2, c2, entries2, _, _ = restricted_boundary(sub, table, degree + 1, cx)
-    nxt = _sparse_snf(r2, c2, entries2)
-    betti = n_cells - rank_d - nxt.rank
-    return {"degree": degree, "betti": betti, "torsion": list(nxt.torsion())}
+    return _degree_homology(sub, degree,
+                            _boundary_snf(sub, table, degree, cx, reduced),
+                            _boundary_snf(sub, table, degree + 1, cx, reduced))
 
 
-def homology_report(subset, table: FaceTable, cx: ChainComplex | None = None,
+def homology_report(subset, table: FaceTable, cx: ChainComplex,
                     reduced: bool = True, label: str = "") -> dict:
-    """Per-degree reduced Betti numbers and torsion for a face subset."""
+    """Per-degree reduced Betti numbers and torsion for a face subset.
+
+    The subset is checked once and each boundary map factored once: the
+    map out of degree d serves degree d (its kernel) and d-1 (its image)."""
     sub = check_closed(subset, table, reduced)
-    if cx is None:
-        cx = ChainComplex(table)
     top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
+    snfs = [_boundary_snf(sub, table, d, cx, reduced) for d in range(0, top + 2)]
     for d in range(0, top + 1):
-        h = homology(sub, table, d, cx, reduced)
+        h = _degree_homology(sub, d, snfs[d], snfs[d + 1])
         betti[d] = h["betti"]
         if h["torsion"]:
             torsion[d] = h["torsion"]
@@ -246,7 +253,7 @@ class IndependenceVerdict:
 
 
 def class_independence(cycles, subset, table: FaceTable,
-                       cx: ChainComplex | None = None) -> IndependenceVerdict:
+                       cx: ChainComplex) -> IndependenceVerdict:
     """Certify that the homology classes of the given cycles form a free
     basis of the subset's homology in their degree.
 
@@ -258,8 +265,6 @@ def class_independence(cycles, subset, table: FaceTable,
     """
     if not cycles:
         raise NotCycles("no cycles given")
-    if cx is None:
-        cx = ChainComplex(table)
     degree = cycles[0].dim
     sub = check_closed(subset, table, reduced=True)
     cells = table.faces(degree)
@@ -277,7 +282,7 @@ def class_independence(cycles, subset, table: FaceTable,
     # _sparse_snf does not modify its entries, so the cycle columns are
     # added to the boundary entries in place, and they are dropped before
     # the next elimination
-    rb, cb, stacked, _, _ = restricted_boundary(sub, table, degree + 1, cx)
+    rb, cb, stacked = restricted_boundary(sub, table, degree + 1, cx)
     rank_b = _sparse_snf(rb, cb, stacked).rank
     for j, ch in enumerate(cycles):
         for i, v in ch.coeffs.items():
@@ -285,8 +290,8 @@ def class_independence(cycles, subset, table: FaceTable,
     snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
     del stacked
 
-    rd, cd, entries_d, _, _ = restricted_boundary(sub, table, degree, cx)
-    kernel_rank = len(row_ids) - _sparse_snf(rd, cd, entries_d).rank
+    kernel_rank = len(row_ids) - _sparse_snf(
+        *restricted_boundary(sub, table, degree, cx)).rank
 
     independent = snf_stack.rank == rank_b + len(cycles)
     generating = (snf_stack.rank == kernel_rank

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
 from .faces import PLAIN1, STAR, FaceSubset, FaceTable, Kind, classify
-from .morse import MorseMatching, build_matching
+from .morse import MorseMatching
 
 
 class SubcomplexError(Exception):
@@ -66,39 +66,34 @@ def subcomplex_faces(n: int, k: int, table: FaceTable) -> FaceSubset:
 class SubcomplexSpec:
     """A deleted-cell subcomplex with its restricted matching.
 
-    `faces` is the retained face set (empty face included); `pairing` the
-    matching pairs lying entirely inside it; `unmatched` the faces left
-    unpaired (all of dimension k-1); `external` their original partners,
-    the deleted k-dimensional half-cube cells.
+    `faces` is the retained face set (empty face included); `unmatched`
+    the faces whose partner was deleted, left unpaired by the restricted
+    matching (all of dimension k-1, one per homology basis chain);
+    `external` their original partners, the deleted k-dimensional
+    half-cube cells.
     """
 
     n: int
     k: int
     faces: FaceSubset
-    pairing: dict[str, str]
     unmatched: list[str]
     external: list[str]
 
 
 def build_subcomplex(n: int, k: int, table: FaceTable,
-                     matching: MorseMatching | None = None) -> SubcomplexSpec:
+                     matching: MorseMatching) -> SubcomplexSpec:
     """Build the subcomplex for 3 <= k < n, restrict the matching, and
     validate: facet closure, unmatched cells concentrated in dimension
     k-1, and every external partner a k-dimensional half-cube cell whose
     facets all remain inside."""
     if not 3 <= k < n:
         raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
-    if matching is None:
-        matching = build_matching(table)
     faces_y = subcomplex_faces(n, k, table)
-    pairing: dict[str, str] = {}
     unmatched: list[str] = []
     external: list[str] = []
     for f in faces_y:
         p = matching.partner[f]
-        if p in faces_y:
-            pairing[f] = p
-        else:
+        if p not in faces_y:
             unmatched.append(f)
             external.append(p)
     unmatched.sort()
@@ -123,7 +118,7 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
             if not below[j]:
                 raise SupportLeak(f"facet {cells_below[j]!r} of external {b!r} "
                                   "left the subcomplex")
-    return SubcomplexSpec(n, k, faces_y, pairing, unmatched, external)
+    return SubcomplexSpec(n, k, faces_y, unmatched, external)
 
 
 def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:
@@ -158,11 +153,9 @@ class HomologyBasis:
 
 
 def homology_basis(n: int, k: int, table: FaceTable,
-                   cx: ChainComplex | None = None) -> HomologyBasis:
+                   cx: ChainComplex) -> HomologyBasis:
     """Boundary chains of the basis faces, each checked to be a cycle
     supported inside the subcomplex."""
-    if cx is None:
-        cx = ChainComplex(table)
     bfaces = basis_faces(n, k, table)
     kept = subcomplex_faces(n, k, table).mask(k - 1)
     bmat = cx.boundary(k)

@@ -153,14 +153,11 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     """The deleted-cell subcomplex with its restricted matching, checked as
     `halfcube.subcomplex.build_subcomplex` checks it."""
     faces_y = subcomplex_faces(n, k, table)
-    pairing: dict[str, str] = {}
     unmatched: list[str] = []
     external: list[str] = []
     for f in faces_y:
         p = matching.partner[f]
-        if p in faces_y:
-            pairing[f] = p
-        else:
+        if p not in faces_y:
             unmatched.append(f)
             external.append(p)
     unmatched.sort()
@@ -176,4 +173,4 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
         for g in facets(b):
             if g not in faces_y:
                 raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
-    return SubcomplexSpec(n, k, frozenset(faces_y), pairing, unmatched, external)
+    return SubcomplexSpec(n, k, frozenset(faces_y), unmatched, external)

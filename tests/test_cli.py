@@ -110,6 +110,21 @@ class TestMatch:
         assert path.read_text() == "".join(l + "\n" for l in lines)
         assert len(path.read_text().splitlines()) == 82
 
+    def test_planted_cycle_names_layer_and_face(self, capsys, monkeypatch,
+                                                tables, quadrilateral_pairs):
+        # the planted quadrilateral is checked in place of the real matching
+        verify = morse.verify_acyclic
+        bad = morse.MorseMatching(4, quadrilateral_pairs, {})
+        monkeypatch.setattr(morse, "verify_acyclic",
+                            lambda m, table: verify(bad, table))
+        cycle = next(l["cycle"] for l in verify(bad, tables(4))["layers"]
+                     if l["cycle"] is not None)
+        code, lines = run(capsys, "--n", "4", "match", "--verify",
+                          "--out", "/dev/null")
+        assert code == 1
+        assert lines == [f"RESULT fail n=4 acyclic=false layer=0 face={cycle[0]}"]
+        assert cycle[0] in quadrilateral_pairs
+
     def test_library_error_is_a_fail_line(self, capsys, monkeypatch, tmp_path):
         def broken(table):
             raise morse.InvolutionBroken("planted")
@@ -135,6 +150,21 @@ class TestBasis:
         code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify")
         assert code == 0
         assert "independent and generating: true" in lines
+
+    def test_doubled_chain_fails_certification(self, capsys, monkeypatch):
+        basis = subc.homology_basis
+
+        def doubled(n, k, table, cx):
+            hb = basis(n, k, table, cx)
+            hb.chains[3] = hb.chains[3].add_scaled(hb.chains[3])
+            return hb
+
+        monkeypatch.setattr(subc, "homology_basis", doubled)
+        code, lines = run(capsys, "--n", "5", "--k", "3", "basis", "--certify",
+                          "--out", "/dev/null")
+        assert code == 1
+        assert lines == ["independent and generating: false",
+                         "RESULT fail n=5 k=3 chains=31"]
 
     def test_k_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -218,15 +248,15 @@ class TestBetti:
         assert lines[-1] == "RESULT fail rows=6 n=5 k=4 column=betti_power"
 
     def test_fail_line_names_first_bad_unmatched_column(self, capsys, monkeypatch):
-        counts = morse.morse_counts
+        build = subc.build_subcomplex
 
-        def stray_cell(pairing, table, subset=None):
-            u = counts(pairing, table, subset)
-            if table.n == 5 and subset is not None:
-                u[0] = 1
-            return u
+        def lost_cell(n, k, table, matching):
+            spec = build(n, k, table, matching)
+            if (n, k) == (5, 3):
+                spec.unmatched.pop()
+            return spec
 
-        monkeypatch.setattr(morse, "morse_counts", stray_cell)
+        monkeypatch.setattr(subc, "build_subcomplex", lost_cell)
         code, lines = run(capsys, "betti", "--n-max", "5")
         assert code == 1
         assert lines[-1] == "RESULT fail rows=3 n=5 k=3 column=unmatched"
@@ -243,6 +273,42 @@ class TestGlobalFlags:
         with pytest.raises(SystemExit) as exc:
             main(["--n", "4", *flag, "enum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--k", "3", "enum"],
+        ["--n", "5", "match", "--k", "3"],
+        ["--n", "4", "--dim", "2", "match"],
+        ["--n", "5", "--k", "3", "--dim", "2", "basis"],
+        ["-v", "--n", "4", "enum"],
+        ["--n", "5", "--k", "3", "basis", "-v"],
+        ["--n", "4", "match", "-v"],
+        ["--n", "4", "betti", "--n-max", "4"],
+        ["betti", "--n-max", "4", "--k", "3"],
+        ["--dim", "1", "betti", "--n-max", "4"],
+        ["betti", "--n-max", "4", "-v"],
+        ["--n", "4", "match", "--face", "1100", "--verify"],
+        ["--n", "4", "match", "--face", "1100", "--out", "/dev/null"],
+        ["--n", "4", "-v", "match", "--face", "1100"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--k", "4", "basis", "--certify", "-v"],
+        ["basis", "--n", "5", "-v", "--certify", "--k", "4"],
+        ["-v", "match", "--n", "4", "--verify"],
+        ["--out", "/dev/null", "betti", "--n-max", "4"],
+        ["betti", "--n-max", "4", "--out", "/dev/null"],
+        ["--n", "4", "--dim", "0", "enum"],
+        ["--n", "4", "match", "--face", "1100"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_read_flags_accepted_on_either_side(self, capsys, argv):
+        code, lines = run(capsys, *argv)
+        assert code == 0
+        assert lines[-1].startswith("RESULT pass")
 
     def test_face_dim_removed(self):
         assert not hasattr(halfcube, "face_dim")

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,14 +8,16 @@ from halfcube.faces import EMPTY, Kind, classify, facets, total_and_u, vertices_
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
+    MorseBoundary,
     MorseError,
+    MorseMatching,
     NotACycle,
     NotCodimOne,
+    ResidualNonzero,
     Unpaired,
     build_matching,
     match_face,
     morse_boundary,
-    morse_counts,
     rule_applicability,
     solve_cycle,
     validate_matching,
@@ -91,7 +92,8 @@ class TestBuildMatching:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_complete(self, tables, matchings, n):
-        assert morse_counts(matchings(n), tables(n)) == {}
+        partner = matchings(n).partner
+        assert all(f in partner for f in tables(n))
 
     def test_codim_one_facet(self, tables, matchings):
         t, m = tables(4), matchings(4)
@@ -102,13 +104,6 @@ class TestBuildMatching:
                 assert classify(large) == (Kind.VERTEX, 0)
             else:
                 assert small in facets(large)
-
-    def test_up_down_slices_align(self, tables, matchings):
-        m = matchings(4)
-        for k, ups in m.ups.items():
-            downs = m.downs[k]
-            assert len(ups) == len(downs)
-            assert sorted(m.partner[e] for e in ups) == downs
 
     def test_swapped_rule9_partners_detected(self, tables, matchings):
         # hand-corrupt the involution: swap the partners of two vertices
@@ -175,20 +170,9 @@ class TestAcyclicity:
         assert all(layer["cycle"] is None for layer in report["layers"])
         assert {layer["p"] for layer in report["layers"]} == set(range(-1, n))
 
-    def test_planted_cycle_is_found(self, tables):
-        # pair the vertices of a quadrilateral with its edges to force a
-        # closed alternating path in the layer digraph
-        t = tables(4)
-        edge_set = {frozenset(vertices_of(e)): e for e in t.faces(1)}
-        verts = t.faces(0)
-        planted = None
-        for quad in itertools.permutations(verts[:6], 4):
-            keys = [frozenset((quad[i], quad[(i + 1) % 4])) for i in range(4)]
-            if all(k in edge_set for k in keys):
-                planted = {quad[i]: edge_set[keys[i]] for i in range(4)}
-                break
-        assert planted is not None
-        report = verify_acyclic(planted, t)
+    def test_planted_cycle_is_found(self, tables, quadrilateral_pairs):
+        planted = MorseMatching(4, quadrilateral_pairs, {})
+        report = verify_acyclic(planted, tables(4))
         assert not report["acyclic"]
         layer0 = next(l for l in report["layers"] if l["p"] == 0)
         assert layer0["cycle"] is not None
@@ -219,21 +203,21 @@ class TestAcyclicity:
 
 
 class TestMorseCounts:
+    """Critical cells: the faces a matching leaves unpaired."""
+
     def test_full_matching_all_zero(self, tables, matchings):
         for n in (4, 5, 6, 7):
-            assert morse_counts(matchings(n), tables(n)) == {}
-
-    def test_empty_matching_raw_counts(self, tables):
-        t = tables(4)
-        assert morse_counts({}, t) == t.counts()
+            t, m = tables(n), matchings(n)
+            assert len(m.partner) == t.size
+            assert all(f in m.partner for f in t)
 
     def test_restricted_on_5_3(self, tables, matchings):
-        from halfcube.subcomplex import build_subcomplex
+        from halfcube.subcomplex import betti_power, build_subcomplex
 
         t = tables(5)
         spec = build_subcomplex(5, 3, t, matchings(5))
-        u = morse_counts(spec.pairing, t, spec.faces)
-        assert u == {2: 31}
+        assert len(spec.unmatched) == betti_power(5, 3) == 31
+        assert {t.dim_of(f) for f in spec.unmatched} == {2}
 
 
 class TestMorseBoundary:
@@ -255,7 +239,8 @@ class TestMorseBoundary:
         m = matchings(5)
         mb = morse_boundary(m, tables(5), 2, complexes(5))
         assert len(mb.ups) == len(mb.downs) == mb.size
-        assert mb.size == len(m.up_cells(2)) == len(m.down_cells(2))
+        assert mb.size == len(m.up_cells(2))
+        assert sorted(mb.downs) == sorted(m.partner[e] for e in m.up_cells(2))
 
     def test_prec_respected_by_order(self, tables, matchings, complexes):
         mb = morse_boundary(matchings(4), tables(4), 1, complexes(4))
@@ -272,7 +257,8 @@ class TestSolveCycle:
         y = cx.apply(ChainVector(2, {t.index_of(d): 1}))
         f = solve_cycle(y, m, t, cx)
         assert cx.apply(f) == y
-        assert all(t.faces(2)[i] in m.down_cells(1) for i in f.coeffs)
+        downs = {m.partner[e] for e in m.up_cells(1)}
+        assert all(t.faces(2)[i] in downs for i in f.coeffs)
 
     def test_hundred_random_boundaries(self, tables, matchings, complexes):
         t, m, cx = tables(4), matchings(4), complexes(4)
@@ -298,6 +284,21 @@ class TestSolveCycle:
         with pytest.raises(NotACycle):
             solve_cycle(y, matchings(4), t, complexes(4))
 
+    def test_flipped_diagonal_sign_leaves_a_residual(self, tables, matchings,
+                                                     complexes):
+        # one diagonal entry of the level-2 restricted boundary negated:
+        # the solve of that column's own boundary no longer reproduces it
+        t, m, cx = tables(5), matchings(5), complexes(5)
+        mb = morse_boundary(m, t, 2, cx)
+        j = mb.size // 2
+        cols = [dict(c) for c in mb.cols]
+        cols[j][j] = -cols[j][j]
+        bad = MorseBoundary(mb.k, mb.ups, mb.downs, cols, mb.prec)
+        y = cx.apply(ChainVector(3, {t.index_of(mb.downs[j]): 1}))
+        assert cx.apply(solve_cycle(y, m, t, cx, mb)) == y
+        with pytest.raises(ResidualNonzero):
+            solve_cycle(y, m, t, cx, bad)
+
 
 class TestCycleLattice:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (4, 3),
@@ -307,7 +308,7 @@ class TestCycleLattice:
         # boundaries of the downward-matched cells: independent, spanning
         # the kernel, and saturated (all invariant factors 1)
         t, m, cx = tables(n), matchings(n), complexes(n)
-        downs = m.down_cells(k)
+        downs = sorted(m.partner[e] for e in m.up_cells(k))
         b = cx.boundary(k + 1)
         n_k = len(t.faces(k))
         entries = {}
@@ -360,12 +361,11 @@ class TestCycleLattice:
             if planted:
                 break
         assert planted is not None
-        from halfcube.morse import MorseMatching
         partner = {}
         for e, tri in planted:
             partner[e] = tri
             partner[tri] = e
-        fake = MorseMatching(4, partner, {}, {1: sorted(e for e, _ in planted)}, {})
+        fake = MorseMatching(4, partner, {}, {1: sorted(e for e, _ in planted)})
         with pytest.raises(CyclicPrec):
             morse_boundary(fake, t, 1, complexes(4))
 

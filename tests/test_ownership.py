@@ -1,0 +1,45 @@
+"""Source guards: the chain complex and the matching are built by the
+caller and passed in, never rebuilt behind its back."""
+
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import halfcube
+
+SRC = Path(halfcube.__file__).parent
+MODULES = [importlib.import_module(f"halfcube.{p.stem}")
+           for p in sorted(SRC.glob("*.py")) if not p.stem.startswith("_")]
+
+
+def functions(module):
+    """Every function and method defined in the module."""
+    for _, obj in inspect.getmembers(module):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (f for f in vars(obj).values() if inspect.isfunction(f))
+
+
+def test_context_arguments_are_required():
+    optional = [f"{fn.__module__}.{fn.__qualname__}({name})"
+                for module in MODULES for fn in functions(module)
+                for name, p in inspect.signature(fn).parameters.items()
+                if name in ("cx", "matching") and p.default is None]
+    assert optional == []
+
+
+def test_only_the_cli_builds_complexes_and_matchings():
+    calls = re.compile(r"(?<!def )\b(ChainComplex|build_matching)\(")
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     if calls.search(p.read_text()))
+    assert callers == ["cli.py"]
+
+
+def test_guards_see_the_package():
+    names = {m.__name__ for m in MODULES}
+    assert {"halfcube.morse", "halfcube.snf", "halfcube.subcomplex"} <= names
+    assert any(fn.__name__ == "morse_boundary" for fn in functions(halfcube.morse))

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from halfcube import faces
+from halfcube import faces, snf
 from halfcube.faces import FaceSubset
 from halfcube.chains import ChainVector
 from halfcube.snf import (
@@ -96,12 +96,25 @@ class TestSmithNormalForm:
         m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
         assert smith_normal_form(m) == smith_normal_form(m)
 
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(2026)
+        for _ in range(300):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(nc)]
+                 for _ in range(nr)]
+            s = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+            want = sorted(abs(s[i, i]) for i in range(min(nr, nc)) if s[i, i])
+            assert smith_normal_form(m).factors == tuple(want), m
+
 
 class TestHomology:
     def test_d1_rank_two_methods(self, tables, complexes):
         t, cx = tables(4), complexes(4)
         full = set(t)
-        r, c, entries, _, _ = restricted_boundary(full, t, 1, cx)
+        r, c, entries = restricted_boundary(full, t, 1, cx)
         dense = [[0] * c for _ in range(r)]
         for (i, j), v in entries.items():
             dense[i][j] = v
@@ -130,12 +143,13 @@ class TestHomology:
         assert report_json(rep) == (
             '{"subset": "C_{4,3}", "betti": {"2": 7}, "torsion": {}}')
 
-    def test_not_closed(self, tables):
+    def test_not_closed(self, tables, complexes):
         t = tables(4)
         with pytest.raises(NotClosed):
             check_closed({t.faces(2)[0], faces.EMPTY}, t)
         with pytest.raises(NotClosed):
-            homology({t.faces(0)[0]}, t, 0)  # vertex without the empty face
+            # vertex without the empty face
+            homology({t.faces(0)[0]}, t, 0, complexes(4))
 
     def test_not_closed_on_face_subset(self, tables):
         # a deleted-cell subcomplex without one of its edges
@@ -164,16 +178,46 @@ class TestHomology:
         t, cx = tables(4), complexes(4)
         full = set(t)
         for d in range(0, 5):
-            r, c, entries, _, col_faces = restricted_boundary(full, t, d, cx)
+            r, c, entries = restricted_boundary(full, t, d, cx)
             rank = smith_normal_form((r, c, entries)).rank
             dense = [[0] * c for _ in range(r)]
             for (i, j), v in entries.items():
                 dense[i][j] = v
             assert rank == int_rank(dense)
-            assert len(col_faces) == len(t.faces(d))
-            kernel = len(col_faces) - rank
+            assert c == len(t.faces(d))
+            kernel = c - rank
             assert kernel >= 0
-            assert rank + kernel == len(col_faces)
+            assert rank + kernel == c
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_report_equals_per_degree_homology(self, tables, complexes,
+                                               monkeypatch, n):
+        # one closure check and one SNF per boundary map per report
+        t, cx = tables(n), complexes(n)
+        calls = {"check_closed": 0, "snf": 0}
+        check, eliminate = snf.check_closed, snf._sparse_snf
+
+        def counted_check(*args):
+            calls["check_closed"] += 1
+            return check(*args)
+
+        def counted_snf(*args):
+            calls["snf"] += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(snf, "check_closed", counted_check)
+        monkeypatch.setattr(snf, "_sparse_snf", counted_snf)
+        subsets = [subcomplex_faces(n, k, t) for k in range(3, n)] + [set(t)]
+        for sub in subsets:
+            top = max(t.dim_of(f) for f in sub)
+            calls.update(check_closed=0, snf=0)
+            rep = homology_report(sub, t, cx)
+            assert calls == {"check_closed": 1, "snf": top + 2}
+            for d in range(0, top + 1):
+                h = homology(sub, t, d, cx)
+                assert rep["betti"][d] == h["betti"]
+                assert rep["torsion"].get(d, []) == h["torsion"]
+            assert sorted(rep["betti"]) == list(range(0, top + 1))
 
     def test_unreduced_counts_components(self, tables, complexes):
         t = tables(4)
@@ -214,6 +258,24 @@ class TestClassIndependence:
         bd = {f for f in t if t.dim_of(f) <= 3}
         with pytest.raises(NotCycles):
             class_independence([ChainVector(1, {0: 1})], bd, t, cx)
+
+    def test_doubled_chain_generates_an_index_two_lattice(self, tables,
+                                                          complexes):
+        t, cx = tables(5), complexes(5)
+        sub = subcomplex_faces(5, 3, t)
+        chains = list(homology_basis(5, 3, t, cx).chains)
+        chains[4] = chains[4].add_scaled(chains[4])
+        verdict = class_independence(chains, sub, t, cx)
+        assert verdict.independent and not verdict.generating
+        assert verdict.detail["stacked_torsion"] == [2]
+
+    def test_sum_of_two_chains_is_dependent(self, tables, complexes):
+        t, cx = tables(5), complexes(5)
+        sub = subcomplex_faces(5, 3, t)
+        chains = list(homology_basis(5, 3, t, cx).chains)
+        chains[0] = chains[1].add_scaled(chains[2])
+        verdict = class_independence(chains, sub, t, cx)
+        assert not verdict.independent
 
     def test_dropping_one_chain_stops_generating(self, tables, complexes):
         t, cx = tables(4), complexes(4)
