@@ -3,15 +3,21 @@
 Ground truth for ranks and torsion, independent of the matching machinery:
 given any facet-closed face subset it computes reduced (or unreduced)
 homology from exact Smith normal forms of the restricted boundary
-matrices.  Elimination is gcd-based with smallest-pivot selection (ties
-broken by a fill estimate, then position) over arbitrary-precision
-integers; no modular or floating-point shortcuts.
+matrices.  Elimination is gcd-based over arbitrary-precision integers; no
+modular or floating-point shortcuts.  Each pivot is an entry of smallest
+|v| in the whole matrix, exactly; ties go to the smallest Markowitz fill
+(len(row) - 1) * (len(col) - 1) as of that entry's last update, then to
+the smallest (row, col).  Candidates come from a lazily invalidated heap
+with one record per value written, so a pivot costs a few heap operations
+instead of a scan of every entry.  The pivot order decides only the work,
+never the result: invariant factors are unique.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .chains import ChainComplex
@@ -47,7 +53,11 @@ class SNFResult:
 
 
 def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
-    f = sorted(abs(v) for v in values)
+    """Invariant factors of the diagonal matrix with these nonzero values.
+    Units divide everything, so only the other values go through the
+    gcd/lcm fix-up."""
+    units = sum(1 for v in values if v == 1 or v == -1)
+    f = sorted(abs(v) for v in values if v != 1 and v != -1)
     changed = True
     while changed:
         changed = False
@@ -58,7 +68,7 @@ def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
                     f[i], f[j] = g, f[i] * f[j] // g
                     changed = True
         f.sort()
-    return tuple(f)
+    return (1,) * units + tuple(f)
 
 
 def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -> SNFResult:
@@ -66,34 +76,78 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
     colrows: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
         if v:
+            if r < 0 or c < 0:
+                raise ValueError(f"negative matrix position {(r, c)}")
             rows.setdefault(r, {})[c] = v
             colrows.setdefault(c, set()).add(r)
+
+    # Pivot candidates are heap records: the int (|v|, fill, row, col)
+    # packed most significant first, where fill = (len(row) - 1) *
+    # (len(col) - 1) is the Markowitz count as of the record.  Every value
+    # written gets one, and so does an entry that a moving pivot leaves
+    # behind (its record was popped), so every live entry has a record of
+    # its current |v|.  Elimination adds no row or column index, so a row
+    # holds at most 2**cbits entries, a column 2**(pbits - cbits), and a
+    # fill stays below 2**pbits.  A record whose entry is gone or holds another
+    # |v| is dead and skipped when popped; the heap is refilled from the
+    # live entries when it grows past twice their number.
+    cbits = max(colrows, default=0).bit_length()
+    pbits = max(rows, default=0).bit_length() + cbits
+    cmask, pmask = (1 << cbits) - 1, (1 << pbits) - 1
+    heap: list[int] = []
+
+    def record(r: int, c: int) -> int:
+        row = rows[r]
+        fill = (len(row) - 1) * (len(colrows[c]) - 1)
+        return (abs(row[c]) << pbits | fill) << pbits | r << cbits | c
+
+    def refill() -> int:
+        """One record per live entry; returns the heap size at which to
+        refill next."""
+        heap.clear()
+        heap.extend(record(r, c) for r, row in rows.items() for c in row)
+        heapify(heap)
+        return 2 * len(heap) + 1024
+
+    limit = refill()
 
     def row_op(dst: int, src: int, q: int) -> None:
         # row[dst] -= q * row[src]
         drow = rows.setdefault(dst, {})
+        written = []
         for c, v in rows[src].items():
             w = drow.get(c, 0) - q * v
             if w:
                 if c not in drow:
                     colrows.setdefault(c, set()).add(dst)
                 drow[c] = w
+                written.append(c)
             elif c in drow:
                 del drow[c]
                 colrows[c].discard(dst)
         if not drow:
             del rows[dst]
+        for c in written:
+            heappush(heap, record(dst, c))
 
     pivots: list[int] = []
     while rows:
-        best = None
-        for r in rows:
-            row = rows[r]
-            for c, v in row.items():
-                key = (abs(v), (len(row) - 1) * (len(colrows[c]) - 1), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        _, r, c = best
+        if len(heap) > limit:
+            limit = refill()
+        # the first live record holds the smallest |v| of the matrix; ties
+        # go to the smaller recorded fill, then position
+        while True:
+            key = heappop(heap)
+            r, c = (key & pmask) >> cbits, key & cmask
+            if c not in rows.get(r, ()):
+                continue  # the entry is gone
+            now = record(r, c)
+            if now >> 2 * pbits != key >> 2 * pbits:
+                continue  # another |v|, which has its own record
+            if now > key:
+                heappush(heap, now)  # the fill has grown since the write
+                continue
+            break
         while True:
             v = rows[r][c]
             others = sorted(colrows[c] - {r})
@@ -104,6 +158,7 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
                         row_op(r2, r, q)
                 rem = sorted(colrows[c] - {r})
                 if rem:
+                    heappush(heap, record(r, c))  # the entry left behind
                     r = min(rem, key=lambda rr: (abs(rows[rr][c]), rr))
                     continue
             row_others = sorted(c2 for c2 in rows[r] if c2 != c)
@@ -116,11 +171,13 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
                         w = rows[r][c2] - q * v
                         if w:
                             rows[r][c2] = w
+                            heappush(heap, record(r, c2))
                         else:
                             del rows[r][c2]
                             colrows[c2].discard(r)
                 rem = sorted(c2 for c2 in rows[r] if c2 != c)
                 if rem:
+                    heappush(heap, record(r, c))  # the entry left behind
                     c = min(rem, key=lambda cc: (abs(rows[r][cc]), cc))
                     continue
             break

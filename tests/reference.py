@@ -9,13 +9,21 @@ the closed-form path to give bit-identical matrices.
 `subcomplex_faces`, `closure_defects` and `build_subcomplex` work on sets of
 face strings and parse every facet list with `facets()`, as the package did
 before it kept one facet index per table.
+
+`sparse_snf` is the Smith normal form elimination that rescans every entry
+to choose each pivot, with the quadratic gcd/lcm fix-up of the pivots
+(`divisibility_chain`); the package's heap-driven `_sparse_snf` must return
+the same `SNFResult`.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from halfcube.chains import BoundaryMatrix, ChainError, det_sign, vertex_point
 from halfcube.faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
 from halfcube.morse import MorseMatching
+from halfcube.snf import SNFResult
 from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
 
 
@@ -174,3 +182,92 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
             if g not in faces_y:
                 raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
     return SubcomplexSpec(n, k, frozenset(faces_y), unmatched, external)
+
+
+def divisibility_chain(values: list[int]) -> tuple[int, ...]:
+    """Invariant factors of the diagonal matrix with these nonzero values,
+    by pairwise gcd/lcm until each divides the next."""
+    f = sorted(abs(v) for v in values)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(f)):
+            for j in range(i + 1, len(f)):
+                if f[j] % f[i] != 0:
+                    g = gcd(f[i], f[j])
+                    f[i], f[j] = g, f[i] * f[j] // g
+                    changed = True
+        f.sort()
+    return tuple(f)
+
+
+def sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -> SNFResult:
+    """Smith normal form by gcd elimination; each pivot is the entry with
+    the smallest (|v|, (len(row) - 1) * (len(col) - 1), row, col), found by
+    scanning every remaining entry.  `entries` is not modified."""
+    rows: dict[int, dict[int, int]] = {}
+    colrows: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            colrows.setdefault(c, set()).add(r)
+
+    def row_op(dst: int, src: int, q: int) -> None:
+        # row[dst] -= q * row[src]
+        drow = rows.setdefault(dst, {})
+        for c, v in rows[src].items():
+            w = drow.get(c, 0) - q * v
+            if w:
+                if c not in drow:
+                    colrows.setdefault(c, set()).add(dst)
+                drow[c] = w
+            elif c in drow:
+                del drow[c]
+                colrows[c].discard(dst)
+        if not drow:
+            del rows[dst]
+
+    pivots: list[int] = []
+    while rows:
+        best = None
+        for r in rows:
+            row = rows[r]
+            for c, v in row.items():
+                key = (abs(v), (len(row) - 1) * (len(colrows[c]) - 1), r, c)
+                if best is None or key < best[0]:
+                    best = (key, r, c)
+        _, r, c = best
+        while True:
+            v = rows[r][c]
+            others = sorted(colrows[c] - {r})
+            if others:
+                for r2 in others:
+                    q = rows[r2][c] // v
+                    if q:
+                        row_op(r2, r, q)
+                rem = sorted(colrows[c] - {r})
+                if rem:
+                    r = min(rem, key=lambda rr: (abs(rows[rr][c]), rr))
+                    continue
+            row_others = sorted(c2 for c2 in rows[r] if c2 != c)
+            if row_others:
+                # column c is now zero off the pivot, so a column operation
+                # c2 -= q*c only changes the pivot-row entry
+                for c2 in row_others:
+                    q = rows[r][c2] // v
+                    if q:
+                        w = rows[r][c2] - q * v
+                        if w:
+                            rows[r][c2] = w
+                        else:
+                            del rows[r][c2]
+                            colrows[c2].discard(r)
+                rem = sorted(c2 for c2 in rows[r] if c2 != c)
+                if rem:
+                    c = min(rem, key=lambda cc: (abs(rows[r][cc]), cc))
+                    continue
+            break
+        pivots.append(rows[r][c])
+        del rows[r]
+        colrows[c].discard(r)
+    return SNFResult(divisibility_chain(pivots), n_rows, n_cols)

@@ -217,6 +217,14 @@ class TestBetti:
         assert code == 0
         assert "4,3,7,7,7,7" in lines
 
+    def test_oracle_fills_n7_without_force(self, capsys):
+        code, lines = run(capsys, "betti", "--n-max", "7", "--oracle")
+        assert code == 0
+        rows = [l.split(",") for l in lines[1:] if l.startswith("7,")]
+        assert [r[1] for r in rows] == ["3", "4", "5", "6"]
+        for row in rows:
+            assert row[5] == row[2] == row[4]
+
     def test_k_eq_n_rows(self, capsys):
         code, lines = run(capsys, "betti", "--n-max", "5", "--include-k-eq-n")
         assert code == 0

@@ -3,7 +3,9 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from halfcube import faces, snf
 from halfcube.faces import FaceSubset
 from halfcube.chains import ChainVector
@@ -96,6 +98,10 @@ class TestSmithNormalForm:
         m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
         assert smith_normal_form(m) == smith_normal_form(m)
 
+    def test_negative_position_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            smith_normal_form((2, 2, {(0, 0): 1, (-1, 1): 2}))
+
     def test_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -108,6 +114,141 @@ class TestSmithNormalForm:
             s = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
             want = sorted(abs(s[i, i]) for i in range(min(nr, nc)) if s[i, i])
             assert smith_normal_form(m).factors == tuple(want), m
+
+
+class TestDivisibilityChain:
+    def test_units_are_prepended(self):
+        assert snf._divisibility_chain([1, 4, -1, 6]) == (1, 1, 2, 12)
+
+    def test_coprime_non_units_give_a_unit(self):
+        assert snf._divisibility_chain([-1, 2, 3]) == (1, 1, 6)
+
+    def test_many_units(self):
+        values = [(-1) ** i for i in range(3000)] + [-4, 6]
+        assert snf._divisibility_chain(values) == (1,) * 3000 + (2, 12)
+
+    def test_equals_reference(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            values = [rng.choice((1, -1, rng.randint(-30, 30) or 1))
+                      for _ in range(rng.randint(0, 9))]
+            assert (snf._divisibility_chain(values)
+                    == reference.divisibility_chain(values)), values
+
+
+def _distinct_boundaries(t, cx, n):
+    """Every restricted `∂_d` that `homology_report` factors for C_{n,k}
+    (3 <= k < n) and for the full complex, each distinct matrix once."""
+    seen = {}
+    for sub in [subcomplex_faces(n, k, t) for k in range(3, n)] + [check_closed(set(t), t)]:
+        for d in range(0, n + 2):
+            n_rows, n_cols, entries = restricted_boundary(sub, t, d, cx)
+            seen.setdefault((n_rows, n_cols, frozenset(entries.items())), entries)
+    return [(r, c, e) for (r, c, _), e in seen.items()]
+
+
+def _unimodular(m, moves):
+    """m after a sequence of row or column swaps, sign flips and additions
+    of an integer multiple of one line to another."""
+    a = [row[:] for row in m]
+    for kind, on_rows, i, j, q in moves:
+        if not on_rows:
+            a = [list(col) for col in zip(*a)]
+        i, j = i % len(a), j % len(a)
+        if kind == "swap":
+            a[i], a[j] = a[j], a[i]
+        elif kind == "negate":
+            a[i] = [-x for x in a[i]]
+        elif i != j:
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        if not on_rows:
+            a = [list(col) for col in zip(*a)]
+    return a
+
+
+small_matrices = st.integers(1, 5).flatmap(lambda nc: st.lists(
+    st.lists(st.integers(-6, 6), min_size=nc, max_size=nc), min_size=1, max_size=5))
+unimodular_moves = st.lists(st.tuples(st.sampled_from(["swap", "negate", "add"]), st.booleans(),
+                           st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)),
+                 max_size=12)
+
+
+class TestHeapElimination:
+    """The heap-driven elimination against the scanning reference in
+    `tests/reference.py`: equal `SNFResult`s, and the input left as it
+    was."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_restricted_boundaries_equal_reference(self, tables, complexes, n):
+        for n_rows, n_cols, entries in _distinct_boundaries(tables(n), complexes(n), n):
+            before = dict(entries)
+            got = snf._sparse_snf(n_rows, n_cols, entries)
+            assert entries == before
+            assert got == reference.sparse_snf(n_rows, n_cols, entries), (n_rows, n_cols)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_certification_stacks_equal_reference(self, tables, complexes,
+                                                  monkeypatch, n):
+        # criterion 9's stacked matrices: boundary columns plus the basis
+        # cycles; the other two eliminations are restricted boundaries
+        t, cx = tables(n), complexes(n)
+        calls = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, entries):
+            calls.append((n_rows, n_cols, dict(entries)))
+            return eliminate(n_rows, n_cols, entries)
+
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        for k in range(3, n):
+            calls.clear()
+            hb = homology_basis(n, k, t, cx)
+            verdict = class_independence(hb.chains, subcomplex_faces(n, k, t), t, cx)
+            assert verdict.ok
+            n_rows, n_cols, stacked = calls[1]
+            assert n_cols == calls[0][1] + betti_power(n, k)
+            assert (eliminate(n_rows, n_cols, stacked)
+                    == reference.sparse_snf(n_rows, n_cols, stacked)), (n, k)
+
+    def test_random_sparse_equal_reference(self):
+        rng = random.Random(20261018)
+        with_torsion = 0
+        for _ in range(200):
+            n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
+            density = rng.choice((0.05, 0.15, 0.4))
+            entries = {(r, c): rng.randint(-9, 9)
+                       for r in range(n_rows) for c in range(n_cols)
+                       if rng.random() < density}
+            before = dict(entries)
+            got = snf._sparse_snf(n_rows, n_cols, entries)
+            assert entries == before
+            assert got == reference.sparse_snf(n_rows, n_cols, entries), entries
+            with_torsion += bool(got.torsion())
+        assert with_torsion >= 20
+
+    @pytest.mark.parametrize("m,factors", [
+        ([[4, 2, 6], [2, 4, 5], [-4, 2, -1]], (1, 2, 14)),
+        ([[-5, -8, 0], [0, 0, 0], [5, 7, 0]], (1, 5)),
+        ([[0, 0, 0, 0, -3], [0, 1, 0, 0, -1], [0, 4, -2, 0, -7], [-3, -8, -8, 0, 9]],
+         (1, 1, 1, 18)),
+    ])
+    def test_entry_left_by_a_moving_pivot_stays_a_candidate(self, m, factors):
+        # the gcd loop moves the pivot off the popped entry, which stays in
+        # the matrix; without a new record for it the heap runs dry
+        assert smith_normal_form(m).factors == factors
+
+    @settings(deadline=None, max_examples=150)
+    @given(m=small_matrices, moves=unimodular_moves)
+    def test_unimodular_moves_keep_invariant_factors(self, m, moves):
+        moved = _unimodular(m, moves)
+        assert smith_normal_form(moved).factors == smith_normal_form(m).factors
+
+    @settings(deadline=None, max_examples=150)
+    @given(m=small_matrices)
+    def test_small_dense_equal_reference(self, m):
+        entries = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+        assert (smith_normal_form(m)
+                == reference.sparse_snf(len(m), len(m[0]), entries))
 
 
 class TestHomology:
