@@ -32,7 +32,6 @@ from .chains import (
     ChainComplex,
     ChainVector,
     boundary_matrix,
-    det_sign,
 )
 from .morse import (
     MorseBoundary,

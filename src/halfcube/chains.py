@@ -1,56 +1,55 @@
 """Oriented cellular chain complex of the half cube over the integers.
 
 Vertex points have coordinate +1 for digit '0' and -1 for digit '1'.  A face
-of dimension >= 1 is oriented by a frame: a base vertex and dim(f) exact
-integer edge vectors.  It is the frame a greedy search over the
-lexicographically sorted vertices would pick (smallest vertex as base, keep
-each edge vector that raises the rank), given here in closed form:
+of dimension >= 1 is oriented by a frame: its lexicographically smallest
+vertex as base, and the edge vectors to the later vertices, in
+lexicographic order, that raise the rank.
 
-* simplex or edge face with mask size m and underline-erased digits b: the
-  vertices toggle one mask coordinate of b each and are affinely
-  independent, so every one is kept.  In sorted order the toggles of the
-  '1' mask positions come first, rising, then those of the '0' positions,
-  falling; the first is the base, and each later vertex minus the base is
-  a frame vector.
-* half-cube face with star positions s_0 < ... < s_{m-1}: the base fills
-  every star with '0', except s_{m-1} gets '1' when the count of fixed '1'
-  digits is odd.  The frame vectors toggle the star pairs (m-2, m-1),
-  (m-3, m-1), (m-3, m-2), then (j, m-1) for j = m-4 down to 0.
+* A simplex or edge face keeps every vertex, so it is oriented by its
+  lexicographic vertex order.  Vertex p toggles mask coordinate p of the
+  underline-erased digits; in that order the 'I' positions come first,
+  rising, then the 'O' positions, falling.
+* A half-cube face with stars s_0 < ... < s_{m-1} and P fixed '1' digits
+  has as base every star '0', except s_{m-1} is '1' when P is odd, and as
+  frame the toggles of the star pairs (m-2, m-1), (m-3, m-1), (m-3, m-2),
+  then (j, m-1) for j = m-4 down to 0.
 
-Every frame vector has two nonzero coordinates, both on the face's mask.
+The incidence [f:g] of a facet g is +1 when the outward direction from f's
+centroid to g's followed by g's frame has the orientation of f's frame,
+and -1 otherwise.  An edge has -1 on its base and +1 on its other vertex;
+a vertex has +1 on the empty face.  For d >= 2 each sign factors as
+[f:g] = ε(f)·ε(g)·σ(f,g): ε is the sign of a face's frame against a
+canonical basis of its span (the star coordinates for a half-cube face;
+a simplex face's frame is its canonical one, ε = +1), and σ is the
+incidence of the canonical bases.  In closed form:
 
-The vertex sum of a face, also in closed form, is 2**(m-1) times the
-fixed coordinates and 0 on the stars for a half-cube face (2**(m-1)
-vertices); m * b_i off the mask and (m - 2) * b_i on it for a simplex or
-edge face (m vertices); and the point itself for a vertex.
+* ε(f) = (-1)^(floor((m-1)/2) + P) for a half-cube face.
+* A: f a half-cube face, g the half-cube facet fixing star s_i to digit c
+  (c = +1 for '0', -1 for '1'): [f:g] = ε(f)·ε(g)·c·(-1)^i.
+* B: f a half-cube face, g a simplex facet writing the stars as 'O'/'I',
+  with o the number of 'I's, z the number of 'O's and inv the number of
+  pairs s_a < s_b with g[s_a] = 'O' and g[s_b] = 'I':
+  [f:g] = ε(f)·(-1)^(m-1)·(-1)^(o + inv + z(z-1)/2).
+* C: f a simplex face, g the facet dropping the underline at mask position
+  p: [f:g] = (-1)^r, with r the index of p in f's vertex order (the
+  alternating sign of simplicial boundaries).
 
-The incidence number of a facet g of f is the sign of an exact
-determinant: the Gram matrix of f's frame against the outward direction
-nf*ng * (centroid(g) - centroid(f)) followed by g's frame.  A zero
-determinant raises.  An edge has -1 on its base and +1 on its other vertex;
-a vertex has +1 on the empty face.  All arithmetic is arbitrary-precision
-integer; signs are never computed in floating point.
+The signs of f's facets depend only on m and the parity of P for a
+half-cube face, and on the 'O'/'I' pattern of its mask for a simplex face.
+The facet index lists facets in lexicographic order, which the pattern
+alone decides, so each column is one cached sign tuple laid over the
+column's facet positions.  Every sign is an exact integer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 from typing import Iterator
 
-from .faces import (
-    ONE_SYMBOLS,
-    PLAIN0,
-    PLAIN1,
-    STAR,
-    UND0,
-    UND1,
-    UNDERLINED,
-    FaceTable,
-    Kind,
-    classify,
-    mask,
-)
+from .faces import PLAIN0, PLAIN1, STAR, UND0, UND1, FaceTable, canonical_edge
 
 
 class ChainError(Exception):
@@ -61,98 +60,53 @@ class DimensionMismatch(ChainError):
     pass
 
 
-def det_sign(m: list[list[int]]) -> int:
-    """Sign of the determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination."""
-    a = [row[:] for row in m]
-    k = len(a)
-    sign = 1
-    prev = 1
-    for i in range(k):
-        if a[i][i] == 0:
-            for r in range(i + 1, k):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[i][i]
-        for r in range(i + 1, k):
-            arc = a[r]
-            aic = a[i]
-            fac = arc[i]
-            for c in range(i + 1, k):
-                arc[c] = (arc[c] * piv - fac * aic[c]) // prev
-            arc[i] = 0
-        prev = piv
-    d = a[k - 1][k - 1] if k else 1
-    return sign * (1 if d > 0 else -1 if d < 0 else 0)
+def halfcube_epsilon(m: int, parity: int) -> int:
+    """ε of a half-cube face with m stars whose fixed '1' count has this
+    parity: the sign of its frame against the star coordinates."""
+    return -1 if ((m - 1) // 2 + parity) % 2 else 1
 
 
-def vertex_point(v: str) -> tuple[int, ...]:
-    """Coordinates of a vertex sequence: digit '0' is +1, digit '1' is -1."""
-    return tuple(1 if c == "0" else -1 for c in v)
+@cache
+def halfcube_signs(m: int, parity: int) -> tuple[int, ...]:
+    """Incidences of the facets of a half-cube face with m stars and fixed
+    '1' count of this parity, in lexicographic facet order (rules A, B)."""
+    eps = halfcube_epsilon(m, parity)
+    signed = []  # (facet written on the stars, incidence)
+    if m > 3:  # rule A
+        for i in range(m):
+            for digit, c in ((PLAIN0, 1), (PLAIN1, -1)):
+                eps_g = halfcube_epsilon(m - 1, parity ^ (c < 0))
+                signed.append((STAR * i + digit + STAR * (m - 1 - i),
+                               eps * eps_g * c * (-1) ** i))
+    for bits in product((0, 1), repeat=m):  # rule B, odd total 1-count
+        o = sum(bits)
+        if (o + parity) % 2 != 1:
+            continue
+        z = m - o
+        inv = sum(1 for a in range(m) for b in range(a + 1, m)
+                  if not bits[a] and bits[b])
+        signed.append(("".join(UND1 if b else UND0 for b in bits),
+                       eps * (-1) ** (m - 1 + o + inv + z * (z - 1) // 2)))
+    return tuple(s for _, s in sorted(signed))
 
 
-def _sign(c: str) -> int:
-    # coordinate of a digit, plain or underlined
-    return 1 if c in (PLAIN0, UND0) else -1
+@cache
+def simplex_signs(pattern: str) -> tuple[int, ...]:
+    """Incidences of the facets of a simplex face whose mask reads
+    `pattern` ('O'/'I' in position order, length >= 3), in lexicographic
+    facet order (rule C)."""
+    m = len(pattern)
+    order = ([p for p in range(m) if pattern[p] == UND1]
+             + [p for p in reversed(range(m)) if pattern[p] == UND0])
+    signed = []
+    for r, p in enumerate(order):
+        g = pattern[:p] + (PLAIN1 if pattern[p] == UND1 else PLAIN0) + pattern[p + 1:]
+        signed.append((canonical_edge(g) if m == 3 else g, (-1) ** r))
+    return tuple(s for _, s in sorted(signed))
 
 
-def vertex_sum(f: str) -> tuple[tuple[int, ...], int]:
-    """Sum of the vertex points of a face and its number of vertices, in
-    closed form (see the module docstring)."""
-    kind, d = classify(f)
-    if kind is Kind.VERTEX:
-        return vertex_point(f), 1
-    if kind is Kind.HALFCUBE:
-        w = 2 ** (d - 1)
-        return tuple(0 if c == STAR else w * _sign(c) for c in f), w
-    m = d + 1
-    return tuple((m - 2 if c in UNDERLINED else m) * _sign(c) for c in f), m
-
-
-# A frame vector is (p, a, q, b): a at coordinate p, b at coordinate q, zero
-# elsewhere.
-FrameVector = tuple[int, int, int, int]
-
-
-def orientation(f: str) -> tuple[str, tuple[FrameVector, ...]]:
-    """Base vertex and frame vectors of a face of dimension >= 1.
-
-    This is the frame a greedy search picks from the lexicographically
-    sorted vertices: the smallest vertex as base, and the edge vector of
-    each later vertex that raises the rank.  Both face shapes give it in
-    closed form (see the module docstring).
-    """
-    kind, d = classify(f)
-    if d < 1:
-        raise ChainError(f"no frame for a face of dimension {d}")
-    pos = mask(f)
-    if kind is Kind.HALFCUBE:
-        base = [PLAIN0] * d
-        if f.count(PLAIN1) % 2:
-            base[-1] = PLAIN1
-        v = list(f)
-        for i, c in zip(pos, base):
-            v[i] = c
-        # toggling star s moves the base point by -2 * its coordinate there
-        step = [-2 if c == PLAIN0 else 2 for c in base]
-        pairs = [(d - 2, d - 1), (d - 3, d - 1), (d - 3, d - 2)]
-        pairs += [(j, d - 1) for j in range(d - 4, -1, -1)]
-        return "".join(v), tuple((pos[s], step[s], pos[t], step[t])
-                                 for s, t in pairs)
-    # simplex shaped: vertex i toggles mask coordinate i of the erased
-    # digits; in lexicographic order the '1' positions come first, rising,
-    # then the '0' positions, falling
-    order = ([i for i in pos if f[i] in ONE_SYMBOLS]
-             + [i for i in reversed(pos) if f[i] not in ONE_SYMBOLS])
-    i0 = order[0]
-    v = list(f.replace(UND0, PLAIN0).replace(UND1, PLAIN1))
-    v[i0] = PLAIN0 if v[i0] == PLAIN1 else PLAIN1
-    return "".join(v), tuple((i0, 2 * _sign(f[i0]), j, -2 * _sign(f[j]))
-                             for j in order[1:])
+# deletes the plain digits, leaving a simplex face's mask pattern
+_MASK_PATTERN = str.maketrans("", "", PLAIN0 + PLAIN1)
 
 
 @dataclass
@@ -183,10 +137,6 @@ class ChainVector:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainVector)
                 and self.dim == other.dim and self.coeffs == other.coeffs)
-
-    def support_faces(self, table: FaceTable) -> list[str]:
-        cells = table.faces(self.dim)
-        return [cells[i] for i in sorted(self.coeffs)]
 
 
 @dataclass
@@ -225,8 +175,7 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     if d < 0 or d > table.n:
         raise DimensionMismatch(f"no boundary in dimension {d}")
     cells = table.faces(d)
-    below = table.faces(d - 1)
-    n_rows = len(below)
+    n_rows = len(table.faces(d - 1))
     if d == 0:
         return BoundaryMatrix(d, n_rows, len(cells), [{0: 1} for _ in cells])
     flat, offsets = table.facet_index(d)
@@ -237,36 +186,12 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
             base, head = flat[offsets[i]:offsets[i + 1]]
             cols.append({base: -1, head: 1})
         return BoundaryMatrix(d, n_rows, len(cells), cols)
-    # (frame vectors, vertex sum, vertex count) of the facets met so far,
-    # by position among the (d-1)-cells
-    seen: dict[int, tuple] = {}
     for i, f in enumerate(cells):
-        vecs_f = orientation(f)[1]
-        sum_f, nf = vertex_sum(f)
-        dense_f = []
-        for p, a, q, b in vecs_f:
-            row = [0] * table.n
-            row[p], row[q] = a, b
-            dense_f.append(row)
-        col: dict[int, int] = {}
-        for j in flat[offsets[i]:offsets[i + 1]]:
-            info = seen.get(j)
-            if info is None:
-                g = below[j]
-                info = seen[j] = (orientation(g)[1], *vertex_sum(g))
-            vecs_g, sum_g, ng = info
-            # Gram matrix of f's frame against the outward direction
-            # nf*ng * (centroid(g) - centroid(f)) followed by g's frame
-            m = [[a * (nf * sum_g[p] - ng * sum_f[p])
-                  + b * (nf * sum_g[q] - ng * sum_f[q])]
-                 + [row[p2] * a2 + row[q2] * b2 for p2, a2, q2, b2 in vecs_g]
-                 for (p, a, q, b), row in zip(vecs_f, dense_f)]
-            s = det_sign(m)
-            if s == 0:
-                raise ChainError(
-                    f"degenerate incidence determinant for {f!r}:{below[j]!r}")
-            col[j] = s
-        cols.append(col)
+        if STAR in f:
+            signs = halfcube_signs(d, f.count(PLAIN1) % 2)
+        else:
+            signs = simplex_signs(f.translate(_MASK_PATTERN))
+        cols.append(dict(zip(flat[offsets[i]:offsets[i + 1]], signs, strict=True)))
     return BoundaryMatrix(d, n_rows, len(cells), cols)
 
 

@@ -3,8 +3,11 @@
 The orientation frame is found by a greedy search over the lexicographically
 sorted vertex list, keeping a vertex whenever its edge vector raises the
 exact rank; vertex sums enumerate every vertex.  `boundary_matrix` builds
-`∂_d` from these, with the package's exact `det_sign`, so tests can require
-the closed-form path to give bit-identical matrices.
+`∂_d` from these: each incidence is the sign of the fraction-free (Bareiss)
+determinant of the Gram matrix of f's frame against the outward direction
+nf*ng * (centroid(g) - centroid(f)) followed by g's frame, and a zero
+determinant raises.  Tests require the package's closed-form sign rule to
+give bit-identical matrices.
 
 `subcomplex_faces`, `closure_defects` and `build_subcomplex` work on sets of
 face strings and parse every facet list with `facets()`, as the package did
@@ -20,11 +23,45 @@ from __future__ import annotations
 
 from math import gcd
 
-from halfcube.chains import BoundaryMatrix, ChainError, det_sign, vertex_point
+from halfcube.chains import BoundaryMatrix, ChainError
 from halfcube.faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
 from halfcube.morse import MorseMatching
 from halfcube.snf import SNFResult
 from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
+
+
+def det_sign(m: list[list[int]]) -> int:
+    """Sign of the determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination."""
+    a = [row[:] for row in m]
+    k = len(a)
+    sign = 1
+    prev = 1
+    for i in range(k):
+        if a[i][i] == 0:
+            for r in range(i + 1, k):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[i][i]
+        for r in range(i + 1, k):
+            arc = a[r]
+            aic = a[i]
+            fac = arc[i]
+            for c in range(i + 1, k):
+                arc[c] = (arc[c] * piv - fac * aic[c]) // prev
+            arc[i] = 0
+        prev = piv
+    d = a[k - 1][k - 1] if k else 1
+    return sign * (1 if d > 0 else -1 if d < 0 else 0)
+
+
+def vertex_point(v: str) -> tuple[int, ...]:
+    """Coordinates of a vertex sequence: digit '0' is +1, digit '1' is -1."""
+    return tuple(1 if c == "0" else -1 for c in v)
 
 
 def int_rank(rows: list[list[int]]) -> int:

@@ -8,19 +8,9 @@ from halfcube.chains import (
     ChainError,
     DimensionMismatch,
     boundary_matrix,
-    det_sign,
-    orientation,
-    vertex_point,
-    vertex_sum,
+    halfcube_epsilon,
 )
-from reference import int_rank, square_defects
-
-
-def dense(vec, n):
-    p, a, q, b = vec
-    out = [0] * n
-    out[p], out[q] = a, b
-    return tuple(out)
+from reference import det_sign, int_rank, orientation_frame, square_defects, vertex_point
 
 
 def brute_det(m):
@@ -96,36 +86,50 @@ class TestExactLinalg:
 
 class TestOrientationFrame:
     def test_edge_frame(self):
-        base, vecs = orientation("I1O0100")
+        base, vecs = orientation_frame("I1O0100")
         assert base == "0100100"
         diff = tuple(a - b for a, b in
                      zip(vertex_point("1110100"), vertex_point("0100100")))
-        assert [dense(v, 7) for v in vecs] == [diff]
+        assert list(vecs) == [diff]
 
     def test_triangle_rank(self):
-        _, vecs = orientation("0I1I10I")
+        _, vecs = orientation_frame("0I1I10I")
         assert len(vecs) == 2
-        assert int_rank([list(dense(v, 7)) for v in vecs]) == 2
+        assert int_rank([list(v) for v in vecs]) == 2
 
     def test_vertex_rejected(self):
         with pytest.raises(ChainError):
-            orientation("0110")
+            orientation_frame("0110")
 
     def test_deterministic(self):
-        assert orientation("****0000") == orientation("****0000")
+        assert orientation_frame("****0000") == orientation_frame("****0000")
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_frames_and_vertex_sums_match_reference(self, tables, n):
-        for f in tables(n):
-            if f == faces.EMPTY:
-                continue
-            assert vertex_sum(f) == reference.vertex_sum(f), f
-            if tables(n).dim_of(f) >= 1:
-                base, vecs = orientation(f)
-                assert (base, tuple(dense(v, n) for v in vecs)) == \
-                    reference.orientation_frame(f), f
+    def test_epsilon_is_the_frame_sign(self, tables, n):
+        # ε of a half-cube face is the sign of the reference frame on the
+        # star coordinates; a simplex frame is its lexicographic vertex
+        # order, which puts the 'I' toggles first, rising, then the 'O'
+        # toggles, falling
+        for d in range(1, n + 1):
+            for f in tables(n).faces(d):
+                base, vecs = orientation_frame(f)
+                pos = faces.mask(f)
+                if faces.STAR in f:
+                    frame = [[v[p] for p in pos] for v in vecs]
+                    parity = f.count(faces.PLAIN1) % 2
+                    assert det_sign(frame) == halfcube_epsilon(d, parity), f
+                    continue
+                b = f.replace(faces.UND0, "0").replace(faces.UND1, "1")
+                order = ([p for p in pos if f[p] == faces.UND1]
+                         + [p for p in reversed(pos) if f[p] == faces.UND0])
+                verts = [b[:p] + ("0" if b[p] == "1" else "1") + b[p + 1:]
+                         for p in order]
+                assert verts == sorted(faces.vertices_of(f)), f
+                points = [vertex_point(v) for v in verts]
+                assert (base, list(vecs)) == (verts[0], [
+                    tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]), f
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_boundaries_bit_identical_to_reference(self, tables, complexes, n):
@@ -199,6 +203,32 @@ class TestBoundaryMatrix:
         planted = BoundaryMatrix(d, b.n_rows, b.n_cols, cols)
         assert square_defects(planted, cx.boundary(d - 1))
 
+    def test_chain_condition_pins_sigma_and_reference_pins_epsilon(self, tables, complexes):
+        # negating ε on one face class (the half-cube 5-faces with odd
+        # fixed '1' count at n=6) negates their columns in ∂_5 and their
+        # rows in ∂_6: ∂∂ = 0 still holds, and only the comparison with the
+        # reference frames sees the wrong orientation
+        t, cx = tables(6), complexes(6)
+        flipped = {j for j, f in enumerate(t.faces(5))
+                   if faces.STAR in f and f.count(faces.PLAIN1) % 2}
+        assert len(flipped) == 6
+        b5, b6 = cx.boundary(5), cx.boundary(6)
+        p5 = BoundaryMatrix(5, b5.n_rows, b5.n_cols,
+                            [{i: -v for i, v in c.items()} if j in flipped else dict(c)
+                             for j, c in enumerate(b5.cols)])
+        p6 = BoundaryMatrix(6, b6.n_rows, b6.n_cols,
+                            [{i: -v if i in flipped else v for i, v in c.items()}
+                             for c in b6.cols])
+        assert not square_defects(p5, cx.boundary(4))
+        assert not square_defects(p6, p5)
+        assert p5.cols != reference.boundary_matrix(t, 5).cols
+        assert p6.cols != reference.boundary_matrix(t, 6).cols
+        # flipping σ on a single entry breaks ∂∂ = 0
+        j = min(flipped)
+        i = next(iter(p5.cols[j]))
+        p5.cols[j][i] = -p5.cols[j][i]
+        assert square_defects(p5, cx.boundary(4))
+
     def test_column_support_is_facet_list(self, tables, complexes):
         t, cx = tables(4), complexes(4)
         for d in range(1, 5):
@@ -229,7 +259,7 @@ class TestApplyBoundary:
     def test_single_edge(self, tables, complexes):
         t = tables(4)
         e = t.faces(1)[0]
-        base = orientation(e)[0]
+        base = orientation_frame(e)[0]
         head = next(v for v in faces.vertices_of(e) if v != base)
         c = ChainVector(1, {t.index_of(e): 1})
         out = complexes(4).apply(c)

@@ -1,5 +1,6 @@
 """Source guards: the chain complex and the matching are built by the
-caller and passed in, never rebuilt behind its back."""
+caller and passed in, never rebuilt behind its back; incidence signs come
+from the closed-form rule, never from a determinant."""
 
 import importlib
 import inspect
@@ -39,7 +40,15 @@ def test_only_the_cli_builds_complexes_and_matchings():
     assert callers == ["cli.py"]
 
 
+def test_no_determinant_in_the_package():
+    holders = [m.__name__ for m in [halfcube, *MODULES] if hasattr(m, "det_sign")]
+    mentions = sorted(p.name for p in SRC.glob("*.py")
+                      if re.search(r"\bdet_sign\b", p.read_text()))
+    assert holders == [] and mentions == []
+
+
 def test_guards_see_the_package():
     names = {m.__name__ for m in MODULES}
-    assert {"halfcube.morse", "halfcube.snf", "halfcube.subcomplex"} <= names
+    assert {"halfcube.chains", "halfcube.morse", "halfcube.snf",
+            "halfcube.subcomplex"} <= names
     assert any(fn.__name__ == "morse_boundary" for fn in functions(halfcube.morse))
