@@ -122,18 +122,6 @@ class ChainVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def add_scaled(self, other: "ChainVector", scale: int = 1) -> "ChainVector":
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"chain dims {self.dim} vs {other.dim}")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            v = out.get(i, 0) + scale * c
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
-        return ChainVector(self.dim, out)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainVector)
                 and self.dim == other.dim and self.coeffs == other.coeffs)

@@ -183,9 +183,9 @@ def cmd_match(args, parser) -> int:
             for line in m.jsonl_lines(table):
                 sink.line(line)
         if args.verify:
-            for f in table:
+            for f, rule in zip(table, m.rules):
                 apps = morse.rule_applicability(f)
-                if apps != {m.rule[f]}:
+                if apps != {rule}:
                     print(f"RESULT fail n={n} exclusivity face={f} rules={sorted(apps)}")
                     return 1
             report = morse.verify_acyclic(m, table)
@@ -296,6 +296,12 @@ def main(argv=None) -> int:
     unread = _unread_flags(args)
     if unread:
         parser.error(f"{args.command} does not use {', '.join(unread)}")
+    if args.out is not None:
+        head = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            parser.error(f"--out {args.out}: is a directory")
+        if not os.path.isdir(head):
+            parser.error(f"--out {args.out}: no such directory {head}")
     handlers = {
         "enum": cmd_enum,
         "match": cmd_match,

@@ -23,8 +23,10 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from bisect import bisect_right
 from collections.abc import Set
 from enum import Enum
+from functools import cache
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -99,10 +101,10 @@ def classify(f: str) -> FaceKind:
     """Kind and dimension of a valid face sequence."""
     if f == EMPTY:
         return FaceKind(Kind.EMPTY, -1)
-    if STAR in f:
-        m = f.count(STAR)
+    m = f.count(STAR)
+    if m:
         return FaceKind(Kind.HALFCUBE, m)
-    m = sum(1 for c in f if c in UNDERLINED)
+    m = f.count(UND0) + f.count(UND1)
     if m == 0:
         return FaceKind(Kind.VERTEX, 0)
     if m == 2:
@@ -272,14 +274,92 @@ def expected_counts(n: int) -> dict[int, int]:
     return out
 
 
+# a face's code is its text read in base 5, the digit of each symbol
+# following ASCII order (* < 0 < 1 < I < O), so numeric order of the codes
+# of one length is the lexicographic order of the texts; the tables act
+# on the ASCII bytes of a face, which translate faster than str
+_CODE_SYMBOLS = STAR + PLAIN0 + PLAIN1 + UND1 + UND0
+_CODE_DIGITS = bytes.maketrans(_CODE_SYMBOLS.encode(), b"01234")
+# blanks the plain digits, leaving the marked positions and symbols
+_PATTERN = bytes.maketrans(b"01", b"..")
+# code change of one symbol: an underline dropped (O -> 0, I -> 1), an
+# underlined digit toggled (O -> 1, I -> 0), an underline flipped (O <-> I)
+_DROP = {UND0: -3, UND1: -1}
+_TOGGLE = -2
+_FLIP = {UND0: -1, UND1: 1}
+
+
+def face_code(f: str) -> int:
+    """The face's text read in base 5 with digits * 0 1 I O = 0..4; among
+    faces of one length, codes order as the texts do."""
+    return int(f.encode().translate(_CODE_DIGITS), 5)
+
+
+def code_face(code: int, n: int) -> str:
+    """The length-n face text with this code."""
+    out = []
+    for _ in range(n):
+        code, r = divmod(code, 5)
+        out.append(_CODE_SYMBOLS[r])
+    return "".join(reversed(out))
+
+
+@cache
+def _weights(n: int) -> tuple[int, ...]:
+    """Place values of the n symbols of a face code, left to right."""
+    return tuple(5 ** (n - 1 - i) for i in range(n))
+
+
+def facet_deltas(f: str) -> tuple[int, ...]:
+    """The codes of the facets of f (dimension >= 1) minus the code of f,
+    ascending, so in the order of `facets(f)`.  They depend only on the
+    marked positions and symbols of f and, for a half-cube face, on the
+    parity of its '1' digits."""
+    w = _weights(len(f))
+    if STAR not in f:
+        marked = [(i, c) for i, c in enumerate(f) if c in UNDERLINED]
+        if len(marked) > 3:
+            # dropping an underline lowers the code, the leftmost one the
+            # most, so position order is already ascending
+            return tuple([_DROP[c] * w[i] for i, c in marked])
+        if len(marked) == 2:  # an edge: a vertex toggles one underlined
+            # digit and keeps the other's digit
+            (p, a), (q, b) = marked
+            out = [_TOGGLE * w[p] + _DROP[b] * w[q], _DROP[a] * w[p] + _TOGGLE * w[q]]
+        else:  # a triangle: a facet edge whose rightmost underline is
+            # 'I' is flipped to its canonical form
+            out = []
+            for r, c in marked:
+                (s, a), (t, b) = [x for x in marked if x[0] != r]
+                x = _DROP[c] * w[r]
+                if b == UND1:
+                    x += _FLIP[a] * w[s] + _FLIP[b] * w[t]
+                out.append(x)
+        return tuple(sorted(out))
+    # half-cube shaped: the stars written as O/I with odd total 1-count
+    # (O is digit 4, I digit 3, * digit 0), then one star fixed to 0 or 1
+    positions = [i for i, c in enumerate(f) if c == STAR]
+    parity = f.count(PLAIN1) % 2
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        if (parity + sum(bits)) % 2 == 1:
+            out.append(sum(w[i] * (3 if b else 4) for i, b in zip(positions, bits)))
+    if len(positions) > 3:
+        out += [w[i] * c for i in positions for c in (1, 2)]
+    return tuple(sorted(out))
+
+
 class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
     Faces are stored per dimension in lexicographic order of their text
-    form; `index_of` gives the position of a face within its dimension.
-    `facet_index(d)` gives the facets of every d-cell as positions among
-    the (d-1)-cells; it is built from `facets()` the first time d is asked
-    for, and is the only place the package parses facets.
+    form; `index_of` gives the position of a face within its dimension and
+    `position` its position in the whole table, ordered by dimension and
+    then lexicographically.  `facet_index(d)` gives the facets of every
+    d-cell as positions among the (d-1)-cells.  It is computed on integer
+    face codes (`face_code`): a facet's code is the face's code plus one
+    of the deltas of `facet_deltas`, cached per pattern of marked symbols,
+    and is looked up among the codes of the (d-1)-cells.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
@@ -287,10 +367,16 @@ class FaceTable:
         self.cells = {d: tuple(faces) for d, faces in sorted(cells.items())}
         self._index: dict[str, int] = {}
         self._dim: dict[str, int] = {}
+        self._start: dict[int, int] = {}
+        first = 0
         for d, faces in self.cells.items():
+            self._start[d] = first
+            first += len(faces)
             for i, f in enumerate(faces):
                 self._index[f] = i
                 self._dim[f] = d
+        self._dims = list(self._start)
+        self._starts = list(self._start.values())
         self._facets: dict[int, tuple[array, array]] = {}
 
     def faces(self, d: int) -> tuple[str, ...]:
@@ -302,25 +388,70 @@ class FaceTable:
     def dim_of(self, f: str) -> int:
         return self._dim[f]
 
+    def start(self, d: int) -> int:
+        """Table position of the first d-cell: the number of cells of
+        lower dimension."""
+        if d in self._start:
+            return self._start[d]
+        return 0 if d < min(self.cells) else self.size
+
+    def position(self, f: str) -> int:
+        """Position of f in the table order."""
+        return self._start[self._dim[f]] + self._index[f]
+
+    def dim_at(self, g: int) -> int:
+        """Dimension of the face at table position g."""
+        if not 0 <= g < self.size:
+            raise IndexError(f"no face at table position {g}")
+        return self._dims[bisect_right(self._starts, g) - 1]
+
+    def face(self, g: int) -> str:
+        """The face at table position g."""
+        d = self.dim_at(g)
+        return self.cells[d][g - self._start[d]]
+
     def facet_index(self, d: int) -> tuple[array, array]:
         """Facets of the d-cells as (flat, offsets): those of the i-th
         d-cell are the (d-1)-cell positions flat[offsets[i]:offsets[i+1]],
         in `facets()` order."""
         idx = self._facets.get(d)
         if idx is None:
-            index = self._index
-            flat = array("i")
-            offsets = array("i", [0])
-            for f in self.faces(d):
-                if f != EMPTY:
-                    try:
-                        flat.extend(map(index.__getitem__, facets(f)))
-                    except KeyError as e:
-                        raise FaceError(f"facet {e.args[0]!r} of {f!r} "
-                                        "is not in the table") from None
-                offsets.append(len(flat))
-            idx = self._facets[d] = (flat, offsets)
+            idx = self._facets[d] = self._build_facet_index(d)
         return idx
+
+    def _build_facet_index(self, d: int) -> tuple[array, array]:
+        cells = self.faces(d)
+        if d < 0:  # the empty face has no facets
+            return array("i"), array("i", [0] * (len(cells) + 1))
+        if d == 0:  # a vertex has the empty face as its one facet
+            if cells and EMPTY not in self:
+                raise FaceError(f"facet {EMPTY!r} of {cells[0]!r} is not in the table")
+            return array("i", bytes(4 * len(cells))), array("i", range(len(cells) + 1))
+        below = dict(zip(map(face_code, self.faces(d - 1)), itertools.count()))
+        caches: tuple[dict, dict] = ({}, {})  # by parity of the '1' digits
+        deltas = []
+        for f in cells:
+            cache = caches[f.count(PLAIN1) & 1]
+            key = f.encode().translate(_PATTERN)
+            ds = cache.get(key)
+            if ds is None:
+                ds = cache[key] = facet_deltas(f)
+            deltas.append(ds)
+        try:
+            flat = array("i", map(below.__getitem__,
+                                  [c + x for c, ds in zip(map(face_code, cells), deltas)
+                                   for x in ds]))
+        except KeyError:
+            for f, ds in zip(cells, deltas):
+                c = face_code(f)
+                for x in ds:
+                    if c + x not in below:
+                        raise FaceError(f"facet {code_face(c + x, self.n)!r} of {f!r} "
+                                        "is not in the table") from None
+            raise
+        offsets = array("i", [0])
+        offsets.extend(itertools.accumulate(map(len, deltas)))
+        return flat, offsets
 
     def facet_ids(self, f: str) -> array:
         """Positions of the facets of f among the faces one dimension
@@ -387,12 +518,15 @@ class FaceSubset(Set):
             below = self.mask(d - 1)
             if d < start or 0 not in below:
                 continue  # every facet one dimension down is in the set
-            cells, cells_below = table.faces(d), table.faces(d - 1)
+            kept = self.mask(d)
             flat, offsets = table.facet_index(d)
-            for i in self.indices(d):
-                for j in flat[offsets[i]:offsets[i + 1]]:
-                    if not below[j]:
-                        return cells[i], cells_below[j]
+            held = bytes(map(below.__getitem__, flat))  # per incidence
+            t = held.find(0)
+            while t >= 0:
+                i = bisect_right(offsets, t) - 1
+                if kept[i]:
+                    return table.faces(d)[i], table.faces(d - 1)[flat[t]]
+                t = held.find(0, offsets[i + 1])
         return None
 
     def __contains__(self, f) -> bool:

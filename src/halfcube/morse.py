@@ -14,8 +14,10 @@ boundary by exact back-substitution.
 from __future__ import annotations
 
 import heapq
-import json
-from dataclasses import dataclass, field
+import itertools
+from array import array
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
@@ -26,7 +28,6 @@ from .faces import (
     UND1,
     PLAIN0,
     PLAIN1,
-    ONE_SYMBOLS,
     FaceTable,
     Kind,
     canonical_edge,
@@ -68,10 +69,7 @@ _INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 1
 
 
 def _rightmost_one(f: str) -> int:
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] in ONE_SYMBOLS:
-            return i
-    return -1
+    return max(f.rfind(PLAIN1), f.rfind(UND1))
 
 
 def _one_right_of_mask(f: str) -> bool:
@@ -179,127 +177,194 @@ def rule_applicability(f: str) -> set[int]:
     return out
 
 
-@dataclass
-class MorseMatching:
-    """Involutive pairing of every face with a per-face rule tag.
+class _FaceMap(Mapping):
+    """Read-only view of a per-position array of a matching as a mapping
+    from face strings: the faces whose entry is not `missing`, in table
+    order."""
 
-    `ups[k]` lists the upward-matched k-cells, lexicographically sorted;
-    their partners are the downward-matched (k+1)-cells.
+    def __init__(self, table: FaceTable, values: array, missing: int, decode):
+        self._table = table
+        self._values = values
+        self._missing = missing
+        self._decode = decode
+
+    def __getitem__(self, f: str):
+        if f not in self._table:
+            raise KeyError(f)
+        v = self._values[self._table.position(f)]
+        if v == self._missing:
+            raise KeyError(f)
+        return self._decode(v)
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.compress(
+            self._table, map(self._missing.__ne__, self._values))
+
+    def __len__(self) -> int:
+        return len(self._values) - self._values.count(self._missing)
+
+
+class MorseMatching:
+    """Pairing of the faces of a table with a per-face rule tag.
+
+    Held as two arrays over the table order (`FaceTable.position`):
+    `mate[g]` is the position of the partner of the face at position g,
+    or -1 when it has none, and `rules[g]` its rule number, or 0.
+    `partner` and `rule` read them as mappings from face strings.
+    `up_ids(k)` lists, ascending, the positions among the k-cells of the
+    upward-matched k-cells, those whose partner is a (k+1)-cell; since a
+    dimension is sorted, `up_cells(k)` gives their faces in lexicographic
+    order.
     """
 
-    n: int
-    partner: dict[str, str]
-    rule: dict[str, int]
-    ups: dict[int, list[str]] = field(default_factory=dict)
+    def __init__(self, table: FaceTable, mate: array, rules: array):
+        self.table = table
+        self.mate = mate
+        self.rules = rules
+        self.partner = _FaceMap(table, mate, -1, table.face)
+        self.rule = _FaceMap(table, rules, 0, int)
+
+    @classmethod
+    def from_pairs(cls, table: FaceTable, partner: Mapping[str, str],
+                   rule: Mapping[str, int] | None = None) -> "MorseMatching":
+        """The matching whose arrays hold these face-string pairs as given,
+        one direction per entry: neither completed nor checked."""
+        mate = array("i", [-1]) * table.size
+        rules = array("b", bytes(table.size))
+        for f, p in partner.items():
+            if p not in table:
+                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
+            mate[table.position(f)] = table.position(p)
+        for f, r in (rule or {}).items():
+            rules[table.position(f)] = r
+        return cls(table, mate, rules)
 
     def pair_count(self) -> int:
         return len(self.partner) // 2
 
+    def up_ids(self, k: int) -> list[int]:
+        lo, hi = self.table.start(k + 1), self.table.start(k + 2)
+        seg = self.mate[self.table.start(k):lo]
+        return [i for i, g in enumerate(seg) if lo <= g < hi]
+
     def up_cells(self, k: int) -> list[str]:
-        return self.ups.get(k, [])
+        cells = self.table.faces(k)
+        return [cells[i] for i in self.up_ids(k)]
 
     def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
-        for d in sorted(table.cells):
-            for f in table.faces(d):
-                yield json.dumps(
-                    {"face": f, "partner": self.partner[f], "rule": self.rule[f]})
+        """One JSON line per face of a complete matching, in table order;
+        faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
+        faces = list(table)
+        for f, g, r in zip(faces, self.mate, self.rules):
+            yield '{"face": "%s", "partner": "%s", "rule": %d}' % (f, faces[g], r)
 
 
-def validate_matching(partner: dict[str, str], rule: dict[str, int],
-                      table: FaceTable) -> None:
-    """Check that `partner` pairs every face of the table with another
-    face, involutively and with mutually inverse rules, and that each pair
-    is a facet incidence one dimension apart.  Raises Unpaired,
-    InvolutionBroken or NotCodimOne at the first violation in table
-    order."""
+def validate_matching(mate: array, rules: array, table: FaceTable) -> None:
+    """Check that the arrays of a matching (see `MorseMatching`) pair
+    every face of the table with another face, involutively and with
+    mutually inverse rules, and that each pair is a facet incidence one
+    dimension apart.  Raises Unpaired, InvolutionBroken or NotCodimOne at
+    the first violation in table order."""
+    size = table.size
+    face = table.face
     for d in sorted(table.cells):
+        lo, up_lo, up_hi = table.start(d), table.start(d + 1), table.start(d + 2)
+        down_lo = table.start(d - 1)
         flat, offsets = table.facet_index(d + 1)
-        for f in table.faces(d):
-            p = partner.get(f)
-            if p is None or p == f:
+        for i, f in enumerate(table.faces(d)):
+            g = lo + i
+            p = mate[g]
+            if p < 0 or p == g:
                 raise Unpaired(f"face {f!r} has no partner")
-            if p not in partner:
-                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
-            if partner[p] != f:
-                raise InvolutionBroken(f"{f!r} -> {p!r} -> {partner[p]!r}")
-            if _INVERSE_RULE[rule[f]] != rule[p]:
-                raise InvolutionBroken(
-                    f"rules {rule[f]}/{rule[p]} of {f!r}/{p!r} are not inverse")
-            dp = table.dim_of(p)
-            if abs(d - dp) != 1:
-                raise NotCodimOne(f"{f!r} (dim {d}) paired with {p!r} (dim {dp})")
+            if p >= size:
+                raise InvolutionBroken(f"partner {p} of {f!r} is not a face")
+            q = mate[p]
+            if q < 0:
+                raise InvolutionBroken(f"partner {face(p)!r} of {f!r} has no partner")
+            if q != g:
+                back = repr(face(q)) if q < size else f"position {q}"
+                raise InvolutionBroken(f"{f!r} -> {face(p)!r} -> {back}")
+            if _INVERSE_RULE.get(rules[g]) != rules[p]:
+                raise InvolutionBroken(f"rules {rules[g]}/{rules[p]} of "
+                                       f"{f!r}/{face(p)!r} are not inverse")
             # each pair is met first from its lower face, so checking the
             # incidence from there alone raises at the same face
-            if d < dp:
-                j = table.index_of(p)
-                if table.index_of(f) not in flat[offsets[j]:offsets[j + 1]]:
-                    raise NotCodimOne(f"{f!r} is not a facet of {p!r}")
+            if up_lo <= p < up_hi:
+                j = p - up_lo
+                if i not in flat[offsets[j]:offsets[j + 1]]:
+                    raise NotCodimOne(f"{f!r} is not a facet of {face(p)!r}")
+            elif not down_lo <= p < lo:
+                raise NotCodimOne(f"{f!r} (dim {d}) paired with {face(p)!r} "
+                                  f"(dim {table.dim_at(p)})")
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
     """Match every face of the table and validate the pairing with
     `validate_matching`."""
     n = table.n
-    partner: dict[str, str] = {}
-    rule: dict[str, int] = {}
+    mate = array("i")
+    rules = array("b")
+    position = table.position
     for f in table:
         p, r = match_face(f, n)
-        partner[f] = p
-        rule[f] = r
-    validate_matching(partner, rule, table)
-    ups: dict[int, list[str]] = {}
-    for d in sorted(table.cells):
-        for f in table.faces(d):
-            if table.dim_of(partner[f]) > d:
-                ups.setdefault(d, []).append(f)
-    for k in ups:
-        ups[k].sort()
-    return MorseMatching(n, partner, rule, ups)
+        try:
+            mate.append(position(p))
+        except KeyError:
+            raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face") from None
+        rules.append(r)
+    validate_matching(mate, rules, table)
+    return MorseMatching(table, mate, rules)
 
 
-def _layer_digraph(partner: dict[str, str], table: FaceTable, p: int):
-    """Modified Hasse digraph of the layer (p, p+1): matched incidences point
-    up, all other incidences point down."""
-    edges: dict[str, list[str]] = {}
-    cells_p = table.faces(p)
-    nodes = list(cells_p) + list(table.faces(p + 1))
+def _layer_cycle(m: MorseMatching, table: FaceTable, p: int) -> list[str] | None:
+    """A directed cycle of the modified Hasse digraph of the layer (p, p+1),
+    or None: matched incidences point up, all other incidences point down.
+
+    Nodes are the p-cells by position, then the (p+1)-cells after them;
+    the search starts from each node in that order and follows each
+    cell's edges in facet order."""
+    cells_p, cells_q = table.faces(p), table.faces(p + 1)
+    n_p, n_q = len(cells_p), len(cells_q)
+    sq = table.start(p + 1)
     flat, offsets = table.facet_index(p + 1)
-    for i, b in enumerate(table.faces(p + 1)):
-        down = []
-        for j in flat[offsets[i]:offsets[i + 1]]:
-            a = cells_p[j]
-            if partner.get(a) == b:
-                edges.setdefault(a, []).append(b)
-            else:
-                down.append(a)
-        edges[b] = down
-    return nodes, edges
+    # up[a]: the (p+1)-cell the p-cell a is matched to, when a is one of
+    # its facets, else -1
+    up = array("i", [-1]) * n_p
+    for a, g in enumerate(m.mate[table.start(p):sq]):
+        j = g - sq
+        if 0 <= j < n_q and a in flat[offsets[j]:offsets[j + 1]]:
+            up[a] = j
 
+    def edges(node: int):
+        if node < n_p:
+            return (n_p + up[node],)
+        j = node - n_p
+        return [a for a in flat[offsets[j]:offsets[j + 1]] if up[a] != j]
 
-def _find_cycle(nodes: list[str], edges: dict[str, list[str]]) -> list[str] | None:
-    state: dict[str, int] = {}
-    for start in nodes:
-        if state.get(start):
+    # 0 unseen, 1 on the path, 2 finished; a p-cell not matched up has no
+    # edges, so it starts finished
+    state = bytearray(2 if j < 0 else 0 for j in up) + bytes(n_q)
+    for start in range(n_p + n_q):
+        if state[start]:
             continue
-        stack = [(start, iter(edges.get(start, ())))]
         state[start] = 1
         path = [start]
+        stack = [iter(edges(start))]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt, 0) == 1:
-                    return path[path.index(nxt):] + [nxt]
-                if state.get(nxt, 0) == 0:
+            for nxt in stack[-1]:
+                s = state[nxt]
+                if s == 1:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    return [cells_p[v] if v < n_p else cells_q[v - n_p]
+                            for v in cycle]
+                if s == 0:
                     state[nxt] = 1
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
                     path.append(nxt)
-                    advanced = True
+                    stack.append(iter(edges(nxt)))
                     break
-            if not advanced:
-                state[node] = 2
+            else:
+                state[path.pop()] = 2
                 stack.pop()
-                path.pop()
     return None
 
 
@@ -309,14 +374,14 @@ def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
     layers = []
     acyclic = True
     for p in range(-1, table.n):
-        nodes, edges = _layer_digraph(m.partner, table, p)
-        cycle = _find_cycle(nodes, edges)
+        cycle = _layer_cycle(m, table, p)
         if cycle is not None:
             acyclic = False
         layers.append({
             "p": p,
-            "nodes": len(nodes),
-            "edges": sum(len(v) for v in edges.values()),
+            "nodes": len(table.faces(p)) + len(table.faces(p + 1)),
+            # every incidence of the layer is one edge, up or down
+            "edges": len(table.facet_index(p + 1)[0]),
             "cycle": cycle,
         })
     return {"n": table.n, "acyclic": acyclic, "layers": layers}
@@ -337,7 +402,6 @@ class MorseBoundary:
     ups: list[str]
     downs: list[str]
     cols: list[dict[int, int]]
-    prec: dict[str, list[str]]
 
     @property
     def size(self) -> int:
@@ -360,50 +424,50 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     traversal with lexicographic tie-break fixes one linear extension;
     a cycle in the relation raises CyclicPrec.
     """
-    ups = m.up_cells(k)
-    upset = set(ups)
-    prec: dict[str, list[str]] = {e: [] for e in ups}
-    indeg = {e: 0 for e in ups}
-    cells_k = table.faces(k)
+    ups = m.up_ids(k)  # ascending positions, so lexicographic order
+    cells_k, cells_up = table.faces(k), table.faces(k + 1)
+    sk, sk1 = table.start(k), table.start(k + 1)
+    downs = [m.mate[sk + e] - sk1 for e in ups]
+    slot = array("i", [-1]) * len(cells_k)  # index in ups of a k-cell
+    for t, e in enumerate(ups):
+        slot[e] = t
     flat, offsets = table.facet_index(k + 1)
-    for e in ups:
-        j = table.index_of(m.partner[e])
+    indeg = [0] * len(ups)
+    succ: list[list[int]] = [[] for _ in ups]
+    for t, (e, j) in enumerate(zip(ups, downs)):
         for i in flat[offsets[j]:offsets[j + 1]]:
-            e2 = cells_k[i]
-            if e2 != e and e2 in upset:
-                prec[e].append(e2)  # e2 strictly precedes e
-                indeg[e] += 1
+            u = slot[i]
+            if u >= 0 and i != e:  # ups[u] strictly precedes ups[t]
+                succ[u].append(t)
+                indeg[t] += 1
     # Kahn with lexicographic tie-break: repeatedly emit the smallest
-    # source of the "precedes" relation
-    succ: dict[str, list[str]] = {e: [] for e in ups}
-    for e, smaller in prec.items():
-        for e2 in smaller:
-            succ[e2].append(e)
-    ready = [e for e in ups if indeg[e] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
+    # source of the "precedes" relation, the one with the smallest index
+    ready = [t for t in range(len(ups)) if indeg[t] == 0]  # sorted: a heap
+    order: list[int] = []
     while ready:
-        e = heapq.heappop(ready)
-        order.append(e)
-        for e2 in succ[e]:
-            indeg[e2] -= 1
-            if indeg[e2] == 0:
-                heapq.heappush(ready, e2)
+        t = heapq.heappop(ready)
+        order.append(t)
+        for t2 in succ[t]:
+            indeg[t2] -= 1
+            if indeg[t2] == 0:
+                heapq.heappush(ready, t2)
     if len(order) != len(ups):
-        stuck = sorted(e for e in ups if indeg[e] > 0)
+        stuck = [cells_k[e] for t, e in enumerate(ups) if indeg[t] > 0]
         raise CyclicPrec(f"induced order has a cycle through {stuck[:4]}")
-    pos = {e: i for i, e in enumerate(order)}
-    downs = [m.partner[e] for e in order]
+    rank = array("i", [-1]) * len(cells_k)  # place in the order of a k-cell
+    for r, t in enumerate(order):
+        rank[ups[t]] = r
     bmat = cx.boundary(k + 1)
     cols: list[dict[int, int]] = []
-    for d in downs:
+    for t in order:
         col: dict[int, int] = {}
-        for i, v in bmat.cols[table.index_of(d)].items():
-            e2 = cells_k[i]
-            if e2 in upset:
-                col[pos[e2]] = v
+        for i, v in bmat.cols[downs[t]].items():
+            r = rank[i]
+            if r >= 0:
+                col[r] = v
         cols.append(col)
-    mb = MorseBoundary(k, order, downs, cols, prec)
+    mb = MorseBoundary(k, [cells_k[ups[t]] for t in order],
+                       [cells_up[downs[t]] for t in order], cols)
     if not mb.is_triangular():
         raise MorseError(f"level-{k} restricted boundary is not triangular")
     return mb

@@ -83,7 +83,9 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
 
     # Pivot candidates are heap records: the int (|v|, fill, row, col)
     # packed most significant first, where fill = (len(row) - 1) *
-    # (len(col) - 1) is the Markowitz count as of the record.  Every value
+    # (len(col) - 1) is the Markowitz count when the record was made, and
+    # is not brought up to date when the entry's row or column grows: a
+    # stale fill only changes which of equal |v| goes first.  Every value
     # written gets one, and so does an entry that a moving pivot leaves
     # behind (its record was popped), so every live entry has a record of
     # its current |v|.  Elimination adds no row or column index, so a row
@@ -141,12 +143,8 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
             r, c = (key & pmask) >> cbits, key & cmask
             if c not in rows.get(r, ()):
                 continue  # the entry is gone
-            now = record(r, c)
-            if now >> 2 * pbits != key >> 2 * pbits:
+            if abs(rows[r][c]) != key >> 2 * pbits:
                 continue  # another |v|, which has its own record
-            if now > key:
-                heappush(heap, now)  # the fill has grown since the write
-                continue
             break
         while True:
             v = rows[r][c]

@@ -11,6 +11,7 @@ forms count the basis.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from math import comb
@@ -19,6 +20,10 @@ from typing import Iterator
 from .chains import ChainComplex, ChainVector
 from .faces import PLAIN1, STAR, FaceSubset, FaceTable, Kind, classify
 from .morse import MorseMatching
+
+
+# swaps the bytes 0 and 1 of a mask
+_NOT = bytes([1, 0]) + bytes(range(2, 256))
 
 
 class SubcomplexError(Exception):
@@ -89,13 +94,19 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     if not 3 <= k < n:
         raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
     faces_y = subcomplex_faces(n, k, table)
+    # the matching is an involution, so the kept faces whose partner was
+    # deleted are the kept partners of the deleted faces
     unmatched: list[str] = []
     external: list[str] = []
-    for f in faces_y:
-        p = matching.partner[f]
-        if p not in faces_y:
-            unmatched.append(f)
-            external.append(p)
+    for d, cells in table.cells.items():
+        kept = faces_y.mask(d)
+        lo = table.start(d)
+        for i in itertools.compress(range(len(kept)), kept.translate(_NOT)):
+            g = matching.mate[lo + i]
+            dg = table.dim_at(g)
+            if faces_y.mask(dg)[g - table.start(dg)]:
+                unmatched.append(table.face(g))
+                external.append(cells[i])
     unmatched.sort()
     external.sort()
 

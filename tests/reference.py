@@ -9,9 +9,17 @@ nf*ng * (centroid(g) - centroid(f)) followed by g's frame, and a zero
 determinant raises.  Tests require the package's closed-form sign rule to
 give bit-identical matrices.
 
+`facet_index` parses `facets()` of every face, the way `FaceTable`
+built its facet index before it moved to integer face codes.
+
 `subcomplex_faces`, `closure_defects` and `build_subcomplex` work on sets of
 face strings and parse every facet list with `facets()`, as the package did
 before it kept one facet index per table.
+
+`validate_matching`, `verify_acyclic` and `morse_boundary` work on
+string-keyed partner and rule mappings and string-keyed digraphs, as the
+package did before it held the matching as arrays of table positions.
+`add_scaled` is the linear combination of two chains.
 
 `sparse_snf` is the Smith normal form elimination that rescans every entry
 to choose each pivot, with the quadratic gcd/lcm fix-up of the pivots
@@ -21,11 +29,20 @@ the same `SNFResult`.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
 
-from halfcube.chains import BoundaryMatrix, ChainError
+import heapq
+
+from halfcube.chains import BoundaryMatrix, ChainComplex, ChainError, ChainVector
 from halfcube.faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
-from halfcube.morse import MorseMatching
+from halfcube.morse import (
+    CyclicPrec,
+    InvolutionBroken,
+    MorseMatching,
+    NotCodimOne,
+    Unpaired,
+)
 from halfcube.snf import SNFResult
 from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
 
@@ -176,6 +193,17 @@ def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, 
     return out
 
 
+def facet_index(table: FaceTable, d: int) -> tuple[array, array]:
+    """The facets of the d-cells as (flat, offsets) positions among the
+    (d-1)-cells, in `facets()` order, from the facets' text."""
+    flat = array("i")
+    offsets = array("i", [0])
+    for f in table.faces(d):
+        flat.extend(table.index_of(g) for g in facets(f))
+        offsets.append(len(flat))
+    return flat, offsets
+
+
 def subcomplex_faces(n: int, k: int, table: FaceTable) -> set[str]:
     """Every face except the half-cube shaped faces of dimension >= k."""
     out = set()
@@ -219,6 +247,135 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
             if g not in faces_y:
                 raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
     return SubcomplexSpec(n, k, frozenset(faces_y), unmatched, external)
+
+
+_INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 11: 11}
+
+
+def validate_matching(partner: dict[str, str], rule: dict[str, int],
+                      table: FaceTable) -> None:
+    """The pair check of `halfcube.morse.validate_matching` on string
+    mappings, raising the same class with the same message at the same
+    face."""
+    for d in sorted(table.cells):
+        for f in table.faces(d):
+            p = partner.get(f)
+            if p is None or p == f:
+                raise Unpaired(f"face {f!r} has no partner")
+            if p not in partner:
+                raise InvolutionBroken(f"partner {p!r} of {f!r} has no partner")
+            if partner[p] != f:
+                raise InvolutionBroken(f"{f!r} -> {p!r} -> {partner[p]!r}")
+            if _INVERSE_RULE.get(rule.get(f, 0), -1) != rule.get(p, 0):
+                raise InvolutionBroken(f"rules {rule.get(f, 0)}/{rule.get(p, 0)} of "
+                                       f"{f!r}/{p!r} are not inverse")
+            dp = table.dim_of(p)
+            if abs(d - dp) != 1:
+                raise NotCodimOne(f"{f!r} (dim {d}) paired with {p!r} (dim {dp})")
+            if d < dp and f not in facets(p):
+                raise NotCodimOne(f"{f!r} is not a facet of {p!r}")
+
+
+def layer_digraph(partner, table: FaceTable, p: int):
+    """Nodes and string-keyed edges of the modified Hasse digraph of the
+    layer (p, p+1): matched incidences point up, the others down."""
+    edges: dict[str, list[str]] = {}
+    nodes = list(table.faces(p)) + list(table.faces(p + 1))
+    for b in table.faces(p + 1):
+        down = []
+        for a in (facets(b) if b != EMPTY else []):
+            if partner.get(a) == b:
+                edges.setdefault(a, []).append(b)
+            else:
+                down.append(a)
+        edges[b] = down
+    return nodes, edges
+
+
+def find_cycle(nodes: list[str], edges: dict[str, list[str]]) -> list[str] | None:
+    """The first directed cycle met by a depth-first search started from
+    each node in order, following edges in list order."""
+    state: dict[str, int] = {}
+    for start in nodes:
+        if state.get(start):
+            continue
+        stack = [(start, iter(edges.get(start, ())))]
+        state[start] = 1
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state.get(nxt, 0) == 1:
+                    return path[path.index(nxt):] + [nxt]
+                if state.get(nxt, 0) == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
+                    path.append(nxt)
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                stack.pop()
+                path.pop()
+    return None
+
+
+def verify_acyclic(partner, table: FaceTable) -> dict:
+    """The report of `halfcube.morse.verify_acyclic` from string digraphs."""
+    layers = []
+    for p in range(-1, table.n):
+        nodes, edges = layer_digraph(partner, table, p)
+        layers.append({"p": p, "nodes": len(nodes),
+                       "edges": sum(len(v) for v in edges.values()),
+                       "cycle": find_cycle(nodes, edges)})
+    return {"n": table.n, "acyclic": all(l["cycle"] is None for l in layers),
+            "layers": layers}
+
+
+def morse_boundary(m: MorseMatching, table: FaceTable, k: int, cx: ChainComplex):
+    """(ups, downs, cols, prec) of the level-k restricted boundary, from
+    string sets and a Kahn order over face strings; prec[e] lists the
+    up-cells in the boundary of e's partner, in facet order."""
+    ups = sorted(f for f in table.faces(k)
+                 if f in m.partner and table.dim_of(m.partner[f]) == k + 1)
+    upset = set(ups)
+    prec = {e: [g for g in facets(m.partner[e]) if g != e and g in upset]
+            for e in ups}
+    indeg = {e: len(prec[e]) for e in ups}
+    succ: dict[str, list[str]] = {e: [] for e in ups}
+    for e, smaller in prec.items():
+        for e2 in smaller:
+            succ[e2].append(e)
+    ready = [e for e in ups if indeg[e] == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        e = heapq.heappop(ready)
+        order.append(e)
+        for e2 in succ[e]:
+            indeg[e2] -= 1
+            if indeg[e2] == 0:
+                heapq.heappush(ready, e2)
+    if len(order) != len(ups):
+        raise CyclicPrec("induced order has a cycle")
+    pos = {e: i for i, e in enumerate(order)}
+    downs = [m.partner[e] for e in order]
+    cells_k = table.faces(k)
+    cols = [{pos[cells_k[i]]: v
+             for i, v in cx.boundary(k + 1).cols[table.index_of(d)].items()
+             if cells_k[i] in upset} for d in downs]
+    return order, downs, cols, prec
+
+
+def add_scaled(a: ChainVector, b: ChainVector, scale: int = 1) -> ChainVector:
+    """The chain a + scale * b."""
+    if a.dim != b.dim:
+        raise ChainError(f"chain dims {a.dim} vs {b.dim}")
+    out = dict(a.coeffs)
+    for i, c in b.coeffs.items():
+        out[i] = out.get(i, 0) + scale * c
+    return ChainVector(a.dim, out)
 
 
 def divisibility_chain(values: list[int]) -> tuple[int, ...]:

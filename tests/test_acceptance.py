@@ -65,7 +65,7 @@ def test_criterion_02_chain_condition():
 
 def test_criterion_03_perfect_matching():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)  # validates involution and codim 1
         assert all(f in m.partner for f in table)
@@ -73,18 +73,18 @@ def test_criterion_03_perfect_matching():
             assert m.partner[m.partner[f]] == f
             assert morse.rule_applicability(f) == {m.rule[f]}
         assert 2 * m.pair_count() == table.size
-    report(3, "perfect matching n=4..8", time.monotonic() - t0, budget=60)
+    report(3, "perfect matching n=4..9", time.monotonic() - t0, budget=60)
 
 
 def test_criterion_04_acyclicity():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         rep = morse.verify_acyclic(m, table)
         assert rep["acyclic"], n
         assert all(layer["cycle"] is None for layer in rep["layers"])
-    report(4, "acyclic in every layer n=4..8", time.monotonic() - t0, budget=120)
+    report(4, "acyclic in every layer n=4..9", time.monotonic() - t0, budget=120)
 
 
 def test_criterion_05_triangularity_and_solver():
@@ -123,14 +123,14 @@ def test_criterion_06_betti_identity():
 
 def test_criterion_07_unmatched_census():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         for k in range(3, n):
             spec = build_subcomplex(n, k, table, m)
             assert len(spec.unmatched) == betti_power(n, k), (n, k)
             assert {table.dim_of(f) for f in spec.unmatched} == {k - 1}, (n, k)
-    report(7, "restricted matching census n=4..8", time.monotonic() - t0)
+    report(7, "restricted matching census n=4..9", time.monotonic() - t0)
 
 
 def test_criterion_08_oracle_homology():

@@ -8,6 +8,7 @@ from halfcube import faces, morse, snf
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainError
 from halfcube.cli import main
+from reference import add_scaled
 
 
 def run(capsys, *argv):
@@ -114,7 +115,7 @@ class TestMatch:
                                                 tables, quadrilateral_pairs):
         # the planted quadrilateral is checked in place of the real matching
         verify = morse.verify_acyclic
-        bad = morse.MorseMatching(4, quadrilateral_pairs, {})
+        bad = morse.MorseMatching.from_pairs(tables(4), quadrilateral_pairs)
         monkeypatch.setattr(morse, "verify_acyclic",
                             lambda m, table: verify(bad, table))
         cycle = next(l["cycle"] for l in verify(bad, tables(4))["layers"]
@@ -156,7 +157,7 @@ class TestBasis:
 
         def doubled(n, k, table, cx):
             hb = basis(n, k, table, cx)
-            hb.chains[3] = hb.chains[3].add_scaled(hb.chains[3])
+            hb.chains[3] = add_scaled(hb.chains[3], hb.chains[3])
             return hb
 
         monkeypatch.setattr(subc, "homology_basis", doubled)
@@ -321,3 +322,30 @@ class TestGlobalFlags:
     def test_face_dim_removed(self):
         assert not hasattr(halfcube, "face_dim")
         assert not hasattr(faces, "face_dim")
+
+
+class TestOutPath:
+    COMMANDS = {
+        "enum": ["--n", "4", "enum"],
+        "match": ["--n", "4", "match", "--verify"],
+        "basis": ["--n", "4", "--k", "3", "basis"],
+        "betti": ["betti", "--n-max", "5"],
+    }
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                           command, target):
+        # rejected before any work, naming the path, leaving no file
+        def no_work(n):
+            raise AssertionError("enumerated before the --out check")
+
+        monkeypatch.setattr(faces, "enumerate_faces", no_work)
+        path = tmp_path / "nowhere" / "out.jsonl" if target != "directory" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + ["--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--out {path}" in captured.err
+        assert "RESULT" not in captured.out
+        assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,14 @@
 import itertools
 import json
 import re
+from array import array
 from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from halfcube import faces
 from halfcube.faces import (
     EMPTY,
@@ -22,9 +24,12 @@ from halfcube.faces import (
     TooFewStars,
     canonical_edge,
     classify,
+    code_face,
     enumerate_faces,
     expected_counts,
+    face_code,
     face_json,
+    facet_deltas,
     facets,
     mask,
     parse_seq,
@@ -175,44 +180,58 @@ class TestFacets:
 
 
 class TestFacetIndex:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_equals_parsed_facets(self, tables, n):
         t = tables(n)
         for d in sorted(t.cells):
-            flat, offsets = t.facet_index(d)
-            assert len(offsets) == len(t.faces(d)) + 1
-            for i, f in enumerate(t.faces(d)):
-                want = [t.index_of(g) for g in facets(f)]
-                assert list(flat[offsets[i]:offsets[i + 1]]) == want, f
-                assert list(t.facet_ids(f)) == want
+            assert t.facet_index(d) == reference.facet_index(t, d), (n, d)
+        f = t.faces(n - 1)[-1]
+        assert list(t.facet_ids(f)) == [t.index_of(g) for g in facets(f)]
 
     def test_built_lazily_once_per_dimension(self, monkeypatch):
-        calls = []
-        parse = faces.facets
-        monkeypatch.setattr(faces, "facets", lambda f: calls.append(f) or parse(f))
+        built = []
+        build = FaceTable._build_facet_index
+        monkeypatch.setattr(FaceTable, "_build_facet_index",
+                            lambda self, d: built.append(d) or build(self, d))
         t = enumerate_faces(5)
-        assert calls == []
-        t.facet_index(3)
-        assert calls == list(t.faces(3))
-        t.facet_index(3)
+        assert built == []
+        idx = t.facet_index(3)
+        assert built == [3]
+        assert t.facet_index(3) is idx
         t.facet_ids(t.faces(3)[0])
-        assert len(calls) == len(t.faces(3))
-        t.facet_index(-1)
-        assert len(calls) == len(t.faces(3))  # the empty face has no facets
+        assert built == [3]
+        assert t.facet_index(-1) == (array("i"), array("i", [0, 0]))
+        assert built == [3, -1]
 
     def test_facet_missing_from_table(self):
         t = enumerate_faces(4)
         cells = {d: list(c) for d, c in t.cells.items()}
-        cells[1].remove(facets(t.faces(2)[0])[0])
-        with pytest.raises(FaceError, match="is not in the table"):
+        g = facets(t.faces(2)[0])[0]
+        cells[1].remove(g)
+        with pytest.raises(FaceError, match=f"facet {g!r} of .* is not in the table"):
             FaceTable(4, cells).facet_index(2)
 
-    def test_only_faces_module_parses_facets(self):
-        # every other module reads facets from the table's index
+    def test_codes_order_as_the_texts(self, tables):
+        t = tables(6)
+        for d in range(0, 7):
+            codes = [face_code(f) for f in t.faces(d)]
+            assert codes == sorted(codes) and len(set(codes)) == len(codes)
+            assert [code_face(c, 6) for c in codes] == list(t.faces(d))
+
+    def test_facet_deltas_give_the_facet_codes(self, tables):
+        t = tables(6)
+        for d in range(1, 7):
+            for f in t.faces(d):
+                want = [face_code(g) - face_code(f) for g in facets(f)]
+                assert list(facet_deltas(f)) == want, f
+
+    def test_no_module_parses_facets(self):
+        # every module reads facets from the table's index; the definition
+        # and `facets()` in backquotes are not calls
         src = Path(faces.__file__).parent
         callers = sorted(p.name for p in src.glob("*.py")
-                         if re.search(r"\bfacets\(", p.read_text()))
-        assert callers == ["faces.py"]
+                         if re.search(r"(?<!def )(?<!`)\bfacets\(", p.read_text()))
+        assert callers == []
 
 
 class TestFaceSubset:

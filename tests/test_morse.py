@@ -1,7 +1,10 @@
+import json
 import random
+from array import array
 
 import pytest
 
+import reference
 from halfcube import faces, snf
 from halfcube.chains import ChainComplex, ChainVector
 from halfcube.faces import EMPTY, Kind, classify, facets, total_and_u, vertices_of
@@ -38,6 +41,13 @@ WORKED_PAIRS = [
     ("11I00O0", "1110010", 10),
     ("0000000", EMPTY, 11),
 ]
+
+
+def arrays(t, partner, rule):
+    """The (mate, rules, table) arguments of validate_matching for
+    string-keyed partner and rule mappings."""
+    m = MorseMatching.from_pairs(t, partner, rule)
+    return m.mate, m.rules, t
 
 
 def brute_det(m):
@@ -113,11 +123,12 @@ class TestBuildMatching:
         bad = dict(m.partner)
         bad[v1], bad[v2], bad[e1], bad[e2] = e2, e1, v2, v1
         with pytest.raises(NotCodimOne, match="is not a facet of"):
-            validate_matching(bad, m.rule, t)
+            validate_matching(*arrays(t, bad, m.rule))
 
     def test_validates_the_built_matching(self, tables, matchings):
         m = matchings(5)
-        validate_matching(m.partner, m.rule, tables(5))
+        validate_matching(m.mate, m.rules, tables(5))
+        reference.validate_matching(dict(m.partner), dict(m.rule), tables(5))
 
     @pytest.mark.parametrize("plant", ["missing", "self"])
     def test_unpaired_detected(self, tables, matchings, plant):
@@ -129,7 +140,7 @@ class TestBuildMatching:
         else:
             bad[v] = v
         with pytest.raises(Unpaired, match=repr(v)):
-            validate_matching(bad, m.rule, t)
+            validate_matching(*arrays(t, bad, m.rule))
 
     def test_one_way_partner_breaks_involution(self, tables, matchings):
         t, m = tables(4), matchings(4)
@@ -137,7 +148,7 @@ class TestBuildMatching:
         bad = dict(m.partner)
         bad[v1] = m.partner[v2]
         with pytest.raises(InvolutionBroken, match="->"):
-            validate_matching(bad, m.rule, t)
+            validate_matching(*arrays(t, bad, m.rule))
 
     def test_non_inverse_rules_break_involution(self, tables, matchings):
         t, m = tables(4), matchings(4)
@@ -145,7 +156,7 @@ class TestBuildMatching:
         bad_rule = dict(m.rule)
         bad_rule[v] = 7
         with pytest.raises(InvolutionBroken, match="not inverse"):
-            validate_matching(m.partner, bad_rule, t)
+            validate_matching(*arrays(t, m.partner, bad_rule))
 
     def test_pair_two_dimensions_apart(self, tables, matchings):
         # re-pair a vertex with a tetrahedron and its edge with the
@@ -159,7 +170,138 @@ class TestBuildMatching:
         bad_rule = dict(m.rule)
         bad_rule[v], bad_rule[e] = 3, 4
         with pytest.raises(NotCodimOne, match=r"\(dim 0\) paired with"):
-            validate_matching(bad, bad_rule, t)
+            validate_matching(*arrays(t, bad, bad_rule))
+
+
+def _rule9_vertices(t, m):
+    return [f for f in t.faces(0) if m.rule[f] == 9]
+
+
+def _plant_missing(t, m):
+    bad = dict(m.partner)
+    del bad[_rule9_vertices(t, m)[1]]
+    return bad, dict(m.rule)
+
+
+def _plant_self(t, m):
+    bad = dict(m.partner)
+    v = _rule9_vertices(t, m)[1]
+    bad[v] = v
+    return bad, dict(m.rule)
+
+
+def _plant_partner_unpaired(t, m):
+    bad = dict(m.partner)
+    del bad[m.partner[_rule9_vertices(t, m)[2]]]
+    return bad, dict(m.rule)
+
+
+def _plant_one_way(t, m):
+    bad = dict(m.partner)
+    v1, v2 = _rule9_vertices(t, m)[:2]
+    bad[v1] = m.partner[v2]
+    return bad, dict(m.rule)
+
+
+def _plant_swapped(t, m):
+    bad = dict(m.partner)
+    v1, v2 = _rule9_vertices(t, m)[:2]
+    e1, e2 = m.partner[v1], m.partner[v2]
+    bad[v1], bad[v2], bad[e1], bad[e2] = e2, e1, v2, v1
+    return bad, dict(m.rule)
+
+
+def _plant_rule(t, m):
+    bad_rule = dict(m.rule)
+    bad_rule[_rule9_vertices(t, m)[3]] = 7
+    return dict(m.partner), bad_rule
+
+
+def _plant_no_rule(t, m):
+    bad_rule = dict(m.rule)
+    del bad_rule[t.faces(2)[5]]
+    return dict(m.partner), bad_rule
+
+
+def _plant_two_apart(t, m):
+    v = _rule9_vertices(t, m)[0]
+    tet = [f for f in t.faces(3) if m.rule[f] == 4][0]
+    e, tri = m.partner[v], m.partner[tet]
+    bad = dict(m.partner)
+    bad[v], bad[tet], bad[e], bad[tri] = tet, v, tri, e
+    bad_rule = dict(m.rule)
+    bad_rule[v], bad_rule[e] = 3, 4
+    return bad, bad_rule
+
+
+PLANTS = {name[len("_plant_"):]: fn for name, fn in globals().items()
+          if name.startswith("_plant_")}
+
+
+class TestMatchingArrays:
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_planted_defect_as_string_reference(self, tables, matchings, plant):
+        # the arrays raise the class and message the string check raises,
+        # so they name the same first offending face
+        t, m = tables(4), matchings(4)
+        partner, rule = PLANTS[plant](t, m)
+        with pytest.raises(MorseError) as want:
+            reference.validate_matching(partner, rule, t)
+        with pytest.raises(type(want.value)) as got:
+            validate_matching(*arrays(t, partner, rule))
+        assert str(got.value) == str(want.value)
+
+    def test_first_defect_in_table_order_is_named(self, tables, matchings):
+        t, m = tables(4), matchings(4)
+        mate, rules = array("i", m.mate), array("b", m.rules)
+        late, early = t.position(t.faces(2)[3]), t.position(t.faces(1)[7])
+        mate[late] = -1
+        rules[early] = 0
+        with pytest.raises(InvolutionBroken, match=repr(t.faces(1)[7])):
+            validate_matching(mate, rules, t)
+
+    def test_partner_outside_the_table(self, tables, matchings):
+        t, m = tables(4), matchings(4)
+        v = _rule9_vertices(t, m)[0]
+        mate = array("i", m.mate)
+        mate[t.position(v)] = t.size + 3
+        with pytest.raises(InvolutionBroken, match=f"of {v!r} is not a face"):
+            validate_matching(mate, m.rules, t)
+        # met first from the partner, the defect is a broken involution
+        mate = array("i", m.mate)
+        mate[t.position(m.partner[v])] = t.size + 3
+        with pytest.raises(InvolutionBroken, match=f"^{v!r} -> "):
+            validate_matching(mate, m.rules, t)
+
+    def test_string_views(self, tables, matchings):
+        t, m = tables(5), matchings(5)
+        assert dict(m.partner) == {f: match_face(f, 5)[0] for f in t}
+        assert dict(m.rule) == {f: match_face(f, 5)[1] for f in t}
+        assert list(m.partner) == list(t) and len(m.rule) == t.size
+        assert "not a face" not in m.partner
+        with pytest.raises(KeyError):
+            m.partner["not a face"]
+
+    def test_from_pairs_keeps_partial_pairs(self, tables, quadrilateral_pairs):
+        t = tables(4)
+        planted = MorseMatching.from_pairs(t, quadrilateral_pairs)
+        assert dict(planted.partner) == quadrilateral_pairs
+        assert len(planted.rule) == 0
+        assert planted.up_cells(0) == sorted(quadrilateral_pairs)
+        with pytest.raises(InvolutionBroken, match="is not a face"):
+            MorseMatching.from_pairs(t, {t.faces(0)[0]: "not a face"})
+
+    def test_up_cells_are_the_upward_matched(self, tables, matchings):
+        t, m = tables(6), matchings(6)
+        for k in range(-1, 7):
+            want = [f for f in t.faces(k) if t.dim_of(m.partner[f]) == k + 1]
+            assert m.up_cells(k) == want
+
+    def test_jsonl_template_matches_json(self, tables, matchings):
+        t, m = tables(5), matchings(5)
+        assert list(m.jsonl_lines(t)) == [
+            json.dumps({"face": f, "partner": m.partner[f], "rule": m.rule[f]})
+            for f in t]
 
 
 class TestAcyclicity:
@@ -171,11 +313,36 @@ class TestAcyclicity:
         assert {layer["p"] for layer in report["layers"]} == set(range(-1, n))
 
     def test_planted_cycle_is_found(self, tables, quadrilateral_pairs):
-        planted = MorseMatching(4, quadrilateral_pairs, {})
+        planted = MorseMatching.from_pairs(tables(4), quadrilateral_pairs)
         report = verify_acyclic(planted, tables(4))
         assert not report["acyclic"]
         layer0 = next(l for l in report["layers"] if l["p"] == 0)
         assert layer0["cycle"] is not None
+        assert report == reference.verify_acyclic(quadrilateral_pairs, tables(4))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_random_partial_matchings_as_string_reference(self, tables, seed):
+        # random facet pairings close many cycles, so the search order
+        # decides which one is reported
+        t = tables(5)
+        rng = random.Random(seed)
+        partner, used = {}, set()
+        for b in rng.sample(list(t), t.size // 2):
+            if b == faces.EMPTY or b in used:
+                continue
+            a = rng.choice(facets(b))
+            if a not in used:
+                partner[a] = b
+                used |= {a, b}
+        planted = MorseMatching.from_pairs(t, partner)
+        report = verify_acyclic(planted, t)
+        assert not report["acyclic"]
+        assert report == reference.verify_acyclic(partner, t)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_equals_string_digraph_reference(self, tables, matchings, n):
+        t, m = tables(n), matchings(n)
+        assert verify_acyclic(m, t) == reference.verify_acyclic(m.partner, t)
 
     def test_t_strictly_monotone_along_vertex_edge_pairs(self, tables, matchings):
         # the vertex-level descent argument: the partner edge of a vertex
@@ -243,11 +410,22 @@ class TestMorseBoundary:
         assert sorted(mb.downs) == sorted(m.partner[e] for e in m.up_cells(2))
 
     def test_prec_respected_by_order(self, tables, matchings, complexes):
-        mb = morse_boundary(matchings(4), tables(4), 1, complexes(4))
+        # e2 precedes e when e2 is an upward-matched facet of e's partner
+        t = tables(4)
+        mb = morse_boundary(matchings(4), t, 1, complexes(4))
+        cells = t.faces(1)
         pos = {e: i for i, e in enumerate(mb.ups)}
-        for e, smaller in mb.prec.items():
-            for e2 in smaller:
-                assert pos[e2] < pos[e]
+        pairs = [(pos[cells[i]], pos[e]) for e, d in zip(mb.ups, mb.downs)
+                 for i in t.facet_ids(d) if cells[i] in pos and cells[i] != e]
+        assert pairs and all(a < b for a, b in pairs)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_equals_string_reference(self, tables, matchings, complexes, n):
+        t, m, cx = tables(n), matchings(n), complexes(n)
+        for k in range(n):
+            mb = morse_boundary(m, t, k, cx)
+            ups, downs, cols, _ = reference.morse_boundary(m, t, k, cx)
+            assert (mb.ups, mb.downs, mb.cols) == (ups, downs, cols), (n, k)
 
 
 class TestSolveCycle:
@@ -293,7 +471,7 @@ class TestSolveCycle:
         j = mb.size // 2
         cols = [dict(c) for c in mb.cols]
         cols[j][j] = -cols[j][j]
-        bad = MorseBoundary(mb.k, mb.ups, mb.downs, cols, mb.prec)
+        bad = MorseBoundary(mb.k, mb.ups, mb.downs, cols)
         y = cx.apply(ChainVector(3, {t.index_of(mb.downs[j]): 1}))
         assert cx.apply(solve_cycle(y, m, t, cx, mb)) == y
         with pytest.raises(ResidualNonzero):
@@ -365,7 +543,8 @@ class TestCycleLattice:
         for e, tri in planted:
             partner[e] = tri
             partner[tri] = e
-        fake = MorseMatching(4, partner, {}, {1: sorted(e for e, _ in planted)})
+        fake = MorseMatching.from_pairs(t, partner)
+        assert fake.up_cells(1) == sorted(e for e, _ in planted)
         with pytest.raises(CyclicPrec):
             morse_boundary(fake, t, 1, complexes(4))
 

@@ -21,7 +21,7 @@ from halfcube.snf import (
     smith_normal_form,
 )
 from halfcube.subcomplex import betti_power, homology_basis, subcomplex_faces
-from reference import int_rank
+from reference import add_scaled, int_rank
 
 
 def minor_gcd_factors(m):
@@ -405,7 +405,7 @@ class TestClassIndependence:
         t, cx = tables(5), complexes(5)
         sub = subcomplex_faces(5, 3, t)
         chains = list(homology_basis(5, 3, t, cx).chains)
-        chains[4] = chains[4].add_scaled(chains[4])
+        chains[4] = add_scaled(chains[4], chains[4])
         verdict = class_independence(chains, sub, t, cx)
         assert verdict.independent and not verdict.generating
         assert verdict.detail["stacked_torsion"] == [2]
@@ -414,7 +414,7 @@ class TestClassIndependence:
         t, cx = tables(5), complexes(5)
         sub = subcomplex_faces(5, 3, t)
         chains = list(homology_basis(5, 3, t, cx).chains)
-        chains[0] = chains[1].add_scaled(chains[2])
+        chains[0] = add_scaled(chains[1], chains[2])
         verdict = class_independence(chains, sub, t, cx)
         assert not verdict.independent
 
