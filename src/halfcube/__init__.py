@@ -22,10 +22,7 @@ from .faces import (
     enumerate_faces,
     expected_counts,
     expected_shape_counts,
-    facets,
     parse_seq,
-    total_and_u,
-    vertices_of,
 )
 from .chains import (
     BoundaryMatrix,

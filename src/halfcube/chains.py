@@ -43,11 +43,9 @@ column's facet positions.  Every sign is an exact integer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from typing import Iterator
 
 from .faces import PLAIN0, PLAIN1, STAR, UND0, UND1, FaceTable, canonical_edge
 
@@ -149,13 +147,6 @@ class BoundaryMatrix:
     def column_chain(self, j: int) -> ChainVector:
         return ChainVector(self.d - 1, dict(self.cols[j]))
 
-    def jsonl_lines(self, n: int) -> Iterator[str]:
-        yield json.dumps({"dim": self.d, "rows": self.n_rows,
-                          "cols": self.n_cols, "n": n})
-        for j, col in enumerate(self.cols):
-            for i in sorted(col):
-                yield json.dumps({"row": i, "col": j, "val": col[i]})
-
 
 def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     """Boundary operator of the full complex in dimension d (0 <= d <= n);
@@ -206,6 +197,13 @@ class ChainComplex:
         return b
 
     def apply(self, c: ChainVector) -> ChainVector:
+        """The boundary of c; an index that is not a cell of c's dimension
+        raises DimensionMismatch."""
+        n_cells = len(self.table.faces(c.dim))
+        if c.coeffs and (min(c.coeffs) < 0 or max(c.coeffs) >= n_cells):
+            j = next(j for j in c.coeffs if not 0 <= j < n_cells)
+            raise DimensionMismatch(f"chain index {j} is not one of the "
+                                    f"{n_cells} cells of dimension {c.dim}")
         if c.dim < 0:
             return ChainVector(c.dim - 1, {})
         b = self.boundary(c.dim)

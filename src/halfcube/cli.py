@@ -180,7 +180,7 @@ def cmd_match(args, parser) -> int:
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         with _Sink(args.out) as sink:
-            for line in m.jsonl_lines(table):
+            for line in m.jsonl_lines():
                 sink.line(line)
         if args.verify:
             for f, rule in zip(table, m.rules):

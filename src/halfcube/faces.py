@@ -39,7 +39,6 @@ UND1 = "I"
 STAR = "*"
 
 SYMBOLS = PLAIN0 + PLAIN1 + UND0 + UND1 + STAR
-ONE_SYMBOLS = frozenset((PLAIN1, UND1))
 UNDERLINED = frozenset((UND0, UND1))
 
 
@@ -71,10 +70,6 @@ class NTooSmall(FaceError):
     pass
 
 
-class NotKType(FaceError):
-    pass
-
-
 class Kind(Enum):
     EMPTY = "empty"
     VERTEX = "vertex"
@@ -91,10 +86,6 @@ class FaceKind(NamedTuple):
 def mask(f: str) -> tuple[int, ...]:
     """0-based positions of the marked (underlined or starred) coordinates."""
     return tuple(i for i, c in enumerate(f) if c in UNDERLINED or c == STAR)
-
-
-def ones_count(f: str) -> int:
-    return sum(1 for c in f if c in ONE_SYMBOLS)
 
 
 def classify(f: str) -> FaceKind:
@@ -140,7 +131,7 @@ def parse_seq(text: str, n: int) -> str:
         return text
     if und == 1:
         raise FaceError(f"underline mask needs >= 2 positions: {text!r}")
-    if ones_count(text) % 2 != 1:
+    if (text.count(PLAIN1) + text.count(UND1)) % 2 != 1:
         raise BadParity(f"underlined face needs odd total 1-count: {text!r}")
     if und == 2:
         rightmost = max(i for i, c in enumerate(text) if c in UNDERLINED)
@@ -160,96 +151,6 @@ def canonical_edge(f: str) -> str:
     for i in pos:
         out[i] = flip[out[i]]
     return "".join(out)
-
-
-def vertices_of(f: str) -> set[str]:
-    """The vertex set of a face, as canonical vertex sequences.
-
-    A simplex face with underlying digits v and mask S yields one vertex per
-    toggle of a single S coordinate of v.  A half-cube face yields every
-    star filling with even total 1-count.
-    """
-    if f == EMPTY:
-        raise FaceError("the empty face has no vertices")
-    kind = classify(f)
-    if kind.kind is Kind.VERTEX:
-        return {f}
-    if kind.kind is Kind.HALFCUBE:
-        positions = mask(f)
-        fixed_ones = f.count(PLAIN1)
-        out = set()
-        for bits in itertools.product("01", repeat=len(positions)):
-            if (fixed_ones + bits.count("1")) % 2 != 0:
-                continue
-            seq = list(f)
-            for i, b in zip(positions, bits):
-                seq[i] = b
-            out.add("".join(seq))
-        return out
-    # simplex shaped: read underlined digits as digits, toggle one at a time
-    base = f.replace(UND0, PLAIN0).replace(UND1, PLAIN1)
-    out = set()
-    for i in mask(f):
-        v = list(base)
-        v[i] = PLAIN1 if v[i] == PLAIN0 else PLAIN0
-        out.add("".join(v))
-    return out
-
-
-def _odd_fillings(f: str, positions: tuple[int, ...], lo: str, hi: str) -> list[str]:
-    # fill the given positions with lo/hi digits so the total 1-count is odd
-    fixed_ones = f.count(PLAIN1)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(positions)):
-        if (fixed_ones + sum(bits)) % 2 != 1:
-            continue
-        seq = list(f)
-        for i, b in zip(positions, bits):
-            seq[i] = hi if b else lo
-        out.append("".join(seq))
-    return out
-
-
-def facets(f: str) -> list[str]:
-    """All codimension-1 faces, canonicalized and lexicographically sorted."""
-    if f == EMPTY:
-        return []
-    kind, d = classify(f)
-    if kind is Kind.VERTEX:
-        return [EMPTY]
-    if kind is Kind.EDGE:
-        return sorted(vertices_of(f))
-    if kind is Kind.SIMPLEX:
-        out = []
-        for i in mask(f):
-            g = list(f)
-            g[i] = PLAIN0 if g[i] == UND0 else PLAIN1
-            g = "".join(g)
-            if d == 2:
-                g = canonical_edge(g)
-            out.append(g)
-        return sorted(set(out))
-    positions = mask(f)
-    if d == 3:
-        # the four triangles obtained by writing the stars as underlined digits
-        return sorted(_odd_fillings(f, positions, UND0, UND1))
-    out = _odd_fillings(f, positions, UND0, UND1)  # 2**(d-1) simplex facets
-    for i in positions:  # 2d half-cube facets
-        for digit in (PLAIN0, PLAIN1):
-            g = list(f)
-            g[i] = digit
-            out.append("".join(g))
-    return sorted(set(out))
-
-
-def total_and_u(f: str) -> tuple[int, str]:
-    """Total statistic and underline-erased sequence of a vertex or simplex
-    shaped face: the sum of the 1-based positions carrying '1' or 'I', and
-    the sequence with 'O','I' rewritten to '0','1'."""
-    if f == EMPTY or STAR in f:
-        raise NotKType(f"total/u undefined for {f!r}")
-    t = sum(i + 1 for i, c in enumerate(f) if c in ONE_SYMBOLS)
-    return t, f.replace(UND0, PLAIN0).replace(UND1, PLAIN1)
 
 
 def expected_shape_counts(n: int) -> dict[tuple[Kind, int], int]:
@@ -312,9 +213,9 @@ def _weights(n: int) -> tuple[int, ...]:
 
 def facet_deltas(f: str) -> tuple[int, ...]:
     """The codes of the facets of f (dimension >= 1) minus the code of f,
-    ascending, so in the order of `facets(f)`.  They depend only on the
-    marked positions and symbols of f and, for a half-cube face, on the
-    parity of its '1' digits."""
+    ascending, so in the lexicographic order of the facets' text.  They
+    depend only on the marked positions and symbols of f and, for a
+    half-cube face, on the parity of its '1' digits."""
     w = _weights(len(f))
     if STAR not in f:
         marked = [(i, c) for i, c in enumerate(f) if c in UNDERLINED]
@@ -353,67 +254,66 @@ class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
     Faces are stored per dimension in lexicographic order of their text
-    form; `index_of` gives the position of a face within its dimension and
-    `position` its position in the whole table, ordered by dimension and
-    then lexicographically.  `facet_index(d)` gives the facets of every
-    d-cell as positions among the (d-1)-cells.  It is computed on integer
-    face codes (`face_code`): a facet's code is the face's code plus one
-    of the deltas of `facet_deltas`, cached per pattern of marked symbols,
-    and is looked up among the codes of the (d-1)-cells.
+    form.  One map gives each face its position in the whole table,
+    ordered by dimension and then lexicographically, and one list the
+    position of the first cell of each dimension; `index_of` (the position
+    of a face within its dimension), `dim_of`, `dim_at`, `face` and
+    `start` are derived from the two.  `facet_index(d)` gives the facets
+    of every d-cell as positions among the (d-1)-cells.  It is computed on
+    integer face codes (`face_code`): a facet's code is the face's code
+    plus one of the deltas of `facet_deltas`, cached per pattern of marked
+    symbols, and is looked up among the codes of the (d-1)-cells.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
         self.n = n
-        self.cells = {d: tuple(faces) for d, faces in sorted(cells.items())}
-        self._index: dict[str, int] = {}
-        self._dim: dict[str, int] = {}
-        self._start: dict[int, int] = {}
-        first = 0
-        for d, faces in self.cells.items():
-            self._start[d] = first
-            first += len(faces)
-            for i, f in enumerate(faces):
-                self._index[f] = i
-                self._dim[f] = d
-        self._dims = list(self._start)
-        self._starts = list(self._start.values())
+        # every dimension from the lowest to the highest, so that the
+        # dimension of a position is its place among the starts
+        dims = range(min(cells), max(cells) + 1)
+        self.cells = {d: tuple(cells.get(d, ())) for d in dims}
+        self._position: dict[str, int] = {
+            f: g for g, f in enumerate(itertools.chain(*self.cells.values()))}
+        self._starts = [0, *itertools.accumulate(map(len, self.cells.values()))][:-1]
         self._facets: dict[int, tuple[array, array]] = {}
 
     def faces(self, d: int) -> tuple[str, ...]:
         return self.cells.get(d, ())
 
     def index_of(self, f: str) -> int:
-        return self._index[f]
+        """Position of f among the faces of its dimension."""
+        g = self._position[f]
+        return g - self._starts[bisect_right(self._starts, g) - 1]
 
     def dim_of(self, f: str) -> int:
-        return self._dim[f]
+        return self.dim_at(self._position[f])
 
     def start(self, d: int) -> int:
         """Table position of the first d-cell: the number of cells of
         lower dimension."""
-        if d in self._start:
-            return self._start[d]
-        return 0 if d < min(self.cells) else self.size
+        i = d - next(iter(self.cells))
+        if i < 0:
+            return 0
+        return self._starts[i] if i < len(self._starts) else self.size
 
     def position(self, f: str) -> int:
         """Position of f in the table order."""
-        return self._start[self._dim[f]] + self._index[f]
+        return self._position[f]
 
     def dim_at(self, g: int) -> int:
         """Dimension of the face at table position g."""
         if not 0 <= g < self.size:
             raise IndexError(f"no face at table position {g}")
-        return self._dims[bisect_right(self._starts, g) - 1]
+        return next(iter(self.cells)) + bisect_right(self._starts, g) - 1
 
     def face(self, g: int) -> str:
         """The face at table position g."""
         d = self.dim_at(g)
-        return self.cells[d][g - self._start[d]]
+        return self.cells[d][g - self.start(d)]
 
     def facet_index(self, d: int) -> tuple[array, array]:
         """Facets of the d-cells as (flat, offsets): those of the i-th
         d-cell are the (d-1)-cell positions flat[offsets[i]:offsets[i+1]],
-        in `facets()` order."""
+        in the lexicographic order of the facets' text."""
         idx = self._facets.get(d)
         if idx is None:
             idx = self._facets[d] = self._build_facet_index(d)
@@ -455,13 +355,13 @@ class FaceTable:
 
     def facet_ids(self, f: str) -> array:
         """Positions of the facets of f among the faces one dimension
-        down, in `facets()` order."""
-        flat, offsets = self.facet_index(self._dim[f])
-        i = self._index[f]
+        down, in the order of `facet_index`."""
+        flat, offsets = self.facet_index(self.dim_of(f))
+        i = self.index_of(f)
         return flat[offsets[i]:offsets[i + 1]]
 
     def __contains__(self, f: str) -> bool:
-        return f in self._index
+        return f in self._position
 
     def __iter__(self) -> Iterator[str]:
         for d in sorted(self.cells):
@@ -472,7 +372,7 @@ class FaceTable:
 
     @property
     def size(self) -> int:
-        return len(self._index)
+        return len(self._position)
 
 
 class FaceSubset(Set):
@@ -509,14 +409,13 @@ class FaceSubset(Set):
         m = self.mask(d)
         return list(itertools.compress(range(len(m)), m))
 
-    def missing_facet(self, start: int = 0) -> tuple[str, str] | None:
-        """The first (face, facet) pair, in table order from dimension
-        `start` up, of a face in the set whose facet is not in it; None
-        when there is none."""
+    def missing_facet(self) -> tuple[str, str] | None:
+        """The first (face, facet) pair, in table order, of a face in the
+        set whose facet is not in it; None when there is none."""
         table = self.table
         for d in table.cells:
             below = self.mask(d - 1)
-            if d < start or 0 not in below:
+            if 0 not in below:
                 continue  # every facet one dimension down is in the set
             kept = self.mask(d)
             flat, offsets = table.facet_index(d)
@@ -530,8 +429,12 @@ class FaceSubset(Set):
         return None
 
     def __contains__(self, f) -> bool:
-        d = self.table._dim.get(f)
-        return d is not None and self.masks[d][self.table._index[f]] == 1
+        table = self.table
+        if f not in table:
+            return False
+        g = table.position(f)
+        d = table.dim_at(g)
+        return self.masks[d][g - table.start(d)] == 1
 
     def __iter__(self) -> Iterator[str]:
         for d, cells in self.table.cells.items():

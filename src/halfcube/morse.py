@@ -251,10 +251,10 @@ class MorseMatching:
         cells = self.table.faces(k)
         return [cells[i] for i in self.up_ids(k)]
 
-    def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
+    def jsonl_lines(self) -> Iterator[str]:
         """One JSON line per face of a complete matching, in table order;
         faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
-        faces = list(table)
+        faces = list(self.table)
         for f, g, r in zip(faces, self.mate, self.rules):
             yield '{"face": "%s", "partner": "%s", "rule": %d}' % (f, faces[g], r)
 

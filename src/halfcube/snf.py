@@ -1,10 +1,11 @@
 """Integer Smith normal form oracle for cellular homology.
 
 Ground truth for ranks and torsion, independent of the matching machinery:
-given any facet-closed face subset it computes reduced (or unreduced)
-homology from exact Smith normal forms of the restricted boundary
-matrices.  Elimination is gcd-based over arbitrary-precision integers; no
-modular or floating-point shortcuts.  Each pivot is an entry of smallest
+given any facet-closed face subset it computes reduced homology from
+exact Smith normal forms of the restricted boundary matrices, the map out
+of the vertices being the augmentation onto the empty face.  Elimination
+is gcd-based over arbitrary-precision integers; no modular or
+floating-point shortcuts.  Each pivot is an entry of smallest
 |v| in the whole matrix, exactly; ties go to the smallest Markowitz fill
 (len(row) - 1) * (len(col) - 1) as of that entry's last update, then to
 the smallest (row, col).  Candidates come from a lazily invalidated heap
@@ -15,7 +16,6 @@ never the result: invariant factors are unique.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -201,19 +201,17 @@ def smith_normal_form(matrix) -> SNFResult:
     return _sparse_snf(n_rows, n_cols, entries)
 
 
-def check_closed(subset, table: FaceTable, reduced: bool = True) -> FaceSubset:
+def check_closed(subset, table: FaceTable) -> FaceSubset:
     """Validate facet closure of a face subset and return it as a
-    FaceSubset; with `reduced`, the empty face must be present (it is the
-    facet of every vertex)."""
+    FaceSubset; the empty face must be present under any vertex."""
     if not (isinstance(subset, FaceSubset) and subset.table is table):
         for f in subset:
             if f not in table:
                 raise NotClosed(f"{f!r} is not a face of the table")
     sub = FaceSubset.of(table, subset)
-    if reduced and 1 in sub.mask(0) and EMPTY not in sub:
+    if 1 in sub.mask(0) and EMPTY not in sub:
         raise NotClosed("reduced homology needs the empty face in the subset")
-    # without `reduced`, the empty face need not be there under the vertices
-    gap = sub.missing_facet(start=0 if reduced else 1)
+    gap = sub.missing_facet()
     if gap is not None:
         f, g = gap
         raise NotClosed(f"{g!r} missing: facet of {f!r}")
@@ -241,15 +239,6 @@ def restricted_boundary(sub, table: FaceTable, d: int,
     return len(row_ids), len(cols), entries
 
 
-def _boundary_snf(sub: FaceSubset, table: FaceTable, d: int,
-                  cx: ChainComplex, reduced: bool) -> SNFResult:
-    """SNF of the subset's boundary map in dimension d; without `reduced`
-    the map out of the vertices is zero."""
-    if d == 0 and not reduced:
-        return SNFResult((), 0, 0)
-    return _sparse_snf(*restricted_boundary(sub, table, d, cx))
-
-
 def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
                      snf_next: SNFResult) -> dict:
     """betti = cells - rank of the degree map - rank of the next boundary;
@@ -259,41 +248,32 @@ def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
             "torsion": list(snf_next.torsion())}
 
 
-def homology(subset, table: FaceTable, degree: int,
-             cx: ChainComplex, reduced: bool = True) -> dict:
-    """Betti number and torsion coefficients of a facet-closed subset in
-    one degree."""
-    sub = check_closed(subset, table, reduced)
-    return _degree_homology(sub, degree,
-                            _boundary_snf(sub, table, degree, cx, reduced),
-                            _boundary_snf(sub, table, degree + 1, cx, reduced))
+def homology(subset, table: FaceTable, degree: int, cx: ChainComplex) -> dict:
+    """Reduced Betti number and torsion coefficients of a facet-closed
+    subset in one degree."""
+    sub = check_closed(subset, table)
+    return _degree_homology(
+        sub, degree, _sparse_snf(*restricted_boundary(sub, table, degree, cx)),
+        _sparse_snf(*restricted_boundary(sub, table, degree + 1, cx)))
 
 
-def homology_report(subset, table: FaceTable, cx: ChainComplex,
-                    reduced: bool = True, label: str = "") -> dict:
+def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
     """Per-degree reduced Betti numbers and torsion for a face subset.
 
     The subset is checked once and each boundary map factored once: the
     map out of degree d serves degree d (its kernel) and d-1 (its image)."""
-    sub = check_closed(subset, table, reduced)
+    sub = check_closed(subset, table)
     top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
-    snfs = [_boundary_snf(sub, table, d, cx, reduced) for d in range(0, top + 2)]
+    snfs = [_sparse_snf(*restricted_boundary(sub, table, d, cx))
+            for d in range(0, top + 2)]
     for d in range(0, top + 1):
         h = _degree_homology(sub, d, snfs[d], snfs[d + 1])
         betti[d] = h["betti"]
         if h["torsion"]:
             torsion[d] = h["torsion"]
-    return {"subset": label, "betti": betti, "torsion": torsion}
-
-
-def report_json(report: dict) -> str:
-    return json.dumps({
-        "subset": report["subset"],
-        "betti": {str(d): b for d, b in report["betti"].items() if b},
-        "torsion": {str(d): t for d, t in report["torsion"].items()},
-    })
+    return {"betti": betti, "torsion": torsion}
 
 
 @dataclass(frozen=True)
@@ -321,7 +301,7 @@ def class_independence(cycles, subset, table: FaceTable,
     if not cycles:
         raise NotCycles("no cycles given")
     degree = cycles[0].dim
-    sub = check_closed(subset, table, reduced=True)
+    sub = check_closed(subset, table)
     cells = table.faces(degree)
     row_ids = sub.indices(degree) if degree >= 0 else []
     row_pos = {i: r for r, i in enumerate(row_ids)}

@@ -54,10 +54,19 @@ def betti_power(n: int, k: int) -> int:
     return sum((2 ** (i - k)) * comb(i - 1, k - 1) for i in range(k, n + 1))
 
 
+def _check_range(n: int, table: FaceTable, k: int | None = None) -> None:
+    """BadRange unless n is the table's and, when k is given, 3 <= k < n."""
+    if n != table.n:
+        raise BadRange(f"n={n} but the face table has n={table.n}")
+    if k is not None and not 3 <= k < n:
+        raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
+
+
 def subcomplex_faces(n: int, k: int, table: FaceTable) -> FaceSubset:
     """Every face of the half cube except the half-cube shaped faces of
     dimension >= k; the empty face is kept.  A face is half-cube shaped
     exactly when it holds a '*'."""
+    _check_range(n, table)
     masks = {}
     for d, cells in table.cells.items():
         if d < k:
@@ -91,8 +100,7 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     validate: facet closure, unmatched cells concentrated in dimension
     k-1, and every external partner a k-dimensional half-cube cell whose
     facets all remain inside."""
-    if not 3 <= k < n:
-        raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
+    _check_range(n, table, k)
     faces_y = subcomplex_faces(n, k, table)
     # the matching is an involution, so the kept faces whose partner was
     # deleted are the kept partners of the deleted faces
@@ -135,8 +143,7 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
 def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:
     """The k-dimensional half-cube faces with no '1' strictly right of the
     rightmost '*', in lexicographic order."""
-    if not 3 <= k < n:
-        raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
+    _check_range(n, table, k)
     out = []
     for f in table.faces(k):
         if STAR not in f:
@@ -167,7 +174,7 @@ def homology_basis(n: int, k: int, table: FaceTable,
                    cx: ChainComplex) -> HomologyBasis:
     """Boundary chains of the basis faces, each checked to be a cycle
     supported inside the subcomplex."""
-    bfaces = basis_faces(n, k, table)
+    bfaces = basis_faces(n, k, table)  # checks n and k
     kept = subcomplex_faces(n, k, table).mask(k - 1)
     bmat = cx.boundary(k)
     cells = table.faces(k - 1)

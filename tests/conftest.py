@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from halfcube import ChainComplex, build_matching, enumerate_faces, vertices_of
+from halfcube import ChainComplex, build_matching, enumerate_faces
+from reference import vertices_of
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,9 @@
 """Slow exact references for the fast paths of the package.
 
+`facets` parses a face's text into its sorted facets, `vertices_of` into
+its vertex set, and `total_and_u` reads the statistic of the matching
+rules; the package works on the facet index instead.
+
 The orientation frame is found by a greedy search over the lexicographically
 sorted vertex list, keeping a vertex whenever its edge vector raises the
 exact rank; vertex sums enumerate every vertex.  `boundary_matrix` builds
@@ -29,13 +33,27 @@ the same `SNFResult`.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from math import gcd
 
 import heapq
 
 from halfcube.chains import BoundaryMatrix, ChainComplex, ChainError, ChainVector
-from halfcube.faces import EMPTY, FaceTable, Kind, classify, facets, vertices_of
+from halfcube.faces import (
+    EMPTY,
+    PLAIN0,
+    PLAIN1,
+    STAR,
+    UND0,
+    UND1,
+    FaceError,
+    FaceTable,
+    Kind,
+    canonical_edge,
+    classify,
+    mask,
+)
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
@@ -45,6 +63,100 @@ from halfcube.morse import (
 )
 from halfcube.snf import SNFResult
 from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
+
+
+class NotKType(FaceError):
+    pass
+
+
+def vertices_of(f: str) -> set[str]:
+    """The vertex set of a face, as canonical vertex sequences.
+
+    A simplex face with underlying digits v and mask S yields one vertex per
+    toggle of a single S coordinate of v.  A half-cube face yields every
+    star filling with even total 1-count.
+    """
+    if f == EMPTY:
+        raise FaceError("the empty face has no vertices")
+    kind = classify(f)
+    if kind.kind is Kind.VERTEX:
+        return {f}
+    if kind.kind is Kind.HALFCUBE:
+        positions = mask(f)
+        fixed_ones = f.count(PLAIN1)
+        out = set()
+        for bits in itertools.product("01", repeat=len(positions)):
+            if (fixed_ones + bits.count("1")) % 2 != 0:
+                continue
+            seq = list(f)
+            for i, b in zip(positions, bits):
+                seq[i] = b
+            out.add("".join(seq))
+        return out
+    # simplex shaped: read underlined digits as digits, toggle one at a time
+    base = f.replace(UND0, PLAIN0).replace(UND1, PLAIN1)
+    out = set()
+    for i in mask(f):
+        v = list(base)
+        v[i] = PLAIN1 if v[i] == PLAIN0 else PLAIN0
+        out.add("".join(v))
+    return out
+
+
+def _odd_fillings(f: str, positions: tuple[int, ...], lo: str, hi: str) -> list[str]:
+    # fill the given positions with lo/hi digits so the total 1-count is odd
+    fixed_ones = f.count(PLAIN1)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        if (fixed_ones + sum(bits)) % 2 != 1:
+            continue
+        seq = list(f)
+        for i, b in zip(positions, bits):
+            seq[i] = hi if b else lo
+        out.append("".join(seq))
+    return out
+
+
+def facets(f: str) -> list[str]:
+    """All codimension-1 faces, canonicalized and lexicographically sorted."""
+    if f == EMPTY:
+        return []
+    kind, d = classify(f)
+    if kind is Kind.VERTEX:
+        return [EMPTY]
+    if kind is Kind.EDGE:
+        return sorted(vertices_of(f))
+    if kind is Kind.SIMPLEX:
+        out = []
+        for i in mask(f):
+            g = list(f)
+            g[i] = PLAIN0 if g[i] == UND0 else PLAIN1
+            g = "".join(g)
+            if d == 2:
+                g = canonical_edge(g)
+            out.append(g)
+        return sorted(set(out))
+    positions = mask(f)
+    if d == 3:
+        # the four triangles obtained by writing the stars as underlined digits
+        return sorted(_odd_fillings(f, positions, UND0, UND1))
+    out = _odd_fillings(f, positions, UND0, UND1)  # 2**(d-1) simplex facets
+    for i in positions:  # 2d half-cube facets
+        for digit in (PLAIN0, PLAIN1):
+            g = list(f)
+            g[i] = digit
+            out.append("".join(g))
+    return sorted(set(out))
+
+
+def total_and_u(f: str) -> tuple[int, str]:
+    """Total statistic and underline-erased sequence of a vertex or simplex
+    shaped face: the sum of the 1-based positions carrying '1' or 'I', and
+    the sequence with 'O','I' rewritten to '0','1'."""
+    if f == EMPTY or STAR in f:
+        raise NotKType(f"total/u undefined for {f!r}")
+    t = sum(i + 1 for i, c in enumerate(f) if c in (PLAIN1, UND1))
+    return t, f.replace(UND0, PLAIN0).replace(UND1, PLAIN1)
 
 
 def det_sign(m: list[list[int]]) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 from halfcube import faces, morse, snf
 from halfcube.chains import ChainComplex, ChainVector
-from halfcube.faces import EMPTY, Kind, classify, facets, total_and_u, vertices_of
+from halfcube.faces import Kind, classify
 from halfcube.subcomplex import (
     basis_faces,
     betti_binomial,
@@ -21,7 +21,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
-from reference import square_defects
+from reference import square_defects, total_and_u, vertex_point, vertices_of
 
 
 def report(num, name, elapsed, budget=None):
@@ -90,7 +90,7 @@ def test_criterion_04_acyclicity():
 def test_criterion_05_triangularity_and_solver():
     t0 = time.monotonic()
     rng = random.Random(20260808)
-    for n in range(4, 7):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         m = morse.build_matching(table)
@@ -106,7 +106,7 @@ def test_criterion_05_triangularity_and_solver():
                 y = cx.apply(c)
                 f = morse.solve_cycle(y, m, table, cx, mb)
                 assert cx.apply(f) == y
-    report(5, "triangular solves, 100 cycles per (n,k), n=4..6",
+    report(5, "triangular solves, 100 cycles per (n,k), n=4..8",
            time.monotonic() - t0)
 
 
@@ -135,7 +135,7 @@ def test_criterion_07_unmatched_census():
 
 def test_criterion_08_oracle_homology():
     t0 = time.monotonic()
-    for n in range(4, 8):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
@@ -145,13 +145,13 @@ def test_criterion_08_oracle_homology():
             for d, b in rep["betti"].items():
                 assert b == (want if d == k - 1 else 0), (n, k, d, b)
             assert not rep["torsion"], (n, k)
-    report(8, "oracle homology Z^b in degree k-1, n=4..7",
+    report(8, "oracle homology Z^b in degree k-1, n=4..8",
            time.monotonic() - t0, budget=600)
 
 
 def test_criterion_09_basis_certification():
     t0 = time.monotonic()
-    for n in range(4, 8):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
@@ -160,12 +160,12 @@ def test_criterion_09_basis_certification():
             assert len(hb.chains) == betti_power(n, k)
             verdict = snf.class_independence(hb.chains, sub, table, cx)
             assert verdict.ok, (n, k, verdict.detail)
-    report(9, "bases independent and generating, n=4..7", time.monotonic() - t0)
+    report(9, "bases independent and generating, n=4..8", time.monotonic() - t0)
 
 
 def test_criterion_10_contractibility_and_sphere():
     t0 = time.monotonic()
-    for n in (4, 5):
+    for n in range(4, 9):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         rep = snf.homology_report(set(table), table, cx)
@@ -176,7 +176,7 @@ def test_criterion_10_contractibility_and_sphere():
     rep = snf.homology_report(bd, table, ChainComplex(table))
     assert rep["betti"] == {0: 0, 1: 0, 2: 0, 3: 1}
     assert not rep["torsion"]
-    report(10, "full complex contractible, boundary is a 3-sphere",
+    report(10, "full complex contractible n=4..8, boundary is a 3-sphere",
            time.monotonic() - t0)
 
 
@@ -184,7 +184,6 @@ def test_criterion_11_worked_examples():
     t0 = time.monotonic()
     # sequence/vertex correspondences
     assert faces.parse_seq("1110100", 7) == "1110100"
-    from reference import vertex_point
     assert vertex_point("1110100") == (-1, -1, -1, 1, -1, 1, 1)
     assert classify("O1I01OO") == (Kind.SIMPLEX, 3)
     assert vertices_of("O1I01OO") == {"1110100", "0100100", "0110110", "0110101"}

@@ -10,6 +10,9 @@ from halfcube.chains import (
     boundary_matrix,
     halfcube_epsilon,
 )
+from halfcube.morse import solve_cycle
+from halfcube.snf import class_independence
+from halfcube.subcomplex import subcomplex_faces
 from reference import (
     add_scaled,
     det_sign,
@@ -133,7 +136,7 @@ class TestClosedForms:
                          + [p for p in reversed(pos) if f[p] == faces.UND0])
                 verts = [b[:p] + ("0" if b[p] == "1" else "1") + b[p + 1:]
                          for p in order]
-                assert verts == sorted(faces.vertices_of(f)), f
+                assert verts == sorted(reference.vertices_of(f)), f
                 points = [vertex_point(v) for v in verts]
                 assert (base, list(vecs)) == (verts[0], [
                     tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]), f
@@ -160,7 +163,7 @@ class TestIncidence:
     def test_non_incident_zero(self, complexes):
         tri = "0I1I10I"
         other = "I1O0100"  # a valid edge that is not a facet of tri
-        assert other not in faces.facets(tri)
+        assert other not in reference.facets(tri)
         assert complexes(7).incidence(tri, other) == 0
 
     def test_dimension_mismatch(self, complexes):
@@ -174,7 +177,7 @@ class TestIncidence:
 
     def test_all_pm_one_on_facets(self, complexes):
         f = "***00"
-        for g in faces.facets(f):
+        for g in reference.facets(f):
             assert complexes(5).incidence(f, g) in (1, -1)
 
 
@@ -241,7 +244,7 @@ class TestBoundaryMatrix:
         for d in range(1, 5):
             b = cx.boundary(d)
             for j, f in enumerate(t.faces(d)):
-                want = {t.index_of(g) for g in faces.facets(f)}
+                want = {t.index_of(g) for g in reference.facets(f)}
                 assert set(b.cols[j]) == want
                 assert all(v in (1, -1) for v in b.cols[j].values())
 
@@ -252,14 +255,6 @@ class TestBoundaryMatrix:
             b = boundary_matrix(t, d)
             assert a.cols == b.cols
 
-    def test_jsonl_header(self, tables):
-        b = boundary_matrix(tables(4), 1)
-        lines = list(b.jsonl_lines(4))
-        import json
-        head = json.loads(lines[0])
-        assert head == {"dim": 1, "rows": 8, "cols": 24, "n": 4}
-        row = json.loads(lines[1])
-        assert set(row) == {"row", "col", "val"}
 
 
 class TestApplyBoundary:
@@ -267,7 +262,7 @@ class TestApplyBoundary:
         t = tables(4)
         e = t.faces(1)[0]
         base = orientation_frame(e)[0]
-        head = next(v for v in faces.vertices_of(e) if v != base)
+        head = next(v for v in reference.vertices_of(e) if v != base)
         c = ChainVector(1, {t.index_of(e): 1})
         out = complexes(4).apply(c)
         assert out.coeffs == {t.index_of(head): 1, t.index_of(base): -1}
@@ -281,6 +276,27 @@ class TestApplyBoundary:
     def test_zero_chain(self, complexes):
         out = complexes(4).apply(ChainVector(2, {}))
         assert out.is_zero() and out.dim == 1
+
+    @pytest.mark.parametrize("j", [-1, 24])
+    def test_index_outside_the_cells_raises(self, tables, complexes,
+                                            matchings, j):
+        # n=4 has 24 edges: index -1 would read the last edge's column and
+        # index 24 no column at all
+        t, cx = tables(4), complexes(4)
+        chain = ChainVector(1, {0: 1, j: 1})
+        msg = f"chain index {j} is not one of the 24 cells of dimension 1"
+        with pytest.raises(DimensionMismatch, match=msg):
+            cx.apply(chain)
+        with pytest.raises(DimensionMismatch, match=msg):
+            solve_cycle(chain, matchings(4), t, cx)
+        with pytest.raises(DimensionMismatch, match=msg):
+            class_independence([chain], subcomplex_faces(4, 3, t), t, cx)
+
+    def test_empty_face_chain(self, complexes):
+        cx = complexes(4)
+        assert cx.apply(ChainVector(-1, {0: 3})) == ChainVector(-2, {})
+        with pytest.raises(DimensionMismatch, match="index 1 "):
+            cx.apply(ChainVector(-1, {1: 1}))
 
     def test_linearity(self, tables, complexes):
         t, cx = tables(4), complexes(4)

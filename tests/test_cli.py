@@ -104,7 +104,7 @@ class TestMatch:
 
     def test_dump_is_streamed(self, capsys, tmp_path, tables, matchings):
         # one JSON line per face, produced one at a time
-        lines = matchings(4).jsonl_lines(tables(4))
+        lines = matchings(4).jsonl_lines()
         assert inspect.isgenerator(lines)
         path = tmp_path / "m.jsonl"
         run(capsys, "--n", "4", "match", "--out", str(path))

