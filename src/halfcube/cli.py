@@ -183,11 +183,12 @@ def cmd_match(args, parser) -> int:
             for line in m.jsonl_lines():
                 sink.line(line)
         if args.verify:
-            for f, rule in zip(table, m.rules):
-                apps = morse.rule_applicability(f)
-                if apps != {rule}:
-                    print(f"RESULT fail n={n} exclusivity face={f} rules={sorted(apps)}")
-                    return 1
+            g = morse.exclusivity_violation(m)
+            if g is not None:
+                f = table.face(g)
+                print(f"RESULT fail n={n} exclusivity face={f} "
+                      f"rules={sorted(morse.rule_applicability(f))}")
+                return 1
             report = morse.verify_acyclic(m, table)
     except LIBRARY_ERRORS as e:
         return _library_failure(f"n={n}", e)
@@ -256,7 +257,7 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
             unmatched = len(spec.unmatched)
             if unmatched != a:
                 bad.append("unmatched")
-            if args.oracle and (n <= ORACLE_N_CAP or args.force):
+            if args.oracle:  # cmd_betti has checked the n cap
                 h = snf.homology(spec.faces, table, k - 1, cx)
                 oracle = h["betti"]
                 if oracle != a or h["torsion"]:
@@ -272,6 +273,9 @@ def cmd_betti(args, parser) -> int:
         parser.error("--n-min must be >= 4")
     if args.n_max < args.n_min:
         parser.error("--n-max must be >= --n-min")
+    if args.oracle and args.n_max > ORACLE_N_CAP and not args.force:
+        parser.error(f"--oracle runs up to n={ORACLE_N_CAP}; "
+                     f"give --force to run it at --n-max {args.n_max}")
     rows = []
     failure = ""
     for n in range(args.n_min, args.n_max + 1):

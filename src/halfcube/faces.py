@@ -83,11 +83,6 @@ class FaceKind(NamedTuple):
     dim: int
 
 
-def mask(f: str) -> tuple[int, ...]:
-    """0-based positions of the marked (underlined or starred) coordinates."""
-    return tuple(i for i, c in enumerate(f) if c in UNDERLINED or c == STAR)
-
-
 def classify(f: str) -> FaceKind:
     """Kind and dimension of a valid face sequence."""
     if f == EMPTY:
@@ -258,11 +253,14 @@ class FaceTable:
     ordered by dimension and then lexicographically, and one list the
     position of the first cell of each dimension; `index_of` (the position
     of a face within its dimension), `dim_of`, `dim_at`, `face` and
-    `start` are derived from the two.  `facet_index(d)` gives the facets
-    of every d-cell as positions among the (d-1)-cells.  It is computed on
-    integer face codes (`face_code`): a facet's code is the face's code
-    plus one of the deltas of `facet_deltas`, cached per pattern of marked
-    symbols, and is looked up among the codes of the (d-1)-cells.
+    `start` are derived from the two.  `codes(d)` holds the `face_code`
+    of every d-cell, built on first use; the matching looks partners up
+    among them (`morse.partner_rule` moves a code by a fixed delta per
+    rule).  `facet_index(d)` gives the facets of every d-cell as
+    positions among the (d-1)-cells.  It is computed on the codes: a
+    facet's code is the face's code plus one of the deltas of
+    `facet_deltas`, cached per pattern of marked symbols, and is looked up
+    among the codes of the (d-1)-cells.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
@@ -275,6 +273,7 @@ class FaceTable:
             f: g for g, f in enumerate(itertools.chain(*self.cells.values()))}
         self._starts = [0, *itertools.accumulate(map(len, self.cells.values()))][:-1]
         self._facets: dict[int, tuple[array, array]] = {}
+        self._codes: dict[int, array] = {}
 
     def faces(self, d: int) -> tuple[str, ...]:
         return self.cells.get(d, ())
@@ -310,6 +309,17 @@ class FaceTable:
         d = self.dim_at(g)
         return self.cells[d][g - self.start(d)]
 
+    def codes(self, d: int) -> array:
+        """`face_code` of each d-cell, in the table order, so ascending;
+        the empty face, which has no text, gets code 0 (a code is unique
+        within a dimension)."""
+        out = self._codes.get(d)
+        if out is None:
+            cells = self.faces(d)
+            out = self._codes[d] = array(
+                "q", [0] * len(cells) if d < 0 else map(face_code, cells))
+        return out
+
     def facet_index(self, d: int) -> tuple[array, array]:
         """Facets of the d-cells as (flat, offsets): those of the i-th
         d-cell are the (d-1)-cell positions flat[offsets[i]:offsets[i+1]],
@@ -327,7 +337,7 @@ class FaceTable:
             if cells and EMPTY not in self:
                 raise FaceError(f"facet {EMPTY!r} of {cells[0]!r} is not in the table")
             return array("i", bytes(4 * len(cells))), array("i", range(len(cells) + 1))
-        below = dict(zip(map(face_code, self.faces(d - 1)), itertools.count()))
+        below = dict(zip(self.codes(d - 1), itertools.count()))
         caches: tuple[dict, dict] = ({}, {})  # by parity of the '1' digits
         deltas = []
         for f in cells:
@@ -339,11 +349,10 @@ class FaceTable:
             deltas.append(ds)
         try:
             flat = array("i", map(below.__getitem__,
-                                  [c + x for c, ds in zip(map(face_code, cells), deltas)
-                                   for x in ds]))
+                                  (c + x for c, ds in zip(self.codes(d), deltas)
+                                   for x in ds)))
         except KeyError:
-            for f, ds in zip(cells, deltas):
-                c = face_code(f)
+            for f, c, ds in zip(cells, self.codes(d), deltas):
                 for x in ds:
                     if c + x not in below:
                         raise FaceError(f"facet {code_face(c + x, self.n)!r} of {f!r} "

@@ -3,12 +3,36 @@
 Eleven local rewrite rules pair every face (empty face included) with a
 face one dimension away.  Odd-numbered rules move up, even-numbered rules
 move down, rule 11 pairs the empty face with the all-zeros vertex; each
-odd/even pair of rules is mutually inverse.  On top of the matching this
-module builds the per-level restricted boundary operator between
-downward-matched (k+1)-cells and upward-matched k-cells, which is
-triangular with unit diagonal under a topological order of the induced
-face-ordering, and uses it to solve for chains with a prescribed cycle
-boundary by exact back-substitution.
+odd/even pair of rules is mutually inverse.
+
+`partner_rule` applies them to a face's code (`faces.face_code`, digits
+* 0 1 I O = 0..4), so no text is rewritten.  With w[i] = 5**(n-1-i) the
+place value of position i, rm the rightmost '1' or 'I' and s the last
+star, each rule moves the code by:
+
+* rule 1 (half-cube, a '1' right of the stars): -2 w[rightmost '1']
+* rule 2 (half-cube, d >= 4, otherwise): +2 w[s]
+* rule 6 (half-cube, d = 3, otherwise): +3 w of the last two stars, and
+  +3 or +4 w of the first star for an even or odd count of '1' ('I' or 'O')
+* rule 3 (simplex) and rule 7 (edge), rm a '1': +w[rm]
+* rule 4 (simplex, d >= 3), rm an 'I': -w[rm]
+* rule 5 (triangle, its last two underlines 'I'): -3 w of each 'I' and
+  -4 w of an 'O', every underline becoming a star
+* rule 8 (triangle, rm an 'I', otherwise): -w[rm]; the edge is already
+  canonical, since the underline left rightmost is an 'O'
+* rule 9 (vertex, at least two '1'): +2 w[p2] + w[p1] for the last two
+  '1's p1 < p2
+* rule 10 (edge, rm an 'I'): -w[rm] - 2 w[the 'O']
+* rule 11: the empty face (code 0) and the all-'0' vertex
+
+`applicable_rules` evaluates each rule's input condition on its own, for
+the exclusivity check.
+
+On top of the matching this module builds the per-level restricted
+boundary operator between downward-matched (k+1)-cells and upward-matched
+k-cells, which is triangular with unit diagonal under a topological order
+of the induced face-ordering, and uses it to solve for chains with a
+prescribed cycle boundary by exact back-substitution.
 """
 
 from __future__ import annotations
@@ -26,13 +50,12 @@ from .faces import (
     STAR,
     UND0,
     UND1,
-    PLAIN0,
     PLAIN1,
     FaceTable,
-    Kind,
-    canonical_edge,
+    _weights,
     classify,
-    mask,
+    code_face,
+    face_code,
 )
 
 
@@ -68,16 +91,47 @@ class ResidualNonzero(MorseError):
 _INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 11: 11}
 
 
-def _rightmost_one(f: str) -> int:
-    return max(f.rfind(PLAIN1), f.rfind(UND1))
+def partner_rule(f: str, code: int, d: int, w: tuple[int, ...]) -> tuple[int, int]:
+    """Code of the partner of the d-face f, and the rule (1..11) pairing
+    them.
 
-
-def _one_right_of_mask(f: str) -> bool:
-    return PLAIN1 in f[max(mask(f)) + 1:]
+    `code` is f's `face_code` (0 for the empty face, which pairs with the
+    all-'0' vertex) and `w` the place values 5**(n-1-i) of its positions.
+    Each rule rewrites one to three positions, so it moves the code by a
+    fixed delta (digits * 0 1 I O = 0..4); see the module docstring.
+    """
+    if d >= 3 and STAR in f:  # half-cube shaped
+        i, s = f.rfind(PLAIN1), f.rfind(STAR)
+        if i > s:
+            return code - 2 * w[i], 1
+        if d >= 4:
+            return code + 2 * w[s], 2
+        s0 = f.find(STAR)
+        s1 = f.find(STAR, s0 + 1)
+        return code + 3 * (w[s1] + w[s]) + (4 if f.count(PLAIN1) & 1 else 3) * w[s0], 6
+    if d >= 1:  # simplex shaped; the rightmost '1' or 'I' decides
+        i, j = f.rfind(PLAIN1), f.rfind(UND1)
+        if i > j:
+            return code + w[i], 3 if d >= 2 else 7
+        if d == 1:  # the other underline is the edge's rightmost, an 'O'
+            return code - w[j] - 2 * w[f.rfind(UND0)], 10
+        if d == 2:
+            k, o = f.rfind(UND1, 0, j), f.rfind(UND0)
+            if k > o:  # the last two underlines are 'I'; an 'O' is the first
+                first = 4 * w[o] if o >= 0 else 3 * w[f.rfind(UND1, 0, k)]
+                return code - 3 * (w[k] + w[j]) - first, 5
+        return code - w[j], 4 if d >= 3 else 8
+    if d == 0:
+        i = f.rfind(PLAIN1)
+        if i < 0:
+            return 0, 11
+        return code + 2 * w[i] + w[f.rfind(PLAIN1, 0, i)], 9
+    return sum(w), 11  # the all-'0' vertex: digit 1 everywhere
 
 
 def match_face(f: str, n: int | None = None) -> tuple[str, int]:
-    """Partner face and rule number (1..11) for any face, empty included.
+    """Partner face and rule number (1..11) for any face, empty included:
+    `partner_rule` on the face's code, decoded with `code_face`.
 
     `n` is only needed to resolve the partner of the empty face; for other
     faces it is taken from the sequence length.
@@ -85,96 +139,42 @@ def match_face(f: str, n: int | None = None) -> tuple[str, int]:
     if f == EMPTY:
         if n is None:
             raise MorseError("ambient size n required to match the empty face")
-        return PLAIN0 * n, 11
-    kind, d = classify(f)
-    out = list(f)
-    if kind is Kind.VERTEX:
-        if PLAIN1 not in f:
-            return EMPTY, 11
-        p2 = f.rfind(PLAIN1)
-        p1 = f.rfind(PLAIN1, 0, p2)
-        out[p2] = UND0
-        out[p1] = UND1
-        return "".join(out), 9
-    if kind is Kind.EDGE:
-        rm = _rightmost_one(f)
-        if f[rm] == PLAIN1:
-            out[rm] = UND1
-            return "".join(out), 7
-        for i in mask(f):
-            out[i] = PLAIN1
-        return "".join(out), 10
-    if kind is Kind.SIMPLEX:
-        rm = _rightmost_one(f)
-        if f[rm] == PLAIN1:
-            out[rm] = UND1
-            return "".join(out), 3
-        if d >= 3:
-            out[rm] = PLAIN1
-            return "".join(out), 4
-        positions = mask(f)
-        if f[positions[-1]] == UND1 and f[positions[-2]] == UND1:
-            for i in positions:
-                out[i] = STAR
-            return "".join(out), 5
-        out[rm] = PLAIN1
-        return canonical_edge("".join(out)), 8
-    # half-cube shaped
-    if _one_right_of_mask(f):
-        out[f.rfind(PLAIN1)] = STAR
-        return "".join(out), 1
-    positions = mask(f)
-    if d >= 4:
-        out[positions[-1]] = PLAIN1
-        return "".join(out), 2
-    out[positions[-1]] = UND1
-    out[positions[-2]] = UND1
-    out[positions[0]] = UND1 if f.count(PLAIN1) % 2 == 0 else UND0
-    return "".join(out), 6
+        code, d = 0, -1
+    else:
+        code, d, n = face_code(f), classify(f).dim, len(f)
+    p, r = partner_rule(f, code, d, _weights(n))
+    return (EMPTY if d == 0 and r == 11 else code_face(p, n)), r
+
+
+def applicable_rules(f: str, d: int) -> int:
+    """The rules whose stated input conditions hold for the d-face f, as
+    bits (bit r for rule r), each condition evaluated on its own,
+    independently of the dispatch order used in `partner_rule`."""
+    if d < 0:
+        return 1 << 11
+    if d == 0:
+        ones = f.count(PLAIN1)
+        return (ones >= 2) << 9 | (ones == 0) << 11
+    if d >= 3 and STAR in f:
+        right_one = f.rfind(PLAIN1) > f.rfind(STAR)
+        return (right_one << 1 | (d >= 4 and not right_one) << 2
+                | (d == 3 and not right_one) << 6)
+    # the rightmost '1' or 'I' is a '1' (one) or an 'I' (und)
+    i, j = f.rfind(PLAIN1), f.rfind(UND1)
+    one, und = i > j, j > i
+    if d == 1:
+        return one << 7 | und << 10
+    out = one << 3 | (d >= 3 and und) << 4
+    if d == 2 and und:
+        last_two = f.rfind(UND1, 0, j) > f.rfind(UND0)  # both 'I'
+        out |= last_two << 5 | (not last_two) << 8
+    return out
 
 
 def rule_applicability(f: str) -> set[int]:
-    """Rules whose stated input conditions hold for f, evaluated one by one
-    independently of the dispatch order used in `match_face`."""
-    if f == EMPTY:
-        return {11}
-    kind, d = classify(f)
-    out: set[int] = set()
-    if kind is Kind.HALFCUBE:
-        right_one = _one_right_of_mask(f)
-        if d >= 3 and right_one:
-            out.add(1)
-        if d >= 4 and not right_one:
-            out.add(2)
-        if d == 3 and not right_one:
-            out.add(6)
-        return out
-    if kind is Kind.VERTEX:
-        if f.count(PLAIN1) >= 2:
-            out.add(9)
-        if PLAIN1 not in f:
-            out.add(11)
-        return out
-    rm = _rightmost_one(f)
-    underlined_rm = rm >= 0 and f[rm] == UND1
-    if kind is Kind.EDGE:
-        if rm >= 0 and f[rm] == PLAIN1:
-            out.add(7)
-        if underlined_rm:
-            out.add(10)
-        return out
-    # simplex shaped, dimension >= 2
-    if rm >= 0 and f[rm] == PLAIN1:
-        out.add(3)
-    if d >= 3 and underlined_rm:
-        out.add(4)
-    if d == 2 and underlined_rm:
-        entries = tuple(f[i] for i in mask(f))
-        if entries in ((UND0, UND1, UND1), (UND1, UND1, UND1)):
-            out.add(5)
-        if not (entries[-2] == UND1 and entries[-1] == UND1):
-            out.add(8)
-    return out
+    """Rules whose stated input conditions hold for f (`applicable_rules`)."""
+    bits = applicable_rules(f, classify(f).dim)
+    return {r for r in range(1, 12) if bits >> r & 1}
 
 
 class _FaceMap(Mapping):
@@ -212,9 +212,7 @@ class MorseMatching:
     or -1 when it has none, and `rules[g]` its rule number, or 0.
     `partner` and `rule` read them as mappings from face strings.
     `up_ids(k)` lists, ascending, the positions among the k-cells of the
-    upward-matched k-cells, those whose partner is a (k+1)-cell; since a
-    dimension is sorted, `up_cells(k)` gives their faces in lexicographic
-    order.
+    upward-matched k-cells, those whose partner is a (k+1)-cell.
     """
 
     def __init__(self, table: FaceTable, mate: array, rules: array):
@@ -224,21 +222,6 @@ class MorseMatching:
         self.partner = _FaceMap(table, mate, -1, table.face)
         self.rule = _FaceMap(table, rules, 0, int)
 
-    @classmethod
-    def from_pairs(cls, table: FaceTable, partner: Mapping[str, str],
-                   rule: Mapping[str, int] | None = None) -> "MorseMatching":
-        """The matching whose arrays hold these face-string pairs as given,
-        one direction per entry: neither completed nor checked."""
-        mate = array("i", [-1]) * table.size
-        rules = array("b", bytes(table.size))
-        for f, p in partner.items():
-            if p not in table:
-                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
-            mate[table.position(f)] = table.position(p)
-        for f, r in (rule or {}).items():
-            rules[table.position(f)] = r
-        return cls(table, mate, rules)
-
     def pair_count(self) -> int:
         return len(self.partner) // 2
 
@@ -246,10 +229,6 @@ class MorseMatching:
         lo, hi = self.table.start(k + 1), self.table.start(k + 2)
         seg = self.mate[self.table.start(k):lo]
         return [i for i, g in enumerate(seg) if lo <= g < hi]
-
-    def up_cells(self, k: int) -> list[str]:
-        cells = self.table.faces(k)
-        return [cells[i] for i in self.up_ids(k)]
 
     def jsonl_lines(self) -> Iterator[str]:
         """One JSON line per face of a complete matching, in table order;
@@ -299,21 +278,42 @@ def validate_matching(mate: array, rules: array, table: FaceTable) -> None:
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
-    """Match every face of the table and validate the pairing with
-    `validate_matching`."""
-    n = table.n
+    """Match every face of the table by `partner_rule` and validate the
+    pairing with `validate_matching`.
+
+    The partners of the d-cells are looked up by code among the (d-1)-
+    and (d+1)-cells (codes are unique across dimensions but for the empty
+    face's 0), in one dict built for that d alone."""
+    w = _weights(table.n)
     mate = array("i")
     rules = array("b")
-    position = table.position
-    for f in table:
-        p, r = match_face(f, n)
-        try:
-            mate.append(position(p))
-        except KeyError:
-            raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face") from None
-        rules.append(r)
+    for d, cells in table.cells.items():
+        near = dict(zip(table.codes(d - 1), itertools.count(table.start(d - 1))))
+        near.update(zip(table.codes(d + 1), itertools.count(table.start(d + 1))))
+        for f, code in zip(cells, table.codes(d)):
+            p, r = partner_rule(f, code, d, w)
+            g = near.get(p)
+            if g is None:
+                p = match_face(f, table.n)[0]
+                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
+            mate.append(g)
+            rules.append(r)
     validate_matching(mate, rules, table)
     return MorseMatching(table, mate, rules)
+
+
+def exclusivity_violation(m: MorseMatching) -> int | None:
+    """Table position of the first face whose rule tag is not the one
+    rule whose input condition holds for it (`applicable_rules`), or
+    None when there is none."""
+    table = m.table
+    for d, cells in table.cells.items():
+        lo = table.start(d)
+        want = [1 << r for r in m.rules[lo:lo + len(cells)]]
+        got = list(map(applicable_rules, cells, itertools.repeat(d)))
+        if got != want:
+            return lo + next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    return None
 
 
 def _layer_cycle(m: MorseMatching, table: FaceTable, p: int) -> list[str] | None:

@@ -20,6 +20,13 @@ built its facet index before it moved to integer face codes.
 face strings and parse every facet list with `facets()`, as the package did
 before it kept one facet index per table.
 
+`match_face` rewrites a face's text, read through its marked positions
+(`mask`), into its partner's, and
+`rule_applicability` tests each rule's input condition on the text, as
+the package did before it matched faces by code arithmetic.
+`from_pairs` builds a matching's arrays from face-string pairs as given,
+for planted defects, and `up_cells` lists the upward-matched k-cells.
+
 `validate_matching`, `verify_acyclic` and `morse_boundary` work on
 string-keyed partner and rule mappings and string-keyed digraphs, as the
 package did before it held the matching as arrays of table positions.
@@ -50,13 +57,14 @@ from halfcube.faces import (
     FaceError,
     FaceTable,
     Kind,
+    UNDERLINED,
     canonical_edge,
     classify,
-    mask,
 )
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
+    MorseError,
     MorseMatching,
     NotCodimOne,
     Unpaired,
@@ -362,6 +370,137 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
 
 
 _INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 11: 11}
+
+
+def mask(f: str) -> tuple[int, ...]:
+    """0-based positions of the marked (underlined or starred) coordinates."""
+    return tuple(i for i, c in enumerate(f) if c in UNDERLINED or c == STAR)
+
+
+def _rightmost_one(f: str) -> int:
+    return max(f.rfind(PLAIN1), f.rfind(UND1))
+
+
+def _one_right_of_mask(f: str) -> bool:
+    return PLAIN1 in f[max(mask(f)) + 1:]
+
+
+def match_face(f: str, n: int | None = None) -> tuple[str, int]:
+    """Partner face and rule number (1..11) for any face, empty included,
+    by rewriting the face's text."""
+    if f == EMPTY:
+        if n is None:
+            raise MorseError("ambient size n required to match the empty face")
+        return PLAIN0 * n, 11
+    kind, d = classify(f)
+    out = list(f)
+    if kind is Kind.VERTEX:
+        if PLAIN1 not in f:
+            return EMPTY, 11
+        p2 = f.rfind(PLAIN1)
+        p1 = f.rfind(PLAIN1, 0, p2)
+        out[p2] = UND0
+        out[p1] = UND1
+        return "".join(out), 9
+    if kind is Kind.EDGE:
+        rm = _rightmost_one(f)
+        if f[rm] == PLAIN1:
+            out[rm] = UND1
+            return "".join(out), 7
+        for i in mask(f):
+            out[i] = PLAIN1
+        return "".join(out), 10
+    if kind is Kind.SIMPLEX:
+        rm = _rightmost_one(f)
+        if f[rm] == PLAIN1:
+            out[rm] = UND1
+            return "".join(out), 3
+        if d >= 3:
+            out[rm] = PLAIN1
+            return "".join(out), 4
+        positions = mask(f)
+        if f[positions[-1]] == UND1 and f[positions[-2]] == UND1:
+            for i in positions:
+                out[i] = STAR
+            return "".join(out), 5
+        out[rm] = PLAIN1
+        return canonical_edge("".join(out)), 8
+    # half-cube shaped
+    if _one_right_of_mask(f):
+        out[f.rfind(PLAIN1)] = STAR
+        return "".join(out), 1
+    positions = mask(f)
+    if d >= 4:
+        out[positions[-1]] = PLAIN1
+        return "".join(out), 2
+    out[positions[-1]] = UND1
+    out[positions[-2]] = UND1
+    out[positions[0]] = UND1 if f.count(PLAIN1) % 2 == 0 else UND0
+    return "".join(out), 6
+
+
+def rule_applicability(f: str) -> set[int]:
+    """Rules whose stated input conditions hold for f, evaluated one by one
+    on its text, independently of the dispatch order of `match_face`."""
+    if f == EMPTY:
+        return {11}
+    kind, d = classify(f)
+    out: set[int] = set()
+    if kind is Kind.HALFCUBE:
+        right_one = _one_right_of_mask(f)
+        if d >= 3 and right_one:
+            out.add(1)
+        if d >= 4 and not right_one:
+            out.add(2)
+        if d == 3 and not right_one:
+            out.add(6)
+        return out
+    if kind is Kind.VERTEX:
+        if f.count(PLAIN1) >= 2:
+            out.add(9)
+        if PLAIN1 not in f:
+            out.add(11)
+        return out
+    rm = _rightmost_one(f)
+    underlined_rm = rm >= 0 and f[rm] == UND1
+    if kind is Kind.EDGE:
+        if rm >= 0 and f[rm] == PLAIN1:
+            out.add(7)
+        if underlined_rm:
+            out.add(10)
+        return out
+    # simplex shaped, dimension >= 2
+    if rm >= 0 and f[rm] == PLAIN1:
+        out.add(3)
+    if d >= 3 and underlined_rm:
+        out.add(4)
+    if d == 2 and underlined_rm:
+        entries = tuple(f[i] for i in mask(f))
+        if entries in ((UND0, UND1, UND1), (UND1, UND1, UND1)):
+            out.add(5)
+        if not (entries[-2] == UND1 and entries[-1] == UND1):
+            out.add(8)
+    return out
+
+
+def from_pairs(table: FaceTable, partner, rule=None) -> MorseMatching:
+    """The matching whose arrays hold these face-string pairs as given,
+    one direction per entry: neither completed nor checked."""
+    mate = array("i", [-1]) * table.size
+    rules = array("b", bytes(table.size))
+    for f, p in partner.items():
+        if p not in table:
+            raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
+        mate[table.position(f)] = table.position(p)
+    for f, r in (rule or {}).items():
+        rules[table.position(f)] = r
+    return MorseMatching(table, mate, rules)
+
+
+def up_cells(m: MorseMatching, k: int) -> list[str]:
+    """The upward-matched k-cells, in lexicographic order."""
+    cells = m.table.faces(k)
+    return [cells[i] for i in m.up_ids(k)]
 
 
 def validate_matching(partner: dict[str, str], rule: dict[str, int],

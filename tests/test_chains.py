@@ -125,7 +125,7 @@ class TestClosedForms:
         for d in range(1, n + 1):
             for f in tables(n).faces(d):
                 base, vecs = orientation_frame(f)
-                pos = faces.mask(f)
+                pos = reference.mask(f)
                 if faces.STAR in f:
                     frame = [[v[p] for p in pos] for v in vecs]
                     parity = f.count(faces.PLAIN1) % 2

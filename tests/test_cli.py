@@ -1,5 +1,6 @@
 import inspect
 import json
+from array import array
 
 import pytest
 
@@ -8,7 +9,8 @@ from halfcube import faces, morse, snf
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainError
 from halfcube.cli import main
-from reference import add_scaled
+import reference
+from reference import add_scaled, from_pairs
 
 
 def run(capsys, *argv):
@@ -91,6 +93,33 @@ class TestMatch:
         assert json.loads(lines[0]) == {
             "face": "EMPTY", "partner": "0000", "rule": 11}
 
+    def test_every_face_as_text_rewriting(self, capsys, tables):
+        for f in tables(6):
+            p, r = reference.match_face(f, 6)
+            code, lines = run(capsys, "--n", "6", "match", "--face", f)
+            assert code == 0
+            assert lines == [json.dumps({"face": f, "partner": p, "rule": r}),
+                             f"RESULT pass n=6 face={f}"]
+
+    def test_planted_rule_tag_fails_exclusivity(self, capsys, monkeypatch):
+        # the first rule-3 pair, tagged 7/8 instead: the tags stay inverse,
+        # so the pair check passes, but rule 7 is a rule for edges
+        build = morse.build_matching
+
+        def planted(table):
+            m = build(table)
+            rules = array("b", m.rules)
+            g = rules.index(3)
+            rules[g], rules[m.mate[g]] = 7, 8
+            morse.validate_matching(m.mate, rules, table)
+            return morse.MorseMatching(table, m.mate, rules)
+
+        monkeypatch.setattr(morse, "build_matching", planted)
+        code, lines = run(capsys, "--n", "5", "match", "--verify",
+                          "--out", "/dev/null")
+        assert code == 1
+        assert lines == ["RESULT fail n=5 exclusivity face=01OOO rules=[3]"]
+
     def test_bad_face_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--n", "4", "match", "--face", "xyzw"])
@@ -115,7 +144,7 @@ class TestMatch:
                                                 tables, quadrilateral_pairs):
         # the planted quadrilateral is checked in place of the real matching
         verify = morse.verify_acyclic
-        bad = morse.MorseMatching.from_pairs(tables(4), quadrilateral_pairs)
+        bad = from_pairs(tables(4), quadrilateral_pairs)
         monkeypatch.setattr(morse, "verify_acyclic",
                             lambda m, table: verify(bad, table))
         cycle = next(l["cycle"] for l in verify(bad, tables(4))["layers"]
@@ -225,6 +254,16 @@ class TestBetti:
         assert [r[1] for r in rows] == ["3", "4", "5", "6"]
         for row in rows:
             assert row[5] == row[2] == row[4]
+
+    def test_oracle_above_the_cap_is_usage_error(self, capsys, monkeypatch):
+        def no_work(n):
+            raise AssertionError("faces enumerated before the usage check")
+
+        monkeypatch.setattr(faces, "enumerate_faces", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--n-min", "9", "--n-max", "9", "--oracle"])
+        assert exc.value.code == 2
+        assert "n=8" in capsys.readouterr().err
 
     def test_k_eq_n_rows(self, capsys):
         code, lines = run(capsys, "betti", "--n-max", "5", "--include-k-eq-n")

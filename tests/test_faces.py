@@ -30,10 +30,9 @@ from halfcube.faces import (
     face_code,
     face_json,
     facet_deltas,
-    mask,
     parse_seq,
 )
-from reference import NotKType, facets, total_and_u, vertices_of
+from reference import NotKType, facets, mask, total_and_u, vertices_of
 
 
 @st.composite
@@ -215,6 +214,17 @@ class TestFacetIndex:
             codes = [face_code(f) for f in t.faces(d)]
             assert codes == sorted(codes) and len(set(codes)) == len(codes)
             assert [code_face(c, 6) for c in codes] == list(t.faces(d))
+            assert t.codes(d) == array("q", codes)
+        assert t.codes(-1) == array("q", [0]) and t.codes(7) == array("q")
+
+    def test_codes_built_lazily_once_per_dimension(self, monkeypatch):
+        coded = []
+        code = faces.face_code
+        monkeypatch.setattr(faces, "face_code", lambda f: coded.append(f) or code(f))
+        t = enumerate_faces(5)
+        assert coded == []
+        codes = t.codes(2)
+        assert coded == list(t.faces(2)) and t.codes(2) is codes
 
     def test_facet_deltas_give_the_facet_codes(self, tables):
         t = tables(6)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from array import array
 
 import pytest
@@ -7,17 +8,17 @@ import pytest
 import reference
 from halfcube import faces, snf
 from halfcube.chains import ChainComplex, ChainVector
-from halfcube.faces import EMPTY, Kind, classify
+from halfcube.faces import EMPTY, FaceTable, Kind, classify
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
     MorseBoundary,
     MorseError,
-    MorseMatching,
     NotACycle,
     NotCodimOne,
     ResidualNonzero,
     Unpaired,
+    applicable_rules,
     build_matching,
     match_face,
     morse_boundary,
@@ -46,7 +47,7 @@ WORKED_PAIRS = [
 def arrays(t, partner, rule):
     """The (mate, rules, table) arguments of validate_matching for
     string-keyed partner and rule mappings."""
-    m = MorseMatching.from_pairs(t, partner, rule)
+    m = reference.from_pairs(t, partner, rule)
     return m.mate, m.rules, t
 
 
@@ -77,6 +78,31 @@ class TestMatchFace:
     def test_rule9_shape(self):
         p, r = match_face("1100")
         assert r == 9 and p == "IO00"
+
+
+class TestPartnerRule:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matching_equals_text_rewriting(self, tables, matchings, n):
+        t, m = tables(n), matchings(n)
+        pairs = [reference.match_face(f, n) for f in t]
+        assert m.mate == array("i", [t.position(p) for p, _ in pairs])
+        assert m.rules == array("b", [r for _, r in pairs])
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_conditions_equal_text_conditions(self, tables, n):
+        for d, cells in tables(n).cells.items():
+            for f in cells:
+                bits = applicable_rules(f, d)
+                got = {r for r in range(bits.bit_length()) if bits >> r & 1}
+                assert got == reference.rule_applicability(f), f
+
+    @pytest.mark.parametrize("gone", [EMPTY, "0000", "IO00"])
+    def test_partner_missing_from_table(self, tables, matchings, gone):
+        t, m = tables(4), matchings(4)
+        cells = {d: [f for f in c if f != gone] for d, c in t.cells.items()}
+        with pytest.raises(InvolutionBroken, match=re.escape(
+                f"partner {gone!r} of {m.partner[gone]!r} is not a face")):
+            build_matching(FaceTable(4, cells))
 
 
 class TestRuleApplicability:
@@ -275,8 +301,8 @@ class TestMatchingArrays:
 
     def test_string_views(self, tables, matchings):
         t, m = tables(5), matchings(5)
-        assert dict(m.partner) == {f: match_face(f, 5)[0] for f in t}
-        assert dict(m.rule) == {f: match_face(f, 5)[1] for f in t}
+        assert dict(m.partner) == {f: reference.match_face(f, 5)[0] for f in t}
+        assert dict(m.rule) == {f: reference.match_face(f, 5)[1] for f in t}
         assert list(m.partner) == list(t) and len(m.rule) == t.size
         assert "not a face" not in m.partner
         with pytest.raises(KeyError):
@@ -284,18 +310,18 @@ class TestMatchingArrays:
 
     def test_from_pairs_keeps_partial_pairs(self, tables, quadrilateral_pairs):
         t = tables(4)
-        planted = MorseMatching.from_pairs(t, quadrilateral_pairs)
+        planted = reference.from_pairs(t, quadrilateral_pairs)
         assert dict(planted.partner) == quadrilateral_pairs
         assert len(planted.rule) == 0
-        assert planted.up_cells(0) == sorted(quadrilateral_pairs)
+        assert reference.up_cells(planted, 0) == sorted(quadrilateral_pairs)
         with pytest.raises(InvolutionBroken, match="is not a face"):
-            MorseMatching.from_pairs(t, {t.faces(0)[0]: "not a face"})
+            reference.from_pairs(t, {t.faces(0)[0]: "not a face"})
 
     def test_up_cells_are_the_upward_matched(self, tables, matchings):
         t, m = tables(6), matchings(6)
         for k in range(-1, 7):
             want = [f for f in t.faces(k) if t.dim_of(m.partner[f]) == k + 1]
-            assert m.up_cells(k) == want
+            assert reference.up_cells(m, k) == want
 
     def test_jsonl_template_matches_json(self, tables, matchings):
         t, m = tables(5), matchings(5)
@@ -313,7 +339,7 @@ class TestAcyclicity:
         assert {layer["p"] for layer in report["layers"]} == set(range(-1, n))
 
     def test_planted_cycle_is_found(self, tables, quadrilateral_pairs):
-        planted = MorseMatching.from_pairs(tables(4), quadrilateral_pairs)
+        planted = reference.from_pairs(tables(4), quadrilateral_pairs)
         report = verify_acyclic(planted, tables(4))
         assert not report["acyclic"]
         layer0 = next(l for l in report["layers"] if l["p"] == 0)
@@ -334,7 +360,7 @@ class TestAcyclicity:
             if a not in used:
                 partner[a] = b
                 used |= {a, b}
-        planted = MorseMatching.from_pairs(t, partner)
+        planted = reference.from_pairs(t, partner)
         report = verify_acyclic(planted, t)
         assert not report["acyclic"]
         assert report == reference.verify_acyclic(partner, t)
@@ -406,8 +432,9 @@ class TestMorseBoundary:
         m = matchings(5)
         mb = morse_boundary(m, tables(5), 2, complexes(5))
         assert len(mb.ups) == len(mb.downs) == mb.size
-        assert mb.size == len(m.up_cells(2))
-        assert sorted(mb.downs) == sorted(m.partner[e] for e in m.up_cells(2))
+        assert mb.size == len(reference.up_cells(m, 2))
+        assert sorted(mb.downs) == sorted(m.partner[e]
+                                          for e in reference.up_cells(m, 2))
 
     def test_prec_respected_by_order(self, tables, matchings, complexes):
         # e2 precedes e when e2 is an upward-matched facet of e's partner
@@ -435,7 +462,7 @@ class TestSolveCycle:
         y = cx.apply(ChainVector(2, {t.index_of(d): 1}))
         f = solve_cycle(y, m, t, cx)
         assert cx.apply(f) == y
-        downs = {m.partner[e] for e in m.up_cells(1)}
+        downs = {m.partner[e] for e in reference.up_cells(m, 1)}
         assert all(t.faces(2)[i] in downs for i in f.coeffs)
 
     def test_hundred_random_boundaries(self, tables, matchings, complexes):
@@ -486,7 +513,7 @@ class TestCycleLattice:
         # boundaries of the downward-matched cells: independent, spanning
         # the kernel, and saturated (all invariant factors 1)
         t, m, cx = tables(n), matchings(n), complexes(n)
-        downs = sorted(m.partner[e] for e in m.up_cells(k))
+        downs = sorted(m.partner[e] for e in reference.up_cells(m, k))
         b = cx.boundary(k + 1)
         n_k = len(t.faces(k))
         entries = {}
@@ -543,8 +570,8 @@ class TestCycleLattice:
         for e, tri in planted:
             partner[e] = tri
             partner[tri] = e
-        fake = MorseMatching.from_pairs(t, partner)
-        assert fake.up_cells(1) == sorted(e for e, _ in planted)
+        fake = reference.from_pairs(t, partner)
+        assert reference.up_cells(fake, 1) == sorted(e for e, _ in planted)
         with pytest.raises(CyclicPrec):
             morse_boundary(fake, t, 1, complexes(4))
 
@@ -557,7 +584,7 @@ class TestCycleLattice:
         t, m, cx = tables(4), matchings(4), complexes(4)
         bk = cx.boundary(k)
         cells = t.faces(k)
-        ups = set(m.up_cells(k))
+        ups = set(reference.up_cells(m, k))
         rows = [[bk.cols[j].get(i, 0) for j in range(bk.n_cols)]
                 for i in range(bk.n_rows)]
         for i, f in enumerate(cells):
