@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import faces, morse, snf
 from . import subcomplex as subc
@@ -85,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fill the oracle column (n <= %d)" % ORACLE_N_CAP)
     betti.add_argument("--force", action="store_true",
                        help="run the oracle above the n cap")
+    # usage errors found after parsing go through the subcommand's parser
+    for cmd in sub.choices.values():
+        cmd.set_defaults(parser=cmd)
     return p
 
 
@@ -110,8 +114,8 @@ class _Sink:
             self.tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
             self.fh = open(self.tmp, "w")
 
-    def line(self, s: str) -> None:
-        print(s, file=self.fh)
+    def lines(self, lines: Iterable[str]) -> None:
+        self.fh.writelines(s + "\n" for s in lines)
 
     def __enter__(self) -> "_Sink":
         return self
@@ -152,9 +156,7 @@ def cmd_enum(args, parser) -> int:
         table = faces.enumerate_faces(n)  # raises on a census mismatch
         dims = [args.dim] if args.dim is not None else sorted(table.cells)
         with _Sink(args.out) as sink:
-            for d in dims:
-                for f in table.faces(d):
-                    sink.line(faces.face_jsonl(f))
+            sink.lines(faces.face_jsonl(f) for d in dims for f in table.faces(d))
     except LIBRARY_ERRORS as e:
         return _library_failure(f"n={n}", e)
     for d, count in table.counts().items():
@@ -180,8 +182,7 @@ def cmd_match(args, parser) -> int:
         table = faces.enumerate_faces(n)
         m = morse.build_matching(table)
         with _Sink(args.out) as sink:
-            for line in m.jsonl_lines():
-                sink.line(line)
+            sink.lines(m.jsonl_lines())
         if args.verify:
             g = morse.exclusivity_violation(m)
             if g is not None:
@@ -220,8 +221,7 @@ def cmd_basis(args, parser) -> int:
         cx = ChainComplex(table)
         basis = subc.homology_basis(n, k, table, cx)
         with _Sink(args.out) as sink:
-            for line in basis.jsonl_lines(table):
-                sink.line(line)
+            sink.lines(basis.jsonl_lines(table))
         expected = subc.betti_power(n, k)
         ok = len(basis.chains) == expected
         if args.certify:
@@ -287,16 +287,15 @@ def cmd_betti(args, parser) -> int:
         if bad and not failure:
             failure = f" n={n} k={bad[0]} column={bad[1]}"
     with _Sink(args.out) as sink:
-        sink.line("n,k,betti_binomial,betti_power,unmatched,oracle_rank")
-        for row in rows:
-            sink.line(",".join(str(x) for x in row))
+        sink.lines(["n,k,betti_binomial,betti_power,unmatched,oracle_rank",
+                    *(",".join(map(str, row)) for row in rows)])
     print(f"RESULT {'fail' if failure else 'pass'} rows={len(rows)}{failure}")
     return 1 if failure else 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
     unread = _unread_flags(args)
     if unread:
         parser.error(f"{args.command} does not use {', '.join(unread)}")

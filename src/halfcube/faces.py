@@ -26,7 +26,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Set
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -249,11 +249,13 @@ class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
     Faces are stored per dimension in lexicographic order of their text
-    form.  One map gives each face its position in the whole table,
-    ordered by dimension and then lexicographically, and one list the
-    position of the first cell of each dimension; `index_of` (the position
-    of a face within its dimension), `dim_of`, `dim_at`, `face` and
-    `start` are derived from the two.  `codes(d)` holds the `face_code`
+    form; the table order runs by dimension and then lexicographically.
+    One list holds the position of the first cell of each dimension, and
+    `size`, `dim_at`, `face` and `start` are derived from it.  The map
+    from each face to its position (`position`, and through it `index_of`,
+    the position of a face within its dimension, `dim_of` and `in`) is
+    built on first use, since the matching and the subcomplex checks run
+    on positions alone.  `codes(d)` holds the `face_code`
     of every d-cell, built on first use; the matching looks partners up
     among them (`morse.partner_rule` moves a code by a fixed delta per
     rule).  `facet_index(d)` gives the facets of every d-cell as
@@ -269,11 +271,16 @@ class FaceTable:
         # dimension of a position is its place among the starts
         dims = range(min(cells), max(cells) + 1)
         self.cells = {d: tuple(cells.get(d, ())) for d in dims}
-        self._position: dict[str, int] = {
-            f: g for g, f in enumerate(itertools.chain(*self.cells.values()))}
-        self._starts = [0, *itertools.accumulate(map(len, self.cells.values()))][:-1]
+        ends = list(itertools.accumulate(map(len, self.cells.values())))
+        self._starts = [0, *ends[:-1]]
+        self.size = ends[-1]
         self._facets: dict[int, tuple[array, array]] = {}
         self._codes: dict[int, array] = {}
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Each face's position in the table order, built on first use."""
+        return dict(zip(itertools.chain(*self.cells.values()), itertools.count()))
 
     def faces(self, d: int) -> tuple[str, ...]:
         return self.cells.get(d, ())
@@ -334,7 +341,7 @@ class FaceTable:
         if d < 0:  # the empty face has no facets
             return array("i"), array("i", [0] * (len(cells) + 1))
         if d == 0:  # a vertex has the empty face as its one facet
-            if cells and EMPTY not in self:
+            if cells and EMPTY not in self.faces(-1):
                 raise FaceError(f"facet {EMPTY!r} of {cells[0]!r} is not in the table")
             return array("i", bytes(4 * len(cells))), array("i", range(len(cells) + 1))
         below = dict(zip(self.codes(d - 1), itertools.count()))
@@ -362,13 +369,6 @@ class FaceTable:
         offsets.extend(itertools.accumulate(map(len, deltas)))
         return flat, offsets
 
-    def facet_ids(self, f: str) -> array:
-        """Positions of the facets of f among the faces one dimension
-        down, in the order of `facet_index`."""
-        flat, offsets = self.facet_index(self.dim_of(f))
-        i = self.index_of(f)
-        return flat[offsets[i]:offsets[i + 1]]
-
     def __contains__(self, f: str) -> bool:
         return f in self._position
 
@@ -378,10 +378,6 @@ class FaceTable:
 
     def counts(self) -> dict[int, int]:
         return {d: len(faces) for d, faces in self.cells.items()}
-
-    @property
-    def size(self) -> int:
-        return len(self._position)
 
 
 class FaceSubset(Set):
@@ -453,50 +449,71 @@ class FaceSubset(Set):
         return sum(m.count(1) for m in self.masks.values())
 
 
+def _prefixed(*parts: tuple[str, list[str] | None]) -> list[str]:
+    """c + s for every suffix s of each (c, suffixes) part, part by part;
+    sorted suffixes under prefixes in ASCII order give a sorted list."""
+    out: list[str] = []
+    for c, suffixes in parts:
+        if suffixes:
+            out += map(c.__add__, suffixes)
+    return out
+
+
+def _grow_plain(plain: dict, u: int, p: int) -> list[str]:
+    """The suffixes over 0 1 I O one symbol longer than those of `plain`
+    with u underlines and parity p of their '1' and 'I' digits."""
+    return _prefixed((PLAIN0, plain.get((u, p))), (PLAIN1, plain.get((u, 1 - p))),
+                     (UND1, plain.get((u - 1, 1 - p))), (UND0, plain.get((u - 1, p))))
+
+
+def _grow_canon(plain: dict, canon: dict, u: int, p: int) -> list[str]:
+    """As `_grow_plain`, for 1 <= u <= 2 and only the suffixes whose
+    rightmost underline is an 'O': an underline put before a suffix with
+    none is the rightmost, so it must be an 'O'."""
+    return _prefixed((PLAIN0, canon.get((u, p))), (PLAIN1, canon.get((u, 1 - p))),
+                     (UND1, canon.get((u - 1, 1 - p))),
+                     (UND0, (canon if u > 1 else plain).get((u - 1, p))))
+
+
+def _grow_stars(stars: dict, m: int) -> list[str]:
+    """The suffixes over * 0 1 one symbol longer than those of `stars`,
+    with m stars."""
+    return _prefixed((STAR, stars.get(m - 1)), (PLAIN0, stars.get(m)),
+                     (PLAIN1, stars.get(m)))
+
+
 def enumerate_faces(n: int) -> FaceTable:
     """Enumerate every face of the half cube on n >= 4 coordinates.
 
-    Simplex shaped faces are generated by (odd point, mask) iteration with
-    edge canonicalization and dedup; half-cube shaped faces by (fixed
-    digits, mask) iteration.  The result is validated against the
-    closed-form census.
+    The faces are grown right to left, one symbol at a time, as sorted
+    lists of suffixes: over 0 1 I O by (underline count, parity of the '1'
+    and 'I' digits), the same with one or two underlines and an 'O' as
+    the rightmost underline, and over * 0 1 by star count.  Putting each
+    symbol, in ASCII order, before a sorted list keeps the result sorted,
+    so no face is deduplicated, canonicalised or sorted.  At length n only
+    the classes that are faces are built: no underline and an even parity
+    (vertices), two underlines, the rightmost an 'O', and an odd parity
+    (canonical edges), k >= 3 underlines and an odd parity (simplex faces)
+    and m >= 3 stars (half-cube faces); the two sorted runs of a dimension
+    d >= 3 are merged.  The result is validated against the closed-form
+    census.
     """
     if n < 4:
         raise NTooSmall(f"need n >= 4, got {n}")
-    cells: dict[int, set[str]] = {-1: {EMPTY}, 0: set(), 1: set()}
-    for d in range(2, n + 1):
-        cells[d] = set()
-
-    for bits in itertools.product("01", repeat=n):
-        if bits.count("1") % 2 == 0:
-            cells[0].add("".join(bits))
-
-    odd_points = [
-        "".join(bits)
-        for bits in itertools.product("01", repeat=n)
-        if bits.count("1") % 2 == 1
-    ]
-    for m in range(2, n + 1):
-        for positions in itertools.combinations(range(n), m):
-            for v in odd_points:
-                seq = list(v)
-                for i in positions:
-                    seq[i] = UND0 if seq[i] == PLAIN0 else UND1
-                f = "".join(seq)
-                if m == 2:
-                    f = canonical_edge(f)
-                cells[m - 1].add(f)
-
-    for m in range(3, n + 1):
-        for positions in itertools.combinations(range(n), m):
-            free = [i for i in range(n) if i not in positions]
-            for bits in itertools.product("01", repeat=len(free)):
-                seq = [STAR] * n
-                for i, b in zip(free, bits):
-                    seq[i] = b
-                cells[m].add("".join(seq))
-
-    table = FaceTable(n, {d: sorted(faces) for d, faces in cells.items()})
+    plain: dict[tuple[int, int], list[str]] = {(0, 0): [""]}
+    canon: dict[tuple[int, int], list[str]] = {}
+    stars: dict[int, list[str]] = {0: [""]}
+    for length in range(1, n):
+        plain, canon, stars = (
+            {(u, p): _grow_plain(plain, u, p) for u in range(length + 1) for p in (0, 1)},
+            {(u, p): _grow_canon(plain, canon, u, p) for u in (1, 2) for p in (0, 1)},
+            {m: _grow_stars(stars, m) for m in range(length + 1)})
+    cells = {-1: [EMPTY], 0: _grow_plain(plain, 0, 0),
+             1: _grow_canon(plain, canon, 2, 1), 2: _grow_plain(plain, 3, 1)}
+    for d in range(3, n):
+        cells[d] = sorted(_grow_plain(plain, d + 1, 1) + _grow_stars(stars, d))
+    cells[n] = _grow_stars(stars, n)
+    table = FaceTable(n, cells)
     want = expected_counts(n)
     got = table.counts()
     if got != want:

@@ -321,7 +321,7 @@ def _layer_cycle(m: MorseMatching, table: FaceTable, p: int) -> list[str] | None
     or None: matched incidences point up, all other incidences point down.
 
     Nodes are the p-cells by position, then the (p+1)-cells after them;
-    the search starts from each node in that order and follows each
+    the search starts from each p-cell in that order and follows each
     cell's edges in facet order."""
     cells_p, cells_q = table.faces(p), table.faces(p + 1)
     n_p, n_q = len(cells_p), len(cells_q)
@@ -344,7 +344,10 @@ def _layer_cycle(m: MorseMatching, table: FaceTable, p: int) -> list[str] | None
     # 0 unseen, 1 on the path, 2 finished; a p-cell not matched up has no
     # edges, so it starts finished
     state = bytearray(2 if j < 0 else 0 for j in up) + bytes(n_q)
-    for start in range(n_p + n_q):
+    # every edge joins a p-cell and a (p+1)-cell, so every cycle passes
+    # through a p-cell; the searches from all p-cells reach every cycle,
+    # and a search from a (p+1)-cell after them could find none
+    for start in range(n_p):
         if state[start]:
             continue
         state[start] = 1

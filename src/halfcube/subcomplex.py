@@ -103,18 +103,21 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     _check_range(n, table, k)
     faces_y = subcomplex_faces(n, k, table)
     # the matching is an involution, so the kept faces whose partner was
-    # deleted are the kept partners of the deleted faces
-    unmatched: list[str] = []
-    external: list[str] = []
+    # deleted are the kept partners of the deleted faces; each is held as
+    # (text, dimension, position within it), and faces are unique, so the
+    # tuples sort as their texts
+    unmatched: list[tuple[str, int, int]] = []
+    external: list[tuple[str, int, int]] = []
     for d, cells in table.cells.items():
         kept = faces_y.mask(d)
         lo = table.start(d)
         for i in itertools.compress(range(len(kept)), kept.translate(_NOT)):
             g = matching.mate[lo + i]
             dg = table.dim_at(g)
-            if faces_y.mask(dg)[g - table.start(dg)]:
-                unmatched.append(table.face(g))
-                external.append(cells[i])
+            j = g - table.start(dg)
+            if faces_y.mask(dg)[j]:
+                unmatched.append((table.faces(dg)[j], dg, j))
+                external.append((cells[i], d, i))
     unmatched.sort()
     external.sort()
 
@@ -122,22 +125,24 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     if gap is not None:
         f, g = gap
         raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
-    for f in unmatched:
-        if table.dim_of(f) != k - 1:
+    for f, d, _ in unmatched:
+        if d != k - 1:
             raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
     if len(unmatched) != len(external):
         raise SubcomplexError("unmatched/external size mismatch")
     below = faces_y.mask(k - 1)
     cells_below = table.faces(k - 1)
-    for b in external:
-        kind, d = classify(b)
-        if kind is not Kind.HALFCUBE or d != k:
+    for b, d, i in external:
+        kind, dim = classify(b)
+        if kind is not Kind.HALFCUBE or dim != k:
             raise SubcomplexError(f"external partner {b!r} is not a k-half-cube")
-        for j in table.facet_ids(b):
+        flat, offsets = table.facet_index(d)
+        for j in flat[offsets[i]:offsets[i + 1]]:
             if not below[j]:
                 raise SupportLeak(f"facet {cells_below[j]!r} of external {b!r} "
                                   "left the subcomplex")
-    return SubcomplexSpec(n, k, faces_y, unmatched, external)
+    return SubcomplexSpec(n, k, faces_y, [u[0] for u in unmatched],
+                          [e[0] for e in external])
 
 
 def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:

@@ -13,6 +13,11 @@ nf*ng * (centroid(g) - centroid(f)) followed by g's frame, and a zero
 determinant raises.  Tests require the package's closed-form sign rule to
 give bit-identical matrices.
 
+`enumerate_cells` lists the faces of each dimension by (odd point, mask)
+and (fixed digits, star mask) iteration, with edge canonicalisation, set
+deduplication and a sort, as `enumerate_faces` did before it grew sorted
+suffix lists.
+
 `facet_index` parses `facets()` of every face, the way `FaceTable`
 built its facet index before it moved to integer face codes.
 
@@ -25,7 +30,8 @@ before it kept one facet index per table.
 `rule_applicability` tests each rule's input condition on the text, as
 the package did before it matched faces by code arithmetic.
 `from_pairs` builds a matching's arrays from face-string pairs as given,
-for planted defects, and `up_cells` lists the upward-matched k-cells.
+for planted defects, `quadrilateral` plants a closed alternating path,
+and `up_cells` lists the upward-matched k-cells.
 
 `validate_matching`, `verify_acyclic` and `morse_boundary` work on
 string-keyed partner and rule mappings and string-keyed digraphs, as the
@@ -313,6 +319,31 @@ def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, 
     return out
 
 
+def enumerate_cells(n: int) -> dict[int, list[str]]:
+    cells: dict[int, set[str]] = {d: set() for d in range(-1, n + 1)}
+    cells[-1].add(EMPTY)
+    points = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    cells[0].update(v for v in points if v.count("1") % 2 == 0)
+    odd_points = [v for v in points if v.count("1") % 2 == 1]
+    for m in range(2, n + 1):
+        for positions in itertools.combinations(range(n), m):
+            for v in odd_points:
+                seq = list(v)
+                for i in positions:
+                    seq[i] = UND0 if seq[i] == PLAIN0 else UND1
+                f = "".join(seq)
+                cells[m - 1].add(canonical_edge(f) if m == 2 else f)
+    for m in range(3, n + 1):
+        for positions in itertools.combinations(range(n), m):
+            free = [i for i in range(n) if i not in positions]
+            for bits in itertools.product("01", repeat=len(free)):
+                seq = [STAR] * n
+                for i, b in zip(free, bits):
+                    seq[i] = b
+                cells[m].add("".join(seq))
+    return {d: sorted(faces) for d, faces in cells.items()}
+
+
 def facet_index(table: FaceTable, d: int) -> tuple[array, array]:
     """The facets of the d-cells as (flat, offsets) positions among the
     (d-1)-cells, in `facets()` order, from the facets' text."""
@@ -495,6 +526,18 @@ def from_pairs(table: FaceTable, partner, rule=None) -> MorseMatching:
     for f, r in (rule or {}).items():
         rules[table.position(f)] = r
     return MorseMatching(table, mate, rules)
+
+
+def quadrilateral(table: FaceTable, vertices) -> dict[str, str]:
+    """A partial matching that pairs the corners of a quadrilateral among
+    `vertices` with its edges, forcing a closed alternating path in the
+    layer-0 digraph."""
+    edge_set = {frozenset(vertices_of(e)): e for e in table.faces(1)}
+    for quad in itertools.permutations(vertices, 4):
+        keys = [frozenset((quad[i], quad[(i + 1) % 4])) for i in range(4)]
+        if all(k in edge_set for k in keys):
+            return {quad[i]: edge_set[keys[i]] for i in range(4)}
+    raise AssertionError("no quadrilateral among the given vertices")
 
 
 def up_cells(m: MorseMatching, k: int) -> list[str]:

@@ -35,7 +35,7 @@ def report(num, name, elapsed, budget=None):
 
 def test_criterion_01_face_census():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 11):
         table = faces.enumerate_faces(n)
         counts = table.counts()
         assert counts[0] == 2 ** (n - 1)
@@ -51,7 +51,7 @@ def test_criterion_01_face_census():
         assert counts[-1] == 1
     table4 = faces.enumerate_faces(4)
     assert [len(table4.faces(d)) for d in range(0, 5)] == [8, 24, 32, 16, 1]
-    report(1, "face census n=4..8", time.monotonic() - t0, budget=5)
+    report(1, "face census n=4..10", time.monotonic() - t0, budget=5)
 
 
 def test_criterion_02_chain_condition():

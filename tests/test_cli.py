@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 from array import array
@@ -361,6 +362,49 @@ class TestGlobalFlags:
     def test_face_dim_removed(self):
         assert not hasattr(halfcube, "face_dim")
         assert not hasattr(faces, "face_dim")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["betti", "--n-min", "9", "--n-max", "9", "--oracle"],
+        ["basis", "--n", "5", "--k", "9"],
+        ["--n", "3", "enum"],
+        ["--n", "4", "match", "--face", "xyzw"],
+        ["--n", "5", "match", "--k", "3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_usage_names_the_subcommand(self, capsys, argv):
+        command = next(a for a in argv if a in ("enum", "match", "basis", "betti"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: halfcube {command} [-h]")
+        assert f"\nhalfcube {command}: error: " in err
+
+
+class TestPositionMap:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The n of every table whose face -> position map gets built."""
+        out = []
+        build = faces.FaceTable.__dict__["_position"].func
+        spy = functools.cached_property(lambda self: out.append(self.n) or build(self))
+        spy.__set_name__(faces.FaceTable, "_position")
+        monkeypatch.setattr(faces.FaceTable, "_position", spy)
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ["betti", "--n-max", "6"],
+        ["--n", "6", "match", "--verify"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_census_commands_do_not_build_it(self, capsys, built, argv):
+        code, lines = run(capsys, *argv)
+        assert code == 0 and lines[-1].startswith("RESULT pass")
+        assert built == []
+
+    def test_basis_builds_it(self, capsys, built):
+        code, _ = run(capsys, "--n", "5", "--k", "3", "basis")
+        assert code == 0 and built == [5]
 
 
 class TestOutPath:

@@ -182,8 +182,9 @@ class TestFacetIndex:
         t = tables(n)
         for d in sorted(t.cells):
             assert t.facet_index(d) == reference.facet_index(t, d), (n, d)
+        flat, offsets = t.facet_index(n - 1)
         f = t.faces(n - 1)[-1]
-        assert list(t.facet_ids(f)) == [t.index_of(g) for g in facets(f)]
+        assert list(flat[offsets[-2]:]) == [t.index_of(g) for g in facets(f)]
 
     def test_built_lazily_once_per_dimension(self, monkeypatch):
         built = []
@@ -195,7 +196,6 @@ class TestFacetIndex:
         idx = t.facet_index(3)
         assert built == [3]
         assert t.facet_index(3) is idx
-        t.facet_ids(t.faces(3)[0])
         assert built == [3]
         assert t.facet_index(-1) == (array("i"), array("i", [0, 0]))
         assert built == [3, -1]
@@ -374,6 +374,30 @@ class TestEnumeration:
                 seen[canon] = seen.get(canon, 0) + 1
         assert set(seen.values()) == {2}
         assert len(seen) == len(tables(n).faces(1))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_equals_reference_enumeration(self, n):
+        assert enumerate_faces(n).cells == FaceTable(n, reference.enumerate_cells(n)).cells
+
+    def test_census_mismatch_raises(self, monkeypatch):
+        want = faces.expected_counts(5)
+        monkeypatch.setattr(faces, "expected_counts", lambda n: {**want, 2: want[2] + 1})
+        with pytest.raises(FaceError, match="face census mismatch at n=5"):
+            enumerate_faces(5)
+
+    def test_reads_agree_before_and_after_the_position_map(self):
+        def reads(t):
+            return (t.size, list(map(t.dim_at, range(t.size))),
+                    [t.start(d) for d in range(-3, 8)])
+
+        t = enumerate_faces(5)
+        before = reads(t)
+        assert "_position" not in vars(t)
+        probes = ["not a face", "0000I", "0000", "1*1*1", *t]
+        assert [f in t for f in probes] == [False] * 4 + [True] * t.size
+        assert "_position" in vars(t)
+        assert reads(t) == before
+        assert t.size == len(t._position) == 404
 
     def test_determinism(self):
         a = enumerate_faces(4)

@@ -346,6 +346,14 @@ class TestAcyclicity:
         assert layer0["cycle"] is not None
         assert report == reference.verify_acyclic(quadrilateral_pairs, tables(4))
 
+    def test_cycle_through_the_last_cells_is_found(self, tables):
+        # the search must start from every p-cell, the last ones included
+        t = tables(4)
+        pairs = reference.quadrilateral(t, t.faces(0)[-4:])
+        report = verify_acyclic(reference.from_pairs(t, pairs), t)
+        assert report["layers"][1]["cycle"] is not None
+        assert report == reference.verify_acyclic(pairs, t)
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_random_partial_matchings_as_string_reference(self, tables, seed):
         # random facet pairings close many cycles, so the search order
@@ -440,10 +448,9 @@ class TestMorseBoundary:
         # e2 precedes e when e2 is an upward-matched facet of e's partner
         t = tables(4)
         mb = morse_boundary(matchings(4), t, 1, complexes(4))
-        cells = t.faces(1)
         pos = {e: i for i, e in enumerate(mb.ups)}
-        pairs = [(pos[cells[i]], pos[e]) for e, d in zip(mb.ups, mb.downs)
-                 for i in t.facet_ids(d) if cells[i] in pos and cells[i] != e]
+        pairs = [(pos[g], pos[e]) for e, d in zip(mb.ups, mb.downs)
+                 for g in facets(d) if g in pos and g != e]
         assert pairs and all(a < b for a, b in pairs)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
