@@ -39,13 +39,23 @@ half-cube face, and on the 'O'/'I' pattern of its mask for a simplex face.
 The facet index lists facets in lexicographic order, which the pattern
 alone decides, so each column is one cached sign tuple laid over the
 column's facet positions.  Every sign is an exact integer.
+
+A `BoundaryMatrix` stores these signs in one `array('b')` parallel to the
+facet index's `flat`, and keeps the facet index's own `flat` and
+`offsets` as its rows and column bounds: a boundary adds one byte per
+entry to the facet index.  Its `cols` and `MorseBoundary.cols` are
+`ColumnView`s, which build a fresh dict per column read and cache
+nothing.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import accumulate, pairwise, product, repeat
+from typing import Iterator
 
 from .faces import PLAIN0, PLAIN1, STAR, UND0, UND1, FaceTable, canonical_edge
 
@@ -125,27 +135,64 @@ class ChainVector:
                 and self.dim == other.dim and self.coeffs == other.coeffs)
 
 
+class ColumnView(Sequence):
+    """Read-only view of a sparse matrix held as (rows, signs, offsets)
+    arrays: `view[j]` is a fresh dict row -> sign of column j, in storage
+    order.  Nothing is cached, so reading the view keeps no dict alive."""
+
+    def __init__(self, rows: array, signs: array, offsets: array):
+        self._rows = rows
+        self._signs = signs
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, j: int) -> dict[int, int]:
+        j = range(len(self))[j]  # IndexError outside, as a list raises
+        a, b = self._offsets[j], self._offsets[j + 1]
+        return dict(zip(self._rows[a:b], self._signs[a:b]))
+
+    def __iter__(self) -> Iterator[dict[int, int]]:
+        rows, signs = self._rows, self._signs
+        for a, b in pairwise(self._offsets):
+            yield dict(zip(rows[a:b], signs[a:b]))
+
+
 @dataclass
 class BoundaryMatrix:
     """Sparse incidence matrix from d-cells (columns) to (d-1)-cells (rows).
 
-    Row index -1 cells: for d = 0 there is a single augmentation row onto
-    the empty face.
+    Column j holds the rows flat[t] with the signs signs[t] for t in
+    range(offsets[j], offsets[j + 1]).  `flat` and `offsets` are the
+    table's facet index of the d-cells (`FaceTable.facet_index`), shared,
+    not copied, so the matrix adds one byte per entry.  For d = 0 there is
+    a single augmentation row onto the empty face.  `cols` reads the
+    columns as dicts, one fresh dict per read.
     """
 
     d: int
     n_rows: int
     n_cols: int
-    cols: list[dict[int, int]]
+    flat: array
+    offsets: array
+    signs: array
 
-    def entry(self, i: int, j: int) -> int:
-        return self.cols[j].get(i, 0)
+    @property
+    def cols(self) -> ColumnView:
+        return ColumnView(self.flat, self.signs, self.offsets)
 
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
+        return len(self.signs)
 
     def column_chain(self, j: int) -> ChainVector:
-        return ChainVector(self.d - 1, dict(self.cols[j]))
+        """The boundary of the j-th d-cell; j outside the cells raises
+        DimensionMismatch."""
+        if not 0 <= j < self.n_cols:
+            raise DimensionMismatch(f"column {j} is not one of the {self.n_cols} "
+                                    f"cells of dimension {self.d}")
+        a, b = self.offsets[j], self.offsets[j + 1]
+        return ChainVector(self.d - 1, dict(zip(self.flat[a:b], self.signs[a:b])))
 
 
 def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
@@ -154,24 +201,29 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     if d < 0 or d > table.n:
         raise DimensionMismatch(f"no boundary in dimension {d}")
     cells = table.faces(d)
-    n_rows = len(table.faces(d - 1))
-    if d == 0:
-        return BoundaryMatrix(d, n_rows, len(cells), [{0: 1} for _ in cells])
     flat, offsets = table.facet_index(d)
-    cols: list[dict[int, int]] = []
-    if d == 1:
-        # -1 on the frame base, the smaller vertex, and +1 on the head
-        for i in range(len(cells)):
-            base, head = flat[offsets[i]:offsets[i + 1]]
-            cols.append({base: -1, head: 1})
-        return BoundaryMatrix(d, n_rows, len(cells), cols)
-    for i, f in enumerate(cells):
-        if STAR in f:
-            signs = halfcube_signs(d, f.count(PLAIN1) % 2)
-        else:
-            signs = simplex_signs(f.translate(_MASK_PATTERN))
-        cols.append(dict(zip(flat[offsets[i]:offsets[i + 1]], signs, strict=True)))
-    return BoundaryMatrix(d, n_rows, len(cells), cols)
+    if d <= 1:
+        # +1 onto the empty face; an edge has -1 on its frame base, the
+        # smaller vertex, and +1 on its head
+        unit = array("b", [1] if d == 0 else [-1, 1])
+        signs = unit * len(cells)
+        counts = repeat(len(unit), len(cells))
+    else:
+        # one sign string per face pattern, packed as bytes
+        packed: dict[object, bytes] = {}
+        parts = []
+        for f in cells:
+            key = f.count(PLAIN1) & 1 if STAR in f else f.translate(_MASK_PATTERN)
+            b = packed.get(key)
+            if b is None:
+                s = halfcube_signs(d, key) if STAR in f else simplex_signs(key)
+                b = packed[key] = array("b", s).tobytes()
+            parts.append(b)
+        signs = array("b", b"".join(parts))
+        counts = map(len, parts)
+    if offsets != array("i", accumulate(counts, initial=0)):
+        raise ChainError(f"sign and facet counts differ in dimension {d}")
+    return BoundaryMatrix(d, len(table.faces(d - 1)), len(cells), flat, offsets, signs)
 
 
 class ChainComplex:
@@ -181,14 +233,6 @@ class ChainComplex:
     def __init__(self, table: FaceTable):
         self.table = table
         self._bmats: dict[int, BoundaryMatrix] = {}
-
-    def incidence(self, f: str, g: str) -> int:
-        """Incidence number of g in the boundary of f: 0 when g is not a
-        facet of f, otherwise +1 or -1 from the induced orientation."""
-        d = self.table.dim_of(f)
-        if self.table.dim_of(g) != d - 1:
-            raise DimensionMismatch(f"{g!r} is not one dimension below {f!r}")
-        return self.boundary(d).entry(self.table.index_of(g), self.table.index_of(f))
 
     def boundary(self, d: int) -> BoundaryMatrix:
         b = self._bmats.get(d)
@@ -207,12 +251,11 @@ class ChainComplex:
         if c.dim < 0:
             return ChainVector(c.dim - 1, {})
         b = self.boundary(c.dim)
+        flat, offsets, signs = b.flat, b.offsets, b.signs
         out: dict[int, int] = {}
+        get = out.get
         for j, lam in c.coeffs.items():
-            for i, v in b.cols[j].items():
-                w = out.get(i, 0) + lam * v
-                if w:
-                    out[i] = w
-                else:
-                    del out[i]
-        return ChainVector(c.dim - 1, out)
+            a, e = offsets[j], offsets[j + 1]
+            for i, v in zip(flat[a:e], signs[a:e]):
+                out[i] = get(i, 0) + lam * v
+        return ChainVector(c.dim - 1, out)  # which drops the zeros

@@ -32,7 +32,12 @@ On top of the matching this module builds the per-level restricted
 boundary operator between downward-matched (k+1)-cells and upward-matched
 k-cells, which is triangular with unit diagonal under a topological order
 of the induced face-ordering, and uses it to solve for chains with a
-prescribed cycle boundary by exact back-substitution.
+prescribed cycle boundary by exact back-substitution.  The operator is
+held by position (`MorseBoundary`): the cells as positions within their
+dimension, the rank of every k-cell in the order, and the columns as
+(rank, sign) arrays with offsets, read from the boundary's arrays.  The
+solver maps a cycle through the ranks and writes its result by position,
+so it builds no face string and no face -> position map.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chains import ChainComplex, ChainVector
+from .chains import ChainComplex, ChainVector, ColumnView
 from .faces import (
     EMPTY,
     STAR,
@@ -393,29 +398,64 @@ def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
 @dataclass
 class MorseBoundary:
     """Restricted boundary at level k between the downward-matched
-    (k+1)-cells and their upward-matched k-cell partners.
+    (k+1)-cells and their upward-matched k-cell partners, held as arrays
+    of positions within each dimension.
 
-    `ups` is a topological linear extension of the induced order on the
-    upward-matched cells (smaller first); `downs[i]` is the partner of
-    `ups[i]`; column j holds the incidences of downs[j] against `ups`,
-    upper triangular with diagonal entries +-1.
+    `up_ids` lists the upward-matched k-cells in a topological linear
+    extension of the induced order (smaller first), `rank[i]` is the
+    place in it of the k-cell i, or -1 when i is not upward-matched, and
+    `down_ids[r]` is the partner of `up_ids[r]`.  Column r holds the
+    incidences of down_ids[r] against the upward-matched cells, in facet
+    order: the ranks rows[t] with the signs signs[t] for t in
+    range(offsets[r], offsets[r + 1]).  It is upper triangular with
+    diagonal entries +-1.  `ups`, `downs` (face strings) and `cols`
+    (dicts rank -> sign) read the arrays, building fresh lists and dicts
+    on every read.
     """
 
     k: int
-    ups: list[str]
-    downs: list[str]
-    cols: list[dict[int, int]]
+    table: FaceTable
+    up_ids: array
+    down_ids: array
+    rank: array
+    rows: array
+    signs: array
+    offsets: array
+
+    @property
+    def ups(self) -> list[str]:
+        cells = self.table.faces(self.k)
+        return [cells[i] for i in self.up_ids]
+
+    @property
+    def downs(self) -> list[str]:
+        cells = self.table.faces(self.k + 1)
+        return [cells[j] for j in self.down_ids]
+
+    @property
+    def cols(self) -> ColumnView:
+        return ColumnView(self.rows, self.signs, self.offsets)
 
     @property
     def size(self) -> int:
-        return len(self.ups)
+        return len(self.up_ids)
 
     def diagonal(self) -> list[int]:
-        return [self.cols[j].get(j, 0) for j in range(self.size)]
+        """The entry in row r of each column r, or 0 when there is none."""
+        out = []
+        for r, (a, b) in enumerate(itertools.pairwise(self.offsets)):
+            seg = self.rows[a:b]
+            out.append(self.signs[a + seg.index(r)] if r in seg else 0)
+        return out
 
     def is_triangular(self) -> bool:
-        return all(all(i <= j for i in col) for j, col in enumerate(self.cols)) \
-            and all(v in (1, -1) for v in self.diagonal())
+        """Each column r has its entries in rows <= r, and +-1 in row r."""
+        rows, signs = self.rows, self.signs
+        for r, (a, b) in enumerate(itertools.pairwise(self.offsets)):
+            seg = rows[a:b]
+            if r not in seg or max(seg) > r or signs[a + seg.index(r)] not in (1, -1):
+                return False
+        return True
 
 
 def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
@@ -428,7 +468,7 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     a cycle in the relation raises CyclicPrec.
     """
     ups = m.up_ids(k)  # ascending positions, so lexicographic order
-    cells_k, cells_up = table.faces(k), table.faces(k + 1)
+    cells_k = table.faces(k)
     sk, sk1 = table.start(k), table.start(k + 1)
     downs = [m.mate[sk + e] - sk1 for e in ups]
     slot = array("i", [-1]) * len(cells_k)  # index in ups of a k-cell
@@ -457,20 +497,27 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     if len(order) != len(ups):
         stuck = [cells_k[e] for t, e in enumerate(ups) if indeg[t] > 0]
         raise CyclicPrec(f"induced order has a cycle through {stuck[:4]}")
+    del slot, succ, indeg  # freed before the columns are built
     rank = array("i", [-1]) * len(cells_k)  # place in the order of a k-cell
     for r, t in enumerate(order):
         rank[ups[t]] = r
+    up_ids = array("i", [ups[t] for t in order])
+    down_ids = array("i", [downs[t] for t in order])
     bmat = cx.boundary(k + 1)
-    cols: list[dict[int, int]] = []
-    for t in order:
-        col: dict[int, int] = {}
-        for i, v in bmat.cols[downs[t]].items():
+    flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
+    rows: list[int] = []
+    vals: list[int] = []
+    col_ends = []
+    for j in down_ids:
+        a, b = offsets[j], offsets[j + 1]
+        for i, v in zip(flat[a:b], signs[a:b]):
             r = rank[i]
             if r >= 0:
-                col[r] = v
-        cols.append(col)
-    mb = MorseBoundary(k, [cells_k[ups[t]] for t in order],
-                       [cells_up[downs[t]] for t in order], cols)
+                rows.append(r)
+                vals.append(v)
+        col_ends.append(len(rows))
+    mb = MorseBoundary(k, table, up_ids, down_ids, rank, array("i", rows),
+                       array("b", vals), array("i", [0, *col_ends]))
     if not mb.is_triangular():
         raise MorseError(f"level-{k} restricted boundary is not triangular")
     return mb
@@ -491,20 +538,21 @@ def solve_cycle(y: ChainVector, m: MorseMatching, table: FaceTable,
         mb = morse_boundary(m, table, y.dim, cx)
     elif mb.k != y.dim:
         raise MorseError(f"level mismatch: solver at {mb.k}, chain at {y.dim}")
-    cells_k = table.faces(y.dim)
-    pos = {e: i for i, e in enumerate(mb.ups)}
+    rank, rows, signs, offsets = mb.rank, mb.rows, mb.signs, mb.offsets
     resid = [0] * mb.size
-    for idx, c in y.coeffs.items():
-        i = pos.get(cells_k[idx])
-        if i is not None:
-            resid[i] = c
+    for i, c in y.coeffs.items():
+        r = rank[i]
+        if r >= 0:
+            resid[r] = c
     coeffs: dict[int, int] = {}
     for j in range(mb.size - 1, -1, -1):
-        diag = mb.cols[j][j]
-        nu = resid[j] * diag  # diag is +-1, so this is exact division
-        if nu:
-            coeffs[table.index_of(mb.downs[j])] = nu
-            for i, v in mb.cols[j].items():
+        x = resid[j]
+        if x:
+            a, b = offsets[j], offsets[j + 1]
+            seg = rows[a:b]
+            nu = x * signs[a + seg.index(j)]  # the diagonal is +-1: exact division
+            coeffs[mb.down_ids[j]] = nu
+            for i, v in zip(seg, signs[a:b]):
                 resid[i] -= nu * v
     out = ChainVector(y.dim + 1, coeffs)
     if cx.apply(out) != y:

@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .chains import ChainComplex
-from .faces import EMPTY, FaceSubset, FaceTable
+from .faces import FaceSubset, FaceTable
 
 
 class OracleError(Exception):
@@ -209,7 +209,7 @@ def check_closed(subset, table: FaceTable) -> FaceSubset:
             if f not in table:
                 raise NotClosed(f"{f!r} is not a face of the table")
     sub = FaceSubset.of(table, subset)
-    if 1 in sub.mask(0) and EMPTY not in sub:
+    if 1 in sub.mask(0) and 1 not in sub.mask(-1):
         raise NotClosed("reduced homology needs the empty face in the subset")
     gap = sub.missing_facet()
     if gap is not None:
@@ -232,9 +232,11 @@ def restricted_boundary(sub, table: FaceTable, d: int,
         return len(row_ids), 0, {}
     row_pos = {i: r for r, i in enumerate(row_ids)}
     bmat = cx.boundary(d)
+    flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
     entries: dict[tuple[int, int], int] = {}
     for j, c in enumerate(cols):
-        for i, v in bmat.cols[c].items():
+        a, b = offsets[c], offsets[c + 1]
+        for i, v in zip(flat[a:b], signs[a:b]):
             entries[(row_pos[i], j)] = v
     return len(row_ids), len(cols), entries
 

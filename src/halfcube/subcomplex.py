@@ -145,17 +145,16 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
                           [e[0] for e in external])
 
 
+def _is_basis_face(f: str) -> bool:
+    """A half-cube face with no '1' strictly right of its rightmost '*'."""
+    return STAR in f and PLAIN1 not in f[f.rfind(STAR) + 1:]
+
+
 def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:
     """The k-dimensional half-cube faces with no '1' strictly right of the
     rightmost '*', in lexicographic order."""
     _check_range(n, table, k)
-    out = []
-    for f in table.faces(k):
-        if STAR not in f:
-            continue
-        if PLAIN1 not in f[f.rfind(STAR) + 1:]:
-            out.append(f)
-    return out
+    return [f for f in table.faces(k) if _is_basis_face(f)]
 
 
 @dataclass
@@ -177,19 +176,23 @@ class HomologyBasis:
 
 def homology_basis(n: int, k: int, table: FaceTable,
                    cx: ChainComplex) -> HomologyBasis:
-    """Boundary chains of the basis faces, each checked to be a cycle
-    supported inside the subcomplex."""
-    bfaces = basis_faces(n, k, table)  # checks n and k
+    """Boundary chains of the basis faces (those `basis_faces` lists, found
+    by position), each checked to be a cycle supported inside the
+    subcomplex."""
+    _check_range(n, table, k)
     kept = subcomplex_faces(n, k, table).mask(k - 1)
     bmat = cx.boundary(k)
     cells = table.faces(k - 1)
-    chains = []
-    for b in bfaces:
-        ch = bmat.column_chain(table.index_of(b))
+    bfaces, chains = [], []
+    for j, b in enumerate(table.faces(k)):
+        if not _is_basis_face(b):
+            continue
+        ch = bmat.column_chain(j)
         for i in ch.coeffs:
             if not kept[i]:
                 raise SupportLeak(f"boundary of {b!r} touches {cells[i]!r}")
         if not cx.apply(ch).is_zero():
             raise SubcomplexError(f"boundary of {b!r} is not a cycle")
+        bfaces.append(b)
         chains.append(ch)
     return HomologyBasis(n, k, bfaces, chains)

@@ -11,7 +11,10 @@ exact rank; vertex sums enumerate every vertex.  `boundary_matrix` builds
 determinant of the Gram matrix of f's frame against the outward direction
 nf*ng * (centroid(g) - centroid(f)) followed by g's frame, and a zero
 determinant raises.  Tests require the package's closed-form sign rule to
-give bit-identical matrices.
+give bit-identical matrices.  `boundary_from_cols` and
+`morse_boundary_with_cols` pack column dicts into the package's arrays,
+for the reference and for planted sign defects; `entry` and `incidence`
+read one entry of a boundary by position or by face text.
 
 `enumerate_cells` lists the faces of each dimension by (odd point, mask)
 and (fixed digits, star mask) iteration, with edge canonicalisation, set
@@ -36,6 +39,9 @@ and `up_cells` lists the upward-matched k-cells.
 `validate_matching`, `verify_acyclic` and `morse_boundary` work on
 string-keyed partner and rule mappings and string-keyed digraphs, as the
 package did before it held the matching as arrays of table positions.
+`solve_cycle` back-substitutes over `morse_boundary`'s string-keyed
+columns, as the package did before it held the restricted boundary as
+arrays of positions.
 `add_scaled` is the linear combination of two chains.
 
 `sparse_snf` is the Smith normal form elimination that rescans every entry
@@ -52,7 +58,13 @@ from math import gcd
 
 import heapq
 
-from halfcube.chains import BoundaryMatrix, ChainComplex, ChainError, ChainVector
+from halfcube.chains import (
+    BoundaryMatrix,
+    ChainComplex,
+    ChainError,
+    ChainVector,
+    DimensionMismatch,
+)
 from halfcube.faces import (
     EMPTY,
     PLAIN0,
@@ -70,6 +82,7 @@ from halfcube.faces import (
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
+    MorseBoundary,
     MorseError,
     MorseMatching,
     NotCodimOne,
@@ -300,10 +313,48 @@ def facet_incidence(f: str, g: str) -> int:
 
 def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     """`∂_d` of the full complex, one reference incidence per facet."""
-    cells = table.faces(d)
     cols = [{table.index_of(g): facet_incidence(f, g) for g in facets(f)}
-            for f in cells]
-    return BoundaryMatrix(d, len(table.faces(d - 1)), len(cells), cols)
+            for f in table.faces(d)]
+    return boundary_from_cols(d, len(table.faces(d - 1)), cols)
+
+
+def column_arrays(cols) -> tuple[array, array, array]:
+    """(rows, signs, offsets) holding the column dicts `cols` in their
+    insertion order, as `BoundaryMatrix` and `MorseBoundary` store them."""
+    rows, signs, offsets = array("i"), array("b"), array("i", [0])
+    for c in cols:
+        rows.extend(c)
+        signs.extend(c.values())
+        offsets.append(len(rows))
+    return rows, signs, offsets
+
+
+def boundary_from_cols(d: int, n_rows: int, cols) -> BoundaryMatrix:
+    """A boundary matrix with the given column dicts."""
+    rows, signs, offsets = column_arrays(cols)
+    return BoundaryMatrix(d, n_rows, len(cols), rows, offsets, signs)
+
+
+def morse_boundary_with_cols(mb: MorseBoundary, cols) -> MorseBoundary:
+    """mb with its columns replaced by the given dicts."""
+    rows, signs, offsets = column_arrays(cols)
+    return MorseBoundary(mb.k, mb.table, mb.up_ids, mb.down_ids, mb.rank,
+                         rows, signs, offsets)
+
+
+def entry(b: BoundaryMatrix, i: int, j: int) -> int:
+    """Entry (i, j) of a boundary matrix: 0 off its support."""
+    return b.cols[j].get(i, 0)
+
+
+def incidence(cx: ChainComplex, f: str, g: str) -> int:
+    """Incidence number of g in the boundary of f: 0 when g is not a
+    facet of f, otherwise +1 or -1 from the induced orientation."""
+    table = cx.table
+    d = table.dim_of(f)
+    if table.dim_of(g) != d - 1:
+        raise DimensionMismatch(f"{g!r} is not one dimension below {f!r}")
+    return entry(cx.boundary(d), table.index_of(g), table.index_of(f))
 
 
 def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, int, int]]:
@@ -660,6 +711,29 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int, cx: ChainComplex)
              for i, v in cx.boundary(k + 1).cols[table.index_of(d)].items()
              if cells_k[i] in upset} for d in downs]
     return order, downs, cols, prec
+
+
+def solve_cycle(y: ChainVector, table: FaceTable, ref_mb) -> ChainVector:
+    """The chain on the downward-matched cells whose boundary is the cycle
+    y, by back-substitution over `morse_boundary`'s output `ref_mb`: a
+    string dict of the upward-matched cells, and each face found by
+    `index_of`."""
+    ups, downs, cols, _ = ref_mb
+    cells_k = table.faces(y.dim)
+    pos = {e: i for i, e in enumerate(ups)}
+    resid = [0] * len(ups)
+    for idx, c in y.coeffs.items():
+        i = pos.get(cells_k[idx])
+        if i is not None:
+            resid[i] = c
+    coeffs: dict[int, int] = {}
+    for j in range(len(ups) - 1, -1, -1):
+        nu = resid[j] * cols[j][j]
+        if nu:
+            coeffs[table.index_of(downs[j])] = nu
+            for i, v in cols[j].items():
+                resid[i] -= nu * v
+    return ChainVector(y.dim + 1, coeffs)
 
 
 def add_scaled(a: ChainVector, b: ChainVector, scale: int = 1) -> ChainVector:

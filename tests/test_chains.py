@@ -1,21 +1,25 @@
+import tracemalloc
+
 import pytest
 
 import reference
-from halfcube import faces
+from halfcube import chains, faces
 from halfcube.chains import (
-    BoundaryMatrix,
+    ChainComplex,
     ChainVector,
     ChainError,
     DimensionMismatch,
     boundary_matrix,
     halfcube_epsilon,
 )
-from halfcube.morse import solve_cycle
+from halfcube.morse import morse_boundary, solve_cycle
 from halfcube.snf import class_independence
 from halfcube.subcomplex import subcomplex_faces
 from reference import (
     add_scaled,
+    boundary_from_cols,
     det_sign,
+    incidence,
     int_rank,
     orientation_frame,
     square_defects,
@@ -153,32 +157,32 @@ class TestClosedForms:
 
 class TestIncidence:
     def test_vertex_empty(self, complexes):
-        assert complexes(7).incidence("1110100", faces.EMPTY) == 1
+        assert incidence(complexes(7), "1110100", faces.EMPTY) == 1
 
     def test_edge_vertex_signs(self, complexes):
         e = "I1O0100"
-        assert complexes(7).incidence(e, "0100100") == -1  # base vertex
-        assert complexes(7).incidence(e, "1110100") == 1   # head vertex
+        assert incidence(complexes(7), e, "0100100") == -1  # base vertex
+        assert incidence(complexes(7), e, "1110100") == 1   # head vertex
 
     def test_non_incident_zero(self, complexes):
         tri = "0I1I10I"
         other = "I1O0100"  # a valid edge that is not a facet of tri
         assert other not in reference.facets(tri)
-        assert complexes(7).incidence(tri, other) == 0
+        assert incidence(complexes(7), tri, other) == 0
 
     def test_dimension_mismatch(self, complexes):
         with pytest.raises(DimensionMismatch):
-            complexes(7).incidence("0I1I10I", "0100100")
+            incidence(complexes(7), "0I1I10I", "0100100")
 
     def test_dimension_mismatch_above(self, complexes):
         # a face one dimension above is no facet either
         with pytest.raises(DimensionMismatch):
-            complexes(7).incidence("I1O0100", "0I1I10I")
+            incidence(complexes(7), "I1O0100", "0I1I10I")
 
     def test_all_pm_one_on_facets(self, complexes):
         f = "***00"
         for g in reference.facets(f):
-            assert complexes(5).incidence(f, g) in (1, -1)
+            assert incidence(complexes(5), f, g) in (1, -1)
 
 
 class TestBoundaryMatrix:
@@ -207,10 +211,10 @@ class TestBoundaryMatrix:
     def test_flipped_sign_breaks_chain_condition(self, complexes, d):
         cx = complexes(5)
         b = cx.boundary(d)
-        cols = [dict(c) for c in b.cols]
+        cols = list(b.cols)
         i = next(iter(cols[0]))
         cols[0][i] = -cols[0][i]
-        planted = BoundaryMatrix(d, b.n_rows, b.n_cols, cols)
+        planted = boundary_from_cols(d, b.n_rows, cols)
         assert square_defects(planted, cx.boundary(d - 1))
 
     def test_chain_condition_pins_sigma_and_reference_pins_epsilon(self, tables, complexes):
@@ -223,21 +227,21 @@ class TestBoundaryMatrix:
                    if faces.STAR in f and f.count(faces.PLAIN1) % 2}
         assert len(flipped) == 6
         b5, b6 = cx.boundary(5), cx.boundary(6)
-        p5 = BoundaryMatrix(5, b5.n_rows, b5.n_cols,
-                            [{i: -v for i, v in c.items()} if j in flipped else dict(c)
-                             for j, c in enumerate(b5.cols)])
-        p6 = BoundaryMatrix(6, b6.n_rows, b6.n_cols,
-                            [{i: -v if i in flipped else v for i, v in c.items()}
-                             for c in b6.cols])
+        cols5 = [{i: -v for i, v in c.items()} if j in flipped else c
+                 for j, c in enumerate(b5.cols)]
+        p5 = boundary_from_cols(5, b5.n_rows, cols5)
+        p6 = boundary_from_cols(6, b6.n_rows,
+                                [{i: -v if i in flipped else v for i, v in c.items()}
+                                 for c in b6.cols])
         assert not square_defects(p5, cx.boundary(4))
         assert not square_defects(p6, p5)
-        assert p5.cols != reference.boundary_matrix(t, 5).cols
-        assert p6.cols != reference.boundary_matrix(t, 6).cols
+        assert list(p5.cols) != list(reference.boundary_matrix(t, 5).cols)
+        assert list(p6.cols) != list(reference.boundary_matrix(t, 6).cols)
         # flipping σ on a single entry breaks ∂∂ = 0
         j = min(flipped)
-        i = next(iter(p5.cols[j]))
-        p5.cols[j][i] = -p5.cols[j][i]
-        assert square_defects(p5, cx.boundary(4))
+        i = next(iter(cols5[j]))
+        cols5[j][i] = -cols5[j][i]
+        assert square_defects(boundary_from_cols(5, b5.n_rows, cols5), cx.boundary(4))
 
     def test_column_support_is_facet_list(self, tables, complexes):
         t, cx = tables(4), complexes(4)
@@ -248,12 +252,28 @@ class TestBoundaryMatrix:
                 assert set(b.cols[j]) == want
                 assert all(v in (1, -1) for v in b.cols[j].values())
 
+    @pytest.mark.parametrize("j", [-1, "n_cols"])
+    def test_column_chain_outside_the_cells_raises(self, complexes, j):
+        # index -1 would read the last column and n_cols no column at all
+        b = complexes(5).boundary(3)
+        j = b.n_cols if j == "n_cols" else j
+        msg = f"column {j} is not one of the {b.n_cols} cells of dimension 3"
+        with pytest.raises(DimensionMismatch, match=msg):
+            b.column_chain(j)
+        assert b.column_chain(b.n_cols - 1).coeffs == b.cols[b.n_cols - 1]
+
+    def test_sign_and_facet_counts_must_agree(self, tables, monkeypatch):
+        # a simplex face with m underlines has m facets; one sign short
+        monkeypatch.setattr(chains, "simplex_signs", lambda p: (1,) * (len(p) - 1))
+        with pytest.raises(ChainError, match="counts differ in dimension 3"):
+            boundary_matrix(tables(5), 3)
+
     def test_determinism(self, tables):
         t = tables(4)
         for d in range(0, 5):
             a = boundary_matrix(t, d)
             b = boundary_matrix(t, d)
-            assert a.cols == b.cols
+            assert list(a.cols) == list(b.cols)
 
 
 
@@ -305,3 +325,45 @@ class TestApplyBoundary:
         lhs = cx.apply(add_scaled(a, b, 3))
         rhs = add_scaled(cx.apply(a), cx.apply(b), 3)
         assert lhs == rhs
+
+
+class TestStorage:
+    """`∂_d` stores one sign byte per entry beside the facet index."""
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_boundaries_share_the_facet_index(self, tables, complexes, n):
+        t, cx = tables(n), complexes(n)
+        for d in range(n + 1):
+            b = cx.boundary(d)
+            flat, offsets = t.facet_index(d)
+            assert b.flat is flat and b.offsets is offsets, d
+            assert len(b.signs) == len(flat) == b.nnz(), d
+
+    def test_views_cache_nothing(self, tables, matchings, complexes):
+        # every read builds a fresh dict or list, so no read keeps one alive
+        b = complexes(5).boundary(3)
+        assert b.cols[0] == b.cols[0] and b.cols[0] is not b.cols[0]
+        mb = morse_boundary(matchings(5), tables(5), 2, complexes(5))
+        for view in ("ups", "downs"):
+            assert getattr(mb, view) is not getattr(mb, view)
+            assert type(getattr(mb, view)) is list
+        assert mb.cols[0] is not mb.cols[0]
+        assert vars(b).keys() == {"d", "n_rows", "n_cols", "flat", "offsets", "signs"}
+        assert vars(mb).keys() == {"k", "table", "up_ids", "down_ids", "rank",
+                                   "rows", "signs", "offsets"}
+
+    def test_boundaries_add_under_two_bytes_per_entry(self, tables):
+        # the column dicts they replace took about 85 bytes per entry
+        t = tables(7)
+        for d in range(8):
+            t.facet_index(d)
+            boundary_matrix(t, d)  # fills the per-pattern sign caches
+        tracemalloc.start()
+        try:
+            cx = ChainComplex(t)
+            nnz = sum(cx.boundary(d).nnz() for d in range(8))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert nnz == 36542
+        assert held < 2 * nnz

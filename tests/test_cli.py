@@ -402,9 +402,14 @@ class TestPositionMap:
         assert code == 0 and lines[-1].startswith("RESULT pass")
         assert built == []
 
-    def test_basis_builds_it(self, capsys, built):
-        code, _ = run(capsys, "--n", "5", "--k", "3", "basis")
-        assert code == 0 and built == [5]
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--k", "3", "basis"],
+        ["--n", "5", "--k", "3", "basis", "--certify"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_basis_commands_do_not_build_it(self, capsys, built, argv):
+        code, lines = run(capsys, *argv)
+        assert code == 0 and lines[-1].startswith("RESULT pass")
+        assert built == []
 
 
 class TestOutPath:

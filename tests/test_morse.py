@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from array import array
 
 import pytest
@@ -12,7 +13,6 @@ from halfcube.faces import EMPTY, FaceTable, Kind, classify
 from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
-    MorseBoundary,
     MorseError,
     NotACycle,
     NotCodimOne,
@@ -455,11 +455,53 @@ class TestMorseBoundary:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_equals_string_reference(self, tables, matchings, complexes, n):
+        # the positions read as the reference's strings and dicts, and the
+        # solver agrees with the string-keyed back-substitution
         t, m, cx = tables(n), matchings(n), complexes(n)
+        rng = random.Random(n)
         for k in range(n):
             mb = morse_boundary(m, t, k, cx)
-            ups, downs, cols, _ = reference.morse_boundary(m, t, k, cx)
-            assert (mb.ups, mb.downs, mb.cols) == (ups, downs, cols), (n, k)
+            ref = reference.morse_boundary(m, t, k, cx)
+            assert (mb.ups, mb.downs, list(mb.cols)) == ref[:3], (n, k)
+            assert [mb.rank[i] for i in mb.up_ids] == list(range(mb.size))
+            assert mb.rank.count(-1) == len(t.faces(k)) - mb.size
+            cells = len(t.faces(k + 1))
+            for _ in range(5):
+                y = cx.apply(ChainVector(k + 1, {rng.randrange(cells): rng.randint(-3, 3)
+                                                 for _ in range(rng.randint(1, 4))}))
+                want = reference.solve_cycle(y, t, ref)
+                got = solve_cycle(y, m, t, cx, mb)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (n, k)
+
+    def test_planted_defects_break_triangularity(self, tables, matchings, complexes):
+        mb = morse_boundary(matchings(5), tables(5), 2, complexes(5))
+        j = mb.size // 2
+        below, doubled, dropped = list(mb.cols), list(mb.cols), list(mb.cols)
+        below[j][j + 1] = 1  # an entry under the diagonal
+        doubled[j][j] = 2 * doubled[j][j]
+        del dropped[j][j]
+        assert mb.is_triangular()
+        for cols in (below, doubled, dropped):
+            bad = reference.morse_boundary_with_cols(mb, cols)
+            assert not bad.is_triangular()
+        assert reference.morse_boundary_with_cols(mb, doubled).diagonal()[j] in (2, -2)
+        assert reference.morse_boundary_with_cols(mb, dropped).diagonal()[j] == 0
+
+    def test_storage_under_24_bytes_per_entry(self, tables, matchings, complexes):
+        # arrays of positions and ranks; the column dicts and string lists
+        # they replace took about 165 bytes per entry at n=7
+        t, m, cx = tables(7), matchings(7), complexes(7)
+        for d in range(8):
+            cx.boundary(d)
+        tracemalloc.start()
+        try:
+            mbs = [morse_boundary(m, t, k, cx) for k in range(7)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = sum(len(mb.rows) for mb in mbs)
+        assert entries == 7155
+        assert held < 24 * entries
 
 
 class TestSolveCycle:
@@ -503,10 +545,10 @@ class TestSolveCycle:
         t, m, cx = tables(5), matchings(5), complexes(5)
         mb = morse_boundary(m, t, 2, cx)
         j = mb.size // 2
-        cols = [dict(c) for c in mb.cols]
+        cols = list(mb.cols)
         cols[j][j] = -cols[j][j]
-        bad = MorseBoundary(mb.k, mb.ups, mb.downs, cols)
-        y = cx.apply(ChainVector(3, {t.index_of(mb.downs[j]): 1}))
+        bad = reference.morse_boundary_with_cols(mb, cols)
+        y = cx.apply(ChainVector(3, {mb.down_ids[j]: 1}))
         assert cx.apply(solve_cycle(y, m, t, cx, mb)) == y
         with pytest.raises(ResidualNonzero):
             solve_cycle(y, m, t, cx, bad)

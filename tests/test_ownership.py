@@ -51,11 +51,14 @@ def test_no_determinant_in_the_package():
 def test_no_test_only_code_in_the_package():
     # the text parsers `facets` and `vertices_of`, the statistic
     # `total_and_u`, the text-rewriting matcher's helpers and the planted
-    # matchings' `from_pairs`/`up_cells` are references for the tests; the
-    # oracle computes reduced homology only and dumps no report or
-    # boundary matrix
+    # matchings' `from_pairs`/`up_cells` are references for the tests, and
+    # so are the planted boundaries' column-dict builders; the oracle
+    # computes reduced homology only and dumps no report or boundary
+    # matrix
     moved = ("facets", "vertices_of", "total_and_u", "report_json",
-             "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells")
+             "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells",
+             "boundary_from_cols", "morse_boundary_with_cols", "column_arrays",
+             "incidence", "entry")
     holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
                for name in moved if hasattr(m, name)]
     definitions = sorted(p.name for p in SRC.glob("*.py")
@@ -65,6 +68,9 @@ def test_no_test_only_code_in_the_package():
                if "reduced" in inspect.signature(fn).parameters]
     assert holders == [] and definitions == [] and reduced == []
     assert not hasattr(halfcube.BoundaryMatrix, "jsonl_lines")
+    # single-entry reads by position or face text, for the tests alone
+    assert not hasattr(halfcube.BoundaryMatrix, "entry")
+    assert not hasattr(halfcube.ChainComplex, "incidence")
     assert not any(hasattr(halfcube.MorseMatching, name)
                    for name in ("from_pairs", "up_cells"))
     assert not hasattr(halfcube.faces, "mask")  # FaceSubset.mask(d) stays
