@@ -56,7 +56,6 @@ from .snf import (
     class_independence,
     homology,
     homology_report,
-    smith_normal_form,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from . import faces, morse, snf
 from . import subcomplex as subc
 from .chains import ChainComplex, ChainError
 
-ORACLE_N_CAP = 8  # SNF cost grows quickly; require --force beyond this
+ORACLE_N_CAP = 9  # SNF cost grows quickly; require --force beyond this
 
 # the library's own errors; every command reports them as a failed RESULT
 # line instead of a traceback

@@ -12,10 +12,38 @@ the smallest (row, col).  Candidates come from a lazily invalidated heap
 with one record per value written, so a pivot costs a few heap operations
 instead of a scan of every entry.  The pivot order decides only the work,
 never the result: invariant factors are unique.
+
+Before any elimination the subset's cells are paired off by two moves
+(Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004, ch. 3-4;
+Mrozek & Batko, *Coreduction homology algorithm*, 2009).  A coreduction
+takes a cell b whose one remaining facet a has incidence +-1; a free-face
+collapse takes a cell a whose one remaining coface b holds it with
+incidence +-1.  Either move removes the pair (a, b), b of dimension d,
+and both are exact over the integers.  The unit is alone in its column
+(coreduction) or row (collapse) of the d-th map, so unimodular column or
+row operations clear the rest of its row or column: SNF(d-th map) is (1)
+joined to the SNF of that map without row a and column b.  By ∂∂ = 0,
+b's row of the (d+1)-th map is then a combination of the other rows
+(coreduction) or zero (collapse), and a's column of the (d-1)-th map is
+zero (coreduction) or a combination of the other columns (collapse), so
+dropping them changes no invariant factor, and the cells left, with
+their boundaries restricted to each other, still form a chain complex.
+So for every d, the SNF of the d-th map is one unit per pair with b of
+dimension d followed by the SNF of the d-th map restricted to the cells
+left.  Entries other than +-1 are never paired, so torsion always
+reaches the elimination.  The moves read only the subset's masks and the
+boundary arrays, never the matching, so the oracle stays independent of
+it.  Every C_{n,k} and full complex up to n=9 pairs off down to its basis
+cells, leaving the elimination empty matrices; the certificate's stacked
+matrix, whose cycle columns the reduction does not carry, is still
+eliminated whole.
 """
 
 from __future__ import annotations
 
+import itertools
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -185,22 +213,6 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
     return SNFResult(_divisibility_chain(pivots), n_rows, n_cols)
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form of an integer matrix.
-
-    Accepts a dense list of rows or a tuple (n_rows, n_cols, entries) with
-    `entries` a {(row, col): value} map.
-    """
-    if isinstance(matrix, tuple):
-        n_rows, n_cols, entries = matrix
-        return _sparse_snf(n_rows, n_cols, dict(entries))
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if matrix else 0
-    entries = {(r, c): v
-               for r, row in enumerate(matrix) for c, v in enumerate(row) if v}
-    return _sparse_snf(n_rows, n_cols, entries)
-
-
 def check_closed(subset, table: FaceTable) -> FaceSubset:
     """Validate facet closure of a face subset and return it as a
     FaceSubset; the empty face must be present under any vertex."""
@@ -220,25 +232,117 @@ def check_closed(subset, table: FaceTable) -> FaceSubset:
 
 def restricted_boundary(sub, table: FaceTable, d: int,
                         cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int]]:
-    """Boundary matrix of the subcomplex in dimension d with local indices,
+    """Boundary matrix of the face set in dimension d with local indices,
     as (n_rows, n_cols, entries); rows and columns follow the table
-    order."""
+    order, and incidences onto cells outside the set are left out."""
     sub = FaceSubset.of(table, sub)
     cols = sub.indices(d)
-    if d == 0:
-        return 1, len(cols), {(0, j): 1 for j in range(len(cols))}
     row_ids = sub.indices(d - 1)
     if not cols:
         return len(row_ids), 0, {}
-    row_pos = {i: r for r, i in enumerate(row_ids)}
+    row_pos = dict(zip(row_ids, itertools.count()))
     bmat = cx.boundary(d)
     flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
     entries: dict[tuple[int, int], int] = {}
     for j, c in enumerate(cols):
         a, b = offsets[c], offsets[c + 1]
         for i, v in zip(flat[a:b], signs[a:b]):
-            entries[(row_pos[i], j)] = v
+            r = row_pos.get(i)
+            if r is not None:
+                entries[(r, j)] = v
     return len(row_ids), len(cols), entries
+
+
+class _Reduction:
+    """A facet-closed subset cut down by coreductions and free-face
+    collapses (module docstring).
+
+    `top` is the highest dimension of a cell in the subset (-1 when it
+    has none), `left` holds the cells no move paired, as a FaceSubset, and
+    `pairs[d]` the number of pairs whose upper cell has dimension d."""
+
+    def __init__(self, sub: FaceSubset, table: FaceTable, cx: ChainComplex):
+        self.sub, self.table, self.cx = sub, table, cx
+        self.top = top = max((d for d, m in sub.masks.items() if 1 in m),
+                             default=-1)
+        dims = range(-1, top + 1)
+        size = table.start(top + 1)
+        alive = bytearray().join(sub.mask(d) or bytes(len(table.faces(d)))
+                                 for d in dims)
+        # the facets of the cell at table position g are the positions
+        # flat[t] with incidences signs[t] for offsets[g] <= t < offsets[g + 1];
+        # the empty face has none
+        flat, signs = array("i"), array("b")
+        offsets = array("i", [0] * (table.start(0) + 1))
+        for d in range(0, top + 1):
+            bmat = cx.boundary(d)
+            offsets.extend(map(len(flat).__add__, bmat.offsets[1:]))
+            flat.extend(map(table.start(d - 1).__add__, bmat.flat))
+            signs.extend(bmat.signs)
+        n_facets = [b - a if on else 0
+                    for a, b, on in zip(offsets, offsets[1:], alive)]
+        cofaces: list[list[int]] = [[] for _ in range(size)]
+        for g in itertools.compress(range(size), alive):
+            for f in flat[offsets[g]:offsets[g + 1]]:
+                cofaces[f].append(g)
+        n_cofaces = list(map(len, cofaces))
+
+        # seeded from the top cell down and served first in, first out:
+        # every C_{n,k} and the full complex then pair off completely up
+        # to n=9, while a last-in queue leaves thousands of cells at n=8
+        # and a bottom-up seed leaves a few in the full complex at n=7
+        queue = deque(g for g in reversed(range(size)) if alive[g]
+                      if n_facets[g] == 1 or n_cofaces[g] == 1)
+        while queue:
+            g = queue.popleft()
+            if not alive[g]:
+                continue
+            pair = None
+            if n_facets[g] == 1:  # coreduction: g's one facet left
+                t = next(t for t in range(offsets[g], offsets[g + 1])
+                         if alive[flat[t]])
+                if signs[t] == 1 or signs[t] == -1:
+                    pair = flat[t], g
+            if pair is None and n_cofaces[g] == 1:  # g is a free face
+                up = next(c for c in cofaces[g] if alive[c])
+                t = next(t for t in range(offsets[up], offsets[up + 1])
+                         if flat[t] == g)
+                if signs[t] == 1 or signs[t] == -1:
+                    pair = g, up
+            if pair is None:
+                continue
+            for cell in pair:
+                alive[cell] = 0
+                for t in range(offsets[cell], offsets[cell + 1]):
+                    f = flat[t]
+                    if alive[f]:
+                        n_cofaces[f] -= 1
+                        if n_cofaces[f] == 1:
+                            queue.append(f)
+                for c in cofaces[cell]:
+                    if alive[c]:
+                        n_facets[c] -= 1
+                        if n_facets[c] == 1:
+                            queue.append(c)
+
+        masks = dict(sub.masks)
+        for d in dims:
+            masks[d] = alive[table.start(d):table.start(d + 1)]
+        self.left = FaceSubset(table, masks)
+        # a d-cell leaves as the upper cell of a d-pair or the lower cell
+        # of a (d+1)-pair, and the empty face only as a lower cell
+        self.pairs = [0] * (top + 2)
+        for d in dims:
+            gone = sub.mask(d).count(1) - masks[d].count(1)
+            self.pairs[d + 1] = gone - (self.pairs[d] if d >= 0 else 0)
+
+    def snf(self, d: int) -> SNFResult:
+        """Smith normal form of the subset's d-th boundary map: one unit
+        factor per d-pair, then the factors of what is left of the map."""
+        rest = _sparse_snf(*restricted_boundary(self.left, self.table, d, self.cx))
+        pairs = self.pairs[d] if d < len(self.pairs) else 0
+        return SNFResult((1,) * pairs + rest.factors,
+                         self.sub.mask(d - 1).count(1), self.sub.mask(d).count(1))
 
 
 def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
@@ -254,23 +358,22 @@ def homology(subset, table: FaceTable, degree: int, cx: ChainComplex) -> dict:
     """Reduced Betti number and torsion coefficients of a facet-closed
     subset in one degree."""
     sub = check_closed(subset, table)
-    return _degree_homology(
-        sub, degree, _sparse_snf(*restricted_boundary(sub, table, degree, cx)),
-        _sparse_snf(*restricted_boundary(sub, table, degree + 1, cx)))
+    red = _Reduction(sub, table, cx)
+    return _degree_homology(sub, degree, red.snf(degree), red.snf(degree + 1))
 
 
 def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
     """Per-degree reduced Betti numbers and torsion for a face subset.
 
-    The subset is checked once and each boundary map factored once: the
-    map out of degree d serves degree d (its kernel) and d-1 (its image)."""
+    The subset is checked and reduced once and each boundary map factored
+    once: the map out of degree d serves degree d (its kernel) and d-1
+    (its image)."""
     sub = check_closed(subset, table)
-    top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
+    red = _Reduction(sub, table, cx)
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
-    snfs = [_sparse_snf(*restricted_boundary(sub, table, d, cx))
-            for d in range(0, top + 2)]
-    for d in range(0, top + 1):
+    snfs = [red.snf(d) for d in range(0, red.top + 2)]
+    for d in range(0, red.top + 1):
         h = _degree_homology(sub, d, snfs[d], snfs[d + 1])
         betti[d] = h["betti"]
         if h["torsion"]:
@@ -316,19 +419,16 @@ def class_independence(cycles, subset, table: FaceTable,
             if i not in row_pos:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
 
-    # _sparse_snf does not modify its entries, so the cycle columns are
-    # added to the boundary entries in place, and they are dropped before
-    # the next elimination
+    # the two ranks come from the reduced subset; the stack is eliminated
+    # whole, since its cycle columns are not carried through the reduction
+    red = _Reduction(sub, table, cx)
+    rank_b = red.snf(degree + 1).rank
+    kernel_rank = len(row_ids) - red.snf(degree).rank
     rb, cb, stacked = restricted_boundary(sub, table, degree + 1, cx)
-    rank_b = _sparse_snf(rb, cb, stacked).rank
     for j, ch in enumerate(cycles):
         for i, v in ch.coeffs.items():
             stacked[(row_pos[i], cb + j)] = v
     snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
-    del stacked
-
-    kernel_rank = len(row_ids) - _sparse_snf(
-        *restricted_boundary(sub, table, degree, cx)).rank
 
     independent = snf_stack.rank == rank_b + len(cycles)
     generating = (snf_stack.rank == kernel_rank

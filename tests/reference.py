@@ -47,7 +47,14 @@ arrays of positions.
 `sparse_snf` is the Smith normal form elimination that rescans every entry
 to choose each pivot, with the quadratic gcd/lcm fix-up of the pivots
 (`divisibility_chain`); the package's heap-driven `_sparse_snf` must return
-the same `SNFResult`.
+the same `SNFResult`.  `smith_normal_form` reads a dense list of rows or a
+sparse (n_rows, n_cols, entries) triple into `_sparse_snf`.
+
+`restricted_boundary`, `homology`, `homology_report` and
+`class_independence` factor every restricted boundary map of a
+facet-closed subset whole, as the package did before it paired cells by
+coreductions and free-face collapses ahead of the elimination; the
+package must give equal reports and verdicts.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ from halfcube.faces import (
     UND0,
     UND1,
     FaceError,
+    FaceSubset,
     FaceTable,
     Kind,
     UNDERLINED,
@@ -88,7 +96,13 @@ from halfcube.morse import (
     NotCodimOne,
     Unpaired,
 )
-from halfcube.snf import SNFResult
+from halfcube.snf import (
+    IndependenceVerdict,
+    NotCycles,
+    SNFResult,
+    _sparse_snf,
+    check_closed,
+)
 from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
 
 
@@ -833,3 +847,108 @@ def sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) ->
         del rows[r]
         colrows[c].discard(r)
     return SNFResult(divisibility_chain(pivots), n_rows, n_cols)
+
+
+def smith_normal_form(matrix) -> SNFResult:
+    """Smith normal form of an integer matrix, given as a dense list of
+    rows or as (n_rows, n_cols, entries) with `entries` a {(row, col):
+    value} map."""
+    if isinstance(matrix, tuple):
+        n_rows, n_cols, entries = matrix
+        return _sparse_snf(n_rows, n_cols, dict(entries))
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if matrix else 0
+    entries = {(r, c): v
+               for r, row in enumerate(matrix) for c, v in enumerate(row) if v}
+    return _sparse_snf(n_rows, n_cols, entries)
+
+
+def restricted_boundary(sub, table: FaceTable, d: int,
+                        cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int]]:
+    """Boundary matrix of a facet-closed subset in dimension d with local
+    indices; every facet of a column must be in the subset."""
+    sub = FaceSubset.of(table, sub)
+    cols = sub.indices(d)
+    if d == 0:
+        return 1, len(cols), {(0, j): 1 for j in range(len(cols))}
+    row_ids = sub.indices(d - 1)
+    if not cols:
+        return len(row_ids), 0, {}
+    row_pos = {i: r for r, i in enumerate(row_ids)}
+    bmat = cx.boundary(d)
+    flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
+    entries: dict[tuple[int, int], int] = {}
+    for j, c in enumerate(cols):
+        a, b = offsets[c], offsets[c + 1]
+        for i, v in zip(flat[a:b], signs[a:b]):
+            entries[(row_pos[i], j)] = v
+    return len(row_ids), len(cols), entries
+
+
+def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
+                     snf_next: SNFResult) -> dict:
+    n_cells = sub.mask(degree).count(1) if degree >= 0 else 0
+    return {"degree": degree, "betti": n_cells - snf_d.rank - snf_next.rank,
+            "torsion": list(snf_next.torsion())}
+
+
+def homology(subset, table: FaceTable, degree: int, cx: ChainComplex) -> dict:
+    """Reduced Betti number and torsion in one degree, from the two whole
+    restricted boundary maps around it."""
+    sub = check_closed(subset, table)
+    return _degree_homology(
+        sub, degree, _sparse_snf(*restricted_boundary(sub, table, degree, cx)),
+        _sparse_snf(*restricted_boundary(sub, table, degree + 1, cx)))
+
+
+def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
+    """Per-degree reduced Betti numbers and torsion, each whole restricted
+    boundary map factored once."""
+    sub = check_closed(subset, table)
+    top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
+    snfs = [_sparse_snf(*restricted_boundary(sub, table, d, cx))
+            for d in range(0, top + 2)]
+    betti: dict[int, int] = {}
+    torsion: dict[int, list[int]] = {}
+    for d in range(0, top + 1):
+        h = _degree_homology(sub, d, snfs[d], snfs[d + 1])
+        betti[d] = h["betti"]
+        if h["torsion"]:
+            torsion[d] = h["torsion"]
+    return {"betti": betti, "torsion": torsion}
+
+
+def class_independence(cycles, subset, table: FaceTable,
+                       cx: ChainComplex) -> IndependenceVerdict:
+    """The certificate of `snf.class_independence`, with the boundary
+    image, the stack and the degree map each eliminated whole."""
+    if not cycles:
+        raise NotCycles("no cycles given")
+    degree = cycles[0].dim
+    sub = check_closed(subset, table)
+    row_ids = sub.indices(degree) if degree >= 0 else []
+    row_pos = {i: r for r, i in enumerate(row_ids)}
+    for ch in cycles:
+        if ch.dim != degree or not cx.apply(ch).is_zero():
+            raise NotCycles("not cycles of one degree")
+        if any(i not in row_pos for i in ch.coeffs):
+            raise NotCycles("cycle leaves the subset")
+    rb, cb, entries = restricted_boundary(sub, table, degree + 1, cx)
+    rank_b = _sparse_snf(rb, cb, entries).rank
+    stacked = dict(entries)
+    for j, ch in enumerate(cycles):
+        for i, v in ch.coeffs.items():
+            stacked[(row_pos[i], cb + j)] = v
+    snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
+    kernel_rank = len(row_ids) - _sparse_snf(
+        *restricted_boundary(sub, table, degree, cx)).rank
+    independent = snf_stack.rank == rank_b + len(cycles)
+    generating = snf_stack.rank == kernel_rank and not snf_stack.torsion()
+    return IndependenceVerdict(independent, generating, {
+        "degree": degree,
+        "cycles": len(cycles),
+        "rank_boundaries": rank_b,
+        "rank_stacked": snf_stack.rank,
+        "kernel_rank": kernel_rank,
+        "stacked_torsion": list(snf_stack.torsion()),
+    })

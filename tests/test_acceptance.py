@@ -135,7 +135,7 @@ def test_criterion_07_unmatched_census():
 
 def test_criterion_08_oracle_homology():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
@@ -145,13 +145,13 @@ def test_criterion_08_oracle_homology():
             for d, b in rep["betti"].items():
                 assert b == (want if d == k - 1 else 0), (n, k, d, b)
             assert not rep["torsion"], (n, k)
-    report(8, "oracle homology Z^b in degree k-1, n=4..8",
+    report(8, "oracle homology Z^b in degree k-1, n=4..9",
            time.monotonic() - t0, budget=600)
 
 
 def test_criterion_09_basis_certification():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
@@ -160,12 +160,12 @@ def test_criterion_09_basis_certification():
             assert len(hb.chains) == betti_power(n, k)
             verdict = snf.class_independence(hb.chains, sub, table, cx)
             assert verdict.ok, (n, k, verdict.detail)
-    report(9, "bases independent and generating, n=4..8", time.monotonic() - t0)
+    report(9, "bases independent and generating, n=4..9", time.monotonic() - t0)
 
 
 def test_criterion_10_contractibility_and_sphere():
     t0 = time.monotonic()
-    for n in range(4, 9):
+    for n in range(4, 10):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         rep = snf.homology_report(set(table), table, cx)
@@ -176,7 +176,7 @@ def test_criterion_10_contractibility_and_sphere():
     rep = snf.homology_report(bd, table, ChainComplex(table))
     assert rep["betti"] == {0: 0, 1: 0, 2: 0, 3: 1}
     assert not rep["torsion"]
-    report(10, "full complex contractible n=4..8, boundary is a 3-sphere",
+    report(10, "full complex contractible n=4..9, boundary is a 3-sphere",
            time.monotonic() - t0)
 
 

@@ -262,9 +262,9 @@ class TestBetti:
 
         monkeypatch.setattr(faces, "enumerate_faces", no_work)
         with pytest.raises(SystemExit) as exc:
-            main(["betti", "--n-min", "9", "--n-max", "9", "--oracle"])
+            main(["betti", "--n-min", "10", "--n-max", "10", "--oracle"])
         assert exc.value.code == 2
-        assert "n=8" in capsys.readouterr().err
+        assert "n=9" in capsys.readouterr().err
 
     def test_k_eq_n_rows(self, capsys):
         code, lines = run(capsys, "betti", "--n-max", "5", "--include-k-eq-n")
@@ -366,7 +366,7 @@ class TestGlobalFlags:
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["betti", "--n-min", "9", "--n-max", "9", "--oracle"],
+        ["betti", "--n-min", "10", "--n-max", "10", "--oracle"],
         ["basis", "--n", "5", "--k", "9"],
         ["--n", "3", "enum"],
         ["--n", "4", "match", "--face", "xyzw"],

@@ -569,7 +569,7 @@ class TestCycleLattice:
         for j, d in enumerate(downs):
             for i, v in b.cols[t.index_of(d)].items():
                 entries[(i, j)] = v
-        res = snf.smith_normal_form((n_k, len(downs), entries))
+        res = reference.smith_normal_form((n_k, len(downs), entries))
         assert res.rank == len(downs)
         assert not res.torsion()
         bk = cx.boundary(k)

@@ -52,13 +52,13 @@ def test_no_test_only_code_in_the_package():
     # the text parsers `facets` and `vertices_of`, the statistic
     # `total_and_u`, the text-rewriting matcher's helpers and the planted
     # matchings' `from_pairs`/`up_cells` are references for the tests, and
-    # so are the planted boundaries' column-dict builders; the oracle
-    # computes reduced homology only and dumps no report or boundary
-    # matrix
+    # so are the planted boundaries' column-dict builders and the
+    # dense-matrix `smith_normal_form`; the oracle computes reduced
+    # homology only and dumps no report or boundary matrix
     moved = ("facets", "vertices_of", "total_and_u", "report_json",
              "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells",
              "boundary_from_cols", "morse_boundary_with_cols", "column_arrays",
-             "incidence", "entry")
+             "incidence", "entry", "smith_normal_form")
     holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
                for name in moved if hasattr(m, name)]
     definitions = sorted(p.name for p in SRC.glob("*.py")
@@ -74,6 +74,17 @@ def test_no_test_only_code_in_the_package():
     assert not any(hasattr(halfcube.MorseMatching, name)
                    for name in ("from_pairs", "up_cells"))
     assert not hasattr(halfcube.faces, "mask")  # FaceSubset.mask(d) stays
+
+
+def test_the_oracle_does_not_read_the_matching():
+    # the SNF oracle and its reduction are an independent check of the
+    # 11-rule matching, so snf must not import morse or hold its names
+    text = (SRC / "snf.py").read_text()
+    assert not re.search(r"^\s*(from|import)\s.*\bmorse\b", text, re.M)
+    held = [name for name, v in vars(halfcube.snf).items()
+            if getattr(v, "__module__", None) == "halfcube.morse"
+            or getattr(v, "__name__", None) == "halfcube.morse"]
+    assert held == []
 
 
 def test_guards_see_the_package():

@@ -17,10 +17,9 @@ from halfcube.snf import (
     homology,
     homology_report,
     restricted_boundary,
-    smith_normal_form,
 )
 from halfcube.subcomplex import betti_power, homology_basis, subcomplex_faces
-from reference import add_scaled, int_rank
+from reference import add_scaled, int_rank, smith_normal_form
 
 
 def minor_gcd_factors(m):
@@ -189,7 +188,7 @@ class TestHeapElimination:
     def test_certification_stacks_equal_reference(self, tables, complexes,
                                                   monkeypatch, n):
         # criterion 9's stacked matrices: boundary columns plus the basis
-        # cycles; the other two eliminations are restricted boundaries
+        # cycles, told from the reduced boundaries by their column count
         t, cx = tables(n), complexes(n)
         calls = []
         eliminate = snf._sparse_snf
@@ -202,10 +201,13 @@ class TestHeapElimination:
         for k in range(3, n):
             calls.clear()
             hb = homology_basis(n, k, t, cx)
-            verdict = class_independence(hb.chains, subcomplex_faces(n, k, t), t, cx)
+            sub = subcomplex_faces(n, k, t)
+            verdict = class_independence(hb.chains, sub, t, cx)
             assert verdict.ok
-            n_rows, n_cols, stacked = calls[1]
-            assert n_cols == calls[0][1] + betti_power(n, k)
+            cb = sub.mask(k).count(1)
+            stacks = [c for c in calls if c[1] == cb + betti_power(n, k)]
+            assert len(stacks) == 1, (n, k)
+            n_rows, n_cols, stacked = stacks[0]
             assert (eliminate(n_rows, n_cols, stacked)
                     == reference.sparse_snf(n_rows, n_cols, stacked)), (n, k)
 
@@ -248,6 +250,112 @@ class TestHeapElimination:
         entries = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
         assert (smith_normal_form(m)
                 == reference.sparse_snf(len(m), len(m[0]), entries))
+
+
+def _subsets(t, n):
+    """Every C_{n,k} (3 <= k < n), the full complex and its boundary
+    sphere."""
+    return ([subcomplex_faces(n, k, t) for k in range(3, n)]
+            + [check_closed(set(t), t),
+               check_closed({f for f in t if t.dim_of(f) < n}, t)])
+
+
+class _Planted:
+    """A chain complex with one boundary map replaced."""
+
+    def __init__(self, cx, bmat):
+        self.cx, self.bmat = cx, bmat
+
+    def boundary(self, d):
+        return self.bmat if d == self.bmat.d else self.cx.boundary(d)
+
+    def apply(self, c):
+        return self.cx.apply(c)
+
+
+class TestReduction:
+    """Coreductions and free-face collapses ahead of the elimination,
+    against the whole-matrix reports and verdicts of `tests/reference.py`."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_reports_equal_reference(self, tables, complexes, n):
+        t, cx = tables(n), complexes(n)
+        for sub in _subsets(t, n):
+            assert (homology_report(sub, t, cx)
+                    == reference.homology_report(sub, t, cx)), n
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_verdicts_equal_reference(self, tables, complexes, n):
+        t, cx = tables(n), complexes(n)
+        subsets = _subsets(t, n)
+        sphere, top = subsets[-1], cx.boundary(n).column_chain(0)
+        cases = [(homology_basis(n, k, t, cx).chains, sub)
+                 for k, sub in zip(range(3, n), subsets)]
+        # boundaries of 3-cells, a boundary in the full complex, and the
+        # sphere's fundamental cycle
+        cases += [([cx.boundary(3).column_chain(j) for j in sub.indices(3)[:5]], sub)
+                  for sub in subsets]
+        cases += [([top], subsets[-2]), ([top], sphere)]
+        for cycles, sub in cases:
+            got = class_independence(cycles, sub, t, cx)
+            want = reference.class_independence(cycles, sub, t, cx)
+            assert got == want, (n, got.detail, want.detail)
+        assert class_independence([top], sphere, t, cx).ok
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_every_cell_pairs_off(self, tables, complexes, monkeypatch, n):
+        # each C_{n,k} and the sphere reduce to their basis cells and the
+        # full complex to nothing, so every elimination gets an empty matrix
+        t, cx = tables(n), complexes(n)
+        entries = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, e):
+            entries.append(e)
+            return eliminate(n_rows, n_cols, e)
+
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        for sub in _subsets(t, n):
+            entries.clear()
+            homology_report(sub, t, cx)
+            assert entries and not any(entries), n
+
+    def test_planted_torsion_is_left_to_the_elimination(self, tables, complexes,
+                                                        monkeypatch):
+        # the top cell's boundary doubled: every 3-cell is a free face of it
+        # with incidence 2, and the 3-sphere it bounds then carries torsion
+        # Z/2; no unit pivot may take that entry
+        t, cx = tables(4), complexes(4)
+        top = cx.boundary(4)
+        planted = _Planted(cx, reference.boundary_from_cols(
+            4, top.n_rows, [{i: 2 * v for i, v in col.items()} for col in top.cols]))
+        entries = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, e):
+            entries.append(e)
+            return eliminate(n_rows, n_cols, e)
+
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        full = set(t)
+        rep = homology_report(full, t, planted)
+        assert rep == reference.homology_report(full, t, planted)
+        assert rep == {"betti": {d: 0 for d in range(5)}, "torsion": {3: [2]}}
+        assert [sorted(map(abs, e.values())) for e in entries if e] == [[2]]
+        fundamental = [top.column_chain(0)]
+        verdict = class_independence(fundamental, full, t, planted)
+        assert verdict == reference.class_independence(fundamental, full, t, planted)
+        assert not verdict.independent and verdict.detail["rank_boundaries"] == 1
+
+    def test_rows_outside_the_set_are_left_out(self, tables, complexes):
+        # a triangle with one of its three edges: one row, one entry
+        t, cx = tables(4), complexes(4)
+        b = cx.boundary(2)
+        masks = {d: bytearray(len(t.faces(d))) for d in t.cells}
+        masks[2][0] = masks[1][b.flat[1]] = 1
+        n_rows, n_cols, entries = restricted_boundary(FaceSubset(t, masks), t, 2, cx)
+        assert (n_rows, n_cols) == (1, 1)
+        assert entries == {(0, 0): b.signs[1]} and b.signs[1] != b.signs[2]
 
 
 class TestHomology:
