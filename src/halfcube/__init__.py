@@ -36,7 +36,6 @@ from .morse import (
     build_matching,
     match_face,
     morse_boundary,
-    rule_applicability,
     solve_cycle,
     verify_acyclic,
 )

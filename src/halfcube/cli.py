@@ -187,8 +187,9 @@ def cmd_match(args, parser) -> int:
             g = morse.exclusivity_violation(m)
             if g is not None:
                 f = table.face(g)
+                bits = morse.applicable_rules(f, table.dim_at(g))
                 print(f"RESULT fail n={n} exclusivity face={f} "
-                      f"rules={sorted(morse.rule_applicability(f))}")
+                      f"rules={[r for r in range(1, 12) if bits >> r & 1]}")
                 return 1
             report = morse.verify_acyclic(m, table)
     except LIBRARY_ERRORS as e:

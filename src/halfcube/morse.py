@@ -28,16 +28,26 @@ star, each rule moves the code by:
 `applicable_rules` evaluates each rule's input condition on its own, for
 the exclusivity check.
 
+The matching is acyclic when no layer (k, k+1) of the modified Hasse
+digraph has a closed alternating path, that is, when the induced order
+on the upward-matched k-cells (e' precedes e when e' is a facet of e's
+partner) has no cycle.  One Kahn pass, `_induced_order`, serves both
+callers: `verify_acyclic` reports its cycle per layer, and
+`morse_boundary` orders its rows and columns by its linear extension.
+The reported cycle is the walk from the smallest cell the pass never
+emits, each step taking the partner's first unemitted facet; it is the
+first cycle a depth-first search from each k-cell in order would meet.
+
 On top of the matching this module builds the per-level restricted
 boundary operator between downward-matched (k+1)-cells and upward-matched
-k-cells, which is triangular with unit diagonal under a topological order
-of the induced face-ordering, and uses it to solve for chains with a
-prescribed cycle boundary by exact back-substitution.  The operator is
-held by position (`MorseBoundary`): the cells as positions within their
-dimension, the rank of every k-cell in the order, and the columns as
-(rank, sign) arrays with offsets, read from the boundary's arrays.  The
-solver maps a cycle through the ranks and writes its result by position,
-so it builds no face string and no face -> position map.
+k-cells, which is triangular with unit diagonal under that order, and
+uses it to solve for chains with a prescribed cycle boundary by exact
+back-substitution.  The operator is held by position (`MorseBoundary`):
+the cells as positions within their dimension, the rank of every k-cell
+in the order, and the columns as (rank, sign) arrays with offsets, read
+from the boundary's arrays.  The solver maps a cycle through the ranks
+and writes its result by position, so it builds no face string and no
+face -> position map.
 """
 
 from __future__ import annotations
@@ -174,12 +184,6 @@ def applicable_rules(f: str, d: int) -> int:
         last_two = f.rfind(UND1, 0, j) > f.rfind(UND0)  # both 'I'
         out |= last_two << 5 | (not last_two) << 8
     return out
-
-
-def rule_applicability(f: str) -> set[int]:
-    """Rules whose stated input conditions hold for f (`applicable_rules`)."""
-    bits = applicable_rules(f, classify(f).dim)
-    return {r for r in range(1, 12) if bits >> r & 1}
 
 
 class _FaceMap(Mapping):
@@ -321,68 +325,67 @@ def exclusivity_violation(m: MorseMatching) -> int | None:
     return None
 
 
-def _layer_cycle(m: MorseMatching, table: FaceTable, p: int) -> list[str] | None:
-    """A directed cycle of the modified Hasse digraph of the layer (p, p+1),
-    or None: matched incidences point up, all other incidences point down.
+def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
+                                                   list[str] | None]:
+    """The positions of `m.up_ids(k)` in the induced order and None, or,
+    when the order has a cycle, None and that cycle as face strings.
 
-    Nodes are the p-cells by position, then the (p+1)-cells after them;
-    the search starts from each p-cell in that order and follows each
-    cell's edges in facet order."""
-    cells_p, cells_q = table.faces(p), table.faces(p + 1)
-    n_p, n_q = len(cells_p), len(cells_q)
-    sq = table.start(p + 1)
-    flat, offsets = table.facet_index(p + 1)
-    # up[a]: the (p+1)-cell the p-cell a is matched to, when a is one of
-    # its facets, else -1
-    up = array("i", [-1]) * n_p
-    for a, g in enumerate(m.mate[table.start(p):sq]):
-        j = g - sq
-        if 0 <= j < n_q and a in flat[offsets[j]:offsets[j + 1]]:
-            up[a] = j
-
-    def edges(node: int):
-        if node < n_p:
-            return (n_p + up[node],)
-        j = node - n_p
-        return [a for a in flat[offsets[j]:offsets[j + 1]] if up[a] != j]
-
-    # 0 unseen, 1 on the path, 2 finished; a p-cell not matched up has no
-    # edges, so it starts finished
-    state = bytearray(2 if j < 0 else 0 for j in up) + bytes(n_q)
-    # every edge joins a p-cell and a (p+1)-cell, so every cycle passes
-    # through a p-cell; the searches from all p-cells reach every cycle,
-    # and a search from a (p+1)-cell after them could find none
-    for start in range(n_p):
-        if state[start]:
-            continue
-        state[start] = 1
-        path = [start]
-        stack = [iter(edges(start))]
-        while stack:
-            for nxt in stack[-1]:
-                s = state[nxt]
-                if s == 1:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    return [cells_p[v] if v < n_p else cells_q[v - n_p]
-                            for v in cycle]
-                if s == 0:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append(iter(edges(nxt)))
-                    break
-            else:
-                state[path.pop()] = 2
-                stack.pop()
-    return None
+    e' precedes e whenever e' is a facet of the partner of e; a Kahn pass
+    emits the smallest ready cell first.  The cycle is the walk from the
+    smallest unemitted k-cell to its partner, then on to the partner's
+    first facet, in facet order, that is unemitted and not the cell just
+    left, until a cell comes round again.  A depth-first search from each
+    k-cell in order meets this cycle first, since it finds none from an
+    emitted cell: an emitted cell's predecessors were all emitted before.
+    """
+    table = m.table
+    ups = m.up_ids(k)  # ascending positions, so the smallest index first
+    sk, sk1 = table.start(k), table.start(k + 1)
+    slot = array("i", [-1]) * len(table.faces(k))  # index in ups of a k-cell
+    for t, e in enumerate(ups):
+        slot[e] = t
+    flat, offsets = table.facet_index(k + 1)
+    indeg = [0] * len(ups)
+    succ: list[list[int]] = [[] for _ in ups]
+    for t, e in enumerate(ups):
+        j = m.mate[sk + e] - sk1
+        for i in flat[offsets[j]:offsets[j + 1]]:
+            u = slot[i]
+            if u >= 0 and i != e:  # ups[u] strictly precedes ups[t]
+                succ[u].append(t)
+                indeg[t] += 1
+    ready = [t for t in range(len(ups)) if indeg[t] == 0]  # sorted: a heap
+    order: list[int] = []
+    while ready:
+        t = heapq.heappop(ready)
+        order.append(ups[t])
+        for t2 in succ[t]:
+            indeg[t2] -= 1
+            if indeg[t2] == 0:
+                heapq.heappush(ready, t2)
+    if len(order) == len(ups):
+        return order, None
+    # a cell is unemitted exactly when its in-degree stayed above 0
+    cells_k, cells_k1 = table.faces(k), table.faces(k + 1)
+    e = next(e for t, e in enumerate(ups) if indeg[t])
+    path: list[str] = []
+    seen: dict[int, int] = {}  # k-cell -> its place in path
+    while e not in seen:
+        seen[e] = len(path)
+        j = m.mate[sk + e] - sk1
+        path += [cells_k[e], cells_k1[j]]
+        e = next(i for i in flat[offsets[j]:offsets[j + 1]]
+                 if i != e and slot[i] >= 0 and indeg[slot[i]])
+    return None, path[seen[e]:] + [cells_k[e]]
 
 
 def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
     """Search every dimension layer of the modified Hasse digraph for a
-    directed cycle.  Cycles are reported, not raised."""
+    directed cycle, by `_induced_order`.  Cycles are reported, not raised."""
     layers = []
     acyclic = True
     for p in range(-1, table.n):
-        cycle = _layer_cycle(m, table, p)
+        cycle = _induced_order(m, p)[1]
         if cycle is not None:
             acyclic = False
         layers.append({
@@ -462,47 +465,18 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
                    cx: ChainComplex) -> MorseBoundary:
     """Build the level-k restricted boundary with its topological order.
 
-    The order on upward-matched k-cells is generated by: e' precedes e
-    whenever e' lies in the boundary of the partner of e.  A Kahn
-    traversal with lexicographic tie-break fixes one linear extension;
-    a cycle in the relation raises CyclicPrec.
+    The upward-matched k-cells are ordered by `_induced_order`; a cycle
+    in that order raises CyclicPrec naming its faces.
     """
-    ups = m.up_ids(k)  # ascending positions, so lexicographic order
-    cells_k = table.faces(k)
+    order, cycle = _induced_order(m, k)
+    if cycle is not None:
+        raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}")
     sk, sk1 = table.start(k), table.start(k + 1)
-    downs = [m.mate[sk + e] - sk1 for e in ups]
-    slot = array("i", [-1]) * len(cells_k)  # index in ups of a k-cell
-    for t, e in enumerate(ups):
-        slot[e] = t
-    flat, offsets = table.facet_index(k + 1)
-    indeg = [0] * len(ups)
-    succ: list[list[int]] = [[] for _ in ups]
-    for t, (e, j) in enumerate(zip(ups, downs)):
-        for i in flat[offsets[j]:offsets[j + 1]]:
-            u = slot[i]
-            if u >= 0 and i != e:  # ups[u] strictly precedes ups[t]
-                succ[u].append(t)
-                indeg[t] += 1
-    # Kahn with lexicographic tie-break: repeatedly emit the smallest
-    # source of the "precedes" relation, the one with the smallest index
-    ready = [t for t in range(len(ups)) if indeg[t] == 0]  # sorted: a heap
-    order: list[int] = []
-    while ready:
-        t = heapq.heappop(ready)
-        order.append(t)
-        for t2 in succ[t]:
-            indeg[t2] -= 1
-            if indeg[t2] == 0:
-                heapq.heappush(ready, t2)
-    if len(order) != len(ups):
-        stuck = [cells_k[e] for t, e in enumerate(ups) if indeg[t] > 0]
-        raise CyclicPrec(f"induced order has a cycle through {stuck[:4]}")
-    del slot, succ, indeg  # freed before the columns are built
-    rank = array("i", [-1]) * len(cells_k)  # place in the order of a k-cell
-    for r, t in enumerate(order):
-        rank[ups[t]] = r
-    up_ids = array("i", [ups[t] for t in order])
-    down_ids = array("i", [downs[t] for t in order])
+    rank = array("i", [-1]) * len(table.faces(k))  # place in the order of a k-cell
+    for r, e in enumerate(order):
+        rank[e] = r
+    up_ids = array("i", order)
+    down_ids = array("i", [m.mate[sk + e] - sk1 for e in order])
     bmat = cx.boundary(k + 1)
     flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
     rows: list[int] = []

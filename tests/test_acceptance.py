@@ -71,7 +71,9 @@ def test_criterion_03_perfect_matching():
         assert all(f in m.partner for f in table)
         for f in table:
             assert m.partner[m.partner[f]] == f
-            assert morse.rule_applicability(f) == {m.rule[f]}
+        for d, cells in table.cells.items():
+            for f in cells:
+                assert morse.applicable_rules(f, d) == 1 << m.rule[f], f
         assert 2 * m.pair_count() == table.size
     report(3, "perfect matching n=4..9", time.monotonic() - t0, budget=60)
 

@@ -22,7 +22,6 @@ from halfcube.morse import (
     build_matching,
     match_face,
     morse_boundary,
-    rule_applicability,
     solve_cycle,
     validate_matching,
     verify_acyclic,
@@ -108,16 +107,15 @@ class TestPartnerRule:
 class TestRuleApplicability:
     def test_exhaustive_singleton_n5(self, tables, matchings):
         m = matchings(5)
-        for f in tables(5):
-            apps = rule_applicability(f)
-            assert len(apps) == 1
-            assert apps == {m.rule[f]}
+        for d, cells in tables(5).cells.items():
+            for f in cells:
+                assert applicable_rules(f, d) == 1 << m.rule[f], f
 
     def test_zero_vertex(self):
-        assert rule_applicability("0000000") == {11}
+        assert applicable_rules("0000000", 0) == 1 << 11
 
     def test_rule6_triangle_partner(self):
-        assert rule_applicability("0*1*10*") == {6}
+        assert applicable_rules("0*1*10*", 3) == 1 << 6
 
 
 class TestBuildMatching:
@@ -354,11 +352,13 @@ class TestAcyclicity:
         assert report["layers"][1]["cycle"] is not None
         assert report == reference.verify_acyclic(pairs, t)
 
-    @pytest.mark.parametrize("seed", range(1, 6))
-    def test_random_partial_matchings_as_string_reference(self, tables, seed):
+    @pytest.mark.parametrize("n,seed", [
+        pytest.param(n, seed, id=str(seed) if n == 5 else f"n{n}-{seed}")
+        for n in (5, 6) for seed in range(1, 6)])
+    def test_random_partial_matchings_as_string_reference(self, tables, n, seed):
         # random facet pairings close many cycles, so the search order
         # decides which one is reported
-        t = tables(5)
+        t = tables(n)
         rng = random.Random(seed)
         partner, used = {}, set()
         for b in rng.sample(list(t), t.size // 2):
@@ -372,6 +372,20 @@ class TestAcyclicity:
         report = verify_acyclic(planted, t)
         assert not report["acyclic"]
         assert report == reference.verify_acyclic(partner, t)
+
+    @pytest.mark.parametrize("corners", [slice(None, 6), slice(-4, None)],
+                             ids=["first", "last"])
+    def test_planted_cycle_raises_in_morse_boundary(self, tables, complexes,
+                                                    corners):
+        # the solver's order and the verifier's report come from one pass,
+        # so the error names the cycle the report holds for layer 0
+        t = tables(4)
+        pairs = reference.quadrilateral(t, t.faces(0)[corners])
+        planted = reference.from_pairs(t, pairs)
+        cycle = verify_acyclic(planted, t)["layers"][1]["cycle"]
+        assert cycle is not None
+        with pytest.raises(CyclicPrec, match=re.escape(str(cycle))):
+            morse_boundary(planted, t, 0, complexes(4))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_equals_string_digraph_reference(self, tables, matchings, n):

@@ -52,13 +52,14 @@ def test_no_test_only_code_in_the_package():
     # the text parsers `facets` and `vertices_of`, the statistic
     # `total_and_u`, the text-rewriting matcher's helpers and the planted
     # matchings' `from_pairs`/`up_cells` are references for the tests, and
-    # so are the planted boundaries' column-dict builders and the
-    # dense-matrix `smith_normal_form`; the oracle computes reduced
-    # homology only and dumps no report or boundary matrix
+    # so are the planted boundaries' column-dict builders, the text-based
+    # `rule_applicability` and the dense-matrix `smith_normal_form`; the
+    # oracle computes reduced homology only and dumps no report or boundary
+    # matrix
     moved = ("facets", "vertices_of", "total_and_u", "report_json",
              "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells",
              "boundary_from_cols", "morse_boundary_with_cols", "column_arrays",
-             "incidence", "entry", "smith_normal_form")
+             "incidence", "entry", "smith_normal_form", "rule_applicability")
     holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
                for name in moved if hasattr(m, name)]
     definitions = sorted(p.name for p in SRC.glob("*.py")
@@ -74,6 +75,13 @@ def test_no_test_only_code_in_the_package():
     assert not any(hasattr(halfcube.MorseMatching, name)
                    for name in ("from_pairs", "up_cells"))
     assert not hasattr(halfcube.faces, "mask")  # FaceSubset.mask(d) stays
+
+
+def test_one_induced_order_in_morse():
+    # verify_acyclic and morse_boundary read the one Kahn pass of
+    # `_induced_order`; no second search walks the layer digraph
+    assert not hasattr(halfcube.morse, "_layer_cycle")
+    assert (SRC / "morse.py").read_text().count("heapq.heappop") == 1
 
 
 def test_the_oracle_does_not_read_the_matching():
