@@ -34,9 +34,29 @@ left.  Entries other than +-1 are never paired, so torsion always
 reaches the elimination.  The moves read only the subset's masks and the
 boundary arrays, never the matching, so the oracle stays independent of
 it.  Every C_{n,k} and full complex up to n=9 pairs off down to its basis
-cells, leaving the elimination empty matrices; the certificate's stacked
-matrix, whose cycle columns the reduction does not carry, is still
-eliminated whole.
+cells, leaving the elimination empty matrices.
+
+The certificate's stack [B | Z] of the boundary image and the cycles is
+eliminated on the cells left too, with the cycles carried through the
+pairs in the order they were made (Harker, Mischaikow, Mrozek & Nanda,
+*Discrete Morse theoretic algorithms for computing homology of
+complexes and maps*, FoCM 14, 2014).  For cycles in degree p and a pair
+(a, b) with ε = <∂b, a> = +-1, where ∂'b is b's boundary restricted to
+the cells alive when the pair was made:
+
+* a of degree p: z becomes z - z_a·ε·∂'b, which has no a coefficient;
+* b of degree p: z drops its b coefficient.  After a collapse that
+  coefficient is already 0, since a's only coface is b and ∂z = 0.
+
+Together the rules are the chain map of the reduction, a chain
+equivalence onto the cells left with their restricted boundaries, so it
+induces an isomorphism H_p -> H'_p taking the classes of the cycles z to
+those of their images z'.  The stack's rank is rank B_p plus the rank of
+the classes, and its torsion is that of Z_p / (B_p + <z>), since the
+p-chains modulo the cycles Z_p are free.  With rank B_p = pairs[p+1] +
+rank B'_p (above) and Z_p / (B_p + <z>) isomorphic to
+Z'_p / (B'_p + <z'>), the stack has rank pairs[p+1] + rank [B' | Z'] and
+the torsion of [B' | Z'].
 """
 
 from __future__ import annotations
@@ -258,8 +278,9 @@ class _Reduction:
     collapses (module docstring).
 
     `top` is the highest dimension of a cell in the subset (-1 when it
-    has none), `left` holds the cells no move paired, as a FaceSubset, and
-    `pairs[d]` the number of pairs whose upper cell has dimension d."""
+    has none), `left` holds the cells no move paired, as a FaceSubset,
+    `pairs[d]` the number of pairs whose upper cell has dimension d, and
+    `lower[i]`, `upper[i]` the table positions of the i-th pair made."""
 
     def __init__(self, sub: FaceSubset, table: FaceTable, cx: ChainComplex):
         self.sub, self.table, self.cx = sub, table, cx
@@ -293,6 +314,7 @@ class _Reduction:
         # and a bottom-up seed leaves a few in the full complex at n=7
         queue = deque(g for g in reversed(range(size)) if alive[g]
                       if n_facets[g] == 1 or n_cofaces[g] == 1)
+        self.lower, self.upper = lower, upper = array("i"), array("i")
         while queue:
             g = queue.popleft()
             if not alive[g]:
@@ -311,6 +333,8 @@ class _Reduction:
                     pair = g, up
             if pair is None:
                 continue
+            lower.append(pair[0])
+            upper.append(pair[1])
             for cell in pair:
                 alive[cell] = 0
                 for t in range(offsets[cell], offsets[cell + 1]):
@@ -336,13 +360,61 @@ class _Reduction:
             gone = sub.mask(d).count(1) - masks[d].count(1)
             self.pairs[d + 1] = gone - (self.pairs[d] if d >= 0 else 0)
 
-    def snf(self, d: int) -> SNFResult:
+    def snf(self, d: int, extra: dict[int, dict[int, int]] | None = None,
+            n_extra: int = 0) -> SNFResult:
         """Smith normal form of the subset's d-th boundary map: one unit
-        factor per d-pair, then the factors of what is left of the map."""
-        rest = _sparse_snf(*restricted_boundary(self.left, self.table, d, self.cx))
+        factor per d-pair, then the factors of what is left of the map.
+        With `extra`, the map has n_extra more columns, which are zero off
+        the cells left and given there as rows: index of a (d-1)-cell of
+        `left` -> {column: value}."""
+        n_rows, n_cols, entries = restricted_boundary(self.left, self.table, d, self.cx)
+        if extra:
+            row_pos = dict(zip(self.left.indices(d - 1), itertools.count()))
+            for i, row in extra.items():
+                r = row_pos[i]
+                for j, v in row.items():
+                    entries[(r, n_cols + j)] = v
+        rest = _sparse_snf(n_rows, n_cols + n_extra, entries)
         pairs = self.pairs[d] if d < len(self.pairs) else 0
-        return SNFResult((1,) * pairs + rest.factors,
-                         self.sub.mask(d - 1).count(1), self.sub.mask(d).count(1))
+        return SNFResult((1,) * pairs + rest.factors, self.sub.mask(d - 1).count(1),
+                         self.sub.mask(d).count(1) + n_extra)
+
+    def project(self, cycles, degree: int) -> dict[int, dict[int, int]]:
+        """The cycles carried through the pairs in the order they were
+        made (module docstring), as rows: index of a `degree`-cell of
+        `left` -> {cycle index: coefficient}.  A row may be empty."""
+        lo, hi = self.table.start(degree), self.table.start(degree + 1)
+        rows: dict[int, dict[int, int]] = {}
+        for j, ch in enumerate(cycles):
+            for i, v in ch.coeffs.items():
+                rows.setdefault(i, {})[j] = v
+        alive = bytearray(self.sub.mask(degree))
+        if degree < self.top:
+            bmat = self.cx.boundary(degree + 1)
+            flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
+        for l, u in zip(self.lower, self.upper):
+            if lo <= u < hi:  # upper cell: drop its coefficient
+                alive[u - lo] = 0
+                rows.pop(u - lo, None)
+            elif lo <= l < hi:  # lower cell: z -= z_l * ε * ∂'u
+                l -= lo
+                alive[l] = 0
+                z = rows.pop(l, None)
+                if not z:
+                    continue
+                a, b = offsets[u - hi], offsets[u - hi + 1]
+                eps = signs[a + flat[a:b].index(l)]
+                for f, s in zip(flat[a:b], signs[a:b]):
+                    if not alive[f]:
+                        continue  # l itself, or a cell paired before
+                    row = rows.setdefault(f, {})
+                    for j, c in z.items():
+                        w = row.get(j, 0) - c * eps * s
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+        return rows
 
 
 def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
@@ -401,7 +473,10 @@ def class_independence(cycles, subset, table: FaceTable,
     matrix and of that matrix stacked with the cycle columns: the classes
     are independent when the stack gains full extra rank, and generating
     when the stacked lattice fills the whole cycle kernel (full kernel
-    rank, all invariant factors 1).
+    rank, all invariant factors 1).  Every elimination runs on the cells
+    the reduction leaves: the stack is the reduced boundary image beside
+    the cycles carried through the pairs, plus one unit per pair whose
+    upper cell is one degree up (module docstring).
     """
     if not cycles:
         raise NotCycles("no cycles given")
@@ -419,16 +494,10 @@ def class_independence(cycles, subset, table: FaceTable,
             if i not in row_pos:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
 
-    # the two ranks come from the reduced subset; the stack is eliminated
-    # whole, since its cycle columns are not carried through the reduction
     red = _Reduction(sub, table, cx)
     rank_b = red.snf(degree + 1).rank
     kernel_rank = len(row_ids) - red.snf(degree).rank
-    rb, cb, stacked = restricted_boundary(sub, table, degree + 1, cx)
-    for j, ch in enumerate(cycles):
-        for i, v in ch.coeffs.items():
-            stacked[(row_pos[i], cb + j)] = v
-    snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
+    snf_stack = red.snf(degree + 1, red.project(cycles, degree), len(cycles))
 
     independent = snf_stack.rank == rank_b + len(cycles)
     generating = (snf_stack.rank == kernel_rank

@@ -187,8 +187,9 @@ class TestHeapElimination:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_certification_stacks_equal_reference(self, tables, complexes,
                                                   monkeypatch, n):
-        # criterion 9's stacked matrices: boundary columns plus the basis
-        # cycles, told from the reduced boundaries by their column count
+        # criterion 9's stacked matrices on the reduced complex: a row per
+        # live (k-1)-cell, a column per live k-cell and per basis cycle,
+        # told from the rank eliminations by that shape
         t, cx = tables(n), complexes(n)
         calls = []
         eliminate = snf._sparse_snf
@@ -204,8 +205,10 @@ class TestHeapElimination:
             sub = subcomplex_faces(n, k, t)
             verdict = class_independence(hb.chains, sub, t, cx)
             assert verdict.ok
-            cb = sub.mask(k).count(1)
-            stacks = [c for c in calls if c[1] == cb + betti_power(n, k)]
+            left = snf._Reduction(sub, t, cx).left
+            shape = (left.mask(k - 1).count(1),
+                     left.mask(k).count(1) + betti_power(n, k))
+            stacks = [c for c in calls if c[:2] == shape]
             assert len(stacks) == 1, (n, k)
             n_rows, n_cols, stacked = stacks[0]
             assert (eliminate(n_rows, n_cols, stacked)
@@ -319,6 +322,75 @@ class TestReduction:
             entries.clear()
             homology_report(sub, t, cx)
             assert entries and not any(entries), n
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_random_combinations_equal_reference(self, tables, complexes, n):
+        # seeded integer combinations of a basis plus boundaries, carried
+        # through the pairs: a unimodular mix certifies, a doubled column
+        # leaves Z/2, a repeated column or a pure boundary is dependent
+        t, cx = tables(n), complexes(n)
+        rng = random.Random(20261019 + n)
+        subsets = _subsets(t, n)
+        top = cx.boundary(n).column_chain(0)
+        bases = [(homology_basis(n, k, t, cx).chains, sub)
+                 for k, sub in zip(range(3, n), subsets)]
+        bases.append(([top], subsets[-1]))
+
+        def boundaries(sub, d, count):
+            cols = [cx.boundary(d + 1).column_chain(j) for j in sub.indices(d + 1)]
+            out = ChainVector(d, {})
+            for ch in rng.sample(cols, min(count, len(cols))):
+                out = add_scaled(out, ch, rng.choice((-3, -2, -1, 1, 2, 3)))
+            return out
+
+        for basis, sub in bases:
+            d, mixed = basis[0].dim, list(basis)
+            for _ in range(2 * len(mixed)):
+                i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+                if i == j:
+                    mixed[i] = add_scaled(ChainVector(d, {}), mixed[i], -1)
+                else:
+                    mixed[i] = add_scaled(mixed[i], mixed[j], rng.choice((-2, -1, 1, 2)))
+            mixed = [add_scaled(ch, boundaries(sub, d, 4)) for ch in mixed]
+            i = rng.randrange(len(mixed))
+            doubled = mixed[:i] + [add_scaled(mixed[i], mixed[i])] + mixed[i + 1:]
+            repeated = mixed + [mixed[i]]
+            if sub.indices(d + 1):
+                pure = mixed[:i] + [boundaries(sub, d, 6)] + mixed[i + 1:]
+            else:  # the sphere has no cell above: boundaries one degree down
+                pure = [boundaries(sub, d - 1, 6) for _ in range(3)]
+            for cycles, ok, independent, torsion in [
+                    (mixed, True, True, []), (doubled, False, True, [2]),
+                    (repeated, False, False, []), (pure, False, False, [])]:
+                got = class_independence(cycles, sub, t, cx)
+                want = reference.class_independence(cycles, sub, t, cx)
+                assert got == want, (n, d, got.detail, want.detail)
+                assert (got.ok, got.independent) == (ok, independent), got.detail
+                assert got.detail["stacked_torsion"] == torsion, got.detail
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_certificate_eliminates_only_the_reduced_stack(self, tables,
+                                                           complexes,
+                                                           monkeypatch, n):
+        # each C_{n,k} pairs off to its basis cells, so the one elimination
+        # with entries is the projected cycles: no boundary column, a row
+        # per basis cell and a column per basis cycle
+        t, cx = tables(n), complexes(n)
+        calls = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, e):
+            if e:
+                calls.append((n_rows, n_cols))
+            return eliminate(n_rows, n_cols, e)
+
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        for k in range(3, n):
+            calls.clear()
+            hb = homology_basis(n, k, t, cx)
+            assert class_independence(hb.chains, subcomplex_faces(n, k, t), t, cx).ok
+            b = betti_power(n, k)
+            assert calls == [(b, b)], (n, k)
 
     def test_planted_torsion_is_left_to_the_elimination(self, tables, complexes,
                                                         monkeypatch):
