@@ -92,6 +92,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _written_directly(path: str) -> bool:
+    """Whether --out PATH is an existing non-regular file, such as
+    /dev/null, written in place rather than through a temporary file."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _tmp_path(path: str) -> str:
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
+def _out_problem(path: str) -> str | None:
+    """Why --out PATH cannot be written, or None.  The temporary file of a
+    regular target is created and removed again, so that a directory
+    refusing new files, such as /proc, is found before any work."""
+    head = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(head):
+        return f"no such directory {head}"
+    if not os.path.basename(path):
+        return "names no file"
+    if _written_directly(path):
+        return None
+    tmp = _tmp_path(path)
+    try:
+        open(tmp, "w").close()
+    except OSError as e:
+        return f"cannot create a file in {head} ({e.strerror})"
+    os.remove(tmp)
+    return None
+
+
 class _Sink:
     """Data lines go to --out when given, otherwise to stdout.
 
@@ -107,11 +140,10 @@ class _Sink:
         self.tmp = None
         if path is None:
             self.fh = sys.stdout
-        elif os.path.exists(path) and not os.path.isfile(path):
+        elif _written_directly(path):
             self.fh = open(path, "w")
         else:
-            head, tail = os.path.split(path)
-            self.tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            self.tmp = _tmp_path(path)
             self.fh = open(self.tmp, "w")
 
     def lines(self, lines: Iterable[str]) -> None:
@@ -301,11 +333,9 @@ def main(argv=None) -> int:
     if unread:
         parser.error(f"{args.command} does not use {', '.join(unread)}")
     if args.out is not None:
-        head = os.path.dirname(args.out) or "."
-        if os.path.isdir(args.out):
-            parser.error(f"--out {args.out}: is a directory")
-        if not os.path.isdir(head):
-            parser.error(f"--out {args.out}: no such directory {head}")
+        problem = _out_problem(args.out)
+        if problem:
+            parser.error(f"--out {args.out}: {problem}")
     handlers = {
         "enum": cmd_enum,
         "match": cmd_match,

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -176,6 +176,7 @@ def expected_counts(n: int) -> dict[int, int]:
 # on the ASCII bytes of a face, which translate faster than str
 _CODE_SYMBOLS = STAR + PLAIN0 + PLAIN1 + UND1 + UND0
 _CODE_DIGITS = bytes.maketrans(_CODE_SYMBOLS.encode(), b"01234")
+_CODE_BYTES = _CODE_SYMBOLS.encode()
 # blanks the plain digits, leaving the marked positions and symbols
 _PATTERN = bytes.maketrans(b"01", b"..")
 # code change of one symbol: an underline dropped (O -> 0, I -> 1), an
@@ -251,18 +252,19 @@ class FaceTable:
     Faces are stored per dimension in lexicographic order of their text
     form; the table order runs by dimension and then lexicographically.
     One list holds the position of the first cell of each dimension, and
-    `size`, `dim_at`, `face` and `start` are derived from it.  The map
-    from each face to its position (`position`, and through it `index_of`,
-    the position of a face within its dimension, `dim_of` and `in`) is
-    built on first use, since the matching and the subcomplex checks run
-    on positions alone.  `codes(d)` holds the `face_code`
-    of every d-cell, built on first use; the matching looks partners up
-    among them (`morse.partner_rule` moves a code by a fixed delta per
-    rule).  `facet_index(d)` gives the facets of every d-cell as
-    positions among the (d-1)-cells.  It is computed on the codes: a
-    facet's code is the face's code plus one of the deltas of
-    `facet_deltas`, cached per pattern of marked symbols, and is looked up
-    among the codes of the (d-1)-cells.
+    `size`, `dim_at`, `face` and `start` are derived from it.  `codes(d)`
+    holds the `face_code` of every d-cell, built on first use; since it
+    ascends, a face text is looked up by its code (`position`, `index_of`,
+    the position of a face within its dimension, `dim_of` and `in`): the
+    text's symbol counts give its dimension, and a bisection of that
+    dimension's codes its place, with no map from texts to positions.
+    The matching looks partners up among the codes too
+    (`morse.partner_rule` moves a code by a fixed delta per rule).
+    `facet_index(d)` gives the facets of every d-cell as positions among
+    the (d-1)-cells.  It is computed on the codes: a facet's code is the
+    face's code plus one of the deltas of `facet_deltas`, cached per
+    pattern of marked symbols, and is looked up among the codes of the
+    (d-1)-cells.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
@@ -277,21 +279,44 @@ class FaceTable:
         self._facets: dict[int, tuple[array, array]] = {}
         self._codes: dict[int, array] = {}
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        """Each face's position in the table order, built on first use."""
-        return dict(zip(itertools.chain(*self.cells.values()), itertools.count()))
-
     def faces(self, d: int) -> tuple[str, ...]:
         return self.cells.get(d, ())
 
+    def _locate(self, f) -> tuple[int, int] | None:
+        """(dimension, index within it) of the face text f, or None when f
+        is not a face of the table.  Codes of one length are one-to-one
+        with texts over * 0 1 I O, so only an equal code is a match."""
+        if f == EMPTY:
+            return (-1, 0) if EMPTY in self.faces(-1) else None
+        if not isinstance(f, str) or len(f) != self.n:
+            return None
+        b = f.encode()
+        if b.translate(None, _CODE_BYTES):
+            return None  # a symbol other than * 0 1 I O
+        d = b.count(b"*")
+        if not d:  # u >= 2 underlines give dimension u - 1, none a vertex
+            u = b.count(b"I") + b.count(b"O")
+            d = u - 1 if u > 1 else 0
+        codes = self.codes(d)
+        c = int(b.translate(_CODE_DIGITS), 5)
+        i = bisect_left(codes, c)
+        if i < len(codes) and codes[i] == c:
+            return d, i
+        return None
+
+    def _located(self, f: str) -> tuple[int, int]:
+        """As `_locate`, raising KeyError when f is not a face."""
+        loc = self._locate(f)
+        if loc is None:
+            raise KeyError(f)
+        return loc
+
     def index_of(self, f: str) -> int:
         """Position of f among the faces of its dimension."""
-        g = self._position[f]
-        return g - self._starts[bisect_right(self._starts, g) - 1]
+        return self._located(f)[1]
 
     def dim_of(self, f: str) -> int:
-        return self.dim_at(self._position[f])
+        return self._located(f)[0]
 
     def start(self, d: int) -> int:
         """Table position of the first d-cell: the number of cells of
@@ -303,7 +328,8 @@ class FaceTable:
 
     def position(self, f: str) -> int:
         """Position of f in the table order."""
-        return self._position[f]
+        d, i = self._located(f)
+        return self.start(d) + i
 
     def dim_at(self, g: int) -> int:
         """Dimension of the face at table position g."""
@@ -369,8 +395,8 @@ class FaceTable:
         offsets.extend(itertools.accumulate(map(len, deltas)))
         return flat, offsets
 
-    def __contains__(self, f: str) -> bool:
-        return f in self._position
+    def __contains__(self, f) -> bool:
+        return self._locate(f) is not None
 
     def __iter__(self) -> Iterator[str]:
         for d in sorted(self.cells):
@@ -394,12 +420,15 @@ class FaceSubset(Set):
 
     @classmethod
     def of(cls, table: FaceTable, faces) -> "FaceSubset":
-        """`faces` as a subset of `table`; each must be a face of it."""
+        """`faces` as a subset of `table`; each must be a face of it, or
+        KeyError names the first that is not."""
         if isinstance(faces, FaceSubset) and faces.table is table:
             return faces
         masks = {d: bytearray(len(cells)) for d, cells in table.cells.items()}
+        located = table._located
         for f in faces:
-            masks[table.dim_of(f)][table.index_of(f)] = 1
+            d, i = located(f)
+            masks[d][i] = 1
         return cls(table, masks)
 
     @classmethod
@@ -434,12 +463,8 @@ class FaceSubset(Set):
         return None
 
     def __contains__(self, f) -> bool:
-        table = self.table
-        if f not in table:
-            return False
-        g = table.position(f)
-        d = table.dim_at(g)
-        return self.masks[d][g - table.start(d)] == 1
+        loc = self.table._locate(f)
+        return loc is not None and self.masks[loc[0]][loc[1]] == 1
 
     def __iter__(self) -> Iterator[str]:
         for d, cells in self.table.cells.items():

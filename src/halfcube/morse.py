@@ -46,8 +46,8 @@ back-substitution.  The operator is held by position (`MorseBoundary`):
 the cells as positions within their dimension, the rank of every k-cell
 in the order, and the columns as (rank, sign) arrays with offsets, read
 from the boundary's arrays.  The solver maps a cycle through the ranks
-and writes its result by position, so it builds no face string and no
-face -> position map.
+and writes its result by position, so it builds no face string and
+looks no face up by its text.
 """
 
 from __future__ import annotations
@@ -198,9 +198,7 @@ class _FaceMap(Mapping):
         self._decode = decode
 
     def __getitem__(self, f: str):
-        if f not in self._table:
-            raise KeyError(f)
-        v = self._values[self._table.position(f)]
+        v = self._values[self._table.position(f)]  # KeyError for a non-face
         if v == self._missing:
             raise KeyError(f)
         return self._decode(v)

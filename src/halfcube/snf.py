@@ -236,11 +236,10 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
 def check_closed(subset, table: FaceTable) -> FaceSubset:
     """Validate facet closure of a face subset and return it as a
     FaceSubset; the empty face must be present under any vertex."""
-    if not (isinstance(subset, FaceSubset) and subset.table is table):
-        for f in subset:
-            if f not in table:
-                raise NotClosed(f"{f!r} is not a face of the table")
-    sub = FaceSubset.of(table, subset)
+    try:
+        sub = FaceSubset.of(table, subset)
+    except KeyError as e:
+        raise NotClosed(f"{e.args[0]!r} is not a face of the table") from None
     if 1 in sub.mask(0) and 1 not in sub.mask(-1):
         raise NotClosed("reduced homology needs the empty face in the subset")
     gap = sub.missing_facet()

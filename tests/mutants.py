@@ -95,6 +95,69 @@ MUTANTS = [
 ]
 
 
+FACES = "halfcube/faces.py"
+ENUMERATION = "tests/test_faces.py::TestEnumeration::"
+REJECTS = ENUMERATION + "test_lookup_rejects_non_faces"
+ACYCLICITY = "tests/test_morse.py::TestAcyclicity::"
+HOMOLOGY = "tests/test_snf.py::TestHomology::"
+BASIS = "tests/test_subcomplex.py::TestHomologyBasis::"
+
+MUTANTS += [
+    # faces.FaceTable._locate: a face text looked up by its code
+    Mutant("lookup-bisect-right", FACES,
+           "i = bisect_left(codes, c)", "i = bisect_right(codes, c)",
+           (ENUMERATION + "test_index_lookup",
+            ENUMERATION + "test_reads_agree_before_and_after_lookups")),
+    Mutant("lookup-equal-code-dropped", FACES,
+           "if i < len(codes) and codes[i] == c:", "if i < len(codes):",
+           (REJECTS + "[5-'0000I']", REJECTS + "[4-'00I1']",
+            ENUMERATION + "test_reads_agree_before_and_after_lookups")),
+    Mutant("lookup-symbol-check-dropped", FACES,
+           "        if b.translate(None, _CODE_BYTES):\n"
+           "            return None  # a symbol other than * 0 1 I O\n",
+           "",
+           (REJECTS + "[4-'0021']", REJECTS + "[4-'00io']")),
+    # faces.enumerate_faces
+    Mutant("O-before-I", FACES,
+           "(UND1, plain.get((u - 1, 1 - p))), (UND0, plain.get((u - 1, p))))",
+           "(UND0, plain.get((u - 1, p))), (UND1, plain.get((u - 1, 1 - p))))",
+           (ENUMERATION + "test_equals_reference_enumeration[4]",
+            "tests/test_faces.py::TestFacetIndex::test_codes_order_as_the_texts")),
+    Mutant("canonical-edge-class-dropped", FACES,
+           "1: _grow_canon(plain, canon, 2, 1)", "1: _grow_plain(plain, 2, 1)",
+           (ENUMERATION + "test_n4_counts",
+            ENUMERATION + "test_equals_reference_enumeration[4]")),
+    Mutant("census-check-dropped", FACES,
+           "    if got != want:\n", "    if False:\n",
+           (ENUMERATION + "test_census_mismatch_raises",)),
+    # chains: the closed-form incidence signs
+    Mutant("epsilon-flipped-for-m5-odd", "halfcube/chains.py",
+           "return -1 if ((m - 1) // 2 + parity) % 2 else 1",
+           "return -1 if ((m - 1) // 2 + parity + (m == 5 and parity)) % 2 else 1",
+           ("tests/test_chains.py::TestClosedForms::test_epsilon_is_the_frame_sign[6]",
+            "tests/test_chains.py::TestBoundaryMatrix::"
+            "test_chain_condition_pins_sigma_and_reference_pins_epsilon")),
+    # morse: the induced order and the triangular solver
+    Mutant("kahn-edge-dropped", "halfcube/morse.py",
+           "if u >= 0 and i != e:", "if u > 0 and i != e:",
+           (ACYCLICITY + "test_planted_cycle_is_found",
+            ACYCLICITY + "test_planted_cycle_raises_in_morse_boundary[first]")),
+    Mutant("triangular-row-bound-dropped", "halfcube/morse.py",
+           "if r not in seg or max(seg) > r or", "if r not in seg or",
+           ("tests/test_morse.py::TestMorseBoundary::"
+            "test_planted_defects_break_triangularity",)),
+    # snf.check_closed and subcomplex.homology_basis
+    Mutant("closed-empty-face-reversed", SNF,
+           "if 1 in sub.mask(0) and 1 not in sub.mask(-1):",
+           "if 1 in sub.mask(0) and 1 in sub.mask(-1):",
+           (HOMOLOGY + "test_vertex_needs_the_empty_face",
+            HOMOLOGY + "test_full_complex_contractible[4]")),
+    Mutant("basis-column-shifted", "halfcube/subcomplex.py",
+           "ch = bmat.column_chain(j)", "ch = bmat.column_chain(j - 1)",
+           (BASIS + "test_chains_are_cycles", BASIS + "test_5_3_has_31_chains")),
+]
+
+
 def run_tests(src: Path, node_ids) -> tuple[set[str], str | None]:
     """The named tests that fail against `src`, or an error text when
     pytest could not run them all."""

@@ -1,4 +1,3 @@
-import functools
 import inspect
 import json
 from array import array
@@ -382,34 +381,36 @@ class TestUsageErrors:
         assert f"\nhalfcube {command}: error: " in err
 
 
-class TestPositionMap:
+class TestTextLookup:
     @pytest.fixture
-    def built(self, monkeypatch):
-        """The n of every table whose face -> position map gets built."""
+    def looked_up(self, monkeypatch):
+        """Every face text looked up in a table."""
         out = []
-        build = faces.FaceTable.__dict__["_position"].func
-        spy = functools.cached_property(lambda self: out.append(self.n) or build(self))
-        spy.__set_name__(faces.FaceTable, "_position")
-        monkeypatch.setattr(faces.FaceTable, "_position", spy)
+        locate = faces.FaceTable._locate
+        monkeypatch.setattr(faces.FaceTable, "_locate",
+                            lambda self, f: out.append(f) or locate(self, f))
         return out
 
     @pytest.mark.parametrize("argv", [
         ["betti", "--n-max", "6"],
         ["--n", "6", "match", "--verify"],
     ], ids=lambda argv: " ".join(argv))
-    def test_census_commands_do_not_build_it(self, capsys, built, argv):
+    def test_census_commands_look_no_face_up(self, capsys, looked_up, argv):
         code, lines = run(capsys, *argv)
         assert code == 0 and lines[-1].startswith("RESULT pass")
-        assert built == []
+        assert looked_up == []
 
     @pytest.mark.parametrize("argv", [
         ["--n", "5", "--k", "3", "basis"],
         ["--n", "5", "--k", "3", "basis", "--certify"],
     ], ids=lambda argv: " ".join(argv))
-    def test_basis_commands_do_not_build_it(self, capsys, built, argv):
+    def test_basis_commands_look_no_face_up(self, capsys, looked_up, argv):
         code, lines = run(capsys, *argv)
         assert code == 0 and lines[-1].startswith("RESULT pass")
-        assert built == []
+        assert looked_up == []
+
+    def test_the_spy_sees_lookups(self, tables, looked_up):
+        assert "0000" in tables(4) and looked_up == ["0000"]
 
 
 class TestOutPath:
@@ -420,16 +421,23 @@ class TestOutPath:
         "betti": ["betti", "--n-max", "5"],
     }
 
-    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory",
+                                        "no_new_files", "no_name"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path,
                                            command, target):
-        # rejected before any work, naming the path, leaving no file
+        # rejected before any work, naming the path, leaving no file;
+        # /proc holds no files but its own, so the temporary file the
+        # output is written to cannot be created there
         def no_work(n):
             raise AssertionError("enumerated before the --out check")
 
         monkeypatch.setattr(faces, "enumerate_faces", no_work)
-        path = tmp_path / "nowhere" / "out.jsonl" if target != "directory" else tmp_path
+        monkeypatch.chdir(tmp_path)
+        path = {"missing_directory": tmp_path / "nowhere" / "out.jsonl",
+                "directory": tmp_path,
+                "no_new_files": "/proc/out.jsonl",
+                "no_name": ""}[target]
         with pytest.raises(SystemExit) as exc:
             main(self.COMMANDS[command] + ["--out", str(path)])
         assert exc.value.code == 2

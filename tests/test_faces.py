@@ -385,19 +385,17 @@ class TestEnumeration:
         with pytest.raises(FaceError, match="face census mismatch at n=5"):
             enumerate_faces(5)
 
-    def test_reads_agree_before_and_after_the_position_map(self):
+    def test_reads_agree_before_and_after_lookups(self):
         def reads(t):
             return (t.size, list(map(t.dim_at, range(t.size))),
                     [t.start(d) for d in range(-3, 8)])
 
         t = enumerate_faces(5)
         before = reads(t)
-        assert "_position" not in vars(t)
         probes = ["not a face", "0000I", "0000", "1*1*1", *t]
         assert [f in t for f in probes] == [False] * 4 + [True] * t.size
-        assert "_position" in vars(t)
         assert reads(t) == before
-        assert t.size == len(t._position) == 404
+        assert sorted(vars(t)["_codes"]) == list(range(6))  # built by the lookups
 
     def test_determinism(self):
         a = enumerate_faces(4)
@@ -408,20 +406,65 @@ class TestEnumeration:
         with pytest.raises(NTooSmall):
             enumerate_faces(3)
 
-    def test_index_lookup(self, tables):
+    def test_index_lookup(self, tables, matchings):
+        for n in range(4, 8):
+            t, m = tables(n), matchings(n)
+            table_order = list(t)
+            for d in t.cells:
+                for i, f in enumerate(t.faces(d)):
+                    assert t.index_of(f) == i
+                    assert t.dim_of(f) == d
+                    assert f in t
+                    g = t.position(f)
+                    assert g == t.start(d) + i and table_order[g] == f
+                    assert t.face(g) == f and t.dim_at(g) == d
+                    assert m.partner[f] == t.face(m.mate[g])
+                    assert m.rule[f] == m.rules[g]
+            every_other = FaceSubset.of(t, table_order[::2])
+            assert every_other.masks == {
+                d: bytearray((t.start(d) + i + 1) % 2 for i in range(len(cells)))
+                for d, cells in t.cells.items()}
+            assert all(f in every_other for f in table_order[::2])
+            assert not any(f in every_other for f in table_order[1::2])
         t = tables(4)
-        for d in t.cells:
-            for i, f in enumerate(t.faces(d)):
-                assert t.index_of(f) == i
-                assert t.dim_of(f) == d
-                g = t.position(f)
-                assert g == t.start(d) + i == list(t).index(f)
-                assert t.face(g) == f and t.dim_at(g) == d
         assert t.start(-2) == 0 and t.start(5) == t.start(9) == t.size == 82
         with pytest.raises(IndexError):
             t.dim_at(t.size)
         with pytest.raises(KeyError):
             t.position("0000I")
+
+    @pytest.mark.parametrize("n, f", [
+        (4, "0021"),  # a raw '2' would read as the code of "0011"
+        (4, "00I1"),  # one underline: no such face
+        (4, "I*O*"),  # stars mixed with underlines
+        (5, "0000I"),
+        (5, "0000"), (5, "000000"), (5, ""),  # wrong lengths
+        (4, "o*00"), (4, "00io"), (5, "empty"), (4, "11 0"),
+        (4, "0\u00b9 1"), (4, "00\u0131\u00d8"),  # non-ASCII
+        (4, b"0011"), (4, 11), (4, None), (4, ("0", "0", "1", "1")),
+    ], ids=repr)
+    def test_lookup_rejects_non_faces(self, tables, matchings, n, f):
+        t = tables(n)
+        assert f not in t
+        for lookup in (t.position, t.index_of, t.dim_of):
+            with pytest.raises(KeyError):
+                lookup(f)
+        assert f not in FaceSubset.of(t, t)
+        with pytest.raises(KeyError):
+            FaceSubset.of(t, [t.faces(0)[0], f])
+        assert f not in matchings(n).partner
+
+    def test_lookup_of_a_removed_empty_face(self, tables):
+        t = tables(4)
+        assert EMPTY in t and t.position(EMPTY) == 0 and t.dim_of(EMPTY) == -1
+        cut = FaceTable(4, {d: list(c) for d, c in t.cells.items() if d >= 0})
+        assert EMPTY not in cut and "0000" in cut and cut.position("0000") == 0
+        with pytest.raises(KeyError):
+            cut.position(EMPTY)
+        cut = FaceTable(4, {**t.cells, -1: []})
+        assert EMPTY not in cut and cut.position("0000") == 0
+        with pytest.raises(KeyError):
+            cut.index_of(EMPTY)
 
 
 class TestJson:

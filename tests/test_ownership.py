@@ -1,8 +1,10 @@
 """Source guards: the chain complex and the matching are built by the
 caller and passed in, never rebuilt behind its back; incidence signs come
 from the closed-form rule, never from a determinant; code that only the
-tests use lives in tests/reference.py, not in the package."""
+tests use lives in tests/reference.py, not in the package; a face table
+looks face texts up by their codes, holding no map keyed by text."""
 
+import copy
 import importlib
 import inspect
 import re
@@ -93,6 +95,23 @@ def test_the_oracle_does_not_read_the_matching():
             if getattr(v, "__module__", None) == "halfcube.morse"
             or getattr(v, "__name__", None) == "halfcube.morse"]
     assert held == []
+
+
+def test_lookups_add_only_codes_to_the_table():
+    table = halfcube.enumerate_faces(6)
+    before = copy.deepcopy(vars(table))
+    every = list(table)
+    assert [table.position(f) for f in every] == list(range(table.size))
+    assert all(f in table for f in every)
+    after = vars(table)
+    assert not hasattr(table, "_position") and not hasattr(halfcube.FaceTable, "_position")
+    assert {k: v for k, v in after.items() if k != "_codes"} == {
+        k: v for k, v in before.items() if k != "_codes"}
+    assert before["_codes"] == {} and sorted(after["_codes"]) == list(range(7))
+    # no attribute of the table, nor any value of one, is keyed by face text
+    keyed = [k for k, v in after.items() if isinstance(v, dict)
+             and any(isinstance(key, str) for key in v)]
+    assert keyed == []
 
 
 def test_guards_see_the_package():
