@@ -6,6 +6,15 @@ certification), `betti` (closed-form / census / oracle comparison table).
 Every verification command prints a final machine-readable line
 `RESULT pass ...` or `RESULT fail ...`; exit codes are 0 for pass, 1 for a
 verification failure, 2 for a usage error.
+
+`main` owns each run: it rejects a global flag the command does not
+read, requires --n and --k where read, opens the --out file (`_Sink`)
+before any work, prints the `RESULT fail ... error=<Class>` line for the
+library's errors, and on every way out removes a temporary --out file
+that was not renamed into place.  The `cmd_*` handlers do only their
+command's work.  A run killed by a signal may leave `.NAME.PID.tmp`
+behind; a closed stdout (`| head`) ends the run with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -37,19 +46,6 @@ def _global_flags(p: argparse.ArgumentParser, default) -> None:
     p.add_argument("--dim", type=int, default=default)
     p.add_argument("--out", default=default)
     p.add_argument("-v", "--verbose", action="store_true", default=default)
-
-
-def _unread_flags(args) -> list[str]:
-    """The global flags given to a command that does not read them."""
-    opts = vars(args)
-    reads = {"enum": "n dim out", "match": "n out", "basis": "n k out",
-             "betti": "out"}[args.command].split()
-    if opts.get("verify") or opts.get("certify"):
-        reads.append("verbose")
-    if opts.get("face") is not None:
-        reads = ["n"]
-    return [f"--{d}" for d in ("n", "k", "dim", "out", "verbose")
-            if opts[d] is not None and d not in reads]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,113 +88,72 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _written_directly(path: str) -> bool:
-    """Whether --out PATH is an existing non-regular file, such as
-    /dev/null, written in place rather than through a temporary file."""
-    return os.path.exists(path) and not os.path.isfile(path)
-
-
-def _tmp_path(path: str) -> str:
-    head, tail = os.path.split(path)
-    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-
-
-def _out_problem(path: str) -> str | None:
-    """Why --out PATH cannot be written, or None.  The temporary file of a
-    regular target is created and removed again, so that a directory
-    refusing new files, such as /proc, is found before any work."""
-    head = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        return "is a directory"
-    if not os.path.isdir(head):
-        return f"no such directory {head}"
-    if not os.path.basename(path):
-        return "names no file"
-    if _written_directly(path):
-        return None
-    tmp = _tmp_path(path)
-    try:
-        open(tmp, "w").close()
-    except OSError as e:
-        return f"cannot create a file in {head} ({e.strerror})"
-    os.remove(tmp)
-    return None
-
-
 class _Sink:
-    """Data lines go to --out when given, otherwise to stdout.
+    """Where a command's data lines go: the --out file, or stdout.
 
-    Use as a context manager.  A regular --out file is written to a
-    temporary file in the same directory and renamed into place when the
-    block ends normally; when it raises, the temporary file is removed, so
-    a failed command never leaves a partial file.  A non-regular target,
-    such as /dev/null, is written directly.
+    A regular --out file is written under a temporary name in its
+    directory.  The constructor opens that file before any work, so that
+    a path which cannot be written, such as one in /proc, is found first
+    (as a ValueError naming the problem); `write` renames it into place
+    after the last line, and `close` removes it when the run ends
+    without that, so a failed command never leaves a partial file.  A
+    non-regular target, such as /dev/null, is written directly.
     """
 
     def __init__(self, path: str | None):
         self.path = path
         self.tmp = None
+        self.fh = sys.stdout
         if path is None:
-            self.fh = sys.stdout
-        elif _written_directly(path):
-            self.fh = open(path, "w")
-        else:
-            self.tmp = _tmp_path(path)
-            self.fh = open(self.tmp, "w")
+            return
+        head, tail = os.path.split(path)
+        if os.path.isdir(path):
+            raise ValueError("is a directory")
+        if not os.path.isdir(head or "."):
+            raise ValueError(f"no such directory {head}")
+        if not tail:
+            raise ValueError("names no file")
+        if not os.path.exists(path) or os.path.isfile(path):
+            self.tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            self.fh = open(self.tmp or path, "w")
+        except OSError as e:
+            why = f"create a file in {head or '.'}" if self.tmp else "open it"
+            raise ValueError(f"cannot {why} ({e.strerror})") from None
 
-    def lines(self, lines: Iterable[str]) -> None:
+    def write(self, lines: Iterable[str]) -> None:
+        """Write every line, then put the --out file in place."""
         self.fh.writelines(s + "\n" for s in lines)
-
-    def __enter__(self) -> "_Sink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.path is None:
-            return
-        self.fh.close()
-        if self.tmp is None:
-            return
-        if exc_type is None:
+        if self.path is not None:
+            self.fh.close()
+        if self.tmp is not None:
             os.replace(self.tmp, self.path)
-        else:
+            self.tmp = None
+
+    def close(self) -> None:
+        """Close the --out file, and remove the temporary file unless
+        `write` has put it in place."""
+        if self.path is not None:
+            self.fh.close()
+        if self.tmp is not None:
             os.remove(self.tmp)
 
 
-def _require_n(args, parser) -> int:
-    if args.n is None:
-        parser.error("--n is required")
-    if args.n < 4:
-        parser.error(f"--n must be >= 4, got {args.n}")
-    return args.n
-
-
-def _require_k(args, parser, n: int) -> int:
-    if args.k is None:
-        parser.error("--k is required")
-    if not 3 <= args.k < n:
-        parser.error(f"--k must satisfy 3 <= k < n, got k={args.k}, n={n}")
-    return args.k
-
-
-def cmd_enum(args, parser) -> int:
-    n = _require_n(args, parser)
+def cmd_enum(args, parser, sink) -> int:
+    n = args.n
     if args.dim is not None and not -1 <= args.dim <= n:
         parser.error(f"--dim must satisfy -1 <= dim <= n, got dim={args.dim}, n={n}")
-    try:
-        table = faces.enumerate_faces(n)  # raises on a census mismatch
-        dims = [args.dim] if args.dim is not None else sorted(table.cells)
-        with _Sink(args.out) as sink:
-            sink.lines(faces.face_jsonl(f) for d in dims for f in table.faces(d))
-    except LIBRARY_ERRORS as e:
-        return _library_failure(f"n={n}", e)
+    table = faces.enumerate_faces(n)  # raises on a census mismatch
+    dims = [args.dim] if args.dim is not None else sorted(table.cells)
+    sink.write(faces.face_jsonl(f) for d in dims for f in table.faces(d))
     for d, count in table.counts().items():
         print(f"dim {d:2d}: {count:8d} ok")
     print(f"RESULT pass n={n} cells={table.size}")
     return 0
 
 
-def cmd_match(args, parser) -> int:
-    n = _require_n(args, parser)
+def cmd_match(args, parser, sink) -> int:
+    n = args.n
     if args.face is not None:
         if args.verify:
             parser.error("--verify cannot be combined with --face")
@@ -210,23 +165,18 @@ def cmd_match(args, parser) -> int:
         print(json.dumps({"face": f, "partner": partner, "rule": rule}))
         print(f"RESULT pass n={n} face={f}")
         return 0
-    try:
-        table = faces.enumerate_faces(n)
-        m = morse.build_matching(table)
-        with _Sink(args.out) as sink:
-            sink.lines(m.jsonl_lines())
-        if args.verify:
-            g = morse.exclusivity_violation(m)
-            if g is not None:
-                f = table.face(g)
-                bits = morse.applicable_rules(f, table.dim_at(g))
-                print(f"RESULT fail n={n} exclusivity face={f} "
-                      f"rules={[r for r in range(1, 12) if bits >> r & 1]}")
-                return 1
-            report = morse.verify_acyclic(m, table)
-    except LIBRARY_ERRORS as e:
-        return _library_failure(f"n={n}", e)
+    table = faces.enumerate_faces(n)
+    m = morse.build_matching(table)
+    sink.write(m.jsonl_lines())
     if args.verify:
+        g = morse.exclusivity_violation(m)
+        if g is not None:
+            f = table.face(g)
+            bits = morse.applicable_rules(f, table.dim_at(g))
+            print(f"RESULT fail n={n} exclusivity face={f} "
+                  f"rules={[r for r in range(1, 12) if bits >> r & 1]}")
+            return 1
+        report = morse.verify_acyclic(m, table)
         if args.verbose:
             print(json.dumps(report))
         # build_matching has already checked that every face is paired
@@ -240,32 +190,20 @@ def cmd_match(args, parser) -> int:
     return 0
 
 
-def _library_failure(where: str, e: Exception) -> int:
-    print(f"error: {e}", file=sys.stderr)
-    print(f"RESULT fail {where} error={type(e).__name__}")
-    return 1
-
-
-def cmd_basis(args, parser) -> int:
-    n = _require_n(args, parser)
-    k = _require_k(args, parser, n)
-    try:
-        table = faces.enumerate_faces(n)
-        cx = ChainComplex(table)
-        basis = subc.homology_basis(n, k, table, cx)
-        with _Sink(args.out) as sink:
-            sink.lines(basis.jsonl_lines(table))
-        expected = subc.betti_power(n, k)
-        ok = len(basis.chains) == expected
-        if args.certify:
-            sub = subc.subcomplex_faces(n, k, table)
-            verdict = snf.class_independence(basis.chains, sub, table, cx)
-            print(f"independent and generating: {str(verdict.ok).lower()}")
-            if args.verbose:
-                print(json.dumps(verdict.detail))
-            ok = ok and verdict.ok
-    except LIBRARY_ERRORS as e:
-        return _library_failure(f"n={n} k={k}", e)
+def cmd_basis(args, parser, sink) -> int:
+    n, k = args.n, args.k
+    table = faces.enumerate_faces(n)
+    cx = ChainComplex(table)
+    basis = subc.homology_basis(n, k, table, cx)
+    sink.write(basis.jsonl_lines(table))
+    ok = len(basis.chains) == subc.betti_power(n, k)
+    if args.certify:
+        sub = subc.subcomplex_faces(n, k, table)
+        verdict = snf.class_independence(basis.chains, sub, table, cx)
+        print(f"independent and generating: {str(verdict.ok).lower()}")
+        if args.verbose:
+            print(json.dumps(verdict.detail))
+        ok = ok and verdict.ok
     print(f"RESULT {'pass' if ok else 'fail'} n={n} k={k} chains={len(basis.chains)}")
     return 0 if ok else 1
 
@@ -301,7 +239,7 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
     return rows, first_bad
 
 
-def cmd_betti(args, parser) -> int:
+def cmd_betti(args, parser, sink) -> int:
     if args.n_min < 4:
         parser.error("--n-min must be >= 4")
     if args.n_max < args.n_min:
@@ -312,16 +250,13 @@ def cmd_betti(args, parser) -> int:
     rows = []
     failure = ""
     for n in range(args.n_min, args.n_max + 1):
-        try:
-            n_rows, bad = _betti_rows(n, args)
-        except LIBRARY_ERRORS as e:
-            return _library_failure(f"n={n}", e)
+        args.n = n  # the n a library error's RESULT line names
+        n_rows, bad = _betti_rows(n, args)
         rows += n_rows
         if bad and not failure:
             failure = f" n={n} k={bad[0]} column={bad[1]}"
-    with _Sink(args.out) as sink:
-        sink.lines(["n,k,betti_binomial,betti_power,unmatched,oracle_rank",
-                    *(",".join(map(str, row)) for row in rows)])
+    sink.write(["n,k,betti_binomial,betti_power,unmatched,oracle_rank",
+                *(",".join(map(str, row)) for row in rows)])
     print(f"RESULT {'fail' if failure else 'pass'} rows={len(rows)}{failure}")
     return 1 if failure else 0
 
@@ -329,20 +264,47 @@ def cmd_betti(args, parser) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     parser = args.parser
-    unread = _unread_flags(args)
+    opts = vars(args)
+    # the global flags the command reads
+    reads = {"enum": "n dim out", "match": "n out", "basis": "n k out",
+             "betti": "out"}[args.command].split()
+    if opts.get("verify") or opts.get("certify"):
+        reads.append("verbose")
+    if opts.get("face") is not None:
+        reads = ["n"]
+    unread = [f"--{d}" for d in ("n", "k", "dim", "out", "verbose")
+              if opts[d] is not None and d not in reads]
     if unread:
         parser.error(f"{args.command} does not use {', '.join(unread)}")
-    if args.out is not None:
-        problem = _out_problem(args.out)
-        if problem:
-            parser.error(f"--out {args.out}: {problem}")
-    handlers = {
-        "enum": cmd_enum,
-        "match": cmd_match,
-        "basis": cmd_basis,
-        "betti": cmd_betti,
-    }
-    return handlers[args.command](args, parser)
+    try:
+        sink = _Sink(args.out)
+    except ValueError as e:
+        parser.error(f"--out {args.out}: {e}")
+    try:
+        if "n" in reads:
+            if args.n is None:
+                parser.error("--n is required")
+            if args.n < 4:
+                parser.error(f"--n must be >= 4, got {args.n}")
+        if "k" in reads:
+            if args.k is None:
+                parser.error("--k is required")
+            if not 3 <= args.k < args.n:
+                parser.error(f"--k must satisfy 3 <= k < n, got k={args.k}, n={args.n}")
+        # looked up by name at call time, so that a wrapped handler runs
+        return globals()[f"cmd_{args.command}"](args, parser, sink)
+    except LIBRARY_ERRORS as e:
+        where = " ".join(f"{d}={opts[d]}" for d in ("n", "k") if opts[d] is not None)
+        print(f"error: {e}", file=sys.stderr)
+        print(f"RESULT fail {where} error={type(e).__name__}")
+        return 1
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: exit quietly, and point
+        # stdout at os.devnull so that the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        sink.close()
 
 
 if __name__ == "__main__":

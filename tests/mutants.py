@@ -92,6 +92,13 @@ MUTANTS = [
            "                rows.pop(u - lo, None)\n", "",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
+    # snf._sparse_snf: a heap record of a value the entry no longer holds
+    Mutant("snf-dead-record-check-dropped", SNF,
+           "            if abs(rows[r][c]) != key >> 2 * pbits:\n"
+           "                continue  # another |v|, which has its own record\n",
+           "",
+           ("tests/test_snf.py::TestHeapElimination::"
+            "test_record_of_another_value_is_skipped",)),
 ]
 
 
@@ -155,6 +162,36 @@ MUTANTS += [
     Mutant("basis-column-shifted", "halfcube/subcomplex.py",
            "ch = bmat.column_chain(j)", "ch = bmat.column_chain(j - 1)",
            (BASIS + "test_chains_are_cycles", BASIS + "test_5_3_has_31_chains")),
+]
+
+
+CLI = "halfcube/cli.py"
+CLI_TESTS = "tests/test_cli.py::"
+OUT_PATH = CLI_TESTS + "TestOutPath::"
+
+MUTANTS += [
+    # cli: the temporary --out file
+    Mutant("cli-finally-close-dropped", CLI,
+           "    finally:\n        sink.close()\n", "    finally:\n        pass\n",
+           (CLI_TESTS + "TestEnum::test_library_error_is_a_fail_line",
+            CLI_TESTS + "TestMatch::test_library_error_is_a_fail_line",
+            CLI_TESTS + "TestBetti::test_library_error_is_a_fail_line",
+            OUT_PATH + "test_out_turned_directory_leaves_no_temporary_file[basis]")),
+    Mutant("cli-rename-before-write", CLI,
+           "        self.fh.writelines(s + \"\\n\" for s in lines)\n"
+           "        if self.path is not None:\n"
+           "            self.fh.close()\n"
+           "        if self.tmp is not None:\n"
+           "            os.replace(self.tmp, self.path)\n"
+           "            self.tmp = None\n",
+           "        if self.tmp is not None:\n"
+           "            os.replace(self.tmp, self.path)\n"
+           "            self.tmp = None\n"
+           "        self.fh.writelines(s + \"\\n\" for s in lines)\n"
+           "        if self.path is not None:\n"
+           "            self.fh.close()\n",
+           (CLI_TESTS + "TestBasis::test_failure_mid_write_leaves_no_file",
+            OUT_PATH + "test_failure_mid_write_keeps_the_old_file")),
 ]
 
 

@@ -1,6 +1,11 @@
 import inspect
 import json
+import os
+import socket
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +75,7 @@ class TestEnum:
         code, lines = run(capsys, "--n", "4", "enum", "--out", str(path))
         assert code == 1
         assert lines == ["RESULT fail n=4 error=FaceError"]
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no temporary file either
 
 
 class TestMatch:
@@ -165,7 +170,7 @@ class TestMatch:
                           "--out", str(path))
         assert code == 1
         assert lines == ["RESULT fail n=4 error=InvolutionBroken"]
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no temporary file either
 
 
 class TestBasis:
@@ -284,7 +289,7 @@ class TestBetti:
         code, lines = run(capsys, "betti", "--n-max", "5", "--out", str(path))
         assert code == 1
         assert lines == ["RESULT fail n=4 error=Unpaired"]
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # no temporary file either
 
     def test_fail_line_names_first_bad_power_column(self, capsys, monkeypatch):
         power = subc.betti_power
@@ -445,3 +450,74 @@ class TestOutPath:
         assert f"--out {path}" in captured.err
         assert "RESULT" not in captured.out
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unopenable_out_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                           command):
+        # a socket is written directly, as a non-regular file, but cannot
+        # be opened; that is found before any work too
+        def no_work(n):
+            raise AssertionError("enumerated before the --out check")
+
+        monkeypatch.setattr(faces, "enumerate_faces", no_work)
+        path = tmp_path / "s"
+        with socket.socket(socket.AF_UNIX) as s:
+            s.bind(str(path))
+            with pytest.raises(SystemExit) as exc:
+                main(self.COMMANDS[command] + ["--out", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--out {path}: cannot open it (No such device or address)" in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failure_mid_write_keeps_the_old_file(self, capsys, monkeypatch,
+                                                  tmp_path):
+        face_jsonl = faces.face_jsonl
+        written = []
+
+        def broken(f):
+            written.append(f)
+            if len(written) == 10:
+                raise faces.FaceError("planted")
+            return face_jsonl(f)
+
+        monkeypatch.setattr(faces, "face_jsonl", broken)
+        path = tmp_path / "faces.jsonl"
+        path.write_text("old\n")
+        code, lines = run(capsys, "--n", "4", "enum", "--out", str(path))
+        assert code == 1
+        assert lines == ["RESULT fail n=4 error=FaceError"]
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_turned_directory_leaves_no_temporary_file(
+            self, capsys, monkeypatch, tmp_path, command):
+        # the target becomes a directory while the command runs, so the
+        # final rename fails; its error propagates, the temporary file goes
+        enumerate_faces = faces.enumerate_faces
+        path = tmp_path / "out"
+
+        def mkdir_target(n):
+            path.mkdir(exist_ok=True)
+            return enumerate_faces(n)
+
+        monkeypatch.setattr(faces, "enumerate_faces", mkdir_target)
+        with pytest.raises(OSError):
+            main(self.COMMANDS[command] + ["--out", str(path)])
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["enum", "match"])
+def test_closed_stdout_exits_quietly(command):
+    # the n=7 dump is far larger than a pipe buffer, so the command is
+    # still writing when the reader closes the pipe after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(halfcube.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "halfcube", "--n", "7", command],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b'{"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -241,6 +241,20 @@ class TestHeapElimination:
         # the matrix; without a new record for it the heap runs dry
         assert smith_normal_form(m).factors == factors
 
+    def test_record_of_another_value_is_skipped(self, monkeypatch):
+        # a popped record whose entry now holds another |v| is dead; taken
+        # as the pivot, it changes the pivot sequence to [-1, 1, 1, -924]
+        # (the invariant factors stay the same)
+        entries = {(0, 1): 2, (0, 2): -6, (0, 3): -1, (1, 0): -3, (1, 2): -1,
+                   (1, 3): -6, (2, 0): 3, (2, 2): 3, (2, 3): -3, (3, 0): 2,
+                   (3, 1): -5}
+        pivots = []
+        chain = snf._divisibility_chain
+        monkeypatch.setattr(snf, "_divisibility_chain",
+                            lambda values: pivots.append(values) or chain(values))
+        assert snf._sparse_snf(4, 4, entries).factors == (1, 1, 1, 924)
+        assert pivots == [[-1, 1, -1, 924]]
+
     @settings(deadline=None, max_examples=150)
     @given(m=small_matrices, moves=unimodular_moves)
     def test_unimodular_moves_keep_invariant_factors(self, m, moves):
