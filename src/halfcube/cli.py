@@ -92,15 +92,18 @@ class _Sink:
     """Where a command's data lines go: the --out file, or stdout.
 
     A regular --out file is written under a temporary name in its
-    directory.  The constructor opens that file before any work, so that
-    a path which cannot be written, such as one in /proc, is found first
-    (as a ValueError naming the problem); `write` renames it into place
-    after the last line, and `close` removes it when the run ends
-    without that, so a failed command never leaves a partial file.  A
-    non-regular target, such as /dev/null, is written directly.
+    directory (a symlink's in its target's).  The constructor opens that
+    file before any work, so that a path which cannot be written, such
+    as one in /proc, is found first (as a ValueError naming the problem);
+    `write` renames it into place after the last line, and `close`
+    removes it when the run ends without that, so a failed command never
+    leaves a partial file.  A non-regular target, such as /dev/null, is
+    written directly.
     """
 
     def __init__(self, path: str | None):
+        if path is not None and os.path.islink(path):
+            path = os.path.realpath(path)  # written through to the link's target
         self.path = path
         self.tmp = None
         self.fh = sys.stdout
@@ -198,8 +201,7 @@ def cmd_basis(args, parser, sink) -> int:
     sink.write(basis.jsonl_lines(table))
     ok = len(basis.chains) == subc.betti_power(n, k)
     if args.certify:
-        sub = subc.subcomplex_faces(n, k, table)
-        verdict = snf.class_independence(basis.chains, sub, table, cx)
+        verdict = snf.class_independence(basis.chains, subc.subcomplex_faces(k, table), cx)
         print(f"independent and generating: {str(verdict.ok).lower()}")
         if args.verbose:
             print(json.dumps(verdict.detail))
@@ -229,7 +231,7 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
             if unmatched != a:
                 bad.append("unmatched")
             if args.oracle:  # cmd_betti has checked the n cap
-                h = snf.homology(spec.faces, table, k - 1, cx)
+                h = snf.homology(spec.faces, k - 1, cx)
                 oracle = h["betti"]
                 if oracle != a or h["torsion"]:
                     bad.append("oracle_rank")

@@ -380,6 +380,8 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
 def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
     """Search every dimension layer of the modified Hasse digraph for a
     directed cycle, by `_induced_order`.  Cycles are reported, not raised."""
+    if table is not m.table:
+        raise MorseError("the table given is not the matching's")
     layers = []
     acyclic = True
     for p in range(-1, table.n):
@@ -441,14 +443,6 @@ class MorseBoundary:
     def size(self) -> int:
         return len(self.up_ids)
 
-    def diagonal(self) -> list[int]:
-        """The entry in row r of each column r, or 0 when there is none."""
-        out = []
-        for r, (a, b) in enumerate(itertools.pairwise(self.offsets)):
-            seg = self.rows[a:b]
-            out.append(self.signs[a + seg.index(r)] if r in seg else 0)
-        return out
-
     def is_triangular(self) -> bool:
         """Each column r has its entries in rows <= r, and +-1 in row r."""
         rows, signs = self.rows, self.signs
@@ -466,6 +460,8 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     The upward-matched k-cells are ordered by `_induced_order`; a cycle
     in that order raises CyclicPrec naming its faces.
     """
+    if not (table is m.table is cx.table):
+        raise MorseError("the table given is not the matching's and the complex's")
     order, cycle = _induced_order(m, k)
     if cycle is not None:
         raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}")
@@ -504,6 +500,8 @@ def solve_cycle(y: ChainVector, m: MorseMatching, table: FaceTable,
     Solved by back-substitution along the stored topological order; all
     divisions are by +-1 so the coefficients stay integral.
     """
+    if not (table is m.table is cx.table) or mb is not None and mb.table is not table:
+        raise MorseError("the table given is not the one the matching, complex and mb hold")
     if not cx.apply(y).is_zero():
         raise NotACycle(f"input chain of dimension {y.dim} has nonzero boundary")
     if mb is None:

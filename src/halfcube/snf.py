@@ -1,17 +1,18 @@
 """Integer Smith normal form oracle for cellular homology.
 
 Ground truth for ranks and torsion, independent of the matching machinery:
-given any facet-closed face subset it computes reduced homology from
-exact Smith normal forms of the restricted boundary matrices, the map out
-of the vertices being the augmentation onto the empty face.  Elimination
-is gcd-based over arbitrary-precision integers; no modular or
-floating-point shortcuts.  Each pivot is an entry of smallest
-|v| in the whole matrix, exactly; ties go to the smallest Markowitz fill
-(len(row) - 1) * (len(col) - 1) as of that entry's last update, then to
-the smallest (row, col).  Candidates come from a lazily invalidated heap
-with one record per value written, so a pivot costs a few heap operations
-instead of a scan of every entry.  The pivot order decides only the work,
-never the result: invariant factors are unique.
+given any facet-closed face subset it computes reduced homology in degrees
+>= 0 from exact Smith normal forms of the restricted boundary matrices,
+the map out of the vertices being the augmentation onto the empty face.
+The face table is the one the ChainComplex `cx` holds; only `check_closed`
+takes a table.  Elimination is gcd-based over arbitrary-precision
+integers; no modular or floating-point shortcuts.  Each pivot is an entry
+of smallest |v| in the whole matrix, exactly; ties go to the smallest
+Markowitz fill (len(row) - 1) * (len(col) - 1) as of that entry's last
+update, then to the smallest (row, col).  Candidates come from a lazily
+invalidated heap with one record per value written, so a pivot costs a
+few heap operations instead of a scan of every entry.  The pivot order
+decides only the work, never the result: invariant factors are unique.
 
 Before any elimination the subset's cells are paired off by two moves
 (Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004, ch. 3-4;
@@ -249,12 +250,15 @@ def check_closed(subset, table: FaceTable) -> FaceSubset:
     return sub
 
 
-def restricted_boundary(sub, table: FaceTable, d: int,
+def restricted_boundary(sub, d: int,
                         cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int]]:
     """Boundary matrix of the face set in dimension d with local indices,
-    as (n_rows, n_cols, entries); rows and columns follow the table
-    order, and incidences onto cells outside the set are left out."""
-    sub = FaceSubset.of(table, sub)
+    as (n_rows, n_cols, entries); rows and columns follow the order of
+    `cx.table`, and incidences onto cells outside the set are left out."""
+    try:
+        sub = FaceSubset.of(cx.table, sub)
+    except KeyError as e:
+        raise NotClosed(f"{e.args[0]!r} is not a face of the table") from None
     cols = sub.indices(d)
     row_ids = sub.indices(d - 1)
     if not cols:
@@ -281,8 +285,8 @@ class _Reduction:
     `pairs[d]` the number of pairs whose upper cell has dimension d, and
     `lower[i]`, `upper[i]` the table positions of the i-th pair made."""
 
-    def __init__(self, sub: FaceSubset, table: FaceTable, cx: ChainComplex):
-        self.sub, self.table, self.cx = sub, table, cx
+    def __init__(self, sub: FaceSubset, cx: ChainComplex):
+        self.sub, self.cx, table = sub, cx, cx.table
         self.top = top = max((d for d, m in sub.masks.items() if 1 in m),
                              default=-1)
         dims = range(-1, top + 1)
@@ -366,7 +370,7 @@ class _Reduction:
         With `extra`, the map has n_extra more columns, which are zero off
         the cells left and given there as rows: index of a (d-1)-cell of
         `left` -> {column: value}."""
-        n_rows, n_cols, entries = restricted_boundary(self.left, self.table, d, self.cx)
+        n_rows, n_cols, entries = restricted_boundary(self.left, d, self.cx)
         if extra:
             row_pos = dict(zip(self.left.indices(d - 1), itertools.count()))
             for i, row in extra.items():
@@ -382,7 +386,7 @@ class _Reduction:
         """The cycles carried through the pairs in the order they were
         made (module docstring), as rows: index of a `degree`-cell of
         `left` -> {cycle index: coefficient}.  A row may be empty."""
-        lo, hi = self.table.start(degree), self.table.start(degree + 1)
+        lo, hi = self.cx.table.start(degree), self.cx.table.start(degree + 1)
         rows: dict[int, dict[int, int]] = {}
         for j, ch in enumerate(cycles):
             for i, v in ch.coeffs.items():
@@ -420,27 +424,29 @@ def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
                      snf_next: SNFResult) -> dict:
     """betti = cells - rank of the degree map - rank of the next boundary;
     torsion from the next boundary's invariant factors."""
-    n_cells = sub.mask(degree).count(1) if degree >= 0 else 0
+    n_cells = sub.mask(degree).count(1)
     return {"degree": degree, "betti": n_cells - snf_d.rank - snf_next.rank,
             "torsion": list(snf_next.torsion())}
 
 
-def homology(subset, table: FaceTable, degree: int, cx: ChainComplex) -> dict:
+def homology(subset, degree: int, cx: ChainComplex) -> dict:
     """Reduced Betti number and torsion coefficients of a facet-closed
-    subset in one degree."""
-    sub = check_closed(subset, table)
-    red = _Reduction(sub, table, cx)
+    subset in one degree, 0 or more."""
+    if degree < 0:
+        raise OracleError(f"degree must be >= 0, got {degree}")
+    sub = check_closed(subset, cx.table)
+    red = _Reduction(sub, cx)
     return _degree_homology(sub, degree, red.snf(degree), red.snf(degree + 1))
 
 
-def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
+def homology_report(subset, cx: ChainComplex) -> dict:
     """Per-degree reduced Betti numbers and torsion for a face subset.
 
     The subset is checked and reduced once and each boundary map factored
     once: the map out of degree d serves degree d (its kernel) and d-1
     (its image)."""
-    sub = check_closed(subset, table)
-    red = _Reduction(sub, table, cx)
+    sub = check_closed(subset, cx.table)
+    red = _Reduction(sub, cx)
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     snfs = [red.snf(d) for d in range(0, red.top + 2)]
@@ -463,8 +469,7 @@ class IndependenceVerdict:
         return self.independent and self.generating
 
 
-def class_independence(cycles, subset, table: FaceTable,
-                       cx: ChainComplex) -> IndependenceVerdict:
+def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     """Certify that the homology classes of the given cycles form a free
     basis of the subset's homology in their degree.
 
@@ -480,8 +485,8 @@ def class_independence(cycles, subset, table: FaceTable,
     if not cycles:
         raise NotCycles("no cycles given")
     degree = cycles[0].dim
-    sub = check_closed(subset, table)
-    cells = table.faces(degree)
+    sub = check_closed(subset, cx.table)
+    cells = cx.table.faces(degree)
     row_ids = sub.indices(degree) if degree >= 0 else []
     row_pos = {i: r for r, i in enumerate(row_ids)}
     for ch in cycles:
@@ -493,7 +498,7 @@ def class_independence(cycles, subset, table: FaceTable,
             if i not in row_pos:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
 
-    red = _Reduction(sub, table, cx)
+    red = _Reduction(sub, cx)
     rank_b = red.snf(degree + 1).rank
     kernel_rank = len(row_ids) - red.snf(degree).rank
     snf_stack = red.snf(degree + 1, red.project(cycles, degree), len(cycles))

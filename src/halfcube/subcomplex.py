@@ -6,7 +6,8 @@ concentrated in degree k-1.  Restricting the complete matching to the
 subcomplex leaves unpaired exactly the (k-1)-cells whose original partner
 was a deleted k-dimensional half-cube cell; the boundaries of those
 external partners are explicit integral homology basis chains.  Two closed
-forms count the basis.
+forms count the basis.  The masks read n from `table.n`; the functions
+given n and a table beside their owner raise BadRange on a mismatch.
 """
 
 from __future__ import annotations
@@ -54,19 +55,20 @@ def betti_power(n: int, k: int) -> int:
     return sum((2 ** (i - k)) * comb(i - 1, k - 1) for i in range(k, n + 1))
 
 
-def _check_range(n: int, table: FaceTable, k: int | None = None) -> None:
-    """BadRange unless n is the table's and, when k is given, 3 <= k < n."""
+def _check_range(n: int, k: int, table: FaceTable, owner=None) -> None:
+    """BadRange unless n is table.n, 3 <= k < n, and any owner holds the table."""
     if n != table.n:
         raise BadRange(f"n={n} but the face table has n={table.n}")
-    if k is not None and not 3 <= k < n:
+    if owner is not None and owner.table is not table:
+        raise BadRange(f"the face table is not the {type(owner).__name__}'s")
+    if not 3 <= k < n:
         raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
 
 
-def subcomplex_faces(n: int, k: int, table: FaceTable) -> FaceSubset:
+def subcomplex_faces(k: int, table: FaceTable) -> FaceSubset:
     """Every face of the half cube except the half-cube shaped faces of
     dimension >= k; the empty face is kept.  A face is half-cube shaped
     exactly when it holds a '*'."""
-    _check_range(n, table)
     masks = {}
     for d, cells in table.cells.items():
         if d < k:
@@ -99,9 +101,9 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     """Build the subcomplex for 3 <= k < n, restrict the matching, and
     validate: facet closure, unmatched cells concentrated in dimension
     k-1, and every external partner a k-dimensional half-cube cell whose
-    facets all remain inside."""
-    _check_range(n, table, k)
-    faces_y = subcomplex_faces(n, k, table)
+    facets all remain inside.  `table` must be `matching.table`."""
+    _check_range(n, k, table, matching)
+    faces_y = subcomplex_faces(k, table)
     # the matching is an involution, so the kept faces whose partner was
     # deleted are the kept partners of the deleted faces; each is held as
     # (text, dimension, position within it), and faces are unique, so the
@@ -128,8 +130,6 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     for f, d, _ in unmatched:
         if d != k - 1:
             raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
-    if len(unmatched) != len(external):
-        raise SubcomplexError("unmatched/external size mismatch")
     below = faces_y.mask(k - 1)
     cells_below = table.faces(k - 1)
     for b, d, i in external:
@@ -150,10 +150,10 @@ def _is_basis_face(f: str) -> bool:
     return STAR in f and PLAIN1 not in f[f.rfind(STAR) + 1:]
 
 
-def basis_faces(n: int, k: int, table: FaceTable) -> list[str]:
+def basis_faces(k: int, table: FaceTable) -> list[str]:
     """The k-dimensional half-cube faces with no '1' strictly right of the
-    rightmost '*', in lexicographic order."""
-    _check_range(n, table, k)
+    rightmost '*', in lexicographic order, for 3 <= k < table.n."""
+    _check_range(table.n, k, table)
     return [f for f in table.faces(k) if _is_basis_face(f)]
 
 
@@ -181,8 +181,8 @@ def homology_basis(n: int, k: int, table: FaceTable,
 
     Each chain lies in the subcomplex without a check: the subcomplex
     keeps every cell of dimension below k, so it holds every (k-1)-cell a
-    boundary chain can touch."""
-    _check_range(n, table, k)
+    boundary chain can touch.  `table` must be `cx.table`."""
+    _check_range(n, k, table, cx)
     bmat = cx.boundary(k)
     bfaces, chains = [], []
     for j, b in enumerate(table.faces(k)):

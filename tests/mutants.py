@@ -195,6 +195,36 @@ MUTANTS += [
 ]
 
 
+MUTANTS += [
+    # a table that is not the one the matching or complex holds
+    Mutant("morse-table-check-dropped", "halfcube/morse.py",
+           "    if table is not m.table:\n"
+           "        raise MorseError(\"the table given is not the matching's\")\n",
+           "",
+           ("tests/test_morse.py::TestMixedTables::"
+            "test_table_not_the_owners_is_an_error[verify_acyclic]",
+            "tests/test_morse.py::TestMixedTables::"
+            "test_table_not_the_owners_is_an_error[verify_acyclic-equal-table]")),
+    Mutant("subcomplex-table-check-dropped", "halfcube/subcomplex.py",
+           "if owner is not None and owner.table is not table:",
+           "if False:",
+           ("tests/test_subcomplex.py::TestBuildSubcomplex::"
+            "test_table_must_be_the_owners[matching]",
+            "tests/test_subcomplex.py::TestBuildSubcomplex::"
+            "test_table_must_be_the_owners[complex]",
+            "tests/test_subcomplex.py::TestBuildSubcomplex::"
+            "test_table_must_be_the_owners[equal-table]")),
+    # snf.homology: reduced homology has no negative degree to report
+    Mutant("snf-negative-degree-accepted", SNF,
+           "    if degree < 0:\n"
+           "        raise OracleError(f\"degree must be >= 0, got {degree}\")\n",
+           "",
+           (HOMOLOGY + "test_negative_degree_is_an_error[C53--1]",
+            HOMOLOGY + "test_negative_degree_is_an_error[C53--2]",
+            HOMOLOGY + "test_negative_degree_is_an_error[empty--1]")),
+]
+
+
 def run_tests(src: Path, node_ids) -> tuple[set[str], str | None]:
     """The named tests that fail against `src`, or an error text when
     pytest could not run them all."""

@@ -14,7 +14,8 @@ determinant raises.  Tests require the package's closed-form sign rule to
 give bit-identical matrices.  `boundary_from_cols` and
 `morse_boundary_with_cols` pack column dicts into the package's arrays,
 for the reference and for planted sign defects; `entry` and `incidence`
-read one entry of a boundary by position or by face text.
+read one entry of a boundary by position or by face text, and `diagonal`
+the diagonal of a Morse boundary.
 
 `enumerate_cells` lists the faces of each dimension by (odd point, mask)
 and (fixed digits, star mask) iteration, with edge canonicalisation, set
@@ -356,6 +357,15 @@ def morse_boundary_with_cols(mb: MorseBoundary, cols) -> MorseBoundary:
                          rows, signs, offsets)
 
 
+def diagonal(mb: MorseBoundary) -> list[int]:
+    """The entry in row r of each column r of mb, or 0 when there is none."""
+    out = []
+    for r, (a, b) in enumerate(itertools.pairwise(mb.offsets)):
+        seg = mb.rows[a:b]
+        out.append(mb.signs[a + seg.index(r)] if r in seg else 0)
+    return out
+
+
 def entry(b: BoundaryMatrix, i: int, j: int) -> int:
     """Entry (i, j) of a boundary matrix: 0 off its support."""
     return b.cols[j].get(i, 0)
@@ -420,7 +430,7 @@ def facet_index(table: FaceTable, d: int) -> tuple[array, array]:
     return flat, offsets
 
 
-def subcomplex_faces(n: int, k: int, table: FaceTable) -> set[str]:
+def subcomplex_faces(k: int, table: FaceTable) -> set[str]:
     """Every face except the half-cube shaped faces of dimension >= k."""
     out = set()
     for f in table:
@@ -441,7 +451,7 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
                      matching: MorseMatching) -> SubcomplexSpec:
     """The deleted-cell subcomplex with its restricted matching, checked as
     `halfcube.subcomplex.build_subcomplex` checks it."""
-    faces_y = subcomplex_faces(n, k, table)
+    faces_y = subcomplex_faces(k, table)
     unmatched: list[str] = []
     external: list[str] = []
     for f in faces_y:
@@ -863,11 +873,11 @@ def smith_normal_form(matrix) -> SNFResult:
     return _sparse_snf(n_rows, n_cols, entries)
 
 
-def restricted_boundary(sub, table: FaceTable, d: int,
+def restricted_boundary(sub, d: int,
                         cx: ChainComplex) -> tuple[int, int, dict[tuple[int, int], int]]:
     """Boundary matrix of a facet-closed subset in dimension d with local
     indices; every facet of a column must be in the subset."""
-    sub = FaceSubset.of(table, sub)
+    sub = FaceSubset.of(cx.table, sub)
     cols = sub.indices(d)
     if d == 0:
         return 1, len(cols), {(0, j): 1 for j in range(len(cols))}
@@ -892,21 +902,21 @@ def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
             "torsion": list(snf_next.torsion())}
 
 
-def homology(subset, table: FaceTable, degree: int, cx: ChainComplex) -> dict:
+def homology(subset, degree: int, cx: ChainComplex) -> dict:
     """Reduced Betti number and torsion in one degree, from the two whole
     restricted boundary maps around it."""
-    sub = check_closed(subset, table)
+    sub = check_closed(subset, cx.table)
     return _degree_homology(
-        sub, degree, _sparse_snf(*restricted_boundary(sub, table, degree, cx)),
-        _sparse_snf(*restricted_boundary(sub, table, degree + 1, cx)))
+        sub, degree, _sparse_snf(*restricted_boundary(sub, degree, cx)),
+        _sparse_snf(*restricted_boundary(sub, degree + 1, cx)))
 
 
-def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
+def homology_report(subset, cx: ChainComplex) -> dict:
     """Per-degree reduced Betti numbers and torsion, each whole restricted
     boundary map factored once."""
-    sub = check_closed(subset, table)
-    top = max((d for d in table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
-    snfs = [_sparse_snf(*restricted_boundary(sub, table, d, cx))
+    sub = check_closed(subset, cx.table)
+    top = max((d for d in cx.table.cells if d >= 0 and 1 in sub.mask(d)), default=-1)
+    snfs = [_sparse_snf(*restricted_boundary(sub, d, cx))
             for d in range(0, top + 2)]
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
@@ -918,14 +928,13 @@ def homology_report(subset, table: FaceTable, cx: ChainComplex) -> dict:
     return {"betti": betti, "torsion": torsion}
 
 
-def class_independence(cycles, subset, table: FaceTable,
-                       cx: ChainComplex) -> IndependenceVerdict:
+def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     """The certificate of `snf.class_independence`, with the boundary
     image, the stack and the degree map each eliminated whole."""
     if not cycles:
         raise NotCycles("no cycles given")
     degree = cycles[0].dim
-    sub = check_closed(subset, table)
+    sub = check_closed(subset, cx.table)
     row_ids = sub.indices(degree) if degree >= 0 else []
     row_pos = {i: r for r, i in enumerate(row_ids)}
     for ch in cycles:
@@ -933,7 +942,7 @@ def class_independence(cycles, subset, table: FaceTable,
             raise NotCycles("not cycles of one degree")
         if any(i not in row_pos for i in ch.coeffs):
             raise NotCycles("cycle leaves the subset")
-    rb, cb, entries = restricted_boundary(sub, table, degree + 1, cx)
+    rb, cb, entries = restricted_boundary(sub, degree + 1, cx)
     rank_b = _sparse_snf(rb, cb, entries).rank
     stacked = dict(entries)
     for j, ch in enumerate(cycles):
@@ -941,7 +950,7 @@ def class_independence(cycles, subset, table: FaceTable,
             stacked[(row_pos[i], cb + j)] = v
     snf_stack = _sparse_snf(rb, cb + len(cycles), stacked)
     kernel_rank = len(row_ids) - _sparse_snf(
-        *restricted_boundary(sub, table, degree, cx)).rank
+        *restricted_boundary(sub, degree, cx)).rank
     independent = snf_stack.rank == rank_b + len(cycles)
     generating = snf_stack.rank == kernel_rank and not snf_stack.torsion()
     return IndependenceVerdict(independent, generating, {

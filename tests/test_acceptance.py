@@ -21,7 +21,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
-from reference import square_defects, total_and_u, vertex_point, vertices_of
+from reference import diagonal, square_defects, total_and_u, vertex_point, vertices_of
 
 
 def report(num, name, elapsed, budget=None):
@@ -99,7 +99,7 @@ def test_criterion_05_triangularity_and_solver():
         for k in range(0, n):
             mb = morse.morse_boundary(m, table, k, cx)
             assert mb.is_triangular()
-            assert all(v in (1, -1) for v in mb.diagonal())
+            assert all(v in (1, -1) for v in diagonal(mb))
             cells = table.faces(k + 1)
             for _ in range(100):
                 c = ChainVector(k + 1, {
@@ -141,8 +141,8 @@ def test_criterion_08_oracle_homology():
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
-            sub = subcomplex_faces(n, k, table)
-            rep = snf.homology_report(sub, table, cx)
+            sub = subcomplex_faces(k, table)
+            rep = snf.homology_report(sub, cx)
             want = betti_power(n, k)
             for d, b in rep["betti"].items():
                 assert b == (want if d == k - 1 else 0), (n, k, d, b)
@@ -157,10 +157,10 @@ def test_criterion_09_basis_certification():
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
         for k in range(3, n):
-            sub = subcomplex_faces(n, k, table)
+            sub = subcomplex_faces(k, table)
             hb = homology_basis(n, k, table, cx)
             assert len(hb.chains) == betti_power(n, k)
-            verdict = snf.class_independence(hb.chains, sub, table, cx)
+            verdict = snf.class_independence(hb.chains, sub, cx)
             assert verdict.ok, (n, k, verdict.detail)
     report(9, "bases independent and generating, n=4..9", time.monotonic() - t0)
 
@@ -170,12 +170,12 @@ def test_criterion_10_contractibility_and_sphere():
     for n in range(4, 10):
         table = faces.enumerate_faces(n)
         cx = ChainComplex(table)
-        rep = snf.homology_report(set(table), table, cx)
+        rep = snf.homology_report(set(table), cx)
         assert all(b == 0 for b in rep["betti"].values()), n
         assert not rep["torsion"]
     table = faces.enumerate_faces(4)
     bd = {f for f in table if table.dim_of(f) <= 3}
-    rep = snf.homology_report(bd, table, ChainComplex(table))
+    rep = snf.homology_report(bd, ChainComplex(table))
     assert rep["betti"] == {0: 0, 1: 0, 2: 0, 3: 1}
     assert not rep["torsion"]
     report(10, "full complex contractible n=4..9, boundary is a 3-sphere",

@@ -310,7 +310,7 @@ class TestApplyBoundary:
         with pytest.raises(DimensionMismatch, match=msg):
             solve_cycle(chain, matchings(4), t, cx)
         with pytest.raises(DimensionMismatch, match=msg):
-            class_independence([chain], subcomplex_faces(4, 3, t), t, cx)
+            class_independence([chain], subcomplex_faces(3, t), cx)
 
     def test_empty_face_chain(self, complexes):
         cx = complexes(4)

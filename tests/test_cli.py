@@ -151,7 +151,7 @@ class TestMatch:
         verify = morse.verify_acyclic
         bad = from_pairs(tables(4), quadrilateral_pairs)
         monkeypatch.setattr(morse, "verify_acyclic",
-                            lambda m, table: verify(bad, table))
+                            lambda m, table: verify(bad, bad.table))
         cycle = next(l["cycle"] for l in verify(bad, tables(4))["layers"]
                      if l["cycle"] is not None)
         code, lines = run(capsys, "--n", "4", "match", "--verify",
@@ -489,6 +489,33 @@ class TestOutPath:
         assert lines == ["RESULT fail n=4 error=FaceError"]
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text() == "old\n"
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        # the link stays a link, and its target, in another directory,
+        # takes the bytes a plain --out file gets; before, the link was
+        # replaced by a regular file and the target kept its old bytes
+        here, there = tmp_path / "here", tmp_path / "there"
+        here.mkdir()
+        there.mkdir()
+        plain, target, link = here / "plain.jsonl", there / "faces.jsonl", here / "link"
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        assert run(capsys, "--n", "4", "enum", "--out", str(plain))[0] == 0
+        assert run(capsys, "--n", "4", "enum", "--out", str(link))[0] == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in here.iterdir()) == ["link", "plain.jsonl"]
+        assert [p.name for p in there.iterdir()] == ["faces.jsonl"]
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    def test_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "faces.jsonl", tmp_path / "link"
+        link.symlink_to(target)
+        code, lines = run(capsys, "--n", "4", "enum", "--out", str(link))
+        assert code == 0 and lines[-1] == "RESULT pass n=4 cells=82"
+        assert link.is_symlink() and target.is_file()
+        assert len(target.read_text().splitlines()) == 82
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.jsonl", "link"]
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_out_turned_directory_leaves_no_temporary_file(

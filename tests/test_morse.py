@@ -439,7 +439,7 @@ class TestMorseBoundary:
     def test_n4_k0_size(self, tables, matchings, complexes):
         mb = morse_boundary(matchings(4), tables(4), 0, complexes(4))
         assert mb.size == 7
-        assert all(v in (1, -1) for v in mb.diagonal())
+        assert all(v in (1, -1) for v in reference.diagonal(mb))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_n4_triangular_unit_det(self, tables, matchings, complexes, k):
@@ -498,8 +498,9 @@ class TestMorseBoundary:
         for cols in (below, doubled, dropped):
             bad = reference.morse_boundary_with_cols(mb, cols)
             assert not bad.is_triangular()
-        assert reference.morse_boundary_with_cols(mb, doubled).diagonal()[j] in (2, -2)
-        assert reference.morse_boundary_with_cols(mb, dropped).diagonal()[j] == 0
+        with_cols = reference.morse_boundary_with_cols
+        assert reference.diagonal(with_cols(mb, doubled))[j] in (2, -2)
+        assert reference.diagonal(with_cols(mb, dropped))[j] == 0
 
     def test_storage_under_24_bytes_per_entry(self, tables, matchings, complexes):
         # arrays of positions and ranks; the column dicts and string lists
@@ -654,3 +655,36 @@ class TestCycleLattice:
             if f in ups:
                 rows.append([1 if j == i else 0 for j in range(len(cells))])
         assert int_rank(rows) == len(cells)
+
+
+class TestMixedTables:
+    """`verify_acyclic`, `morse_boundary` and `solve_cycle` take the table
+    beside the matching and the complex that hold it; one that is not
+    theirs, even an equal table, is a MorseError.  Before the check the n=5
+    matching with the n=6 table was reported acyclic over 7 layers, for a
+    complex with 6; the other cases raised IndexError, or ResidualNonzero
+    for the n=6 Morse boundary."""
+
+    CASES = ["verify_acyclic", "verify_acyclic-equal-table",
+             "morse_boundary-table", "morse_boundary-complex",
+             "solve_cycle-table", "solve_cycle-complex", "solve_cycle-boundary"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_table_not_the_owners_is_an_error(self, tables, matchings, complexes,
+                                              case):
+        t5, m5, cx5 = tables(5), matchings(5), complexes(5)
+        t6, cx6 = tables(6), complexes(6)
+        y = cx5.apply(ChainVector(3, {0: 1}))
+        call = {
+            "verify_acyclic": lambda: verify_acyclic(m5, t6),
+            "verify_acyclic-equal-table":
+                lambda: verify_acyclic(m5, faces.enumerate_faces(5)),
+            "morse_boundary-table": lambda: morse_boundary(m5, t6, 2, cx6),
+            "morse_boundary-complex": lambda: morse_boundary(m5, t5, 2, cx6),
+            "solve_cycle-table": lambda: solve_cycle(y, m5, t6, cx6),
+            "solve_cycle-complex": lambda: solve_cycle(y, m5, t5, cx6),
+            "solve_cycle-boundary": lambda: solve_cycle(
+                y, m5, t5, cx5, morse_boundary(matchings(6), t6, 2, cx6)),
+        }[case]
+        with pytest.raises(MorseError, match="the table given is not"):
+            call()

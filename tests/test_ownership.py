@@ -1,5 +1,6 @@
 """Source guards: the chain complex and the matching are built by the
-caller and passed in, never rebuilt behind its back; incidence signs come
+caller and passed in, never rebuilt behind its back; a function reads the
+face table from the matching or complex it is given; incidence signs come
 from the closed-form rule, never from a determinant; code that only the
 tests use lives in tests/reference.py, not in the package; a face table
 looks face texts up by their codes, holding no map keyed by text."""
@@ -36,6 +37,26 @@ def test_context_arguments_are_required():
     assert optional == []
 
 
+# `perfbench/pipeline.py` calls these with the table beside its owner;
+# each raises its layer's error when the table is not the owner's
+TABLE_BESIDE_OWNER = ["halfcube.morse.morse_boundary", "halfcube.morse.solve_cycle",
+                      "halfcube.morse.verify_acyclic",
+                      "halfcube.subcomplex.build_subcomplex",
+                      "halfcube.subcomplex.homology_basis"]
+
+
+def test_the_table_is_read_from_its_owner():
+    beside = sorted(f"{fn.__module__}.{fn.__qualname__}"
+                    for module in MODULES for fn in functions(module)
+                    if "table" in (params := inspect.signature(fn).parameters)
+                    and {"cx", "m", "matching"} & set(params))
+    assert beside == TABLE_BESIDE_OWNER
+    # the oracle takes the complex alone; only the closure check takes a table
+    takes_table = [fn.__qualname__ for fn in functions(halfcube.snf)
+                   if "table" in inspect.signature(fn).parameters]
+    assert takes_table == ["check_closed"]
+
+
 def test_only_the_cli_builds_complexes_and_matchings():
     calls = re.compile(r"(?<!def )\b(ChainComplex|build_matching)\(")
     callers = sorted(p.name for p in SRC.glob("*.py")
@@ -57,11 +78,12 @@ def test_no_test_only_code_in_the_package():
     # so are the planted boundaries' column-dict builders, the text-based
     # `rule_applicability` and the dense-matrix `smith_normal_form`; the
     # oracle computes reduced homology only and dumps no report or boundary
-    # matrix
+    # matrix, and a Morse boundary's `diagonal` is read by the tests alone
     moved = ("facets", "vertices_of", "total_and_u", "report_json",
              "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells",
              "boundary_from_cols", "morse_boundary_with_cols", "column_arrays",
-             "incidence", "entry", "smith_normal_form", "rule_applicability")
+             "incidence", "entry", "smith_normal_form", "rule_applicability",
+             "diagonal")
     holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
                for name in moved if hasattr(m, name)]
     definitions = sorted(p.name for p in SRC.glob("*.py")
@@ -74,6 +96,7 @@ def test_no_test_only_code_in_the_package():
     # single-entry reads by position or face text, for the tests alone
     assert not hasattr(halfcube.BoundaryMatrix, "entry")
     assert not hasattr(halfcube.ChainComplex, "incidence")
+    assert not hasattr(halfcube.MorseBoundary, "diagonal")
     assert not any(hasattr(halfcube.MorseMatching, name)
                    for name in ("from_pairs", "up_cells"))
     assert not hasattr(halfcube.faces, "mask")  # FaceSubset.mask(d) stays

@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from halfcube import subcomplex as subc
-from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify
+from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify, enumerate_faces
 from halfcube.subcomplex import (
     BadRange,
     SubcomplexError,
@@ -103,11 +103,21 @@ class TestBuildSubcomplex:
         with pytest.raises(BadRange, match=msg):
             build_subcomplex(5, 3, t, matchings(6))
         with pytest.raises(BadRange, match=msg):
-            subcomplex_faces(5, 3, t)
-        with pytest.raises(BadRange, match=msg):
-            basis_faces(5, 3, t)
-        with pytest.raises(BadRange, match=msg):
             homology_basis(5, 3, t, complexes(6))
+
+    @pytest.mark.parametrize("case", ["matching", "complex", "equal-table"])
+    def test_table_must_be_the_owners(self, tables, matchings, complexes, case):
+        # before the check the n=6 matching raised IndexError, and the n=6
+        # complex gave 31 chains built from the n=6 boundary, each of
+        # which passed its cycle check
+        t5 = tables(5)
+        with pytest.raises(BadRange, match="the face table is not the"):
+            if case == "matching":
+                build_subcomplex(5, 3, t5, matchings(6))
+            elif case == "complex":
+                homology_basis(5, 3, t5, complexes(6))
+            else:
+                build_subcomplex(5, 3, enumerate_faces(5), matchings(5))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_unmatched_census(self, tables, matchings, n):
@@ -127,15 +137,15 @@ class TestBuildSubcomplex:
             assert len(spec.faces) == len(want.faces)
             assert spec.unmatched == want.unmatched
             assert spec.external == want.external
-            assert set(subcomplex_faces(n, k, t)) == reference.subcomplex_faces(n, k, t)
+            assert set(subcomplex_faces(k, t)) == reference.subcomplex_faces(k, t)
 
     def test_dropped_facet_breaks_closure(self, tables, matchings, monkeypatch):
         # a kept triangle removed: the tetrahedra on it lose a facet
         t = tables(5)
         tri = t.faces(2)[0]
-        planted = without(subcomplex_faces(5, 3, t), tri)
+        planted = without(subcomplex_faces(3, t), tri)
         assert reference.closure_defects(set(planted))
-        monkeypatch.setattr(subc, "subcomplex_faces", lambda n, k, table: planted)
+        monkeypatch.setattr(subc, "subcomplex_faces", lambda k, table: planted)
         with pytest.raises(SubcomplexError, match="not facet-closed"):
             build_subcomplex(5, 3, t, matchings(5))
 
@@ -149,7 +159,7 @@ class TestBuildSubcomplex:
         assert any(g in facets(b) for b in spec.external if b != m.partner[g])
         planted = without(spec.faces, g)
         assert not reference.closure_defects(set(planted))
-        monkeypatch.setattr(subc, "subcomplex_faces", lambda n, k, table: planted)
+        monkeypatch.setattr(subc, "subcomplex_faces", lambda k, table: planted)
         with pytest.raises(SupportLeak):
             build_subcomplex(5, 4, t, m)
 
@@ -157,13 +167,13 @@ class TestBuildSubcomplex:
 class TestBasisFaces:
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 3), (6, 4), (6, 5)])
     def test_count_matches_closed_form(self, tables, n, k):
-        assert len(basis_faces(n, k, tables(n))) == betti_power(n, k)
+        assert len(basis_faces(k, tables(n))) == betti_power(n, k)
 
     def test_4_3_is_seven(self, tables):
-        assert len(basis_faces(4, 3, tables(4))) == 7
+        assert len(basis_faces(3, tables(4))) == 7
 
     def test_tail_is_star_then_zeros(self, tables):
-        for f in basis_faces(5, 3, tables(5)):
+        for f in basis_faces(3, tables(5)):
             tail = f[f.rfind(STAR):]
             assert tail[0] == STAR
             assert set(tail[1:]) <= {"0"}
@@ -171,7 +181,7 @@ class TestBasisFaces:
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 4)])
     def test_equals_external_partner_set(self, tables, matchings, n, k):
         spec = build_subcomplex(n, k, tables(n), matchings(n))
-        assert basis_faces(n, k, tables(n)) == spec.external
+        assert basis_faces(k, tables(n)) == spec.external
 
 
 class TestHomologyBasis:
