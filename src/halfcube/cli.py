@@ -198,15 +198,15 @@ def cmd_basis(args, parser, sink) -> int:
     table = faces.enumerate_faces(n)
     cx = ChainComplex(table)
     basis = subc.homology_basis(n, k, table, cx)
-    sink.write(basis.jsonl_lines(table))
-    ok = len(basis.chains) == subc.betti_power(n, k)
+    sink.write(basis.jsonl_lines())
+    ok = len(basis.ids) == subc.betti_power(n, k)
     if args.certify:
         verdict = snf.class_independence(basis.chains, subc.subcomplex_faces(k, table), cx)
         print(f"independent and generating: {str(verdict.ok).lower()}")
         if args.verbose:
             print(json.dumps(verdict.detail))
         ok = ok and verdict.ok
-    print(f"RESULT {'pass' if ok else 'fail'} n={n} k={k} chains={len(basis.chains)}")
+    print(f"RESULT {'pass' if ok else 'fail'} n={n} k={k} chains={len(basis.ids)}")
     return 0 if ok else 1
 
 

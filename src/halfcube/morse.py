@@ -71,6 +71,7 @@ from .faces import (
     classify,
     code_face,
     face_code,
+    parse_seq,
 )
 
 
@@ -148,15 +149,13 @@ def match_face(f: str, n: int | None = None) -> tuple[str, int]:
     """Partner face and rule number (1..11) for any face, empty included:
     `partner_rule` on the face's code, decoded with `code_face`.
 
-    `n` is only needed to resolve the partner of the empty face; for other
-    faces it is taken from the sequence length.
+    `n` is needed for the empty face and defaults to the sequence length;
+    a face that is not valid for n raises FaceError (`parse_seq`).
     """
-    if f == EMPTY:
-        if n is None:
-            raise MorseError("ambient size n required to match the empty face")
-        code, d = 0, -1
-    else:
-        code, d, n = face_code(f), classify(f).dim, len(f)
+    if n is None and f == EMPTY:
+        raise MorseError("ambient size n required to match the empty face")
+    n = len(f) if n is None else n
+    code, d = (0, -1) if f == EMPTY else (face_code(parse_seq(f, n)), classify(f).dim)
     p, r = partner_rule(f, code, d, _weights(n))
     return (EMPTY if d == 0 and r == 11 else code_face(p, n)), r
 

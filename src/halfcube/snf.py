@@ -485,9 +485,11 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     if not cycles:
         raise NotCycles("no cycles given")
     degree = cycles[0].dim
+    if degree < 0:
+        raise NotCycles(f"degree must be >= 0, got {degree}")
     sub = check_closed(subset, cx.table)
     cells = cx.table.faces(degree)
-    row_ids = sub.indices(degree) if degree >= 0 else []
+    row_ids = sub.indices(degree)
     row_pos = {i: r for r, i in enumerate(row_ids)}
     for ch in cycles:
         if ch.dim != degree:

@@ -5,15 +5,17 @@ dimension >= k leaves a subcomplex whose reduced homology is free and
 concentrated in degree k-1.  Restricting the complete matching to the
 subcomplex leaves unpaired exactly the (k-1)-cells whose original partner
 was a deleted k-dimensional half-cube cell; the boundaries of those
-external partners are explicit integral homology basis chains.  Two closed
-forms count the basis.  The masks read n from `table.n`; the functions
-given n and a table beside their owner raise BadRange on a mismatch.
+external partners are explicit integral homology basis chains, which a
+basis reads by position from the boundary matrix.  Two closed forms count
+the basis.  The masks read n from `table.n`; the functions given n and a
+table beside their owner raise BadRange on a mismatch.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -159,38 +161,45 @@ def basis_faces(k: int, table: FaceTable) -> list[str]:
 
 @dataclass
 class HomologyBasis:
-    """Basis chains in degree k-1: one boundary chain per basis face."""
+    """Basis chains in degree k-1: the columns `ids` (ascending) of
+    `cx.boundary(k)`; `faces` and `chains` build fresh lists on every read."""
 
-    n: int
     k: int
-    faces: list[str]
-    chains: list[ChainVector]
+    cx: ChainComplex
+    ids: array
 
-    def jsonl_lines(self, table: FaceTable) -> Iterator[str]:
-        cells = table.faces(self.k - 1)
-        for f, ch in zip(self.faces, self.chains):
-            terms = [{"face": cells[i], "coeff": ch.coeffs[i]}
-                     for i in sorted(ch.coeffs)]
+    @property
+    def n(self) -> int:
+        return self.cx.table.n
+
+    @property
+    def faces(self) -> list[str]:
+        return list(map(self.cx.table.faces(self.k).__getitem__, self.ids))
+
+    @property
+    def chains(self) -> list[ChainVector]:
+        return list(map(self.cx.boundary(self.k).column_chain, self.ids))
+
+    def jsonl_lines(self) -> Iterator[str]:
+        bmat, cells = self.cx.boundary(self.k), self.cx.table.faces(self.k - 1)
+        for f, j in zip(self.faces, self.ids):
+            coeffs = bmat.column_chain(j).coeffs
+            terms = [{"face": cells[i], "coeff": coeffs[i]} for i in sorted(coeffs)]
             yield json.dumps({"bface": f, "chain": terms})
 
 
 def homology_basis(n: int, k: int, table: FaceTable,
                    cx: ChainComplex) -> HomologyBasis:
-    """Boundary chains of the basis faces (those `basis_faces` lists, found
-    by position), each checked to be a cycle.
+    """The positions of the basis faces (those `basis_faces` lists), each
+    boundary chain checked to be a cycle.
 
     Each chain lies in the subcomplex without a check: the subcomplex
     keeps every cell of dimension below k, so it holds every (k-1)-cell a
     boundary chain can touch.  `table` must be `cx.table`."""
     _check_range(n, k, table, cx)
-    bmat = cx.boundary(k)
-    bfaces, chains = [], []
-    for j, b in enumerate(table.faces(k)):
-        if not _is_basis_face(b):
-            continue
-        ch = bmat.column_chain(j)
-        if not cx.apply(ch).is_zero():
-            raise SubcomplexError(f"boundary of {b!r} is not a cycle")
-        bfaces.append(b)
-        chains.append(ch)
-    return HomologyBasis(n, k, bfaces, chains)
+    bmat, cells = cx.boundary(k), table.faces(k)
+    ids = array("i", (j for j, b in enumerate(cells) if _is_basis_face(b)))
+    for j in ids:
+        if not cx.apply(bmat.column_chain(j)).is_zero():
+            raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle")
+    return HomologyBasis(k, cx, ids)

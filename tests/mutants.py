@@ -160,8 +160,11 @@ MUTANTS += [
            (HOMOLOGY + "test_vertex_needs_the_empty_face",
             HOMOLOGY + "test_full_complex_contractible[4]")),
     Mutant("basis-column-shifted", "halfcube/subcomplex.py",
-           "ch = bmat.column_chain(j)", "ch = bmat.column_chain(j - 1)",
+           "for j, b in enumerate(cells) if", "for j, b in enumerate(cells, -1) if",
            (BASIS + "test_chains_are_cycles", BASIS + "test_5_3_has_31_chains")),
+    Mutant("basis-cycle-check-dropped", "halfcube/subcomplex.py",
+           "if not cx.apply(bmat.column_chain(j)).is_zero():", "if False:",
+           (BASIS + "test_boundary_that_is_not_a_cycle_is_an_error",)),
 ]
 
 

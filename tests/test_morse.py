@@ -78,6 +78,13 @@ class TestMatchFace:
         p, r = match_face("1100")
         assert r == 9 and p == "IO00"
 
+    @pytest.mark.parametrize("f,n", [("0000", 5), ("0*00", 4), ("0*00", None)])
+    def test_invalid_face_is_an_error(self, f, n):
+        # before the check "0000" at n=5 got the n=4 answer ("EMPTY", 11)
+        # and the one-star mask "0*00" got ("0**I", 10)
+        with pytest.raises(faces.FaceError):
+            match_face(f, n)
+
 
 class TestPartnerRule:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

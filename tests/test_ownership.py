@@ -3,12 +3,14 @@ caller and passed in, never rebuilt behind its back; a function reads the
 face table from the matching or complex it is given; incidence signs come
 from the closed-form rule, never from a determinant; code that only the
 tests use lives in tests/reference.py, not in the package; a face table
-looks face texts up by their codes, holding no map keyed by text."""
+looks face texts up by their codes, holding no map keyed by text; a
+homology basis holds positions of boundary columns, not chains."""
 
 import copy
 import importlib
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import halfcube
@@ -43,6 +45,24 @@ TABLE_BESIDE_OWNER = ["halfcube.morse.morse_boundary", "halfcube.morse.solve_cyc
                       "halfcube.morse.verify_acyclic",
                       "halfcube.subcomplex.build_subcomplex",
                       "halfcube.subcomplex.homology_basis"]
+
+
+def test_a_basis_holds_positions_not_chains(tables, complexes):
+    # each basis chain is a column of the boundary matrix, which owns it;
+    # the basis keeps its complex and the positions of its basis faces
+    t, cx = tables(7), complexes(7)
+    for d in range(2, 7):
+        cx.boundary(d)
+    tracemalloc.start()
+    try:
+        bases = [halfcube.homology_basis(7, k, t, cx) for k in range(3, 7)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    copies = [(hb.k, name) for hb in bases for name, v in vars(hb).items()
+              if isinstance(v, (dict, list, halfcube.ChainVector))]
+    assert copies == []
+    assert held < 16_000  # the chains as dicts kept 552 KB
 
 
 def test_the_table_is_read_from_its_owner():

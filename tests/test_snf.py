@@ -608,6 +608,16 @@ class TestClassIndependence:
         with pytest.raises(NotCycles):
             class_independence([ChainVector(1, {0: 1})], bd, cx)
 
+    def test_negative_degree_is_an_error(self, tables, complexes, monkeypatch):
+        # before the degree check a cycle on the empty face raised "cycle
+        # leaves the subset at 'EMPTY'" though the subset holds it
+        def no_work(*args):
+            raise AssertionError("checked the subset before the degree")
+
+        monkeypatch.setattr(snf, "check_closed", no_work)
+        with pytest.raises(NotCycles, match="degree must be >= 0, got -1"):
+            class_independence([ChainVector(-1, {0: 1})], set(tables(4)), complexes(4))
+
     def test_doubled_chain_generates_an_index_two_lattice(self, tables,
                                                           complexes):
         t, cx = tables(5), complexes(5)

@@ -1,10 +1,12 @@
 import json
+import re
 from math import comb
 
 import pytest
 
 import reference
 from halfcube import subcomplex as subc
+from halfcube.chains import ChainComplex
 from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify, enumerate_faces
 from halfcube.subcomplex import (
     BadRange,
@@ -17,7 +19,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
-from reference import facets
+from reference import boundary_from_cols, facets
 
 
 def without(sub, *drop):
@@ -205,8 +207,40 @@ class TestHomologyBasis:
 
     def test_jsonl_format(self, tables, complexes):
         hb = homology_basis(4, 3, tables(4), complexes(4))
-        lines = list(hb.jsonl_lines(tables(4)))
+        lines = list(hb.jsonl_lines())
         line = json.loads(lines[0])
         assert set(line) == {"bface", "chain"}
         assert all(set(t) == {"face", "coeff"} for t in line["chain"])
         assert lines == sorted(lines, key=lambda s: json.loads(s)["bface"])
+
+    def test_renders_the_faces_of_its_own_table(self, tables, complexes):
+        t = tables(5)
+        hb = homology_basis(5, 3, t, complexes(5))
+        lines = [json.loads(s) for s in hb.jsonl_lines()]
+        assert [l["bface"] for l in lines] == hb.faces == basis_faces(3, t)
+        assert {len(x["face"]) for l in lines for x in l["chain"]} == {5}
+        assert [[t.index_of(x["face"]) for x in l["chain"]] for l in lines] == [
+            sorted(ch.coeffs) for ch in hb.chains]
+
+    def test_rendering_takes_no_table(self, tables, complexes):
+        hb = homology_basis(5, 3, tables(5), complexes(5))
+        with pytest.raises(TypeError):
+            hb.jsonl_lines(tables(6))
+
+    def test_boundary_that_is_not_a_cycle_is_an_error(self, tables, monkeypatch):
+        # one sign of the boundary of a 2-cell under the first basis chain
+        # flipped: that chain's boundary then holds +-2 in its row
+        t = tables(4)
+        cx = ChainComplex(t)
+        first = homology_basis(4, 3, t, cx)
+        col = min(first.chains[0].coeffs)
+        below = cx.boundary(2)
+        cols = list(below.cols)
+        row = min(cols[col])
+        cols[col] = {**cols[col], row: -cols[col][row]}
+        planted = boundary_from_cols(2, below.n_rows, cols)
+        boundary = cx.boundary
+        monkeypatch.setattr(cx, "boundary", lambda d: planted if d == 2 else boundary(d))
+        with pytest.raises(SubcomplexError, match=re.escape(
+                f"boundary of {first.faces[0]!r} is not a cycle")):
+            homology_basis(4, 3, t, cx)
