@@ -21,7 +21,6 @@ symbol.  The empty face is the string "EMPTY" and has dimension -1.
 from __future__ import annotations
 
 import itertools
-import json
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
@@ -234,15 +233,19 @@ def facet_deltas(f: str) -> tuple[int, ...]:
                 out.append(x)
         return tuple(sorted(out))
     # half-cube shaped: the stars written as O/I with odd total 1-count
-    # (O is digit 4, I digit 3, * digit 0), then one star fixed to 0 or 1
-    positions = [i for i, c in enumerate(f) if c == STAR]
-    parity = f.count(PLAIN1) % 2
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(positions)):
-        if (parity + sum(bits)) % 2 == 1:
-            out.append(sum(w[i] * (3 if b else 4) for i, b in zip(positions, bits)))
-    if len(positions) > 3:
-        out += [w[i] * c for i in positions for c in (1, 2)]
+    # (O is digit 4, I digit 3, * digit 0), then one star fixed to 0 or 1.
+    # A simplex facet is 4 * sum(ws) less the place values of its 'I'
+    # stars; the sums over the subsets of the stars are built by doubling,
+    # split by the parity of the subset's size
+    ws = [w[i] for i, c in enumerate(f) if c == STAR]
+    sums: tuple[list[int], list[int]] = ([0], [])
+    for x in ws:
+        even, odd = sums
+        sums = even + [s + x for s in odd], odd + [s + x for s in even]
+    top = 4 * sum(ws)
+    out = [top - s for s in sums[1 - f.count(PLAIN1) % 2]]
+    if len(ws) > 3:
+        out += [x * c for x in ws for c in (1, 2)]
     return tuple(sorted(out))
 
 
@@ -552,4 +555,7 @@ def face_json(f: str) -> dict:
 
 
 def face_jsonl(f: str) -> str:
-    return json.dumps(face_json(f))
+    """`face_json(f)` as one JSON line; faces hold only '01OI*' or EMPTY,
+    so nothing needs escaping."""
+    kind, d = classify(f)
+    return '{"seq": "%s", "dim": %d, "kind": "%s"}' % (f, d, kind.value)

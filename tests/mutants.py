@@ -228,6 +228,21 @@ MUTANTS += [
 ]
 
 
+GOLDEN = "tests/test_cli_golden.py::test_cli_bytes"
+
+MUTANTS += [
+    # the package surface: no layer loads with the package
+    Mutant("init-eager-import", "halfcube/__init__.py",
+           "import importlib\n", "import importlib\n\nfrom .snf import homology\n",
+           ("tests/test_package.py::TestLazyImport::"
+            "test_enumeration_loads_faces_alone",)),
+    # faces.face_jsonl: the enum line written without json.dumps
+    Mutant("faces-jsonl-spacing", FACES,
+           "'{\"seq\": \"%s\", \"dim\": %d,", "'{\"seq\": \"%s\", \"dim\":%d,",
+           ("tests/test_faces.py::TestJson::test_line_is_the_json_dump[4]",
+            GOLDEN + "[--n 4 enum]", GOLDEN + "[--n 5 --dim 2 enum]")),
+]
+
 def run_tests(src: Path, node_ids) -> tuple[set[str], str | None]:
     """The named tests that fail against `src`, or an error text when
     pytest could not run them all."""

@@ -430,6 +430,23 @@ def facet_index(table: FaceTable, d: int) -> tuple[array, array]:
     return flat, offsets
 
 
+def star_facet_deltas(f: str) -> tuple[int, ...]:
+    """`faces.facet_deltas` of a half-cube face, one choice of 'O' or 'I'
+    per star at a time: the simplex facets are the choices with an odd
+    total 1-count, the half-cube facets fix one star to 0 or 1."""
+    n = len(f)
+    w = [5 ** (n - 1 - i) for i in range(n)]
+    positions = [i for i, c in enumerate(f) if c == STAR]
+    parity = f.count(PLAIN1) % 2
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        if (parity + sum(bits)) % 2 == 1:
+            out.append(sum(w[i] * (3 if b else 4) for i, b in zip(positions, bits)))
+    if len(positions) > 3:
+        out += [w[i] * c for i in positions for c in (1, 2)]
+    return tuple(sorted(out))
+
+
 def subcomplex_faces(k: int, table: FaceTable) -> set[str]:
     """Every face except the half-cube shaped faces of dimension >= k."""
     out = set()

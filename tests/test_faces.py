@@ -12,6 +12,9 @@ import reference
 from halfcube import faces
 from halfcube.faces import (
     EMPTY,
+    PLAIN0,
+    PLAIN1,
+    STAR,
     BadParity,
     BadSymbol,
     FaceError,
@@ -232,6 +235,17 @@ class TestFacetIndex:
             for f in t.faces(d):
                 want = [face_code(g) - face_code(f) for g in facets(f)]
                 assert list(facet_deltas(f)) == want, f
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_star_deltas_equal_reference(self, n):
+        # every pattern of a half-cube face: its star positions and the
+        # parity of its '1' digits
+        for m in range(3, n + 1):
+            for positions in itertools.combinations(range(n), m):
+                f = "".join(STAR if i in positions else PLAIN0 for i in range(n))
+                fs = [f] if m == n else [f, f.replace(PLAIN0, PLAIN1, 1)]
+                for g in fs:
+                    assert facet_deltas(g) == reference.star_facet_deltas(g), g
 
     def test_no_module_parses_facets(self):
         # every module reads facets from the table's index; the definition
@@ -475,6 +489,11 @@ class TestJson:
     def test_empty_line(self):
         assert json.loads(faces.face_jsonl(EMPTY)) == {
             "seq": "EMPTY", "dim": -1, "kind": "empty"}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_line_is_the_json_dump(self, tables, n):
+        assert [f for f in tables(n)
+                if faces.face_jsonl(f) != json.dumps(face_json(f))] == []
 
 
 class TestProperties:
