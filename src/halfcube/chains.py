@@ -130,10 +130,6 @@ class ChainVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ChainVector)
-                and self.dim == other.dim and self.coeffs == other.coeffs)
-
 
 class ColumnView(Sequence):
     """Read-only view of a sparse matrix held as (rows, signs, offsets)

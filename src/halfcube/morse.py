@@ -491,21 +491,19 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
 
 
 def solve_cycle(y: ChainVector, m: MorseMatching, table: FaceTable,
-                cx: ChainComplex,
-                mb: MorseBoundary | None = None) -> ChainVector:
+                cx: ChainComplex, mb: MorseBoundary) -> ChainVector:
     """Given a k-cycle y, return the (k+1)-chain supported on the
     downward-matched cells whose boundary is exactly y.
 
-    Solved by back-substitution along the stored topological order; all
-    divisions are by +-1 so the coefficients stay integral.
+    Solved by back-substitution along the stored topological order of
+    mb, the level's `morse_boundary`; all divisions are by +-1 so the
+    coefficients stay integral.
     """
-    if not (table is m.table is cx.table) or mb is not None and mb.table is not table:
+    if not (table is m.table is cx.table is mb.table):
         raise MorseError("the table given is not the one the matching, complex and mb hold")
     if not cx.apply(y).is_zero():
         raise NotACycle(f"input chain of dimension {y.dim} has nonzero boundary")
-    if mb is None:
-        mb = morse_boundary(m, table, y.dim, cx)
-    elif mb.k != y.dim:
+    if mb.k != y.dim:
         raise MorseError(f"level mismatch: solver at {mb.k}, chain at {y.dim}")
     rank, rows, signs, offsets = mb.rank, mb.rows, mb.signs, mb.offsets
     resid = [0] * mb.size

@@ -5,8 +5,9 @@ given any facet-closed face subset it computes reduced homology in degrees
 >= 0 from exact Smith normal forms of the restricted boundary matrices,
 the map out of the vertices being the augmentation onto the empty face.
 The face table is the one the ChainComplex `cx` holds; only `check_closed`
-takes a table.  Elimination is gcd-based over arbitrary-precision
-integers; no modular or floating-point shortcuts.  Each pivot is an entry
+takes a table.  A cell is its position among the cells of its dimension
+everywhere.  Elimination is gcd-based over arbitrary-precision integers;
+no modular or floating-point shortcuts.  Each pivot is an entry
 of smallest |v| in the whole matrix, exactly; ties go to the smallest
 Markowitz fill (len(row) - 1) * (len(col) - 1) as of that entry's last
 update, then to the smallest (row, col).  Candidates come from a lazily
@@ -33,9 +34,11 @@ So for every d, the SNF of the d-th map is one unit per pair with b of
 dimension d followed by the SNF of the d-th map restricted to the cells
 left.  Entries other than +-1 are never paired, so torsion always
 reaches the elimination.  The moves read only the subset's masks and the
-boundary arrays, never the matching, so the oracle stays independent of
-it.  Every C_{n,k} and full complex up to n=9 pairs off down to its basis
-cells, leaving the elimination empty matrices.
+boundary arrays, in place, never the matching, so the oracle stays
+independent of it.  The pairs are kept in the order they are made: b's
+dimension, a's position and b's, in three arrays.  Every C_{n,k} and full
+complex up to n=9 pairs off down to its basis cells, leaving the
+elimination empty matrices.
 
 The certificate's stack [B | Z] of the boundary image and the cycles is
 eliminated on the cells left too, with the cycles carried through the
@@ -234,13 +237,18 @@ def _sparse_snf(n_rows: int, n_cols: int, entries: dict[tuple[int, int], int]) -
     return SNFResult(_divisibility_chain(pivots), n_rows, n_cols)
 
 
+def _subset(subset, table: FaceTable) -> FaceSubset:
+    """`subset` as a FaceSubset of `table`; a face it lacks is NotClosed."""
+    try:
+        return FaceSubset.of(table, subset)
+    except KeyError as e:
+        raise NotClosed(f"{e.args[0]!r} is not a face of the table") from None
+
+
 def check_closed(subset, table: FaceTable) -> FaceSubset:
     """Validate facet closure of a face subset and return it as a
     FaceSubset; the empty face must be present under any vertex."""
-    try:
-        sub = FaceSubset.of(table, subset)
-    except KeyError as e:
-        raise NotClosed(f"{e.args[0]!r} is not a face of the table") from None
+    sub = _subset(subset, table)
     if 1 in sub.mask(0) and 1 not in sub.mask(-1):
         raise NotClosed("reduced homology needs the empty face in the subset")
     gap = sub.missing_facet()
@@ -255,10 +263,7 @@ def restricted_boundary(sub, d: int,
     """Boundary matrix of the face set in dimension d with local indices,
     as (n_rows, n_cols, entries); rows and columns follow the order of
     `cx.table`, and incidences onto cells outside the set are left out."""
-    try:
-        sub = FaceSubset.of(cx.table, sub)
-    except KeyError as e:
-        raise NotClosed(f"{e.args[0]!r} is not a face of the table") from None
+    sub = _subset(sub, cx.table)
     cols = sub.indices(d)
     row_ids = sub.indices(d - 1)
     if not cols:
@@ -283,85 +288,83 @@ class _Reduction:
     `top` is the highest dimension of a cell in the subset (-1 when it
     has none), `left` holds the cells no move paired, as a FaceSubset,
     `pairs[d]` the number of pairs whose upper cell has dimension d, and
-    `lower[i]`, `upper[i]` the table positions of the i-th pair made."""
+    the i-th pair made is the (dims[i] - 1)-cell lower[i] with the
+    dims[i]-cell upper[i]."""
 
     def __init__(self, sub: FaceSubset, cx: ChainComplex):
         self.sub, self.cx, table = sub, cx, cx.table
         self.top = top = max((d for d, m in sub.masks.items() if 1 in m),
                              default=-1)
-        dims = range(-1, top + 1)
-        size = table.start(top + 1)
-        alive = bytearray().join(sub.mask(d) or bytes(len(table.faces(d)))
-                                 for d in dims)
-        # the facets of the cell at table position g are the positions
-        # flat[t] with incidences signs[t] for offsets[g] <= t < offsets[g + 1];
+        held = range(-1, top + 1)
+        alive = {d: bytearray(sub.mask(d) or len(table.faces(d))) for d in held}
+        # the facets of the d-cell i are the (d-1)-cells flat[d][t] with
+        # incidences signs[d][t] for offsets[d][i] <= t < offsets[d][i + 1];
         # the empty face has none
-        flat, signs = array("i"), array("b")
-        offsets = array("i", [0] * (table.start(0) + 1))
+        flat, offsets, signs = {}, {-1: [0] * (len(alive[-1]) + 1)}, {}
         for d in range(0, top + 1):
             bmat = cx.boundary(d)
-            offsets.extend(map(len(flat).__add__, bmat.offsets[1:]))
-            flat.extend(map(table.start(d - 1).__add__, bmat.flat))
-            signs.extend(bmat.signs)
-        n_facets = [b - a if on else 0
-                    for a, b, on in zip(offsets, offsets[1:], alive)]
-        cofaces: list[list[int]] = [[] for _ in range(size)]
-        for g in itertools.compress(range(size), alive):
-            for f in flat[offsets[g]:offsets[g + 1]]:
-                cofaces[f].append(g)
-        n_cofaces = list(map(len, cofaces))
+            flat[d], offsets[d], signs[d] = bmat.flat, bmat.offsets, bmat.signs
+        n_facets = {d: [b - a if on else 0
+                        for a, b, on in zip(offsets[d], offsets[d][1:], alive[d])]
+                    for d in held}
+        cofaces: dict[int, list[list[int]]] = {d: [[] for _ in alive[d]] for d in held}
+        for d in range(0, top + 1):
+            fl, off, cof = flat[d], offsets[d], cofaces[d - 1]
+            for i in itertools.compress(range(len(alive[d])), alive[d]):
+                for f in fl[off[i]:off[i + 1]]:
+                    cof[f].append(i)
+        n_cofaces = {d: list(map(len, cof)) for d, cof in cofaces.items()}
 
         # seeded from the top cell down and served first in, first out:
         # every C_{n,k} and the full complex then pair off completely up
         # to n=9, while a last-in queue leaves thousands of cells at n=8
         # and a bottom-up seed leaves a few in the full complex at n=7
-        queue = deque(g for g in reversed(range(size)) if alive[g]
-                      if n_facets[g] == 1 or n_cofaces[g] == 1)
-        self.lower, self.upper = lower, upper = array("i"), array("i")
+        queue = deque((d, i) for d in reversed(held)
+                      for i in reversed(range(len(alive[d]))) if alive[d][i]
+                      if n_facets[d][i] == 1 or n_cofaces[d][i] == 1)
+        self.dims, self.lower, self.upper = dims, lower, upper = (
+            array("b"), array("i"), array("i"))
+        self.pairs = pairs = [0] * (top + 2)
         while queue:
-            g = queue.popleft()
-            if not alive[g]:
+            d, g = queue.popleft()
+            if not alive[d][g]:
                 continue
             pair = None
-            if n_facets[g] == 1:  # coreduction: g's one facet left
-                t = next(t for t in range(offsets[g], offsets[g + 1])
-                         if alive[flat[t]])
-                if signs[t] == 1 or signs[t] == -1:
-                    pair = flat[t], g
-            if pair is None and n_cofaces[g] == 1:  # g is a free face
-                up = next(c for c in cofaces[g] if alive[c])
-                t = next(t for t in range(offsets[up], offsets[up + 1])
-                         if flat[t] == g)
-                if signs[t] == 1 or signs[t] == -1:
-                    pair = g, up
+            if n_facets[d][g] == 1:  # coreduction: g's one facet left
+                fl, off, sg, below = flat[d], offsets[d], signs[d], alive[d - 1]
+                t = next(t for t in range(off[g], off[g + 1]) if below[fl[t]])
+                if sg[t] == 1 or sg[t] == -1:
+                    pair = d, fl[t], g
+            if pair is None and n_cofaces[d][g] == 1:  # g is a free face
+                fl, off, sg, above = flat[d + 1], offsets[d + 1], signs[d + 1], alive[d + 1]
+                up = next(c for c in cofaces[d][g] if above[c])
+                t = next(t for t in range(off[up], off[up + 1]) if fl[t] == g)
+                if sg[t] == 1 or sg[t] == -1:
+                    pair = d + 1, g, up
             if pair is None:
                 continue
-            lower.append(pair[0])
-            upper.append(pair[1])
-            for cell in pair:
-                alive[cell] = 0
-                for t in range(offsets[cell], offsets[cell + 1]):
-                    f = flat[t]
-                    if alive[f]:
-                        n_cofaces[f] -= 1
-                        if n_cofaces[f] == 1:
-                            queue.append(f)
-                for c in cofaces[cell]:
-                    if alive[c]:
-                        n_facets[c] -= 1
-                        if n_facets[c] == 1:
-                            queue.append(c)
-
-        masks = dict(sub.masks)
-        for d in dims:
-            masks[d] = alive[table.start(d):table.start(d + 1)]
-        self.left = FaceSubset(table, masks)
-        # a d-cell leaves as the upper cell of a d-pair or the lower cell
-        # of a (d+1)-pair, and the empty face only as a lower cell
-        self.pairs = [0] * (top + 2)
-        for d in dims:
-            gone = sub.mask(d).count(1) - masks[d].count(1)
-            self.pairs[d + 1] = gone - (self.pairs[d] if d >= 0 else 0)
+            d, a, b = pair
+            dims.append(d)
+            lower.append(a)
+            upper.append(b)
+            pairs[d] += 1
+            for e, cell in ((d - 1, a), (d, b)):
+                alive[e][cell] = 0
+                if e > -1:
+                    below, count = alive[e - 1], n_cofaces[e - 1]
+                    for f in flat[e][offsets[e][cell]:offsets[e][cell + 1]]:
+                        if below[f]:
+                            count[f] -= 1
+                            if count[f] == 1:
+                                queue.append((e - 1, f))
+                if e < top:
+                    above, count = alive[e + 1], n_facets[e + 1]
+                    for c in cofaces[e][cell]:
+                        if above[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                queue.append((e + 1, c))
+        self.left = FaceSubset(table, {**sub.masks, **alive})
 
     def snf(self, d: int, extra: dict[int, dict[int, int]] | None = None,
             n_extra: int = 0) -> SNFResult:
@@ -386,7 +389,6 @@ class _Reduction:
         """The cycles carried through the pairs in the order they were
         made (module docstring), as rows: index of a `degree`-cell of
         `left` -> {cycle index: coefficient}.  A row may be empty."""
-        lo, hi = self.cx.table.start(degree), self.cx.table.start(degree + 1)
         rows: dict[int, dict[int, int]] = {}
         for j, ch in enumerate(cycles):
             for i, v in ch.coeffs.items():
@@ -395,17 +397,16 @@ class _Reduction:
         if degree < self.top:
             bmat = self.cx.boundary(degree + 1)
             flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
-        for l, u in zip(self.lower, self.upper):
-            if lo <= u < hi:  # upper cell: drop its coefficient
-                alive[u - lo] = 0
-                rows.pop(u - lo, None)
-            elif lo <= l < hi:  # lower cell: z -= z_l * ε * ∂'u
-                l -= lo
+        for d, l, u in zip(self.dims, self.lower, self.upper):
+            if d == degree:  # upper cell: drop its coefficient
+                alive[u] = 0
+                rows.pop(u, None)
+            elif d == degree + 1:  # lower cell: z -= z_l * ε * ∂'u
                 alive[l] = 0
                 z = rows.pop(l, None)
                 if not z:
                     continue
-                a, b = offsets[u - hi], offsets[u - hi + 1]
+                a, b = offsets[u], offsets[u + 1]
                 eps = signs[a + flat[a:b].index(l)]
                 for f, s in zip(flat[a:b], signs[a:b]):
                     if not alive[f]:
@@ -488,21 +489,19 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     if degree < 0:
         raise NotCycles(f"degree must be >= 0, got {degree}")
     sub = check_closed(subset, cx.table)
-    cells = cx.table.faces(degree)
-    row_ids = sub.indices(degree)
-    row_pos = {i: r for r, i in enumerate(row_ids)}
+    cells, mask = cx.table.faces(degree), sub.mask(degree)
     for ch in cycles:
         if ch.dim != degree:
             raise NotCycles("cycles of mixed degree")
         if not cx.apply(ch).is_zero():
             raise NotCycles("input chain has nonzero boundary")
         for i in ch.coeffs:
-            if i not in row_pos:
+            if not mask[i]:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
 
     red = _Reduction(sub, cx)
     rank_b = red.snf(degree + 1).rank
-    kernel_rank = len(row_ids) - red.snf(degree).rank
+    kernel_rank = mask.count(1) - red.snf(degree).rank
     snf_stack = red.snf(degree + 1, red.project(cycles, degree), len(cycles))
 
     independent = snf_stack.rank == rank_b + len(cycles)

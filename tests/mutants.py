@@ -48,23 +48,28 @@ class Mutant:
 SNF = "halfcube/snf.py"
 REDUCTION = "tests/test_snf.py::TestReduction::"
 PLANTED = REDUCTION + "test_planted_torsion_is_left_to_the_elimination"
+GOLDEN_PAIRS = "tests/test_reduction_golden.py::test_pairs_equal_golden"
 
 MUTANTS = [
     # snf._Reduction: the pairing moves
     Mutant("coreduction-pairs-non-unit", SNF,
-           "                if signs[t] == 1 or signs[t] == -1:\n"
-           "                    pair = flat[t], g\n",
-           "                pair = flat[t], g\n",
+           "                if sg[t] == 1 or sg[t] == -1:\n"
+           "                    pair = d, fl[t], g\n",
+           "                pair = d, fl[t], g\n",
            (PLANTED,)),
     Mutant("collapse-pairs-non-unit", SNF,
-           "                if signs[t] == 1 or signs[t] == -1:\n"
-           "                    pair = g, up\n",
-           "                pair = g, up\n",
+           "                if sg[t] == 1 or sg[t] == -1:\n"
+           "                    pair = d + 1, g, up\n",
+           "                pair = d + 1, g, up\n",
            (PLANTED,)),
     Mutant("last-in-queue", SNF,
-           "g = queue.popleft()", "g = queue.pop()",
+           "d, g = queue.popleft()", "d, g = queue.pop()",
            (REDUCTION + "test_every_cell_pairs_off[7]",
             REDUCTION + "test_certificate_eliminates_only_the_reduced_stack[7]")),
+    Mutant("seed-ascending-within-dimension", SNF,
+           "for i in reversed(range(len(alive[d]))) if alive[d][i]",
+           "for i in range(len(alive[d])) if alive[d][i]",
+           (GOLDEN_PAIRS + "[4]", GOLDEN_PAIRS + "[8]")),
     Mutant("pair-count-off-by-a-dimension", SNF,
            "pairs = self.pairs[d] if d < len(self.pairs) else 0",
            "pairs = self.pairs[d - 1] if 0 < d <= len(self.pairs) else 0",
@@ -89,7 +94,7 @@ MUTANTS = [
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
     Mutant("projection-upper-coefficient-kept", SNF,
-           "                rows.pop(u - lo, None)\n", "",
+           "                rows.pop(u, None)\n", "",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
     # snf._sparse_snf: a heap record of a value the entry no longer holds

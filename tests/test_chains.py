@@ -302,13 +302,13 @@ class TestApplyBoundary:
                                             matchings, j):
         # n=4 has 24 edges: index -1 would read the last edge's column and
         # index 24 no column at all
-        t, cx = tables(4), complexes(4)
+        t, m, cx = tables(4), matchings(4), complexes(4)
         chain = ChainVector(1, {0: 1, j: 1})
         msg = f"chain index {j} is not one of the 24 cells of dimension 1"
         with pytest.raises(DimensionMismatch, match=msg):
             cx.apply(chain)
         with pytest.raises(DimensionMismatch, match=msg):
-            solve_cycle(chain, matchings(4), t, cx)
+            solve_cycle(chain, m, t, cx, morse_boundary(m, t, 1, cx))
         with pytest.raises(DimensionMismatch, match=msg):
             class_independence([chain], subcomplex_faces(3, t), cx)
 

@@ -531,7 +531,7 @@ class TestSolveCycle:
         t, m, cx = tables(4), matchings(4), complexes(4)
         d = t.faces(2)[0]
         y = cx.apply(ChainVector(2, {t.index_of(d): 1}))
-        f = solve_cycle(y, m, t, cx)
+        f = solve_cycle(y, m, t, cx, morse_boundary(m, t, 1, cx))
         assert cx.apply(f) == y
         downs = {m.partner[e] for e in reference.up_cells(m, 1)}
         assert all(t.faces(2)[i] in downs for i in f.coeffs)
@@ -551,14 +551,15 @@ class TestSolveCycle:
                 assert cx.apply(f) == y
 
     def test_zero_cycle(self, tables, matchings, complexes):
-        f = solve_cycle(ChainVector(1, {}), matchings(4), tables(4), complexes(4))
+        t, m, cx = tables(4), matchings(4), complexes(4)
+        f = solve_cycle(ChainVector(1, {}), m, t, cx, morse_boundary(m, t, 1, cx))
         assert f.is_zero()
 
     def test_not_a_cycle(self, tables, matchings, complexes):
-        t = tables(4)
+        t, m, cx = tables(4), matchings(4), complexes(4)
         y = ChainVector(1, {0: 1})  # a bare edge has nonzero boundary
         with pytest.raises(NotACycle):
-            solve_cycle(y, matchings(4), t, complexes(4))
+            solve_cycle(y, m, t, cx, morse_boundary(m, t, 1, cx))
 
     def test_flipped_diagonal_sign_leaves_a_residual(self, tables, matchings,
                                                      complexes):
@@ -688,8 +689,10 @@ class TestMixedTables:
                 lambda: verify_acyclic(m5, faces.enumerate_faces(5)),
             "morse_boundary-table": lambda: morse_boundary(m5, t6, 2, cx6),
             "morse_boundary-complex": lambda: morse_boundary(m5, t5, 2, cx6),
-            "solve_cycle-table": lambda: solve_cycle(y, m5, t6, cx6),
-            "solve_cycle-complex": lambda: solve_cycle(y, m5, t5, cx6),
+            "solve_cycle-table": lambda: solve_cycle(
+                y, m5, t6, cx6, morse_boundary(m5, t5, 2, cx5)),
+            "solve_cycle-complex": lambda: solve_cycle(
+                y, m5, t5, cx6, morse_boundary(m5, t5, 2, cx5)),
             "solve_cycle-boundary": lambda: solve_cycle(
                 y, m5, t5, cx5, morse_boundary(matchings(6), t6, 2, cx6)),
         }[case]

@@ -71,10 +71,11 @@ def test_the_table_is_read_from_its_owner():
                     if "table" in (params := inspect.signature(fn).parameters)
                     and {"cx", "m", "matching"} & set(params))
     assert beside == TABLE_BESIDE_OWNER
-    # the oracle takes the complex alone; only the closure check takes a table
+    # the oracle takes the complex alone; only the closure check takes a
+    # table, and the face lookup it shares with `restricted_boundary`
     takes_table = [fn.__qualname__ for fn in functions(halfcube.snf)
                    if "table" in inspect.signature(fn).parameters]
-    assert takes_table == ["check_closed"]
+    assert takes_table == ["_subset", "check_closed"]
 
 
 def test_only_the_cli_builds_complexes_and_matchings():
