@@ -10,8 +10,10 @@ verification failure, 2 for a usage error.
 `main` owns each run: it rejects a global flag the command does not
 read, requires --n and --k where read, opens the --out file (`_Sink`)
 before any work, prints the `RESULT fail ... error=<Class>` line for the
-library's errors, and on every way out removes a temporary --out file
-that was not renamed into place.  The `cmd_*` handlers do only their
+library's errors and for an --out file that cannot be written or renamed
+into place (an `OSError`), followed by the `k=` and `face=` the error
+names, and on every way out removes a temporary --out file that was not
+renamed into place.  The `cmd_*` handlers do only their
 command's work.  A run killed by a signal may leave `.NAME.PID.tmp`
 behind; a closed stdout (`| head`) ends the run with exit 1 and no
 traceback.
@@ -20,6 +22,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -79,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--include-k-eq-n", action="store_true",
                        help="add the k = n rows (closed forms only)")
     betti.add_argument("--oracle", action="store_true",
-                       help="fill the oracle column (n <= %d)" % ORACLE_N_CAP)
+                       help="fill the oracle column, the SNF rank in degree k-1, "
+                            "and fail a row with homology in any other degree "
+                            "or torsion (n <= %d)" % ORACLE_N_CAP)
     betti.add_argument("--force", action="store_true",
                        help="run the oracle above the n cap")
     # usage errors found after parsing go through the subcommand's parser
@@ -135,9 +140,12 @@ class _Sink:
 
     def close(self) -> None:
         """Close the --out file, and remove the temporary file unless
-        `write` has put it in place."""
+        `write` has put it in place.  A run that ends here without `write`
+        doing so has failed already, so a flush that fails as the file
+        closes is not reported a second time."""
         if self.path is not None:
-            self.fh.close()
+            with contextlib.suppress(OSError):
+                self.fh.close()
         if self.tmp is not None:
             os.remove(self.tmp)
 
@@ -212,12 +220,14 @@ def cmd_basis(args, parser, sink) -> int:
 
 def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
     """The Betti table rows of one n, and the (k, column) of the first
-    column that disagrees with betti_binomial, or None."""
+    column that disagrees with betti_binomial, or None.  The whole C_{n,k}
+    family is restricted, and with --oracle reduced, once."""
     rows = []
     first_bad = None
     table = faces.enumerate_faces(n)
-    matching = morse.build_matching(table)
-    cx = ChainComplex(table)  # boundaries are built only when the oracle runs
+    specs = subc.build_family(morse.build_matching(table))
+    # cmd_betti has checked the n cap
+    reports = snf.family_homology(ChainComplex(table)) if args.oracle else {}
     k_top = n + 1 if args.include_k_eq_n else n
     for k in range(3, k_top):
         a = subc.betti_binomial(n, k)
@@ -225,15 +235,16 @@ def _betti_rows(n: int, args) -> tuple[list[tuple], tuple[int, str] | None]:
         bad = [] if a == b else ["betti_power"]
         unmatched = oracle = ""
         if k < n:
-            spec = subc.build_subcomplex(n, k, table, matching)
-            # build_subcomplex has checked that every unmatched cell has dim k-1
-            unmatched = len(spec.unmatched)
+            # build_family has checked that every unmatched cell has dim k-1
+            unmatched = len(specs[k].unmatched)
             if unmatched != a:
                 bad.append("unmatched")
-            if args.oracle:  # cmd_betti has checked the n cap
-                h = snf.homology(spec.faces, k - 1, cx)
-                oracle = h["betti"]
-                if oracle != a or h["torsion"]:
+            if args.oracle:
+                h = reports[k]
+                oracle = h["betti"][k - 1]
+                # reduced homology free and concentrated in degree k-1
+                if (oracle != a or h["torsion"]
+                        or any(h["betti"][d] for d in h["betti"] if d != k - 1)):
                     bad.append("oracle_rank")
         if bad and first_bad is None:
             first_bad = (k, bad[0])
@@ -295,15 +306,21 @@ def main(argv=None) -> int:
                 parser.error(f"--k must satisfy 3 <= k < n, got k={args.k}, n={args.n}")
         # looked up by name at call time, so that a wrapped handler runs
         return globals()[f"cmd_{args.command}"](args, parser, sink)
-    except LIBRARY_ERRORS as e:
-        where = " ".join(f"{d}={opts[d]}" for d in ("n", "k") if opts[d] is not None)
-        print(f"error: {e}", file=sys.stderr)
-        print(f"RESULT fail {where} error={type(e).__name__}")
-        return 1
     except BrokenPipeError:
         # stdout was closed early, as by `| head`: exit quietly, and point
         # stdout at os.devnull so that the flush at exit stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (*LIBRARY_ERRORS, OSError) as e:
+        # a library error, or an --out file that could not be written or
+        # renamed into place; the line names the error's k and face too
+        where = {d: opts[d] for d in ("n", "k") if opts[d] is not None}
+        named = {a: v for a in ("k", "face")
+                 if (v := getattr(e, a, None)) is not None and a not in where}
+        print(f"error: {e}", file=sys.stderr)
+        print(" ".join(["RESULT fail", *(f"{d}={v}" for d, v in where.items()),
+                        f"error={type(e).__name__}",
+                        *(f"{a}={v}" for a, v in named.items())]))
         return 1
     finally:
         sink.close()

@@ -293,8 +293,10 @@ def build_matching(table: FaceTable) -> MorseMatching:
     w = _weights(table.n)
     mate = array("i")
     rules = array("b")
+    near: dict[int, int] = {}  # emptied for each d, so that two are never held
     for d, cells in table.cells.items():
-        near = dict(zip(table.codes(d - 1), itertools.count(table.start(d - 1))))
+        near.clear()
+        near.update(zip(table.codes(d - 1), itertools.count(table.start(d - 1))))
         near.update(zip(table.codes(d + 1), itertools.count(table.start(d + 1))))
         for f, code in zip(cells, table.codes(d)):
             p, r = partner_rule(f, code, d, w)

@@ -61,6 +61,32 @@ p-chains modulo the cycles Z_p are free.  With rank B_p = pairs[p+1] +
 rank B'_p (above) and Z_p / (B_p + <z>) isomorphic to
 Z'_p / (B'_p + <z'>), the stack has rank pairs[p+1] + rank [B' | Z'] and
 the torsion of [B' | Z'].
+
+`family_homology` reports every C_{n,k} of the filtration
+C_{n,3} ⊂ C_{n,4} ⊂ ... ⊂ C_{n,n-1}, where C_{n,k+1} adds the half-cube
+k-cells H_k to C_{n,k}, without reducing each from scratch (Harker,
+Mischaikow, Mrozek & Nanda, above; Sköldberg, *Morse theory from an
+algebraic viewpoint*, Trans. AMS 358, 2006).  C_{n,3} is reduced once.
+Each of its pairs (a, b) is an elimination on a unit entry in any
+complex that holds C_{n,3} as a subcomplex.  Made in order in the whole
+complex, the eliminations change the columns of C_{n,3} only by
+restriction, since within C_{n,3} a collapsed a has no other coface left
+and a coreduced b no other facet.  The cells outside C_{n,3} keep their
+boundaries among themselves and meet the pairs only through their parts
+in C_{n,3}: a coreduction drops b from ∂h, and a collapse whose a lies
+under an outside cell h replaces a in ∂h by -ε ∂'b.  Those are the two
+rules above, so each outside cell h is attached with ∂'h = π(∂h), π
+acting on the part in C_{n,3}, and each C_{n,k} is chain equivalent to
+the cells left with H_3 .. H_{k-1} attached; the perturbation series
+stops after one term because the homotopy of the reduction stays inside
+C_{n,3}.  That complex is a second input to the same engine
+(`_family._Attached`): reduced as C_{n,4}, and the same step attaches
+the higher half-cube cells to what that leaves, up to C_{n,n-1}.  Each
+complex in the chain is a few basis cells and the half-cube cells above
+them: at n=10, 22,783 cells for C_{10,4} against the 507,649 of
+C_{10,3}.  Ranks and torsion are read off each reduced complex as for a
+subset, in every degree of its C_{n,k}, and only entries the pairs could
+not take reach the elimination.
 """
 
 from __future__ import annotations
@@ -397,7 +423,10 @@ class _Reduction:
         if degree < self.top:
             bmat = self.cx.boundary(degree + 1)
             flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
-        for d, l, u in zip(self.dims, self.lower, self.upper):
+        # only the pairs with a cell in this degree act on the rows
+        near = self.dims.tobytes().translate(
+            bytes(d in (degree, degree + 1) for d in range(256)))
+        for d, l, u in itertools.compress(zip(self.dims, self.lower, self.upper), near):
             if d == degree:  # upper cell: drop its coefficient
                 alive[u] = 0
                 rows.pop(u, None)
@@ -440,23 +469,37 @@ def homology(subset, degree: int, cx: ChainComplex) -> dict:
     return _degree_homology(sub, degree, red.snf(degree), red.snf(degree + 1))
 
 
-def homology_report(subset, cx: ChainComplex) -> dict:
-    """Per-degree reduced Betti numbers and torsion for a face subset.
-
-    The subset is checked and reduced once and each boundary map factored
-    once: the map out of degree d serves degree d (its kernel) and d-1
-    (its image)."""
-    sub = check_closed(subset, cx.table)
-    red = _Reduction(sub, cx)
+def _report(red: _Reduction, top: int) -> dict:
+    """Per-degree reduced Betti numbers and torsion, in degrees 0..top, of
+    the subset `red` reduced.  Each boundary map is factored once: the
+    map out of degree d serves degree d (its kernel) and d-1 (its image)."""
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
-    snfs = [red.snf(d) for d in range(0, red.top + 2)]
-    for d in range(0, red.top + 1):
-        h = _degree_homology(sub, d, snfs[d], snfs[d + 1])
+    snfs = [red.snf(d) for d in range(0, top + 2)]
+    for d in range(0, top + 1):
+        h = _degree_homology(red.sub, d, snfs[d], snfs[d + 1])
         betti[d] = h["betti"]
         if h["torsion"]:
             torsion[d] = h["torsion"]
     return {"betti": betti, "torsion": torsion}
+
+
+def homology_report(subset, cx: ChainComplex) -> dict:
+    """Per-degree reduced Betti numbers and torsion for a face subset,
+    checked and reduced once."""
+    red = _Reduction(check_closed(subset, cx.table), cx)
+    return _report(red, red.top)
+
+
+def family_homology(cx: ChainComplex) -> dict[int, dict]:
+    """`homology_report` of every C_{n,k}, 3 <= k < n, as {k: report},
+    from one reduction of C_{n,3} and the half-cube cells attached to
+    what each reduction leaves (module docstring).  The code is in
+    `halfcube._family`, loaded on first use like a layer, so a run that
+    asks for no family never loads it."""
+    from . import _family
+
+    return _family.family_homology(cx)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,35 @@
 """Subcomplexes of the half cube with the large half-cube cells removed.
 
 For 3 <= k < n, deleting the interiors of every half-cube shaped face of
-dimension >= k leaves a subcomplex whose reduced homology is free and
-concentrated in degree k-1.  Restricting the complete matching to the
+dimension >= k leaves a subcomplex C_{n,k} whose reduced homology is free
+and concentrated in degree k-1.  Restricting the complete matching to the
 subcomplex leaves unpaired exactly the (k-1)-cells whose original partner
 was a deleted k-dimensional half-cube cell; the boundaries of those
 external partners are explicit integral homology basis chains, which a
 basis reads by position from the boundary matrix.  Two closed forms count
 the basis.  The masks read n from `table.n`; the functions given n and a
 table beside their owner raise BadRange on a mismatch.
+
+The subcomplexes form one filtration C_{n,3} ⊂ C_{n,4} ⊂ ... ⊂ C_{n,n-1}:
+each step adds the half-cube cells of one more dimension.  It is held as
+one level per cell, the least k >= 3 whose C_{n,k} holds the cell: d + 1
+for a half-cube shaped d-cell, and 0 for a cell that every C_{n,k} holds.
+One pass over the levels and the matching restricts the matching for any
+range of k (`build_family` for all of them, `build_subcomplex` for one),
+and is exact because every fact it reads is a comparison of levels:
+
+* C_{n,k} holds the i-th d-cell but not its facet j exactly for the k
+  with level(i) <= k < level(j), so one scan of each dimension's facet
+  incidences finds the first gap, in table order, of every k at once;
+* a cell leaves C_{n,k} for k < its level and its partner is in it for
+  k >= the partner's level, so the cell is external exactly for the k
+  between the two: a half-cube d-cell matched to a simplex face for every
+  k <= d, one matched to a half-cube (d-1)-cell only at k = d, and one
+  matched upward never.
+
+Each k then sorts its cells and runs its checks in the order a
+single-subcomplex build did, so each failure keeps its class, its message
+and its first offender, and names them as `k` and `face`.
 """
 
 from __future__ import annotations
@@ -16,21 +37,24 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
-from .faces import PLAIN1, STAR, FaceSubset, FaceTable, Kind, classify
+from .faces import PLAIN1, STAR, FaceSubset, FaceTable
 from .morse import MorseMatching
 
 
-# swaps the bytes 0 and 1 of a mask
-_NOT = bytes([1, 0]) + bytes(range(2, 256))
-
-
 class SubcomplexError(Exception):
-    pass
+    """A failed check of this layer.  A failure of one C_{n,k} names its
+    `k` and the first `face` that fails; both are None otherwise."""
+
+    def __init__(self, message: str, k: int | None = None, face: str | None = None):
+        super().__init__(message)
+        self.k = k
+        self.face = face
 
 
 class BadRange(SubcomplexError):
@@ -67,35 +91,143 @@ def _check_range(n: int, k: int, table: FaceTable, owner=None) -> None:
         raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
 
 
+def _levels(table: FaceTable, low: int = 3) -> dict[int, bytearray]:
+    """The filtration level of every cell (module docstring), one
+    bytearray per dimension, for the C_{n,k} with k >= low: a cell that
+    all of them hold gets 0.  A face is half-cube shaped exactly when it
+    holds a '*', and such a face has at least three stars, so that is
+    every cell below dimension max(low, 3)."""
+    return {d: bytearray(len(cells)) if d < max(low, 3) else
+            bytearray(STAR in f for f in cells).translate(
+                bytes.maketrans(b"\x01", bytes([d + 1])))
+            for d, cells in table.cells.items()}
+
+
+def _over(k: int) -> bytes:
+    """A translation table taking a level above k to 1 and the rest to 0."""
+    return bytes(v > k for v in range(256))
+
+
 def subcomplex_faces(k: int, table: FaceTable) -> FaceSubset:
     """Every face of the half cube except the half-cube shaped faces of
-    dimension >= k; the empty face is kept.  A face is half-cube shaped
-    exactly when it holds a '*'."""
-    masks = {}
-    for d, cells in table.cells.items():
-        if d < k:
-            masks[d] = bytearray(b"\x01") * len(cells)
-        else:
-            masks[d] = bytearray(STAR not in f for f in cells)
-    return FaceSubset(table, masks)
+    dimension >= k, the cells of level <= k; the empty face is kept."""
+    inside = bytes(v <= k for v in range(256))
+    return FaceSubset(table, {d: lv.translate(inside) for d, lv in _levels(table).items()})
 
 
 @dataclass
 class SubcomplexSpec:
-    """A deleted-cell subcomplex with its restricted matching.
+    """The deleted-cell subcomplex C_{n,k} of `table` with its restricted
+    matching.
 
-    `faces` is the retained face set (empty face included); `unmatched`
-    the faces whose partner was deleted, left unpaired by the restricted
-    matching (all of dimension k-1, one per homology basis chain);
-    `external` their original partners, the deleted k-dimensional
-    half-cube cells.
+    `unmatched` holds the faces whose partner was deleted, left unpaired
+    by the restricted matching (all of dimension k-1, one per homology
+    basis chain); `external` their original partners, the deleted
+    k-dimensional half-cube cells.  `faces`, the retained face set (empty
+    face included), is built on every read, so a spec keeps no mask.
     """
 
-    n: int
+    table: FaceTable
     k: int
-    faces: FaceSubset
     unmatched: list[str]
     external: list[str]
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def faces(self) -> FaceSubset:
+        return subcomplex_faces(self.k, self.table)
+
+
+def _first_gaps(table: FaceTable, levels: dict[int, bytearray],
+                ks: range) -> dict[int, tuple[str, str]]:
+    """The first (face, facet), in table order, of a face in C_{n,k} whose
+    facet is not, for each k of ks that has one.  A dimension is scanned
+    once for every k, and only when some facet leaves some C_{n,k}."""
+    gaps: dict[int, tuple[str, str]] = {}
+    over = _over(ks[0])
+    for d in table.cells:
+        below = levels.get(d - 1, b"")
+        if 1 not in below.translate(over):
+            continue  # every (d-1)-cell is in every C_{n,k} of ks
+        level, cap = levels[d], max(below)
+        flat, offsets = table.facet_index(d)
+        held = bytes(map(below.__getitem__, flat))  # each incidence's facet level
+        late = held.translate(over)
+        find = late.find
+        t = find(1)
+        while t >= 0:
+            i = bisect_right(offsets, t) - 1
+            end = offsets[i + 1]
+            if level[i] < cap:  # else no facet of the face is later than it
+                first = max(level[i], ks[0])  # the least k of ks that holds the face
+                for s in range(t, end):
+                    for k in range(first, min(held[s], ks[-1] + 1)):
+                        gaps.setdefault(k, (table.faces(d)[i], table.faces(d - 1)[flat[s]]))
+            t = find(1, end)
+    return gaps
+
+
+def _restrict(m: MorseMatching, ks: range) -> dict[int, SubcomplexSpec]:
+    """The subcomplex and restricted matching of every k of ks, checked
+    (module docstring); the first k that fails a check raises."""
+    table = m.table
+    levels = _levels(table, ks[0])
+    gaps = _first_gaps(table, levels, ks)
+    # each cell held as (text, dimension, position within it); faces are
+    # unique, so the tuples sort as their texts
+    found: dict[int, tuple[list, list]] = {k: ([], []) for k in ks}
+    over, mate = _over(ks[0]), m.mate
+    for d, cells in table.cells.items():
+        level = levels[d]
+        out_k = level.translate(over)
+        if 1 not in out_k:
+            continue  # every d-cell is in every C_{n,k} of ks
+        lo, down, up, top = (table.start(d), table.start(d - 1),
+                             table.start(d + 1), table.start(d + 2))
+        for i in itertools.compress(range(len(cells)), out_k):
+            g = mate[lo + i]
+            if down <= g < lo:
+                dg, j = d - 1, g - down
+            elif up <= g < top:
+                dg, j = d + 1, g - up
+            else:  # not a facet or coface: a matching no validation has seen
+                dg = table.dim_at(g)
+                j = g - table.start(dg)
+            # the cell is out of C_{n,k} for k < its level, and its partner
+            # in it from the partner's level on
+            for k in range(max(levels[dg][j], ks[0]), min(level[i], ks[-1] + 1)):
+                unmatched, external = found[k]
+                unmatched.append((table.faces(dg)[j], dg, j))
+                external.append((cells[i], d, i))
+
+    out = {}
+    for k in ks:
+        gap = gaps.get(k)
+        if gap is not None:
+            f, g = gap
+            raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}", k, f)
+        unmatched, external = found[k]
+        unmatched.sort()
+        external.sort()
+        for f, d, _ in unmatched:
+            if d != k - 1:
+                raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}", k, f)
+        below = levels[k - 1]
+        leaks = 1 in below.translate(_over(k))  # some (k-1)-cell is not in C_{n,k}
+        flat, offsets = table.facet_index(k)
+        for b, d, i in external:
+            if d != k or STAR not in b:
+                raise SubcomplexError(f"external partner {b!r} is not a k-half-cube", k, b)
+            for j in flat[offsets[i]:offsets[i + 1]] if leaks else ():
+                if below[j] > k:
+                    raise SupportLeak(f"facet {table.faces(k - 1)[j]!r} of external "
+                                      f"{b!r} left the subcomplex", k, b)
+        out[k] = SubcomplexSpec(table, k, [u[0] for u in unmatched],
+                                [e[0] for e in external])
+    return out
 
 
 def build_subcomplex(n: int, k: int, table: FaceTable,
@@ -105,46 +237,14 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
     k-1, and every external partner a k-dimensional half-cube cell whose
     facets all remain inside.  `table` must be `matching.table`."""
     _check_range(n, k, table, matching)
-    faces_y = subcomplex_faces(k, table)
-    # the matching is an involution, so the kept faces whose partner was
-    # deleted are the kept partners of the deleted faces; each is held as
-    # (text, dimension, position within it), and faces are unique, so the
-    # tuples sort as their texts
-    unmatched: list[tuple[str, int, int]] = []
-    external: list[tuple[str, int, int]] = []
-    for d, cells in table.cells.items():
-        kept = faces_y.mask(d)
-        lo = table.start(d)
-        for i in itertools.compress(range(len(kept)), kept.translate(_NOT)):
-            g = matching.mate[lo + i]
-            dg = table.dim_at(g)
-            j = g - table.start(dg)
-            if faces_y.mask(dg)[j]:
-                unmatched.append((table.faces(dg)[j], dg, j))
-                external.append((cells[i], d, i))
-    unmatched.sort()
-    external.sort()
+    return _restrict(matching, range(k, k + 1))[k]
 
-    gap = faces_y.missing_facet()
-    if gap is not None:
-        f, g = gap
-        raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
-    for f, d, _ in unmatched:
-        if d != k - 1:
-            raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
-    below = faces_y.mask(k - 1)
-    cells_below = table.faces(k - 1)
-    for b, d, i in external:
-        kind, dim = classify(b)
-        if kind is not Kind.HALFCUBE or dim != k:
-            raise SubcomplexError(f"external partner {b!r} is not a k-half-cube")
-        flat, offsets = table.facet_index(d)
-        for j in flat[offsets[i]:offsets[i + 1]]:
-            if not below[j]:
-                raise SupportLeak(f"facet {cells_below[j]!r} of external {b!r} "
-                                  "left the subcomplex")
-    return SubcomplexSpec(n, k, faces_y, [u[0] for u in unmatched],
-                          [e[0] for e in external])
+
+def build_family(matching: MorseMatching) -> dict[int, SubcomplexSpec]:
+    """`build_subcomplex` for every 3 <= k < n in one pass, as {k: spec},
+    reading the table from the matching; the least k that fails a check
+    raises."""
+    return _restrict(matching, range(3, matching.table.n))
 
 
 def _is_basis_face(f: str) -> bool:

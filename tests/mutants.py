@@ -248,6 +248,51 @@ MUTANTS += [
             GOLDEN + "[--n 4 enum]", GOLDEN + "[--n 5 --dim 2 enum]")),
 ]
 
+FAMILY = "tests/test_snf.py::TestFamily::"
+SUBCOMPLEX = "tests/test_subcomplex.py::TestBuildSubcomplex::"
+
+MUTANTS += [
+    # subcomplex._restrict: a cell is external from its partner's level on
+    Mutant("family-halfcube-partner-kept-for-every-k", "halfcube/subcomplex.py",
+           "for k in range(max(levels[dg][j], ks[0]), min(level[i], ks[-1] + 1)):",
+           "for k in range(ks[0], min(level[i], ks[-1] + 1)):",
+           (SUBCOMPLEX + "test_equals_string_set_reference[5]",
+            SUBCOMPLEX + "test_family_equals_one_subcomplex_at_a_time[8]",
+            CLI_TESTS + "TestBetti::test_columns_agree")),
+    # snf.family_homology (`_family`): the cells attached through the chain map
+    Mutant("family-projection-skips-a-pair", SNF,
+           "for d, l, u in itertools.compress(zip(self.dims, self.lower, self.upper), near):",
+           "for d, l, u in itertools.islice(itertools.compress(\n"
+           "                zip(self.dims, self.lower, self.upper), near), 1, None):",
+           (FAMILY + "test_reports_equal_per_subset[5]",
+            FAMILY + "test_reports_equal_per_subset[6]")),
+    Mutant("family-projection-epsilon-dropped", SNF,
+           "eps = signs[a + flat[a:b].index(l)]", "eps = 1",
+           (FAMILY + "test_attached_complexes_are_chain_complexes[6]",
+            FAMILY + "test_attached_complexes_are_chain_complexes[7]")),
+    Mutant("family-h3-attached-without-projection", "halfcube/_family.py",
+           "for i, z in red.project(lower, d - 1).items():",
+           "for i, z in {i: {j: v for j, ch in enumerate(lower) if (v := ch.coeffs.get(i))}\n"
+           "                             for i in red.left.indices(d - 1)}.items():",
+           (FAMILY + "test_reports_equal_per_subset[5]",
+            FAMILY + "test_reports_equal_reference[5]")),
+    # chains.halfcube_epsilon past the tables the other tests enumerate
+    Mutant("epsilon-flipped-above-7", "halfcube/chains.py",
+           "return -1 if ((m - 1) // 2 + parity) % 2 else 1",
+           "return -1 if ((m - 1) // 2 + parity + (m >= 8 and parity)) % 2 else 1",
+           ("tests/test_chains.py::TestClosedForms::"
+            "test_halfcube_class_past_n7_equals_reference[8-1]",
+            "tests/test_chains.py::TestClosedForms::"
+            "test_halfcube_class_past_n7_equals_reference[9-1]")),
+    # cli.main: the failing RESULT line names the error's face
+    Mutant("cli-fail-line-drops-face", CLI,
+           '                        *(f"{a}={v}" for a, v in named.items())]))',
+           "                        ]))",
+           (CLI_TESTS + "TestBetti::test_fail_line_names_the_first_bad_face[closure]",
+            CLI_TESTS + "TestBetti::test_fail_line_names_the_first_bad_face[leak]")),
+]
+
+
 def run_tests(src: Path, node_ids) -> tuple[set[str], str | None]:
     """The named tests that fail against `src`, or an error text when
     pytest could not run them all."""

@@ -27,7 +27,11 @@ built its facet index before it moved to integer face codes.
 
 `subcomplex_faces`, `closure_defects` and `build_subcomplex` work on sets of
 face strings and parse every facet list with `facets()`, as the package did
-before it kept one facet index per table.
+before it kept one facet index per table and restricted the matching for
+the whole C_{n,k} family in one pass.  `moved_levels` plants a defect in
+the family's levels, `members` reads one C_{n,k} off them, `repaired`
+plants one in a matching, and `planted_defect` plants one defect for each
+check of the restriction.
 
 `match_face` rewrites a face's text, read through its marked positions
 (`mask`), into its partner's, and
@@ -63,6 +67,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from math import gcd
+from typing import NamedTuple
 
 import heapq
 
@@ -104,7 +109,7 @@ from halfcube.snf import (
     _sparse_snf,
     check_closed,
 )
-from halfcube.subcomplex import SubcomplexError, SubcomplexSpec, SupportLeak
+from halfcube.subcomplex import SubcomplexError, SupportLeak, _levels
 
 
 class NotKType(FaceError):
@@ -311,12 +316,25 @@ def facet_incidence(f: str, g: str) -> int:
     the enumerated centroids."""
     if g == EMPTY:
         return 1
-    base_f, vecs_f = orientation_frame(f)
+    return _incidence(f, orientation_frame(f), vertex_sum(f), g)
+
+
+def facet_incidences(f: str) -> list[int]:
+    """`facet_incidence(f, g)` for each g of `facets(f)`, with the frame and
+    the centroid of f found once."""
+    gs = facets(f)
+    if gs in ([], [EMPTY]):  # the empty face, or a vertex on it
+        return [1] * len(gs)
+    frame, total = orientation_frame(f), vertex_sum(f)
+    return [_incidence(f, frame, total, g) for g in gs]
+
+
+def _incidence(f: str, frame_f, sum_f, g: str) -> int:
+    base_f, vecs_f = frame_f
     if classify(g).dim == 0:
         return -1 if g == base_f else 1
     _, vecs_g = orientation_frame(g)
-    sum_f, nf = vertex_sum(f)
-    sum_g, ng = vertex_sum(g)
+    (sum_f, nf), (sum_g, ng) = sum_f, vertex_sum(g)
     u = [nf * sg - ng * sf for sf, sg in zip(sum_f, sum_g)]
     cols = [u] + [list(v) for v in vecs_g]
     m = [[sum(a * b for a, b in zip(fv, col)) for col in cols] for fv in vecs_f]
@@ -328,7 +346,7 @@ def facet_incidence(f: str, g: str) -> int:
 
 def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     """`∂_d` of the full complex, one reference incidence per facet."""
-    cols = [{table.index_of(g): facet_incidence(f, g) for g in facets(f)}
+    cols = [dict(zip(map(table.index_of, facets(f)), facet_incidences(f)))
             for f in table.faces(d)]
     return boundary_from_cols(d, len(table.faces(d - 1)), cols)
 
@@ -464,11 +482,23 @@ def closure_defects(faces: set[str]) -> list[tuple[str, str]]:
                   for g in facets(f) if g not in faces)
 
 
+class Spec(NamedTuple):
+    """A subcomplex as face strings, with its restricted matching."""
+
+    n: int
+    k: int
+    faces: frozenset[str]
+    unmatched: list[str]
+    external: list[str]
+
+
 def build_subcomplex(n: int, k: int, table: FaceTable,
-                     matching: MorseMatching) -> SubcomplexSpec:
+                     matching: MorseMatching, faces=None) -> Spec:
     """The deleted-cell subcomplex with its restricted matching, checked as
-    `halfcube.subcomplex.build_subcomplex` checks it."""
-    faces_y = subcomplex_faces(k, table)
+    `halfcube.subcomplex.build_subcomplex` checks it, each failure naming
+    its k and face.  `faces` is the retained face set, `subcomplex_faces(k,
+    table)` unless a planted one is given."""
+    faces_y = subcomplex_faces(k, table) if faces is None else set(faces)
     unmatched: list[str] = []
     external: list[str] = []
     for f in faces_y:
@@ -478,18 +508,81 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
             external.append(p)
     unmatched.sort()
     external.sort()
-    for f, g in closure_defects(faces_y):
-        raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}")
+    # the first gap in table order: by dimension, then by text
+    for f, g in sorted(closure_defects(faces_y), key=lambda fg: (table.dim_of(fg[0]), fg)):
+        raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}", k, f)
     for f in unmatched:
         if table.dim_of(f) != k - 1:
-            raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}")
+            raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}", k, f)
     for b in external:
         if classify(b) != (Kind.HALFCUBE, k):
-            raise SubcomplexError(f"external partner {b!r} is not a k-half-cube")
+            raise SubcomplexError(f"external partner {b!r} is not a k-half-cube", k, b)
         for g in facets(b):
             if g not in faces_y:
-                raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex")
-    return SubcomplexSpec(n, k, frozenset(faces_y), unmatched, external)
+                raise SupportLeak(f"facet {g!r} of external {b!r} left the subcomplex",
+                                  k, b)
+    return Spec(n, k, frozenset(faces_y), unmatched, external)
+
+
+def moved_levels(table: FaceTable, face: str, level: int) -> dict[int, bytearray]:
+    """The filtration levels of `halfcube.subcomplex` (the least k whose
+    C_{n,k} holds each cell) with one face moved to `level`: a planted
+    defect of the family."""
+    levels = _levels(table)
+    levels[table.dim_of(face)][table.index_of(face)] = level
+    return levels
+
+
+def members(levels: dict[int, bytearray], k: int, table: FaceTable) -> set[str]:
+    """The faces whose level is at most k, as strings."""
+    return {f for d, lv in levels.items() for f, v in zip(table.faces(d), lv) if v <= k}
+
+
+def repaired(m: MorseMatching, f: str, g: str) -> MorseMatching:
+    """`m` with f and g paired, and their old partners paired with each
+    other: still an involution, but not checked to be a matching."""
+    table = m.table
+    mate = array("i", m.mate)
+    a, b = table.position(f), table.position(g)
+    p, q = mate[a], mate[b]
+    mate[a], mate[b], mate[p], mate[q] = b, a, q, p
+    return MorseMatching(table, mate, m.rules)
+
+
+# the first offender of each planted defect, in the order the checks read
+# the cells: the first face in table order with a facet outside, or the
+# first unmatched or external cell by text
+PLANTED_OFFENDERS = {"closure": "0OIII", "unmatched": "IIIO0",
+                     "external": "IIIO", "leak": "***1*"}
+
+
+def planted_defect(tables, matchings, defect):
+    """(n, k, matching, levels) of one planted restriction defect, each
+    caught by its own check, at the least k that fails:
+
+    * closure: the first triangle moved out of C_{5,3};
+    * unmatched: at n=5 a half-cube 4-cell paired with a simplex 3-face
+      on it, which C_{5,3} keeps: an unmatched 3-cell at k=3;
+    * external: at n=4 a simplex 3-face paired downward moved out of
+      C_{4,3}; its one coface is the top cell, so C_{4,3} stays closed;
+    * leak: '***10' moved out of C_{5,4} (as in
+      `test_subcomplex.py`'s `test_external_facet_outside_is_a_leak`).
+    """
+    if defect == "closure":
+        t = tables(5)
+        return 5, 3, matchings(5), moved_levels(t, t.faces(2)[0], 4)
+    if defect == "unmatched":
+        t = tables(5)
+        h = next(f for f in t.faces(4) if STAR in f)
+        s = next(g for g in facets(h) if STAR not in g)
+        return 5, 3, repaired(matchings(5), h, s), _levels(t)
+    if defect == "external":
+        t, m = tables(4), matchings(4)
+        s = next(f for f in t.faces(3)
+                 if STAR not in f and t.dim_of(m.partner[f]) == 2)
+        return 4, 3, m, moved_levels(t, s, 4)
+    t = tables(5)
+    return 5, 4, matchings(5), moved_levels(t, "***10", 5)
 
 
 _INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 11: 11}

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -11,6 +12,8 @@ from halfcube.chains import (
     DimensionMismatch,
     boundary_matrix,
     halfcube_epsilon,
+    halfcube_signs,
+    simplex_signs,
 )
 from halfcube.morse import morse_boundary, solve_cycle
 from halfcube.snf import class_independence
@@ -144,6 +147,27 @@ class TestClosedForms:
                 points = [vertex_point(v) for v in verts]
                 assert (base, list(vecs)) == (verts[0], [
                     tuple(x - y for x, y in zip(q, points[0])) for q in points[1:]]), f
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_halfcube_class_past_n7_equals_reference(self, m, parity):
+        # a half-cube column's signs depend only on its star count m and
+        # the parity of its fixed '1' count, so one face decides the class
+        # at every n; no table of n <= 7 has a face of 8 or more stars, and
+        # the chain condition pins σ but not ε
+        f = faces.STAR * m + ("1" if parity else "0")
+        _, vecs = orientation_frame(f)
+        assert det_sign([list(v[:m]) for v in vecs]) == halfcube_epsilon(m, parity)
+        assert list(halfcube_signs(m, parity)) == reference.facet_incidences(f)
+
+    @pytest.mark.parametrize("length", [8, 9, 10])
+    def test_simplex_patterns_past_n7_equal_reference(self, length):
+        # a simplex column's signs depend only on the 'O'/'I' pattern of its
+        # mask; the pattern is itself a face when it has an odd 'I' count
+        for bits in itertools.product(faces.UND0 + faces.UND1, repeat=length):
+            if bits.count(faces.UND1) % 2:
+                f = "".join(bits)
+                assert list(simplex_signs(f)) == reference.facet_incidences(f), f
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_boundaries_bit_identical_to_reference(self, tables, complexes, n):

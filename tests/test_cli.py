@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -10,12 +11,12 @@ from pathlib import Path
 import pytest
 
 import halfcube
-from halfcube import faces, morse, snf
+from halfcube import cli, faces, morse, snf
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainError
 from halfcube.cli import main
 import reference
-from reference import add_scaled, from_pairs
+from reference import PLANTED_OFFENDERS, add_scaled, from_pairs, planted_defect
 
 
 def run(capsys, *argv):
@@ -302,18 +303,59 @@ class TestBetti:
         assert lines[-1] == "RESULT fail rows=6 n=5 k=4 column=betti_power"
 
     def test_fail_line_names_first_bad_unmatched_column(self, capsys, monkeypatch):
-        build = subc.build_subcomplex
+        build = subc.build_family
 
-        def lost_cell(n, k, table, matching):
-            spec = build(n, k, table, matching)
-            if (n, k) == (5, 3):
-                spec.unmatched.pop()
-            return spec
+        def lost_cell(matching):
+            specs = build(matching)
+            if matching.table.n == 5:
+                specs[3].unmatched.pop()
+            return specs
 
-        monkeypatch.setattr(subc, "build_subcomplex", lost_cell)
+        monkeypatch.setattr(subc, "build_family", lost_cell)
         code, lines = run(capsys, "betti", "--n-max", "5")
         assert code == 1
         assert lines[-1] == "RESULT fail rows=3 n=5 k=3 column=unmatched"
+
+    FAIL_LINES = {
+        "closure": "RESULT fail n=5 error=SubcomplexError k=3 face=0OIII",
+        "unmatched": "RESULT fail n=5 error=SubcomplexError k=3 face=IIIO0",
+        "external": "RESULT fail n=4 error=SubcomplexError k=3 face=IIIO",
+        "leak": "RESULT fail n=5 error=SupportLeak k=4 face=***1*",
+    }
+
+    @pytest.mark.parametrize("defect", list(FAIL_LINES))
+    def test_fail_line_names_the_first_bad_face(self, capsys, monkeypatch, tables,
+                                                matchings, defect):
+        # the restriction defects of `reference.planted_defect`, each
+        # planted at its own n only; the line names the first offender
+        n, _, planted_m, planted = planted_defect(tables, matchings, defect)
+        levels, build = subc._levels, morse.build_matching
+        monkeypatch.setattr(subc, "_levels", lambda table, low=3:
+                            planted if table.n == n else levels(table, low))
+        monkeypatch.setattr(morse, "build_matching", lambda table:
+                            planted_m if table.n == n else build(table))
+        code, lines = run(capsys, "betti", "--n-max", "5")
+        assert code == 1
+        assert lines == [self.FAIL_LINES[defect]]
+        assert lines[0].endswith(f" face={PLANTED_OFFENDERS[defect]}")
+
+    def test_oracle_fails_on_homology_outside_degree_k_minus_1(self, capsys,
+                                                               monkeypatch):
+        # a planted H_{k-2} in C_{5,4}: the k-1 column still agrees, and
+        # the row fails on the other degree
+        family = snf.family_homology
+
+        def planted(cx):
+            reports = family(cx)
+            if cx.table.n == 5:
+                reports[4]["betti"][2] = 1
+            return reports
+
+        monkeypatch.setattr(snf, "family_homology", planted)
+        code, lines = run(capsys, "betti", "--n-max", "5", "--oracle")
+        assert code == 1
+        assert "5,4,9,9,9,9" in lines
+        assert lines[-1] == "RESULT fail rows=3 n=5 k=4 column=oracle_rank"
 
 
 class TestGlobalFlags:
@@ -522,7 +564,8 @@ class TestOutPath:
     def test_out_turned_directory_leaves_no_temporary_file(
             self, capsys, monkeypatch, tmp_path, command):
         # the target becomes a directory while the command runs, so the
-        # final rename fails; its error propagates, the temporary file goes
+        # final rename fails: a failed RESULT line, and the temporary file
+        # goes; before, the error escaped with a traceback
         enumerate_faces = faces.enumerate_faces
         path = tmp_path / "out"
 
@@ -531,10 +574,51 @@ class TestOutPath:
             return enumerate_faces(n)
 
         monkeypatch.setattr(faces, "enumerate_faces", mkdir_target)
-        with pytest.raises(OSError):
-            main(self.COMMANDS[command] + ["--out", str(path)])
+        code, lines = run(capsys, *self.COMMANDS[command], "--out", str(path))
+        where = {"basis": "n=4 k=3", "betti": "n=5"}.get(command, "n=4")
+        assert (code, lines) == (1, [f"RESULT fail {where} error=IsADirectoryError"])
         assert list(tmp_path.iterdir()) == [path]
         assert list(path.iterdir()) == []
+
+    def test_failed_rename_is_a_fail_line(self, capsys, monkeypatch, tmp_path):
+        def refused(src, dst):
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", dst)
+
+        monkeypatch.setattr(os, "replace", refused)
+        path = tmp_path / "faces.jsonl"
+        code = main(["--n", "4", "enum", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == ["RESULT fail n=4 error=IsADirectoryError"]
+        assert captured.err == f"error: [Errno 21] Is a directory: '{path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    def test_failed_write_is_a_fail_line(self, capsys, monkeypatch, tmp_path, old):
+        # the disk fills while the lines are written: a failed RESULT line,
+        # no temporary file, and an old file as it was
+        class Full:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writelines(self, lines):
+                self.fh.write(next(iter(lines)))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a: Full(open(*a)), raising=False)
+        path = tmp_path / "faces.jsonl"
+        if old is not None:
+            path.write_text(old)
+        code = main(["--n", "4", "enum", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == ["RESULT fail n=4 error=OSError"]
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+        assert old is None or path.read_text() == old
 
 
 @pytest.mark.parametrize("command", ["enum", "match"])

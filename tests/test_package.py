@@ -53,6 +53,13 @@ class TestLazyImport:
         loaded = loaded_after("import halfcube.cli")
         assert [m for m in LAYERS if f"halfcube.{m}" not in loaded] == []
 
+    def test_family_loads_on_first_use(self):
+        # the family oracle's code is read only by `betti --oracle`
+        assert "halfcube._family" not in loaded_after("import halfcube.cli")
+        assert "halfcube._family" in loaded_after(
+            "import halfcube; halfcube.snf.family_homology("
+            "halfcube.ChainComplex(halfcube.enumerate_faces(4)))")
+
 
 class TestSurface:
     def test_all_is_the_exported_names(self):

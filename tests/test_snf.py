@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from halfcube import faces, snf
+from halfcube import _family, faces, snf
 from halfcube.faces import FaceSubset
 from halfcube.chains import ChainVector
 from halfcube.snf import (
@@ -20,7 +20,7 @@ from halfcube.snf import (
     restricted_boundary,
 )
 from halfcube.subcomplex import betti_power, homology_basis, subcomplex_faces
-from reference import add_scaled, int_rank, smith_normal_form
+from reference import add_scaled, int_rank, smith_normal_form, square_defects
 
 
 def minor_gcd_factors(m):
@@ -674,3 +674,101 @@ class TestMixedTables:
         assert other is not tables(5)
         rep = homology_report(subcomplex_faces(3, other), complexes(5))
         assert rep == {"betti": {0: 0, 1: 0, 2: 31, 3: 0, 4: 0}, "torsion": {}}
+
+
+class TestFamily:
+    """Every C_{n,k} from one reduction of C_{n,3}, with the half-cube
+    cells of each next level attached through the chain map of the
+    reduction before, against the per-subset reports and
+    `tests/reference.py`'s unreduced ones."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_reports_equal_per_subset(self, tables, complexes, n):
+        t, cx = tables(n), complexes(n)
+        family = snf.family_homology(cx)
+        assert family == {k: homology_report(subcomplex_faces(k, t), cx)
+                          for k in range(3, n)}
+        # free, and concentrated in degree k-1
+        assert family == {k: {"betti": {d: betti_power(n, k) if d == k - 1 else 0
+                                        for d in range(n)}, "torsion": {}}
+                          for k in range(3, n)}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_reports_equal_reference(self, tables, complexes, n):
+        t, cx = tables(n), complexes(n)
+        family = snf.family_homology(cx)
+        for k in range(3, n):
+            assert family[k] == reference.homology_report(subcomplex_faces(k, t), cx), k
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_attached_complexes_are_chain_complexes(self, complexes, monkeypatch, n):
+        # ∂'∂' = 0 on every attached complex: the chain map carries the
+        # signs ε of the pairs, which no Betti number up to n=8 sees
+        attached, built = _family._Attached, []
+
+        class Recorded(attached):
+            def __init__(self, red, levels, k):
+                super().__init__(red, levels, k)
+                built.append(self)
+
+        monkeypatch.setattr(_family, "_Attached", Recorded)
+        snf.family_homology(complexes(n))
+        assert len(built) == n - 4
+        for att in built:
+            for d in att.bmats:
+                if d - 1 in att.bmats:
+                    assert not square_defects(att.bmats[d], att.bmats[d - 1]), d
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_only_empty_matrices_reach_the_elimination(self, complexes,
+                                                       monkeypatch, n):
+        # every C_{n,k} pairs off down to its basis cells, attached cells
+        # included
+        entries = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, e):
+            entries.append(e)
+            return eliminate(n_rows, n_cols, e)
+
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        snf.family_homology(complexes(n))
+        assert entries and not any(entries)
+
+    def test_planted_doubled_attaching_entries_show_torsion(self, complexes,
+                                                             monkeypatch):
+        # the half-cube 3-cells' entries on the first cell C_{5,3} leaves,
+        # doubled: H_2(C_{5,4}) gains Z/2, and only those entries, all 2,
+        # reach the elimination
+        attached = _family._Attached
+
+        class Doubled(attached):
+            def __init__(self, red, levels, k):
+                super().__init__(red, levels, k)
+                if k == 3:
+                    b = self.bmats[3]
+                    b.signs[:] = [2 * v if i == 0 else v for i, v in zip(b.flat, b.signs)]
+
+        entries = []
+        eliminate = snf._sparse_snf
+
+        def recorded(n_rows, n_cols, e):
+            entries.append(e)
+            return eliminate(n_rows, n_cols, e)
+
+        monkeypatch.setattr(_family, "_Attached", Doubled)
+        monkeypatch.setattr(snf, "_sparse_snf", recorded)
+        family = snf.family_homology(complexes(5))
+        assert family[3] == {"betti": {0: 0, 1: 0, 2: 31, 3: 0, 4: 0}, "torsion": {}}
+        assert family[4] == {"betti": {0: 0, 1: 0, 2: 0, 3: 9, 4: 0}, "torsion": {2: [2]}}
+        assert [sorted(map(abs, e.values())) for e in entries if e] == [[2, 2, 2]]
+
+    def test_closure_is_checked(self, tables, complexes, monkeypatch):
+        # the family's own C_{n,3}, read from the face texts, is checked
+        # closed like any subset
+        checked = []
+        check = snf.check_closed
+        monkeypatch.setattr(snf, "check_closed",
+                            lambda sub, table: checked.append(sub) or check(sub, table))
+        snf.family_homology(complexes(5))
+        assert [set(sub) for sub in checked] == [set(subcomplex_faces(3, tables(5)))]

@@ -7,7 +7,7 @@ import pytest
 import reference
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainComplex
-from halfcube.faces import EMPTY, STAR, FaceSubset, Kind, classify, enumerate_faces
+from halfcube.faces import EMPTY, STAR, Kind, classify, enumerate_faces
 from halfcube.subcomplex import (
     BadRange,
     SubcomplexError,
@@ -15,19 +15,12 @@ from halfcube.subcomplex import (
     basis_faces,
     betti_binomial,
     betti_power,
+    build_family,
     build_subcomplex,
     homology_basis,
     subcomplex_faces,
 )
 from reference import boundary_from_cols, facets
-
-
-def without(sub, *drop):
-    """A copy of the face subset `sub` with the faces in `drop` removed."""
-    masks = {d: bytearray(m) for d, m in sub.masks.items()}
-    for f in drop:
-        masks[sub.table.dim_of(f)][sub.table.index_of(f)] = 0
-    return FaceSubset(sub.table, masks)
 
 
 class TestBettiForms:
@@ -129,41 +122,72 @@ class TestBuildSubcomplex:
             assert len(spec.unmatched) == betti_power(n, k)
             assert {t.dim_of(f) for f in spec.unmatched} == {k - 1}
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_equals_string_set_reference(self, tables, matchings, n):
         t, m = tables(n), matchings(n)
+        family = build_family(m)
+        assert sorted(family) == list(range(3, n))
         for k in range(3, n):
             want = reference.build_subcomplex(n, k, t, m)
-            spec = build_subcomplex(n, k, t, m)
-            assert set(spec.faces) == want.faces
-            assert len(spec.faces) == len(want.faces)
-            assert spec.unmatched == want.unmatched
-            assert spec.external == want.external
+            for spec in (build_subcomplex(n, k, t, m), family[k]):
+                assert set(spec.faces) == want.faces
+                assert len(spec.faces) == len(want.faces)
+                assert spec.unmatched == want.unmatched
+                assert spec.external == want.external
             assert set(subcomplex_faces(k, t)) == reference.subcomplex_faces(k, t)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_family_equals_one_subcomplex_at_a_time(self, tables, matchings, n):
+        t, m = tables(n), matchings(n)
+        family = build_family(m)
+        for k in range(3, n):
+            spec = build_subcomplex(n, k, t, m)
+            assert (family[k].n, family[k].k) == (spec.n, spec.k) == (n, k)
+            assert family[k].faces.masks == spec.faces.masks
+            assert family[k].unmatched == spec.unmatched
+            assert family[k].external == spec.external
+
     def test_dropped_facet_breaks_closure(self, tables, matchings, monkeypatch):
-        # a kept triangle removed: the tetrahedra on it lose a facet
+        # a kept triangle moved up the filtration, out of C_{5,3}: the
+        # tetrahedra on it lose a facet
         t = tables(5)
-        tri = t.faces(2)[0]
-        planted = without(subcomplex_faces(3, t), tri)
-        assert reference.closure_defects(set(planted))
-        monkeypatch.setattr(subc, "subcomplex_faces", lambda k, table: planted)
+        planted = reference.moved_levels(t, t.faces(2)[0], 4)
+        assert reference.closure_defects(reference.members(planted, 3, t))
+        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
         with pytest.raises(SubcomplexError, match="not facet-closed"):
             build_subcomplex(5, 3, t, matchings(5))
 
     def test_external_facet_outside_is_a_leak(self, tables, matchings, monkeypatch):
-        # '***10' has only half-cube cofaces, all deleted at k=4, so the set
+        # '***10' has only half-cube cofaces, all deleted at k=4, so C_{5,4}
         # without it stays closed; it is still a facet of an external cell
         t, m = tables(5), matchings(5)
         g = "***10"
         spec = build_subcomplex(5, 4, t, m)
         assert m.rule[g] == 1 and g in spec.unmatched
         assert any(g in facets(b) for b in spec.external if b != m.partner[g])
-        planted = without(spec.faces, g)
-        assert not reference.closure_defects(set(planted))
-        monkeypatch.setattr(subc, "subcomplex_faces", lambda k, table: planted)
+        planted = reference.moved_levels(t, g, 5)
+        assert not reference.closure_defects(reference.members(planted, 4, t))
+        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
         with pytest.raises(SupportLeak):
             build_subcomplex(5, 4, t, m)
+
+    @pytest.mark.parametrize("defect", ["closure", "unmatched", "external", "leak"])
+    def test_planted_defect_names_its_first_offender(self, tables, matchings,
+                                                     monkeypatch, defect):
+        # each check's first offender, through both entry points and the
+        # string-set reference; `reference.planted_defect` says what each
+        # one plants
+        n, k, m, planted = reference.planted_defect(tables, matchings, defect)
+        t = m.table
+        with pytest.raises(SubcomplexError) as want:
+            reference.build_subcomplex(n, k, t, m, reference.members(planted, k, t))
+        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
+        for build in (lambda: build_subcomplex(n, k, t, m), lambda: build_family(m)):
+            with pytest.raises(SubcomplexError) as got:
+                build()
+            assert ((type(got.value), str(got.value), got.value.k, got.value.face)
+                    == (type(want.value), str(want.value), k, want.value.face))
+        assert want.value.face == reference.PLANTED_OFFENDERS[defect]
 
 
 class TestBasisFaces:
