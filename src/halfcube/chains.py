@@ -53,7 +53,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, pairwise, product, repeat
 from typing import Iterator
 
@@ -164,7 +164,8 @@ class BoundaryMatrix:
     table's facet index of the d-cells (`FaceTable.facet_index`), shared,
     not copied, so the matrix adds one byte per entry.  For d = 0 there is
     a single augmentation row onto the empty face.  `cols` reads the
-    columns as dicts, one fresh dict per read.
+    columns as dicts, one fresh dict per read.  `cofaces` is the
+    transpose, built on first use and kept.
     """
 
     d: int
@@ -177,6 +178,22 @@ class BoundaryMatrix:
     @property
     def cols(self) -> ColumnView:
         return ColumnView(self.flat, self.signs, self.offsets)
+
+    @cached_property
+    def cofaces(self) -> tuple[array, array]:
+        """(coflat, cooffsets): the cofaces of the (d-1)-cell i are the
+        d-cells coflat[t], ascending, for cooffsets[i] <= t <
+        cooffsets[i + 1]."""
+        # one list per row, packed: faster than two counting passes
+        lists: list[list[int]] = [[] for _ in range(self.n_rows)]
+        flat, offsets = self.flat, self.offsets
+        for j in range(self.n_cols):
+            for i in flat[offsets[j]:offsets[j + 1]]:
+                lists[i].append(j)
+        coflat = array("i")
+        for cof in lists:
+            coflat.fromlist(cof)
+        return coflat, array("i", accumulate(map(len, lists), initial=0))
 
     def nnz(self) -> int:
         return len(self.signs)

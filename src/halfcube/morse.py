@@ -76,7 +76,12 @@ from .faces import (
 
 
 class MorseError(Exception):
-    pass
+    """A failed check of this layer; `face` names the face it stops at,
+    or is None."""
+
+    def __init__(self, message: str, face: str | None = None):
+        super().__init__(message)
+        self.face = face
 
 
 class InvolutionBroken(MorseError):
@@ -249,7 +254,7 @@ def validate_matching(mate: array, rules: array, table: FaceTable) -> None:
     every face of the table with another face, involutively and with
     mutually inverse rules, and that each pair is a facet incidence one
     dimension apart.  Raises Unpaired, InvolutionBroken or NotCodimOne at
-    the first violation in table order."""
+    the first violation in table order, naming that face as its `face`."""
     size = table.size
     face = table.face
     for d in sorted(table.cells):
@@ -260,27 +265,27 @@ def validate_matching(mate: array, rules: array, table: FaceTable) -> None:
             g = lo + i
             p = mate[g]
             if p < 0 or p == g:
-                raise Unpaired(f"face {f!r} has no partner")
+                raise Unpaired(f"face {f!r} has no partner", f)
             if p >= size:
-                raise InvolutionBroken(f"partner {p} of {f!r} is not a face")
+                raise InvolutionBroken(f"partner {p} of {f!r} is not a face", f)
             q = mate[p]
             if q < 0:
-                raise InvolutionBroken(f"partner {face(p)!r} of {f!r} has no partner")
+                raise InvolutionBroken(f"partner {face(p)!r} of {f!r} has no partner", f)
             if q != g:
                 back = repr(face(q)) if q < size else f"position {q}"
-                raise InvolutionBroken(f"{f!r} -> {face(p)!r} -> {back}")
+                raise InvolutionBroken(f"{f!r} -> {face(p)!r} -> {back}", f)
             if _INVERSE_RULE.get(rules[g]) != rules[p]:
                 raise InvolutionBroken(f"rules {rules[g]}/{rules[p]} of "
-                                       f"{f!r}/{face(p)!r} are not inverse")
+                                       f"{f!r}/{face(p)!r} are not inverse", f)
             # each pair is met first from its lower face, so checking the
             # incidence from there alone raises at the same face
             if up_lo <= p < up_hi:
                 j = p - up_lo
                 if i not in flat[offsets[j]:offsets[j + 1]]:
-                    raise NotCodimOne(f"{f!r} is not a facet of {face(p)!r}")
+                    raise NotCodimOne(f"{f!r} is not a facet of {face(p)!r}", f)
             elif not down_lo <= p < lo:
                 raise NotCodimOne(f"{f!r} (dim {d}) paired with {face(p)!r} "
-                                  f"(dim {table.dim_at(p)})")
+                                  f"(dim {table.dim_at(p)})", f)
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
@@ -303,7 +308,7 @@ def build_matching(table: FaceTable) -> MorseMatching:
             g = near.get(p)
             if g is None:
                 p = match_face(f, table.n)[0]
-                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
+                raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face", f)
             mate.append(g)
             rules.append(r)
     validate_matching(mate, rules, table)
@@ -465,7 +470,8 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
         raise MorseError("the table given is not the matching's and the complex's")
     order, cycle = _induced_order(m, k)
     if cycle is not None:
-        raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}")
+        raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}",
+                         cycle[0])
     sk, sk1 = table.start(k), table.start(k + 1)
     rank = array("i", [-1]) * len(table.faces(k))  # place in the order of a k-cell
     for r, e in enumerate(order):

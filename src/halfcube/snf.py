@@ -33,10 +33,14 @@ their boundaries restricted to each other, still form a chain complex.
 So for every d, the SNF of the d-th map is one unit per pair with b of
 dimension d followed by the SNF of the d-th map restricted to the cells
 left.  Entries other than +-1 are never paired, so torsion always
-reaches the elimination.  The moves read only the subset's masks and the
-boundary arrays, in place, never the matching, so the oracle stays
-independent of it.  The pairs are kept in the order they are made: b's
-dimension, a's position and b's, in three arrays.  Every C_{n,k} and full
+reaches the elimination.  The moves read only the subset's masks, the
+boundary arrays and each boundary's coface index, its transpose
+(`BoundaryMatrix.cofaces`), never the matching, so the oracle stays
+independent of it.  The index is built on a matrix's first use and kept
+by it, so every reduction of a complex shares it; per call only each
+cell's counts of facets and cofaces in the subset are made.  The pairs
+are kept in the order they are made: b's dimension, a's position and
+b's, in three arrays.  Every C_{n,k} and full
 complex up to n=9 pairs off down to its basis cells, leaving the
 elimination empty matrices.
 
@@ -97,13 +101,19 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import sub
 
-from .chains import ChainComplex
+from .chains import BoundaryMatrix, ChainComplex
 from .faces import FaceSubset, FaceTable
 
 
 class OracleError(Exception):
-    pass
+    """A failed check of the oracle; `face` names the face it stops at,
+    or is None."""
+
+    def __init__(self, message: str, face: str | None = None):
+        super().__init__(message)
+        self.face = face
 
 
 class NotClosed(OracleError):
@@ -273,14 +283,17 @@ def _subset(subset, table: FaceTable) -> FaceSubset:
 
 def check_closed(subset, table: FaceTable) -> FaceSubset:
     """Validate facet closure of a face subset and return it as a
-    FaceSubset; the empty face must be present under any vertex."""
+    FaceSubset; the empty face must be present under any vertex.  A gap
+    raises NotClosed naming, as its `face`, the first face in table order
+    whose facet is missing."""
     sub = _subset(subset, table)
     if 1 in sub.mask(0) and 1 not in sub.mask(-1):
-        raise NotClosed("reduced homology needs the empty face in the subset")
+        raise NotClosed("reduced homology needs the empty face in the subset",
+                        table.faces(0)[sub.mask(0).index(1)])
     gap = sub.missing_facet()
     if gap is not None:
         f, g = gap
-        raise NotClosed(f"{g!r} missing: facet of {f!r}")
+        raise NotClosed(f"{g!r} missing: facet of {f!r}", f)
     return sub
 
 
@@ -307,6 +320,35 @@ def restricted_boundary(sub, d: int,
     return len(row_ids), len(cols), entries
 
 
+# a mask's 0 to 1 and 1 to 0
+_OUTSIDE = bytes([1]) + bytes(255)
+
+
+def _lengths(offsets: array) -> list[int]:
+    ends = offsets.tolist()
+    return list(map(sub, ends[1:], ends))
+
+
+def _counts(alive: dict[int, bytearray], bmats: dict[int, BoundaryMatrix]
+            ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The counts of facets and of cofaces in the closed subset `alive`
+    of its cells, per dimension, given its boundaries: every facet, and
+    every coface but the few outside.  The counts of the cells outside
+    are never read."""
+    top = max(alive)
+    n_facets = {d: _lengths(b.offsets) for d, b in bmats.items()}
+    n_facets[-1] = [0] * len(alive[-1])
+    n_cofaces = {top: [0] * len(alive[top])}
+    for d in range(-1, top):
+        b = bmats[d + 1]
+        n_cofaces[d] = count = _lengths(b.cofaces[1])
+        fl, off, out = b.flat, b.offsets, alive[d + 1].translate(_OUTSIDE)
+        for c in itertools.compress(range(len(out)), out):
+            for f in fl[off[c]:off[c + 1]]:
+                count[f] -= 1
+    return n_facets, n_cofaces
+
+
 class _Reduction:
     """A facet-closed subset cut down by coreductions and free-face
     collapses (module docstring).
@@ -315,7 +357,9 @@ class _Reduction:
     has none), `left` holds the cells no move paired, as a FaceSubset,
     `pairs[d]` the number of pairs whose upper cell has dimension d, and
     the i-th pair made is the (dims[i] - 1)-cell lower[i] with the
-    dims[i]-cell upper[i]."""
+    dims[i]-cell upper[i].  The boundaries and their coface indexes are
+    read in place; a call makes only the masks of the cells left and the
+    counts of their facets and cofaces left (`_counts`)."""
 
     def __init__(self, sub: FaceSubset, cx: ChainComplex):
         self.sub, self.cx, table = sub, cx, cx.table
@@ -324,72 +368,96 @@ class _Reduction:
         held = range(-1, top + 1)
         alive = {d: bytearray(sub.mask(d) or len(table.faces(d))) for d in held}
         # the facets of the d-cell i are the (d-1)-cells flat[d][t] with
-        # incidences signs[d][t] for offsets[d][i] <= t < offsets[d][i + 1];
-        # the empty face has none
-        flat, offsets, signs = {}, {-1: [0] * (len(alive[-1]) + 1)}, {}
-        for d in range(0, top + 1):
-            bmat = cx.boundary(d)
+        # incidences signs[d][t] for offsets[d][i] <= t < offsets[d][i + 1],
+        # and its cofaces the (d+1)-cells coflat[d][t] for cooffsets[d][i]
+        # <= t < cooffsets[d][i + 1]
+        bmats = {d: cx.boundary(d) for d in range(0, top + 1)}
+        flat, offsets, signs, coflat, cooffsets = {}, {}, {}, {}, {}
+        for d, bmat in bmats.items():
             flat[d], offsets[d], signs[d] = bmat.flat, bmat.offsets, bmat.signs
-        n_facets = {d: [b - a if on else 0
-                        for a, b, on in zip(offsets[d], offsets[d][1:], alive[d])]
-                    for d in held}
-        cofaces: dict[int, list[list[int]]] = {d: [[] for _ in alive[d]] for d in held}
-        for d in range(0, top + 1):
-            fl, off, cof = flat[d], offsets[d], cofaces[d - 1]
-            for i in itertools.compress(range(len(alive[d])), alive[d]):
-                for f in fl[off[i]:off[i + 1]]:
-                    cof[f].append(i)
-        n_cofaces = {d: list(map(len, cof)) for d, cof in cofaces.items()}
+            coflat[d - 1], cooffsets[d - 1] = bmat.cofaces
+        n_facets, n_cofaces = _counts(alive, bmats)
 
         # seeded from the top cell down and served first in, first out:
         # every C_{n,k} and the full complex then pair off completely up
         # to n=9, while a last-in queue leaves thousands of cells at n=8
-        # and a bottom-up seed leaves a few in the full complex at n=7
-        queue = deque((d, i) for d in reversed(held)
+        # and a bottom-up seed leaves a few in the full complex at n=7;
+        # an entry is the int i << w | d + 1 of the d-cell i, smaller
+        # than a tuple
+        w = (top + 1).bit_length()
+        low = (1 << w) - 1
+        queue = deque(i << w | d + 1 for d in reversed(held)
                       for i in reversed(range(len(alive[d]))) if alive[d][i]
                       if n_facets[d][i] == 1 or n_cofaces[d][i] == 1)
+        popleft, push = queue.popleft, queue.append
         self.dims, self.lower, self.upper = dims, lower, upper = (
             array("b"), array("i"), array("i"))
         self.pairs = pairs = [0] * (top + 2)
         while queue:
-            d, g = queue.popleft()
+            g = popleft()
+            d, g = (g & low) - 1, g >> w
             if not alive[d][g]:
                 continue
-            pair = None
-            if n_facets[d][g] == 1:  # coreduction: g's one facet left
-                fl, off, sg, below = flat[d], offsets[d], signs[d], alive[d - 1]
-                t = next(t for t in range(off[g], off[g + 1]) if below[fl[t]])
-                if sg[t] == 1 or sg[t] == -1:
-                    pair = d, fl[t], g
-            if pair is None and n_cofaces[d][g] == 1:  # g is a free face
-                fl, off, sg, above = flat[d + 1], offsets[d + 1], signs[d + 1], alive[d + 1]
-                up = next(c for c in cofaces[d][g] if above[c])
-                t = next(t for t in range(off[up], off[up + 1]) if fl[t] == g)
-                if sg[t] == 1 or sg[t] == -1:
-                    pair = d + 1, g, up
-            if pair is None:
-                continue
-            d, a, b = pair
+            coreduce = False
+            if n_facets[d][g] == 1:  # coreduction: g's one facet a left
+                off, below = offsets[d], alive[d - 1]
+                t = off[g]
+                for a in flat[d][t:off[g + 1]]:
+                    if below[a]:
+                        break
+                    t += 1
+                coreduce = signs[d][t] == 1 or signs[d][t] == -1
+            if coreduce:
+                b = g
+            else:  # g is a free face of its one coface b left
+                if n_cofaces[d][g] != 1:
+                    continue
+                above, co = alive[d + 1], cooffsets[d]
+                for b in coflat[d][co[g]:co[g + 1]]:
+                    if above[b]:
+                        break
+                t = offsets[d + 1][b]
+                t += flat[d + 1][t:offsets[d + 1][b + 1]].index(g)
+                if signs[d + 1][t] != 1 and signs[d + 1][t] != -1:
+                    continue
+                d, a = d + 1, g
             dims.append(d)
             lower.append(a)
             upper.append(b)
             pairs[d] += 1
-            for e, cell in ((d - 1, a), (d, b)):
-                alive[e][cell] = 0
-                if e > -1:
-                    below, count = alive[e - 1], n_cofaces[e - 1]
-                    for f in flat[e][offsets[e][cell]:offsets[e][cell + 1]]:
-                        if below[f]:
-                            count[f] -= 1
-                            if count[f] == 1:
-                                queue.append((e - 1, f))
-                if e < top:
-                    above, count = alive[e + 1], n_facets[e + 1]
-                    for c in cofaces[e][cell]:
-                        if above[c]:
-                            count[c] -= 1
-                            if count[c] == 1:
-                                queue.append((e + 1, c))
+            alive[d - 1][a] = alive[d][b] = 0
+            # each count taken off, and each cell whose count falls to 1
+            # queued, in the order: a's facets, a's cofaces, b's facets,
+            # b's cofaces; after a coreduction b has no facet left, after
+            # a collapse a no coface
+            if d > 0:
+                below, count, off = alive[d - 2], n_cofaces[d - 2], offsets[d - 1]
+                for f in flat[d - 1][off[a]:off[a + 1]]:
+                    if below[f]:
+                        count[f] -= 1
+                        if count[f] == 1:
+                            push(f << w | d - 1)
+            if coreduce:
+                above, count, co = alive[d], n_facets[d], cooffsets[d - 1]
+                for c in coflat[d - 1][co[a]:co[a + 1]]:
+                    if above[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            push(c << w | d + 1)
+            else:
+                below, count, off = alive[d - 1], n_cofaces[d - 1], offsets[d]
+                for f in flat[d][off[b]:off[b + 1]]:
+                    if below[f]:
+                        count[f] -= 1
+                        if count[f] == 1:
+                            push(f << w | d)
+            if d < top:
+                above, count, co = alive[d + 1], n_facets[d + 1], cooffsets[d]
+                for c in coflat[d][co[b]:co[b + 1]]:
+                    if above[c]:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            push(c << w | d + 2)
         self.left = FaceSubset(table, {**sub.masks, **alive})
 
     def snf(self, d: int, extra: dict[int, dict[int, int]] | None = None,
@@ -415,38 +483,41 @@ class _Reduction:
         """The cycles carried through the pairs in the order they were
         made (module docstring), as rows: index of a `degree`-cell of
         `left` -> {cycle index: coefficient}.  A row may be empty."""
+        # which pairs have their upper, or their lower, cell in this degree
+        dims = self.dims.tobytes()
+        ups = dims.translate(bytes(d == degree for d in range(256)))
+        downs = dims.translate(bytes(d == degree + 1 for d in range(256)))
+        # an upper cell only drops its coefficient, so all of them are
+        # dropped first and never written
+        alive = bytearray(self.sub.mask(degree))
+        for u in itertools.compress(self.upper, ups):
+            alive[u] = 0
         rows: dict[int, dict[int, int]] = {}
         for j, ch in enumerate(cycles):
             for i, v in ch.coeffs.items():
-                rows.setdefault(i, {})[j] = v
-        alive = bytearray(self.sub.mask(degree))
+                if alive[i]:
+                    rows.setdefault(i, {})[j] = v
         if degree < self.top:
             bmat = self.cx.boundary(degree + 1)
             flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
-        # only the pairs with a cell in this degree act on the rows
-        near = self.dims.tobytes().translate(
-            bytes(d in (degree, degree + 1) for d in range(256)))
-        for d, l, u in itertools.compress(zip(self.dims, self.lower, self.upper), near):
-            if d == degree:  # upper cell: drop its coefficient
-                alive[u] = 0
-                rows.pop(u, None)
-            elif d == degree + 1:  # lower cell: z -= z_l * ε * ∂'u
-                alive[l] = 0
-                z = rows.pop(l, None)
-                if not z:
-                    continue
-                a, b = offsets[u], offsets[u + 1]
-                eps = signs[a + flat[a:b].index(l)]
-                for f, s in zip(flat[a:b], signs[a:b]):
-                    if not alive[f]:
-                        continue  # l itself, or a cell paired before
-                    row = rows.setdefault(f, {})
-                    for j, c in z.items():
-                        w = row.get(j, 0) - c * eps * s
-                        if w:
-                            row[j] = w
-                        else:
-                            del row[j]
+        # then each lower cell l, in order: z -= z_l * ε * ∂'u
+        for l, u in itertools.compress(zip(self.lower, self.upper), downs):
+            alive[l] = 0
+            z = rows.pop(l, None)
+            if not z:
+                continue
+            a, b = offsets[u], offsets[u + 1]
+            eps = signs[a + flat[a:b].index(l)]
+            for f, s in zip(flat[a:b], signs[a:b]):
+                if not alive[f]:
+                    continue  # l itself, or a cell paired or dropped
+                row = rows.setdefault(f, {})
+                for j, c in z.items():
+                    w = row.get(j, 0) - c * eps * s
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
         return rows
 
 
@@ -540,7 +611,7 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
             raise NotCycles("input chain has nonzero boundary")
         for i in ch.coeffs:
             if not mask[i]:
-                raise NotCycles(f"cycle leaves the subset at {cells[i]!r}")
+                raise NotCycles(f"cycle leaves the subset at {cells[i]!r}", cells[i])
 
     red = _Reduction(sub, cx)
     rank_b = red.snf(degree + 1).rank

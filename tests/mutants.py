@@ -53,17 +53,17 @@ GOLDEN_PAIRS = "tests/test_reduction_golden.py::test_pairs_equal_golden"
 MUTANTS = [
     # snf._Reduction: the pairing moves
     Mutant("coreduction-pairs-non-unit", SNF,
-           "                if sg[t] == 1 or sg[t] == -1:\n"
-           "                    pair = d, fl[t], g\n",
-           "                pair = d, fl[t], g\n",
+           "coreduce = signs[d][t] == 1 or signs[d][t] == -1",
+           "coreduce = True",
            (PLANTED,)),
     Mutant("collapse-pairs-non-unit", SNF,
-           "                if sg[t] == 1 or sg[t] == -1:\n"
-           "                    pair = d + 1, g, up\n",
-           "                pair = d + 1, g, up\n",
+           "                if signs[d + 1][t] != 1 and signs[d + 1][t] != -1:\n"
+           "                    continue\n",
+           "",
            (PLANTED,)),
     Mutant("last-in-queue", SNF,
-           "d, g = queue.popleft()", "d, g = queue.pop()",
+           "popleft, push = queue.popleft, queue.append",
+           "popleft, push = queue.pop, queue.append",
            (REDUCTION + "test_every_cell_pairs_off[7]",
             REDUCTION + "test_certificate_eliminates_only_the_reduced_stack[7]")),
     Mutant("seed-ascending-within-dimension", SNF,
@@ -78,8 +78,8 @@ MUTANTS = [
             REDUCTION + "test_random_combinations_equal_reference[4]")),
     # snf._Reduction.project: the cycles carried through the pairs
     Mutant("projection-subtraction-skipped", SNF,
-           "                if not z:\n                    continue\n",
-           "                continue\n",
+           "            if not z:\n                continue\n",
+           "            continue\n",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
     Mutant("projection-sign-dropped", SNF,
@@ -88,13 +88,13 @@ MUTANTS = [
             REDUCTION + "test_random_combinations_equal_reference[5]",
             REDUCTION + "test_random_combinations_equal_reference[6]")),
     Mutant("projection-boundary-not-restricted", SNF,
-           "                    if not alive[f]:\n"
-           "                        continue  # l itself, or a cell paired before\n",
+           "                if not alive[f]:\n"
+           "                    continue  # l itself, or a cell paired or dropped\n",
            "",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
     Mutant("projection-upper-coefficient-kept", SNF,
-           "                rows.pop(u, None)\n", "",
+           "            alive[u] = 0\n", "            pass\n",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
     # snf._sparse_snf: a heap record of a value the entry no longer holds
@@ -261,9 +261,9 @@ MUTANTS += [
             CLI_TESTS + "TestBetti::test_columns_agree")),
     # snf.family_homology (`_family`): the cells attached through the chain map
     Mutant("family-projection-skips-a-pair", SNF,
-           "for d, l, u in itertools.compress(zip(self.dims, self.lower, self.upper), near):",
-           "for d, l, u in itertools.islice(itertools.compress(\n"
-           "                zip(self.dims, self.lower, self.upper), near), 1, None):",
+           "for l, u in itertools.compress(zip(self.lower, self.upper), downs):",
+           "for l, u in itertools.islice(itertools.compress(\n"
+           "                zip(self.lower, self.upper), downs), 1, None):",
            (FAMILY + "test_reports_equal_per_subset[5]",
             FAMILY + "test_reports_equal_per_subset[6]")),
     Mutant("family-projection-epsilon-dropped", SNF,
@@ -284,6 +284,20 @@ MUTANTS += [
             "test_halfcube_class_past_n7_equals_reference[8-1]",
             "tests/test_chains.py::TestClosedForms::"
             "test_halfcube_class_past_n7_equals_reference[9-1]")),
+    # the coface index of each boundary and the counts taken per call
+    Mutant("coface-count-keeps-outside-cells", SNF,
+           "        for c in itertools.compress(range(len(out)), out):\n"
+           "            for f in fl[off[c]:off[c + 1]]:\n"
+           "                count[f] -= 1\n",
+           "",
+           ("tests/test_snf.py::TestCofaceIndex::test_subsets_equal_reference[4]",
+            GOLDEN_PAIRS + "[5]")),
+    Mutant("coface-offsets-shifted", "halfcube/chains.py",
+           'array("i", accumulate(map(len, lists), initial=0))',
+           'array("i", accumulate(map(len, lists), initial=1))',
+           ("tests/test_snf.py::TestCofaceIndex::test_subsets_equal_reference[4]",
+            "tests/test_snf.py::TestCofaceIndex::test_attached_complexes_equal_reference[5]",
+            GOLDEN_PAIRS + "[4]")),
     # cli.main: the failing RESULT line names the error's face
     Mutant("cli-fail-line-drops-face", CLI,
            '                        *(f"{a}={v}" for a, v in named.items())]))',

@@ -59,7 +59,9 @@ sparse (n_rows, n_cols, entries) triple into `_sparse_snf`.
 `class_independence` factor every restricted boundary map of a
 facet-closed subset whole, as the package did before it paired cells by
 coreductions and free-face collapses ahead of the elimination; the
-package must give equal reports and verdicts.
+package must give equal reports and verdicts.  `coface_lists` builds one
+list of cofaces in the subset per cell, as the reduction did on every
+call before each boundary kept its coface index.
 """
 
 from __future__ import annotations
@@ -1003,6 +1005,21 @@ def restricted_boundary(sub, d: int,
         for i, v in zip(flat[a:b], signs[a:b]):
             entries[(row_pos[i], j)] = v
     return len(row_ids), len(cols), entries
+
+
+def coface_lists(sub: FaceSubset, cx) -> dict[int, list[list[int]]]:
+    """For each d from -1 to the subset's top dimension, the cofaces in
+    the subset of each d-cell, ascending: the (d+1)-cells of the subset
+    whose boundary column holds it.  Every d-cell has a list, the ones
+    outside the subset too."""
+    top = max((d for d, m in sub.masks.items() if 1 in m), default=-1)
+    cofaces = {d: [[] for _ in cx.table.faces(d)] for d in range(-1, top + 1)}
+    for d in range(0, top + 1):
+        bmat, cof = cx.boundary(d), cofaces[d - 1]
+        for i in itertools.compress(range(bmat.n_cols), sub.mask(d)):
+            for f in bmat.flat[bmat.offsets[i]:bmat.offsets[i + 1]]:
+                cof[f].append(i)
+    return cofaces
 
 
 def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,

@@ -126,6 +126,37 @@ class TestMatch:
         assert code == 1
         assert lines == ["RESULT fail n=5 exclusivity face=01OOO rules=[3]"]
 
+    MATCHING_FAIL_LINES = {
+        "unpaired": "RESULT fail n=4 error=Unpaired face=0011",
+        "involution": "RESULT fail n=4 error=InvolutionBroken face=0011",
+        "codim": "RESULT fail n=4 error=NotCodimOne face=0011",
+    }
+
+    @pytest.mark.parametrize("defect", list(MATCHING_FAIL_LINES))
+    def test_fail_line_names_the_first_bad_face(self, capsys, monkeypatch,
+                                                tables, matchings, defect):
+        # the defect planted at the first two rule-9 vertices, and a
+        # self-paired triangle later in table order; the pair check stops
+        # at the first vertex, which the line names
+        t, m = tables(4), matchings(4)
+        mate, rules = array("i", m.mate), array("b", m.rules)
+        v1, v2 = [g for g in range(t.size) if rules[g] == 9][:2]
+        if defect == "unpaired":
+            mate[v1] = v1
+        elif defect == "involution":  # v1 one way to v2's edge
+            mate[v1] = mate[v2]
+        else:  # v1 and v2 swap their edges, which do not hold them
+            e1, e2 = mate[v1], mate[v2]
+            mate[v1], mate[v2], mate[e1], mate[e2] = e2, e1, v2, v1
+        late = t.position(t.faces(2)[0])
+        mate[late] = late
+        monkeypatch.setattr(morse, "build_matching",
+                            lambda table: morse.validate_matching(mate, rules, table))
+        code, lines = run(capsys, "--n", "4", "match", "--verify",
+                          "--out", "/dev/null")
+        assert (code, lines) == (1, [self.MATCHING_FAIL_LINES[defect]])
+        assert lines[0].endswith(f" face={t.face(v1)}")
+
     def test_bad_face_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--n", "4", "match", "--face", "xyzw"])
@@ -202,6 +233,49 @@ class TestBasis:
         assert code == 1
         assert lines == ["independent and generating: false",
                          "RESULT fail n=5 k=3 chains=31"]
+
+    def test_fail_line_names_the_first_face_not_closed(self, capsys, monkeypatch,
+                                                        tables):
+        # an edge and a triangle of C_{5,4} taken out, their cofaces kept:
+        # the closure check stops at the first face in table order with a
+        # facet gone, a triangle on the edge, which the line names
+        t = tables(5)
+        edge, triangle = t.faces(1)[3], t.faces(2)[-1]
+        planted = set(subc.subcomplex_faces(4, t)) - {edge, triangle}
+        first = next(f for f in t if f in planted
+                     and any(g not in planted for g in reference.facets(f)))
+        certify = snf.class_independence
+        monkeypatch.setattr(snf, "class_independence",
+                            lambda cycles, subset, cx: certify(cycles, planted, cx))
+        code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify",
+                          "--out", "/dev/null")
+        assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotClosed face=00IOO"])
+        assert lines[0].endswith(f" face={first}") and edge in reference.facets(first)
+
+    def test_fail_line_names_the_first_cell_a_cycle_leaves(self, capsys,
+                                                           monkeypatch, tables,
+                                                           complexes):
+        # the open stars of a cell of the last basis cycle and of a later
+        # cell of the first one taken out of C_{5,4}, which stays closed:
+        # the cycles are checked in order, so the line names the first
+        # cycle's cell
+        t, cx = tables(5), complexes(5)
+        cycles = subc.homology_basis(5, 4, t, cx).chains
+        cells = t.faces(3)
+        early = cells[list(cycles[0].coeffs)[-1]]
+        late = next(cells[i] for i in cycles[-1].coeffs
+                    if cells[i] != early and i not in cycles[0].coeffs)
+        star = {early, late}
+        for d in range(4, 6):
+            star |= {f for f in t.faces(d) if star.intersection(reference.facets(f))}
+        planted = set(subc.subcomplex_faces(4, t)) - star
+        certify = snf.class_independence
+        monkeypatch.setattr(snf, "class_independence",
+                            lambda cycles, subset, cx: certify(cycles, planted, cx))
+        code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify",
+                          "--out", "/dev/null")
+        assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotCycles face=OOOI0"])
+        assert lines[0].endswith(f" face={early}")
 
     def test_k_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

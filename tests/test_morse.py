@@ -394,6 +394,19 @@ class TestAcyclicity:
         with pytest.raises(CyclicPrec, match=re.escape(str(cycle))):
             morse_boundary(planted, t, 0, complexes(4))
 
+    def test_cyclic_prec_names_the_first_face_of_its_cycle(self, tables, complexes):
+        # two quadrilaterals planted, on the first four vertices and on the
+        # last four: the walk starts at the first vertex, which comes round
+        # again, so the error names the first face of the table on a cycle
+        t = tables(4)
+        pairs = {**reference.quadrilateral(t, t.faces(0)[4:]),
+                 **reference.quadrilateral(t, t.faces(0)[:4])}
+        planted = reference.from_pairs(t, pairs)
+        cycle = verify_acyclic(planted, t)["layers"][1]["cycle"]
+        with pytest.raises(CyclicPrec) as err:
+            morse_boundary(planted, t, 0, complexes(4))
+        assert err.value.face == cycle[0] == t.faces(0)[0] == "0000"
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_equals_string_digraph_reference(self, tables, matchings, n):
         t, m = tables(n), matchings(n)

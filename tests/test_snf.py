@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -443,6 +445,87 @@ class TestReduction:
         n_rows, n_cols, entries = restricted_boundary(FaceSubset(t, masks), 2, cx)
         assert (n_rows, n_cols) == (1, 1)
         assert entries == {(0, 0): b.signs[1]} and b.signs[1] != b.signs[2]
+
+
+class _Fresh:
+    """The boundaries of a complex as new matrices over the same arrays,
+    so that none has built its coface index yet."""
+
+    def __init__(self, cx):
+        self.table = cx.table
+        self.bmats = {d: dataclasses.replace(cx.boundary(d))
+                      for d in cx.table.cells if d >= 0}
+
+    def boundary(self, d):
+        return self.bmats[d]
+
+
+class TestCofaceIndex:
+    """The coface index each boundary keeps, and the counts a reduction
+    takes per call against its subset, against the per-call coface lists
+    of `tests/reference.py`."""
+
+    @staticmethod
+    def assert_equal_reference(sub, cx):
+        ref = reference.coface_lists(sub, cx)
+        top = max(ref)
+        alive = {d: bytearray(sub.mask(d) or len(cx.table.faces(d))) for d in ref}
+        bmats = {d: cx.boundary(d) for d in range(0, top + 1)}
+        n_facets, n_cofaces = snf._counts(alive, bmats)
+        for d, lists in ref.items():
+            if d < top:
+                coflat, cooffsets = bmats[d + 1].cofaces
+                assert len(cooffsets) == len(lists) + 1, d
+                above = sub.mask(d + 1)
+                for i, want in enumerate(lists):
+                    got = coflat[cooffsets[i]:cooffsets[i + 1]]
+                    assert list(got) == sorted(got), (d, i)
+                    assert [c for c in got if above[c]] == want, (d, i)
+            for i in itertools.compress(range(len(lists)), alive[d]):
+                assert n_cofaces[d][i] == len(lists[i]), (d, i)
+                if d >= 0:
+                    offsets = bmats[d].offsets
+                    assert n_facets[d][i] == offsets[i + 1] - offsets[i], (d, i)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_subsets_equal_reference(self, tables, complexes, n):
+        # every C_{n,k}, the full complex, where nothing is masked, and
+        # the sphere, which has no top cell
+        t, cx = tables(n), complexes(n)
+        for sub in _subsets(t, n):
+            self.assert_equal_reference(sub, cx)
+        # built once per matrix and shared by every reduction
+        index = cx.boundary(3).cofaces
+        homology_report(subcomplex_faces(3, t), cx)
+        assert cx.boundary(3).cofaces is index
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_attached_complexes_equal_reference(self, complexes, monkeypatch, n):
+        # every reduction of the family: C_{n,3} and each attached complex
+        seen = []
+
+        class Recorded(snf._Reduction):
+            def __init__(self, sub, cx):
+                seen.append((sub, cx))
+                super().__init__(sub, cx)
+
+        monkeypatch.setattr(snf, "_Reduction", Recorded)
+        snf.family_homology(complexes(n))
+        assert [type(cx) for _, cx in seen[1:]] == [_family._Attached] * (n - 4)
+        for sub, cx in seen:
+            self.assert_equal_reference(sub, cx)
+
+    def test_traced_peak_at_8_4(self, tables, complexes):
+        # the index built inside the call, on fresh matrices; with coface
+        # lists built per call the peak was 5.86 MB
+        sub, fresh = subcomplex_faces(4, tables(8)), _Fresh(complexes(8))
+        tracemalloc.start()
+        try:
+            snf._Reduction(sub, fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, peak
 
 
 class TestHomology:
