@@ -180,10 +180,11 @@ def cmd_match(args, parser, sink) -> int:
     m = morse.build_matching(table)
     sink.write(m.jsonl_lines())
     if args.verify:
-        g = morse.exclusivity_violation(m)
-        if g is not None:
-            f = table.face(g)
-            bits = morse.applicable_rules(f, table.dim_at(g))
+        bad = morse.exclusivity_violation(m)
+        if bad is not None:
+            d, i = bad
+            f = table.faces(d)[i]
+            bits = morse.applicable_rules(f, d)
             print(f"RESULT fail n={n} exclusivity face={f} "
                   f"rules={[r for r in range(1, 12) if bits >> r & 1]}")
             return 1

@@ -42,7 +42,12 @@ UNDERLINED = frozenset((UND0, UND1))
 
 
 class FaceError(ValueError):
-    """Base class for invalid face sequences."""
+    """Base class for invalid face sequences and face tables; `face`
+    names the face a failed check stops at, or is None."""
+
+    def __init__(self, message: str, face: str | None = None):
+        super().__init__(message)
+        self.face = face
 
 
 class BadSymbol(FaceError):
@@ -253,32 +258,26 @@ class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
     Faces are stored per dimension in lexicographic order of their text
-    form; the table order runs by dimension and then lexicographically.
-    One list holds the position of the first cell of each dimension, and
-    `size`, `dim_at`, `face` and `start` are derived from it.  `codes(d)`
-    holds the `face_code` of every d-cell, built on first use; since it
-    ascends, a face text is looked up by its code (`position`, `index_of`,
-    the position of a face within its dimension, `dim_of` and `in`): the
-    text's symbol counts give its dimension, and a bisection of that
-    dimension's codes its place, with no map from texts to positions.
-    The matching looks partners up among the codes too
-    (`morse.partner_rule` moves a code by a fixed delta per rule).
-    `facet_index(d)` gives the facets of every d-cell as positions among
-    the (d-1)-cells.  It is computed on the codes: a facet's code is the
-    face's code plus one of the deltas of `facet_deltas`, cached per
-    pattern of marked symbols, and is looked up among the codes of the
-    (d-1)-cells.
+    form, and a face is named by its dimension and its position among the
+    faces of that dimension, (d, i); the table order runs by dimension and
+    then lexicographically.  `codes(d)` holds the `face_code` of every
+    d-cell, built on first use; since it ascends, a face text is looked
+    up by its code (`index_of`, `dim_of` and `in`): the text's symbol
+    counts give its dimension, and a bisection of that dimension's codes
+    its place, with no map from texts to positions.  The matching looks
+    partners up among the codes too (`morse.partner_rule` moves a code by
+    a fixed delta per rule).  `facet_index(d)` gives the facets of every
+    d-cell as positions among the (d-1)-cells.  It is computed on the
+    codes: a facet's code is the face's code plus one of the deltas of
+    `facet_deltas`, cached per pattern of marked symbols, and is looked
+    up among the codes of the (d-1)-cells.
     """
 
     def __init__(self, n: int, cells: dict[int, list[str]]):
         self.n = n
-        # every dimension from the lowest to the highest, so that the
-        # dimension of a position is its place among the starts
         dims = range(min(cells), max(cells) + 1)
         self.cells = {d: tuple(cells.get(d, ())) for d in dims}
-        ends = list(itertools.accumulate(map(len, self.cells.values())))
-        self._starts = [0, *ends[:-1]]
-        self.size = ends[-1]
+        self.size = sum(map(len, self.cells.values()))
         self._facets: dict[int, tuple[array, array]] = {}
         self._codes: dict[int, array] = {}
 
@@ -321,30 +320,6 @@ class FaceTable:
     def dim_of(self, f: str) -> int:
         return self._located(f)[0]
 
-    def start(self, d: int) -> int:
-        """Table position of the first d-cell: the number of cells of
-        lower dimension."""
-        i = d - next(iter(self.cells))
-        if i < 0:
-            return 0
-        return self._starts[i] if i < len(self._starts) else self.size
-
-    def position(self, f: str) -> int:
-        """Position of f in the table order."""
-        d, i = self._located(f)
-        return self.start(d) + i
-
-    def dim_at(self, g: int) -> int:
-        """Dimension of the face at table position g."""
-        if not 0 <= g < self.size:
-            raise IndexError(f"no face at table position {g}")
-        return next(iter(self.cells)) + bisect_right(self._starts, g) - 1
-
-    def face(self, g: int) -> str:
-        """The face at table position g."""
-        d = self.dim_at(g)
-        return self.cells[d][g - self.start(d)]
-
     def codes(self, d: int) -> array:
         """`face_code` of each d-cell, in the table order, so ascending;
         the empty face, which has no text, gets code 0 (a code is unique
@@ -371,7 +346,8 @@ class FaceTable:
             return array("i"), array("i", [0] * (len(cells) + 1))
         if d == 0:  # a vertex has the empty face as its one facet
             if cells and EMPTY not in self.faces(-1):
-                raise FaceError(f"facet {EMPTY!r} of {cells[0]!r} is not in the table")
+                raise FaceError(f"facet {EMPTY!r} of {cells[0]!r} is not in the table",
+                                cells[0])
             return array("i", bytes(4 * len(cells))), array("i", range(len(cells) + 1))
         below = dict(zip(self.codes(d - 1), itertools.count()))
         caches: tuple[dict, dict] = ({}, {})  # by parity of the '1' digits
@@ -392,7 +368,7 @@ class FaceTable:
                 for x in ds:
                     if c + x not in below:
                         raise FaceError(f"facet {code_face(c + x, self.n)!r} of {f!r} "
-                                        "is not in the table") from None
+                                        "is not in the table", f) from None
             raise
         offsets = array("i", [0])
         offsets.extend(itertools.accumulate(map(len, deltas)))
@@ -402,8 +378,7 @@ class FaceTable:
         return self._locate(f) is not None
 
     def __iter__(self) -> Iterator[str]:
-        for d in sorted(self.cells):
-            yield from self.cells[d]
+        return itertools.chain.from_iterable(self.cells.values())
 
     def counts(self) -> dict[int, int]:
         return {d: len(faces) for d, faces in self.cells.items()}

@@ -108,6 +108,10 @@ class ResidualNonzero(MorseError):
     pass
 
 
+# the `mate` entry of a face with no partner (only a planted matching has
+# one): neither a position j of a table nor its ~j
+UNPAIRED = 0x7FFFFFFF
+
 # rules that move a face up one dimension; their inverses move down
 _INVERSE_RULE = {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7, 9: 10, 10: 9, 11: 11}
 
@@ -191,101 +195,104 @@ def applicable_rules(f: str, d: int) -> int:
 
 
 class _FaceMap(Mapping):
-    """Read-only view of a per-position array of a matching as a mapping
-    from face strings: the faces whose entry is not `missing`, in table
-    order."""
+    """Read-only view of the per-dimension arrays of a matching as a
+    mapping from face strings: the faces whose entry is not `missing`, in
+    table order; `decode(d, v)` reads the entry v of a d-cell."""
 
-    def __init__(self, table: FaceTable, values: array, missing: int, decode):
+    def __init__(self, table: FaceTable, values: dict, missing: int, decode):
         self._table = table
         self._values = values
         self._missing = missing
         self._decode = decode
 
     def __getitem__(self, f: str):
-        v = self._values[self._table.position(f)]  # KeyError for a non-face
+        d, i = self._table._located(f)  # KeyError for a non-face
+        v = self._values[d][i]
         if v == self._missing:
             raise KeyError(f)
-        return self._decode(v)
+        return self._decode(d, v)
 
     def __iter__(self) -> Iterator[str]:
-        return itertools.compress(
-            self._table, map(self._missing.__ne__, self._values))
+        for d, cells in self._table.cells.items():
+            yield from itertools.compress(cells, map(self._missing.__ne__, self._values[d]))
 
     def __len__(self) -> int:
-        return len(self._values) - self._values.count(self._missing)
+        return sum(len(v) - v.count(self._missing) for v in self._values.values())
 
 
 class MorseMatching:
     """Pairing of the faces of a table with a per-face rule tag.
 
-    Held as two arrays over the table order (`FaceTable.position`):
-    `mate[g]` is the position of the partner of the face at position g,
-    or -1 when it has none, and `rules[g]` its rule number, or 0.
-    `partner` and `rule` read them as mappings from face strings.
-    `up_ids(k)` lists, ascending, the positions among the k-cells of the
-    upward-matched k-cells, those whose partner is a (k+1)-cell.
+    Held per dimension, as the table numbers its faces: `mate[d][i]` is
+    j when the partner of the d-cell i is the (d+1)-cell j, ~j when it is
+    the (d-1)-cell j, and UNPAIRED when it has none; `rules[d][i]` is its
+    rule number, or 0.  `partner` and `rule` read them as mappings from
+    face strings.  `up_ids(k)` lists, ascending, the upward-matched
+    k-cells, those whose partner is a (k+1)-cell.
     """
 
-    def __init__(self, table: FaceTable, mate: array, rules: array):
+    def __init__(self, table: FaceTable, mate: dict, rules: dict):
         self.table = table
         self.mate = mate
         self.rules = rules
-        self.partner = _FaceMap(table, mate, -1, table.face)
-        self.rule = _FaceMap(table, rules, 0, int)
+        # the views hold the table, not self: a reference cycle would keep
+        # the matching alive past its last use, until a garbage collection
+        self.partner = _FaceMap(table, mate, UNPAIRED, lambda d, p: (
+            table.faces(d + 1)[p] if p >= 0 else table.faces(d - 1)[~p]))
+        self.rule = _FaceMap(table, rules, 0, lambda d, r: r)
 
     def pair_count(self) -> int:
         return len(self.partner) // 2
 
     def up_ids(self, k: int) -> list[int]:
-        lo, hi = self.table.start(k + 1), self.table.start(k + 2)
-        seg = self.mate[self.table.start(k):lo]
-        return [i for i, g in enumerate(seg) if lo <= g < hi]
+        return [i for i, p in enumerate(self.mate.get(k, ())) if 0 <= p < UNPAIRED]
 
     def jsonl_lines(self) -> Iterator[str]:
         """One JSON line per face of a complete matching, in table order;
         faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
-        faces = list(self.table)
-        for f, g, r in zip(faces, self.mate, self.rules):
-            yield '{"face": "%s", "partner": "%s", "rule": %d}' % (f, faces[g], r)
+        for d, cells in self.table.cells.items():
+            up, down = self.table.faces(d + 1), self.table.faces(d - 1)
+            for f, p, r in zip(cells, self.mate[d], self.rules[d]):
+                yield '{"face": "%s", "partner": "%s", "rule": %d}' % (
+                    f, up[p] if p >= 0 else down[~p], r)
 
 
-def validate_matching(mate: array, rules: array, table: FaceTable) -> None:
+def validate_matching(mate: dict, rules: dict, table: FaceTable) -> None:
     """Check that the arrays of a matching (see `MorseMatching`) pair
     every face of the table with another face, involutively and with
-    mutually inverse rules, and that each pair is a facet incidence one
-    dimension apart.  Raises Unpaired, InvolutionBroken or NotCodimOne at
-    the first violation in table order, naming that face as its `face`."""
-    size = table.size
-    face = table.face
-    for d in sorted(table.cells):
-        lo, up_lo, up_hi = table.start(d), table.start(d + 1), table.start(d + 2)
-        down_lo = table.start(d - 1)
+    mutually inverse rules, and that each pair is a facet incidence.
+    Raises Unpaired, InvolutionBroken or NotCodimOne at the first
+    violation in table order, naming that face as its `face`."""
+    for d, cells in table.cells.items():
         flat, offsets = table.facet_index(d + 1)
-        for i, f in enumerate(table.faces(d)):
-            g = lo + i
-            p = mate[g]
-            if p < 0 or p == g:
+        # the faces and the `mate` and `rules` entries one dimension up, and down
+        up = table.faces(d + 1), mate.get(d + 1), rules.get(d + 1)
+        down = table.faces(d - 1), mate.get(d - 1), rules.get(d - 1)
+        for i, (f, p, r) in enumerate(zip(cells, mate[d], rules[d])):
+            if p == UNPAIRED:
                 raise Unpaired(f"face {f!r} has no partner", f)
-            if p >= size:
-                raise InvolutionBroken(f"partner {p} of {f!r} is not a face", f)
-            q = mate[p]
-            if q < 0:
-                raise InvolutionBroken(f"partner {face(p)!r} of {f!r} has no partner", f)
-            if q != g:
-                back = repr(face(q)) if q < size else f"position {q}"
-                raise InvolutionBroken(f"{f!r} -> {face(p)!r} -> {back}", f)
-            if _INVERSE_RULE.get(rules[g]) != rules[p]:
-                raise InvolutionBroken(f"rules {rules[g]}/{rules[p]} of "
-                                       f"{f!r}/{face(p)!r} are not inverse", f)
+            # the partner's position j, and the entry that points back from it
+            if p >= 0:
+                j, back, (near, near_mate, near_rules) = p, ~i, up
+            else:
+                j, back, (near, near_mate, near_rules) = ~p, i, down
+            if j >= len(near):
+                raise InvolutionBroken(f"partner entry {p} of {f!r} is not a face", f)
+            g, q = near[j], near_mate[j]
+            if q == UNPAIRED:
+                raise InvolutionBroken(f"partner {g!r} of {f!r} has no partner", f)
+            if q != back:
+                e = d + 1 if p >= 0 else d - 1
+                c, k = (e + 1, q) if q >= 0 else (e - 1, ~q)
+                there = repr(table.faces(c)[k]) if k < len(table.faces(c)) else f"entry {q}"
+                raise InvolutionBroken(f"{f!r} -> {g!r} -> {there}", f)
+            if _INVERSE_RULE.get(r) != near_rules[j]:
+                raise InvolutionBroken(f"rules {r}/{near_rules[j]} of "
+                                       f"{f!r}/{g!r} are not inverse", f)
             # each pair is met first from its lower face, so checking the
             # incidence from there alone raises at the same face
-            if up_lo <= p < up_hi:
-                j = p - up_lo
-                if i not in flat[offsets[j]:offsets[j + 1]]:
-                    raise NotCodimOne(f"{f!r} is not a facet of {face(p)!r}", f)
-            elif not down_lo <= p < lo:
-                raise NotCodimOne(f"{f!r} (dim {d}) paired with {face(p)!r} "
-                                  f"(dim {table.dim_at(p)})", f)
+            if p >= 0 and i not in flat[offsets[j]:offsets[j + 1]]:
+                raise NotCodimOne(f"{f!r} is not a facet of {g!r}", f)
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
@@ -294,38 +301,39 @@ def build_matching(table: FaceTable) -> MorseMatching:
 
     The partners of the d-cells are looked up by code among the (d-1)-
     and (d+1)-cells (codes are unique across dimensions but for the empty
-    face's 0), in one dict built for that d alone."""
+    face's 0), in one dict built for that d alone, which maps them to
+    their `mate` entries ~j and j."""
     w = _weights(table.n)
-    mate = array("i")
-    rules = array("b")
+    mate: dict[int, array] = {}
+    rules: dict[int, array] = {}
     near: dict[int, int] = {}  # emptied for each d, so that two are never held
     for d, cells in table.cells.items():
         near.clear()
-        near.update(zip(table.codes(d - 1), itertools.count(table.start(d - 1))))
-        near.update(zip(table.codes(d + 1), itertools.count(table.start(d + 1))))
+        near.update(zip(table.codes(d - 1), itertools.count(-1, -1)))
+        near.update(zip(table.codes(d + 1), itertools.count()))
+        mate_d = mate[d] = array("i")
+        rules_d = rules[d] = array("b")
         for f, code in zip(cells, table.codes(d)):
             p, r = partner_rule(f, code, d, w)
             g = near.get(p)
             if g is None:
                 p = match_face(f, table.n)[0]
                 raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face", f)
-            mate.append(g)
-            rules.append(r)
+            mate_d.append(g)
+            rules_d.append(r)
     validate_matching(mate, rules, table)
     return MorseMatching(table, mate, rules)
 
 
-def exclusivity_violation(m: MorseMatching) -> int | None:
-    """Table position of the first face whose rule tag is not the one
-    rule whose input condition holds for it (`applicable_rules`), or
-    None when there is none."""
-    table = m.table
-    for d, cells in table.cells.items():
-        lo = table.start(d)
-        want = [1 << r for r in m.rules[lo:lo + len(cells)]]
+def exclusivity_violation(m: MorseMatching) -> tuple[int, int] | None:
+    """Dimension and position of the first face, in table order, whose
+    rule tag is not the one rule whose input condition holds for it
+    (`applicable_rules`), or None when there is none."""
+    for d, cells in m.table.cells.items():
+        want = [1 << r for r in m.rules[d]]
         got = list(map(applicable_rules, cells, itertools.repeat(d)))
         if got != want:
-            return lo + next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            return d, next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
     return None
 
 
@@ -344,7 +352,7 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
     """
     table = m.table
     ups = m.up_ids(k)  # ascending positions, so the smallest index first
-    sk, sk1 = table.start(k), table.start(k + 1)
+    mate = m.mate.get(k, ())
     slot = array("i", [-1]) * len(table.faces(k))  # index in ups of a k-cell
     for t, e in enumerate(ups):
         slot[e] = t
@@ -352,7 +360,7 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
     indeg = [0] * len(ups)
     succ: list[list[int]] = [[] for _ in ups]
     for t, e in enumerate(ups):
-        j = m.mate[sk + e] - sk1
+        j = mate[e]
         for i in flat[offsets[j]:offsets[j + 1]]:
             u = slot[i]
             if u >= 0 and i != e:  # ups[u] strictly precedes ups[t]
@@ -376,7 +384,7 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
     seen: dict[int, int] = {}  # k-cell -> its place in path
     while e not in seen:
         seen[e] = len(path)
-        j = m.mate[sk + e] - sk1
+        j = mate[e]
         path += [cells_k[e], cells_k1[j]]
         e = next(i for i in flat[offsets[j]:offsets[j + 1]]
                  if i != e and slot[i] >= 0 and indeg[slot[i]])
@@ -472,12 +480,11 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
     if cycle is not None:
         raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}",
                          cycle[0])
-    sk, sk1 = table.start(k), table.start(k + 1)
     rank = array("i", [-1]) * len(table.faces(k))  # place in the order of a k-cell
     for r, e in enumerate(order):
         rank[e] = r
     up_ids = array("i", order)
-    down_ids = array("i", [m.mate[sk + e] - sk1 for e in order])
+    down_ids = array("i", [m.mate[k][e] for e in order])
     bmat = cx.boundary(k + 1)
     flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
     rows: list[int] = []

@@ -185,17 +185,9 @@ def _restrict(m: MorseMatching, ks: range) -> dict[int, SubcomplexSpec]:
         out_k = level.translate(over)
         if 1 not in out_k:
             continue  # every d-cell is in every C_{n,k} of ks
-        lo, down, up, top = (table.start(d), table.start(d - 1),
-                             table.start(d + 1), table.start(d + 2))
         for i in itertools.compress(range(len(cells)), out_k):
-            g = mate[lo + i]
-            if down <= g < lo:
-                dg, j = d - 1, g - down
-            elif up <= g < top:
-                dg, j = d + 1, g - up
-            else:  # not a facet or coface: a matching no validation has seen
-                dg = table.dim_at(g)
-                j = g - table.start(dg)
+            g = mate[d][i]  # the (d+1)-cell g or the (d-1)-cell ~g
+            dg, j = (d + 1, g) if g >= 0 else (d - 1, ~g)
             # the cell is out of C_{n,k} for k < its level, and its partner
             # in it from the partner's level on
             for k in range(max(levels[dg][j], ks[0]), min(level[i], ks[-1] + 1)):

@@ -249,6 +249,8 @@ MUTANTS += [
 ]
 
 FAMILY = "tests/test_snf.py::TestFamily::"
+MATCHING_PLANTS = ("tests/test_morse.py::TestMatchingArrays::"
+                   "test_planted_defect_as_string_reference")
 SUBCOMPLEX = "tests/test_subcomplex.py::TestBuildSubcomplex::"
 
 MUTANTS += [
@@ -298,6 +300,14 @@ MUTANTS += [
            ("tests/test_snf.py::TestCofaceIndex::test_subsets_equal_reference[4]",
             "tests/test_snf.py::TestCofaceIndex::test_attached_complexes_equal_reference[5]",
             GOLDEN_PAIRS + "[4]")),
+    # the matching's per-dimension arrays: a partner below is held as ~j
+    Mutant("restrict-down-partner-not-complemented", "halfcube/subcomplex.py",
+           "dg, j = (d + 1, g) if g >= 0 else (d - 1, ~g)",
+           "dg, j = (d + 1, g) if g >= 0 else (d - 1, -g)",
+           (SUBCOMPLEX + "test_equals_string_set_reference[5]",)),
+    Mutant("validate-down-backpointer-dropped", "halfcube/morse.py",
+           "            if q != back:\n", "            if p >= 0 and q != back:\n",
+           (MATCHING_PLANTS + "[one_way_down]",)),
     # cli.main: the failing RESULT line names the error's face
     Mutant("cli-fail-line-drops-face", CLI,
            '                        *(f"{a}={v}" for a, v in named.items())]))',

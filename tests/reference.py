@@ -43,7 +43,7 @@ and `up_cells` lists the upward-matched k-cells.
 
 `validate_matching`, `verify_acyclic` and `morse_boundary` work on
 string-keyed partner and rule mappings and string-keyed digraphs, as the
-package did before it held the matching as arrays of table positions.
+package did before it held the matching as arrays of positions.
 `solve_cycle` back-substitutes over `morse_boundary`'s string-keyed
 columns, as the package did before it held the restricted boundary as
 arrays of positions.
@@ -96,6 +96,7 @@ from halfcube.faces import (
     classify,
 )
 from halfcube.morse import (
+    UNPAIRED,
     CyclicPrec,
     InvolutionBroken,
     MorseBoundary,
@@ -543,12 +544,10 @@ def members(levels: dict[int, bytearray], k: int, table: FaceTable) -> set[str]:
 def repaired(m: MorseMatching, f: str, g: str) -> MorseMatching:
     """`m` with f and g paired, and their old partners paired with each
     other: still an involution, but not checked to be a matching."""
-    table = m.table
-    mate = array("i", m.mate)
-    a, b = table.position(f), table.position(g)
-    p, q = mate[a], mate[b]
-    mate[a], mate[b], mate[p], mate[q] = b, a, q, p
-    return MorseMatching(table, mate, m.rules)
+    partner = dict(m.partner)
+    p, q = partner[f], partner[g]
+    partner[f], partner[g], partner[p], partner[q] = g, f, q, p
+    return from_pairs(m.table, partner, m.rule)
 
 
 # the first offender of each planted defect, in the order the checks read
@@ -703,15 +702,24 @@ def rule_applicability(f: str) -> set[int]:
 
 def from_pairs(table: FaceTable, partner, rule=None) -> MorseMatching:
     """The matching whose arrays hold these face-string pairs as given,
-    one direction per entry: neither completed nor checked."""
-    mate = array("i", [-1]) * table.size
-    rules = array("b", bytes(table.size))
+    one direction per entry: neither completed nor checked.  A face
+    paired with itself is held as one with no partner, which the string
+    check reports alike; a pair not one dimension apart, which the arrays
+    cannot hold, raises the NotCodimOne of the string check."""
+    mate = {d: array("i", [UNPAIRED]) * len(c) for d, c in table.cells.items()}
+    rules = {d: array("b", bytes(len(c))) for d, c in table.cells.items()}
     for f, p in partner.items():
         if p not in table:
             raise InvolutionBroken(f"partner {p!r} of {f!r} is not a face")
-        mate[table.position(f)] = table.position(p)
+        d, dp, j = table.dim_of(f), table.dim_of(p), table.index_of(p)
+        if dp == d + 1:
+            mate[d][table.index_of(f)] = j
+        elif dp == d - 1:
+            mate[d][table.index_of(f)] = ~j
+        elif p != f:
+            raise NotCodimOne(f"{f!r} (dim {d}) paired with {p!r} (dim {dp})")
     for f, r in (rule or {}).items():
-        rules[table.position(f)] = r
+        rules[table.dim_of(f)][table.index_of(f)] = r
     return MorseMatching(table, mate, rules)
 
 

@@ -114,9 +114,9 @@ class TestMatch:
 
         def planted(table):
             m = build(table)
-            rules = array("b", m.rules)
-            g = rules.index(3)
-            rules[g], rules[m.mate[g]] = 7, 8
+            rules = {d: array("b", a) for d, a in m.rules.items()}
+            d, i = next((d, a.index(3)) for d, a in rules.items() if 3 in a)
+            rules[d][i], rules[d + 1][m.mate[d][i]] = 7, 8
             morse.validate_matching(m.mate, rules, table)
             return morse.MorseMatching(table, m.mate, rules)
 
@@ -136,26 +136,26 @@ class TestMatch:
     def test_fail_line_names_the_first_bad_face(self, capsys, monkeypatch,
                                                 tables, matchings, defect):
         # the defect planted at the first two rule-9 vertices, and a
-        # self-paired triangle later in table order; the pair check stops
-        # at the first vertex, which the line names
+        # triangle with no partner later in table order; the pair check
+        # stops at the first vertex, which the line names
         t, m = tables(4), matchings(4)
-        mate, rules = array("i", m.mate), array("b", m.rules)
-        v1, v2 = [g for g in range(t.size) if rules[g] == 9][:2]
+        mate = {d: array("i", a) for d, a in m.mate.items()}
+        v1, v2 = [i for i, r in enumerate(m.rules[0]) if r == 9][:2]
+        vertices, edges = mate[0], mate[1]
         if defect == "unpaired":
-            mate[v1] = v1
+            vertices[v1] = morse.UNPAIRED
         elif defect == "involution":  # v1 one way to v2's edge
-            mate[v1] = mate[v2]
+            vertices[v1] = vertices[v2]
         else:  # v1 and v2 swap their edges, which do not hold them
-            e1, e2 = mate[v1], mate[v2]
-            mate[v1], mate[v2], mate[e1], mate[e2] = e2, e1, v2, v1
-        late = t.position(t.faces(2)[0])
-        mate[late] = late
+            e1, e2 = vertices[v1], vertices[v2]
+            vertices[v1], vertices[v2], edges[e1], edges[e2] = e2, e1, ~v2, ~v1
+        mate[2][0] = morse.UNPAIRED
         monkeypatch.setattr(morse, "build_matching",
-                            lambda table: morse.validate_matching(mate, rules, table))
+                            lambda table: morse.validate_matching(mate, m.rules, table))
         code, lines = run(capsys, "--n", "4", "match", "--verify",
                           "--out", "/dev/null")
         assert (code, lines) == (1, [self.MATCHING_FAIL_LINES[defect]])
-        assert lines[0].endswith(f" face={t.face(v1)}")
+        assert lines[0].endswith(f" face={t.faces(0)[v1]}")
 
     def test_bad_face_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -276,6 +276,20 @@ class TestBasis:
                           "--out", "/dev/null")
         assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotCycles face=OOOI0"])
         assert lines[0].endswith(f" face={early}")
+
+    def test_fail_line_names_the_face_whose_facet_is_missing(self, capsys,
+                                                             monkeypatch, tables):
+        # a 3-cell dropped from the table: the facet index of the 4-cells,
+        # whose boundaries are the basis chains, stops at the first 4-cell
+        # on it, which the line names
+        t = tables(5)
+        gone = t.faces(3)[3]
+        cells = {d: [f for f in c if f != gone] for d, c in t.cells.items()}
+        monkeypatch.setattr(faces, "enumerate_faces", lambda n: faces.FaceTable(n, cells))
+        first = next(f for f in t.faces(4) if gone in reference.facets(f))
+        code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--out", "/dev/null")
+        assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=FaceError face=****1"])
+        assert lines[0].endswith(f" face={first}")
 
     def test_k_out_of_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

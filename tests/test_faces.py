@@ -401,8 +401,7 @@ class TestEnumeration:
 
     def test_reads_agree_before_and_after_lookups(self):
         def reads(t):
-            return (t.size, list(map(t.dim_at, range(t.size))),
-                    [t.start(d) for d in range(-3, 8)])
+            return (t.size, t.counts(), [t.faces(d) for d in range(-3, 8)])
 
         t = enumerate_faces(5)
         before = reads(t)
@@ -428,24 +427,20 @@ class TestEnumeration:
                 for i, f in enumerate(t.faces(d)):
                     assert t.index_of(f) == i
                     assert t.dim_of(f) == d
-                    assert f in t
-                    g = t.position(f)
-                    assert g == t.start(d) + i and table_order[g] == f
-                    assert t.face(g) == f and t.dim_at(g) == d
-                    assert m.partner[f] == t.face(m.mate[g])
-                    assert m.rule[f] == m.rules[g]
+                    assert f in t and t._locate(f) == (d, i)
+                    p = m.mate[d][i]
+                    assert m.partner[f] == (t.faces(d + 1)[p] if p >= 0
+                                            else t.faces(d - 1)[~p])
+                    assert m.rule[f] == m.rules[d][i]
             every_other = FaceSubset.of(t, table_order[::2])
-            assert every_other.masks == {
-                d: bytearray((t.start(d) + i + 1) % 2 for i in range(len(cells)))
-                for d, cells in t.cells.items()}
+            assert b"".join(every_other.masks.values()) == bytes(
+                (g + 1) % 2 for g in range(len(table_order)))
             assert all(f in every_other for f in table_order[::2])
             assert not any(f in every_other for f in table_order[1::2])
         t = tables(4)
-        assert t.start(-2) == 0 and t.start(5) == t.start(9) == t.size == 82
-        with pytest.raises(IndexError):
-            t.dim_at(t.size)
+        assert t.size == len(list(t)) == 82
         with pytest.raises(KeyError):
-            t.position("0000I")
+            t.index_of("0000I")
 
     @pytest.mark.parametrize("n, f", [
         (4, "0021"),  # a raw '2' would read as the code of "0011"
@@ -460,7 +455,7 @@ class TestEnumeration:
     def test_lookup_rejects_non_faces(self, tables, matchings, n, f):
         t = tables(n)
         assert f not in t
-        for lookup in (t.position, t.index_of, t.dim_of):
+        for lookup in (t.index_of, t.dim_of):
             with pytest.raises(KeyError):
                 lookup(f)
         assert f not in FaceSubset.of(t, t)
@@ -470,13 +465,13 @@ class TestEnumeration:
 
     def test_lookup_of_a_removed_empty_face(self, tables):
         t = tables(4)
-        assert EMPTY in t and t.position(EMPTY) == 0 and t.dim_of(EMPTY) == -1
+        assert EMPTY in t and t.index_of(EMPTY) == 0 and t.dim_of(EMPTY) == -1
         cut = FaceTable(4, {d: list(c) for d, c in t.cells.items() if d >= 0})
-        assert EMPTY not in cut and "0000" in cut and cut.position("0000") == 0
+        assert EMPTY not in cut and "0000" in cut and cut._locate("0000") == (0, 0)
         with pytest.raises(KeyError):
-            cut.position(EMPTY)
+            cut.dim_of(EMPTY)
         cut = FaceTable(4, {**t.cells, -1: []})
-        assert EMPTY not in cut and cut.position("0000") == 0
+        assert EMPTY not in cut and cut._locate("0000") == (0, 0)
         with pytest.raises(KeyError):
             cut.index_of(EMPTY)
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import re
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -11,6 +13,7 @@ from halfcube import faces, snf
 from halfcube.chains import ChainComplex, ChainVector
 from halfcube.faces import EMPTY, FaceTable, Kind, classify
 from halfcube.morse import (
+    UNPAIRED,
     CyclicPrec,
     InvolutionBroken,
     MorseError,
@@ -48,6 +51,11 @@ def arrays(t, partner, rule):
     string-keyed partner and rule mappings."""
     m = reference.from_pairs(t, partner, rule)
     return m.mate, m.rules, t
+
+
+def copied(arrays):
+    """A copy of the per-dimension arrays of a matching."""
+    return {d: array(a.typecode, a) for d, a in arrays.items()}
 
 
 def brute_det(m):
@@ -90,9 +98,13 @@ class TestPartnerRule:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_matching_equals_text_rewriting(self, tables, matchings, n):
         t, m = tables(n), matchings(n)
-        pairs = [reference.match_face(f, n) for f in t]
-        assert m.mate == array("i", [t.position(p) for p, _ in pairs])
-        assert m.rules == array("b", [r for _, r in pairs])
+        assert list(m.mate) == list(m.rules) == list(t.cells)
+        for d, cells in t.cells.items():
+            pairs = [reference.match_face(f, n) for f in cells]
+            assert m.mate[d] == array("i", [
+                t.index_of(p) if t.dim_of(p) == d + 1 else ~t.index_of(p)
+                for p, _ in pairs])
+            assert m.rules[d] == array("b", [r for _, r in pairs])
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_conditions_equal_text_conditions(self, tables, n):
@@ -190,18 +202,17 @@ class TestBuildMatching:
             validate_matching(*arrays(t, m.partner, bad_rule))
 
     def test_pair_two_dimensions_apart(self, tables, matchings):
-        # re-pair a vertex with a tetrahedron and its edge with the
-        # tetrahedron's triangle, with rules kept mutually inverse
+        # a vertex re-paired with a tetrahedron and its edge with the
+        # tetrahedron's triangle, rules kept mutually inverse: the arrays
+        # cannot hold such a pair, so building them refuses it as the
+        # string check does
         t, m = tables(4), matchings(4)
-        v = [f for f in t.faces(0) if m.rule[f] == 9][0]
-        tet = [f for f in t.faces(3) if m.rule[f] == 4][0]
-        e, tri = m.partner[v], m.partner[tet]
-        bad = dict(m.partner)
-        bad[v], bad[tet], bad[e], bad[tri] = tet, v, tri, e
-        bad_rule = dict(m.rule)
-        bad_rule[v], bad_rule[e] = 3, 4
-        with pytest.raises(NotCodimOne, match=r"\(dim 0\) paired with"):
-            validate_matching(*arrays(t, bad, bad_rule))
+        bad, bad_rule = _plant_two_apart(t, m)
+        with pytest.raises(NotCodimOne) as want:
+            reference.validate_matching(bad, bad_rule, t)
+        with pytest.raises(NotCodimOne, match=r"\(dim 0\) paired with") as got:
+            reference.from_pairs(t, bad, bad_rule)
+        assert str(got.value) == str(want.value)
 
 
 def _rule9_vertices(t, m):
@@ -231,6 +242,15 @@ def _plant_one_way(t, m):
     bad = dict(m.partner)
     v1, v2 = _rule9_vertices(t, m)[:2]
     bad[v1] = m.partner[v2]
+    return bad, dict(m.rule)
+
+
+def _plant_one_way_down(t, m):
+    # an edge matched upward, pointed down at a vertex paired elsewhere:
+    # only the edge's own entry is wrong, and the edge is met from above
+    bad = dict(m.partner)
+    e = next(f for f in t.faces(1) if t.dim_of(m.partner[f]) == 2)
+    bad[e] = _rule9_vertices(t, m)[0]
     return bad, dict(m.rule)
 
 
@@ -273,34 +293,42 @@ class TestMatchingArrays:
     @pytest.mark.parametrize("plant", sorted(PLANTS))
     def test_planted_defect_as_string_reference(self, tables, matchings, plant):
         # the arrays raise the class and message the string check raises,
-        # so they name the same first offending face
+        # so they name the same first offending face; they hold a face
+        # paired with itself as one with no partner, and cannot hold a
+        # pair two dimensions apart, which building them refuses
         t, m = tables(4), matchings(4)
         partner, rule = PLANTS[plant](t, m)
         with pytest.raises(MorseError) as want:
             reference.validate_matching(partner, rule, t)
-        with pytest.raises(type(want.value)) as got:
-            validate_matching(*arrays(t, partner, rule))
+        if plant == "two_apart":
+            with pytest.raises(NotCodimOne) as got:
+                reference.from_pairs(t, partner, rule)
+        else:
+            mate, rules, _ = arrays(t, partner, rule)
+            if plant == "self":
+                assert mate[0][t.index_of(_rule9_vertices(t, m)[1])] == UNPAIRED
+            with pytest.raises(type(want.value)) as got:
+                validate_matching(mate, rules, t)
         assert str(got.value) == str(want.value)
 
     def test_first_defect_in_table_order_is_named(self, tables, matchings):
         t, m = tables(4), matchings(4)
-        mate, rules = array("i", m.mate), array("b", m.rules)
-        late, early = t.position(t.faces(2)[3]), t.position(t.faces(1)[7])
-        mate[late] = -1
-        rules[early] = 0
+        mate, rules = copied(m.mate), copied(m.rules)
+        mate[2][3] = UNPAIRED
+        rules[1][7] = 0
         with pytest.raises(InvolutionBroken, match=repr(t.faces(1)[7])):
             validate_matching(mate, rules, t)
 
     def test_partner_outside_the_table(self, tables, matchings):
         t, m = tables(4), matchings(4)
         v = _rule9_vertices(t, m)[0]
-        mate = array("i", m.mate)
-        mate[t.position(v)] = t.size + 3
+        mate = copied(m.mate)
+        mate[0][t.index_of(v)] = len(t.faces(1)) + 3
         with pytest.raises(InvolutionBroken, match=f"of {v!r} is not a face"):
             validate_matching(mate, m.rules, t)
         # met first from the partner, the defect is a broken involution
-        mate = array("i", m.mate)
-        mate[t.position(m.partner[v])] = t.size + 3
+        mate = copied(m.mate)
+        mate[1][t.index_of(m.partner[v])] = ~(len(t.faces(0)) + 3)
         with pytest.raises(InvolutionBroken, match=f"^{v!r} -> "):
             validate_matching(mate, m.rules, t)
 
@@ -312,6 +340,19 @@ class TestMatchingArrays:
         assert "not a face" not in m.partner
         with pytest.raises(KeyError):
             m.partner["not a face"]
+
+    def test_a_dropped_matching_is_freed_at_once(self, tables):
+        # no reference cycle holds a matching (its views hold the table, not
+        # the matching), so `betti` frees each n's matching and its table
+        # before it builds the next
+        m = build_matching(tables(4))
+        gone = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_from_pairs_keeps_partial_pairs(self, tables, quadrilateral_pairs):
         t = tables(4)

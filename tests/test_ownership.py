@@ -4,7 +4,8 @@ face table from the matching or complex it is given; incidence signs come
 from the closed-form rule, never from a determinant; code that only the
 tests use lives in tests/reference.py, not in the package; a face table
 looks face texts up by their codes, holding no map keyed by text; a
-homology basis holds positions of boundary columns, not chains."""
+homology basis holds positions of boundary columns, not chains; a face is
+(dimension, position within it) in every layer, the matching included."""
 
 import copy
 import importlib
@@ -145,7 +146,8 @@ def test_lookups_add_only_codes_to_the_table():
     table = halfcube.enumerate_faces(6)
     before = copy.deepcopy(vars(table))
     every = list(table)
-    assert [table.position(f) for f in every] == list(range(table.size))
+    assert [table._locate(f) for f in every] == [
+        (d, i) for d, cells in table.cells.items() for i in range(len(cells))]
     assert all(f in table for f in every)
     after = vars(table)
     assert not hasattr(table, "_position") and not hasattr(halfcube.FaceTable, "_position")
@@ -156,6 +158,20 @@ def test_lookups_add_only_codes_to_the_table():
     keyed = [k for k, v in after.items() if isinstance(v, dict)
              and any(isinstance(key, str) for key in v)]
     assert keyed == []
+
+
+def test_one_index_space():
+    # a face is (dimension, position within it) in every layer: the table
+    # keeps no table-order position, and the matching is held per dimension
+    gone = ["start", "position", "dim_at", "face", "_starts"]
+    table = halfcube.enumerate_faces(4)
+    assert [a for a in gone if hasattr(table, a) or hasattr(halfcube.FaceTable, a)] == []
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     if re.search(r"\.(start|position|dim_at)\(", p.read_text()))
+    assert callers == []
+    m = halfcube.build_matching(table)
+    assert list(m.mate) == list(m.rules) == list(table.cells)
+    assert [len(m.mate[d]) for d in table.cells] == list(table.counts().values())
 
 
 def test_guards_see_the_package():
