@@ -61,7 +61,12 @@ from .faces import PLAIN0, PLAIN1, STAR, UND0, UND1, FaceTable, canonical_edge
 
 
 class ChainError(Exception):
-    pass
+    """A failed check of this layer; `dim` names the dimension it stops
+    at, or is None."""
+
+    def __init__(self, message: str, dim: int | None = None):
+        super().__init__(message)
+        self.dim = dim
 
 
 class DimensionMismatch(ChainError):
@@ -203,7 +208,7 @@ class BoundaryMatrix:
         DimensionMismatch."""
         if not 0 <= j < self.n_cols:
             raise DimensionMismatch(f"column {j} is not one of the {self.n_cols} "
-                                    f"cells of dimension {self.d}")
+                                    f"cells of dimension {self.d}", self.d)
         a, b = self.offsets[j], self.offsets[j + 1]
         return ChainVector(self.d - 1, dict(zip(self.flat[a:b], self.signs[a:b])))
 
@@ -212,7 +217,7 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
     """Boundary operator of the full complex in dimension d (0 <= d <= n);
     d = 0 yields the all-ones augmentation row."""
     if d < 0 or d > table.n:
-        raise DimensionMismatch(f"no boundary in dimension {d}")
+        raise DimensionMismatch(f"no boundary in dimension {d}", d)
     cells = table.faces(d)
     flat, offsets = table.facet_index(d)
     if d <= 1:
@@ -235,7 +240,7 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
         signs = array("b", b"".join(parts))
         counts = map(len, parts)
     if offsets != array("i", accumulate(counts, initial=0)):
-        raise ChainError(f"sign and facet counts differ in dimension {d}")
+        raise ChainError(f"sign and facet counts differ in dimension {d}", d)
     return BoundaryMatrix(d, len(table.faces(d - 1)), len(cells), flat, offsets, signs)
 
 
@@ -260,7 +265,7 @@ class ChainComplex:
         if c.coeffs and (min(c.coeffs) < 0 or max(c.coeffs) >= n_cells):
             j = next(j for j in c.coeffs if not 0 <= j < n_cells)
             raise DimensionMismatch(f"chain index {j} is not one of the "
-                                    f"{n_cells} cells of dimension {c.dim}")
+                                    f"{n_cells} cells of dimension {c.dim}", c.dim)
         if c.dim < 0:
             return ChainVector(c.dim - 1, {})
         b = self.boundary(c.dim)

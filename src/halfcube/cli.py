@@ -11,9 +11,9 @@ verification failure, 2 for a usage error.
 read, requires --n and --k where read, opens the --out file (`_Sink`)
 before any work, prints the `RESULT fail ... error=<Class>` line for the
 library's errors and for an --out file that cannot be written or renamed
-into place (an `OSError`), followed by the `k=` and `face=` the error
-names, and on every way out removes a temporary --out file that was not
-renamed into place.  The `cmd_*` handlers do only their
+into place (an `OSError`), followed by the `k=`, `face=` and `dim=` the
+error names, and on every way out removes a temporary --out file that
+was not renamed into place.  The `cmd_*` handlers do only their
 command's work.  A run killed by a signal may leave `.NAME.PID.tmp`
 behind; a closed stdout (`| head`) ends the run with exit 1 and no
 traceback.
@@ -314,9 +314,9 @@ def main(argv=None) -> int:
         return 1
     except (*LIBRARY_ERRORS, OSError) as e:
         # a library error, or an --out file that could not be written or
-        # renamed into place; the line names the error's k and face too
+        # renamed into place; the line names the error's k, face and dim too
         where = {d: opts[d] for d in ("n", "k") if opts[d] is not None}
-        named = {a: v for a in ("k", "face")
+        named = {a: v for a in ("k", "face", "dim")
                  if (v := getattr(e, a, None)) is not None and a not in where}
         print(f"error: {e}", file=sys.stderr)
         print(" ".join(["RESULT fail", *(f"{d}={v}" for d, v in where.items()),

@@ -31,12 +31,16 @@ the exclusivity check.
 The matching is acyclic when no layer (k, k+1) of the modified Hasse
 digraph has a closed alternating path, that is, when the induced order
 on the upward-matched k-cells (e' precedes e when e' is a facet of e's
-partner) has no cycle.  One Kahn pass, `_induced_order`, serves both
-callers: `verify_acyclic` reports its cycle per layer, and
-`morse_boundary` orders its rows and columns by its linear extension.
-The reported cycle is the walk from the smallest cell the pass never
-emits, each step taking the partner's first unemitted facet; it is the
-first cycle a depth-first search from each k-cell in order would meet.
+partner) has no cycle.  One Kahn pass, `_induced_order`, runs once per
+level of a matching, on first use, and the matching holds its result
+(`MorseMatching.induced_order(k)`): the order as an `array('i')` of
+positions, or the cycle as a tuple of faces.  Both callers read that
+entry: `verify_acyclic` reports its cycle per layer, and `morse_boundary`
+orders its rows and columns by its linear extension and shares the array
+as its `up_ids`.  The array, like the facet index, is read-only.  The
+reported cycle is the walk from the smallest cell the pass never emits,
+each step taking the partner's first unemitted facet; it is the first
+cycle a depth-first search from each k-cell in order would meet.
 
 On top of the matching this module builds the per-level restricted
 boundary operator between downward-matched (k+1)-cells and upward-matched
@@ -228,13 +232,16 @@ class MorseMatching:
     the (d-1)-cell j, and UNPAIRED when it has none; `rules[d][i]` is its
     rule number, or 0.  `partner` and `rule` read them as mappings from
     face strings.  `up_ids(k)` lists, ascending, the upward-matched
-    k-cells, those whose partner is a (k+1)-cell.
+    k-cells, those whose partner is a (k+1)-cell, and `induced_order(k)`
+    holds their induced order, made once per level from the arrays as
+    they are on first use.
     """
 
     def __init__(self, table: FaceTable, mate: dict, rules: dict):
         self.table = table
         self.mate = mate
         self.rules = rules
+        self._induced: dict[int, array | tuple[str, ...]] = {}
         # the views hold the table, not self: a reference cycle would keep
         # the matching alive past its last use, until a garbage collection
         self.partner = _FaceMap(table, mate, UNPAIRED, lambda d, p: (
@@ -246,6 +253,15 @@ class MorseMatching:
 
     def up_ids(self, k: int) -> list[int]:
         return [i for i, p in enumerate(self.mate.get(k, ())) if 0 <= p < UNPAIRED]
+
+    def induced_order(self, k: int) -> array | tuple[str, ...]:
+        """The level-k entry: `_induced_order(self, k)`, run on the first
+        read of k and held.  The array is shared with every reader, so it
+        must not be written to."""
+        entry = self._induced.get(k)
+        if entry is None:
+            entry = self._induced[k] = _induced_order(self, k)
+        return entry
 
     def jsonl_lines(self) -> Iterator[str]:
         """One JSON line per face of a complete matching, in table order;
@@ -337,10 +353,9 @@ def exclusivity_violation(m: MorseMatching) -> tuple[int, int] | None:
     return None
 
 
-def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
-                                                   list[str] | None]:
-    """The positions of `m.up_ids(k)` in the induced order and None, or,
-    when the order has a cycle, None and that cycle as face strings.
+def _induced_order(m: MorseMatching, k: int) -> array | tuple[str, ...]:
+    """The positions of `m.up_ids(k)` in the induced order, or, when the
+    order has a cycle, that cycle as face strings.
 
     e' precedes e whenever e' is a facet of the partner of e; a Kahn pass
     emits the smallest ready cell first.  The cycle is the walk from the
@@ -367,7 +382,7 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
                 succ[u].append(t)
                 indeg[t] += 1
     ready = [t for t in range(len(ups)) if indeg[t] == 0]  # sorted: a heap
-    order: list[int] = []
+    order = array("i")
     while ready:
         t = heapq.heappop(ready)
         order.append(ups[t])
@@ -376,7 +391,7 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
             if indeg[t2] == 0:
                 heapq.heappush(ready, t2)
     if len(order) == len(ups):
-        return order, None
+        return order
     # a cell is unemitted exactly when its in-degree stayed above 0
     cells_k, cells_k1 = table.faces(k), table.faces(k + 1)
     e = next(e for t, e in enumerate(ups) if indeg[t])
@@ -388,18 +403,20 @@ def _induced_order(m: MorseMatching, k: int) -> tuple[list[int] | None,
         path += [cells_k[e], cells_k1[j]]
         e = next(i for i in flat[offsets[j]:offsets[j + 1]]
                  if i != e and slot[i] >= 0 and indeg[slot[i]])
-    return None, path[seen[e]:] + [cells_k[e]]
+    return (*path[seen[e]:], cells_k[e])
 
 
 def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
     """Search every dimension layer of the modified Hasse digraph for a
-    directed cycle, by `_induced_order`.  Cycles are reported, not raised."""
+    directed cycle, by the matching's `induced_order`.  Cycles are
+    reported, not raised, each as a list of its own."""
     if table is not m.table:
         raise MorseError("the table given is not the matching's")
     layers = []
     acyclic = True
     for p in range(-1, table.n):
-        cycle = _induced_order(m, p)[1]
+        entry = m.induced_order(p)
+        cycle = list(entry) if isinstance(entry, tuple) else None
         if cycle is not None:
             acyclic = False
         layers.append({
@@ -419,7 +436,8 @@ class MorseBoundary:
     of positions within each dimension.
 
     `up_ids` lists the upward-matched k-cells in a topological linear
-    extension of the induced order (smaller first), `rank[i]` is the
+    extension of the induced order (smaller first); it is the matching's
+    `induced_order(k)` itself, so it is read-only.  `rank[i]` is the
     place in it of the k-cell i, or -1 when i is not upward-matched, and
     `down_ids[r]` is the partner of `up_ids[r]`.  Column r holds the
     incidences of down_ids[r] against the upward-matched cells, in facet
@@ -471,20 +489,20 @@ def morse_boundary(m: MorseMatching, table: FaceTable, k: int,
                    cx: ChainComplex) -> MorseBoundary:
     """Build the level-k restricted boundary with its topological order.
 
-    The upward-matched k-cells are ordered by `_induced_order`; a cycle
-    in that order raises CyclicPrec naming its faces.
+    The upward-matched k-cells are ordered by the matching's
+    `induced_order(k)`, whose array is the result's `up_ids`; a cycle in
+    that order raises CyclicPrec naming its faces.
     """
     if not (table is m.table is cx.table):
         raise MorseError("the table given is not the matching's and the complex's")
-    order, cycle = _induced_order(m, k)
-    if cycle is not None:
-        raise CyclicPrec(f"induced order at level {k} has a cycle through {cycle}",
-                         cycle[0])
+    up_ids = m.induced_order(k)
+    if isinstance(up_ids, tuple):
+        raise CyclicPrec(f"induced order at level {k} has a cycle through "
+                         f"{list(up_ids)}", up_ids[0])
     rank = array("i", [-1]) * len(table.faces(k))  # place in the order of a k-cell
-    for r, e in enumerate(order):
+    for r, e in enumerate(up_ids):
         rank[e] = r
-    up_ids = array("i", order)
-    down_ids = array("i", [m.mate[k][e] for e in order])
+    down_ids = array("i", [m.mate[k][e] for e in up_ids])
     bmat = cx.boundary(k + 1)
     flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
     rows: list[int] = []

@@ -111,6 +111,7 @@ FACES = "halfcube/faces.py"
 ENUMERATION = "tests/test_faces.py::TestEnumeration::"
 REJECTS = ENUMERATION + "test_lookup_rejects_non_faces"
 ACYCLICITY = "tests/test_morse.py::TestAcyclicity::"
+ENTRIES = "tests/test_morse.py::TestInducedOrderEntries::"
 HOMOLOGY = "tests/test_snf.py::TestHomology::"
 BASIS = "tests/test_subcomplex.py::TestHomologyBasis::"
 
@@ -154,6 +155,13 @@ MUTANTS += [
            "if u >= 0 and i != e:", "if u > 0 and i != e:",
            (ACYCLICITY + "test_planted_cycle_is_found",
             ACYCLICITY + "test_planted_cycle_raises_in_morse_boundary[first]")),
+    # every level reads the first entry the matching made
+    Mutant("induced-order-entry-ignores-level", "halfcube/morse.py",
+           "entry = self._induced.get(k)",
+           "entry = next(iter(self._induced.values()), None)",
+           (ENTRIES + "test_one_pass_per_level[verify-first]",
+            ENTRIES + "test_up_ids_are_the_reference_order[4]",
+            "tests/test_morse.py::TestMorseBoundary::test_equals_string_reference[4]")),
     Mutant("triangular-row-bound-dropped", "halfcube/morse.py",
            "if r not in seg or max(seg) > r or", "if r not in seg or",
            ("tests/test_morse.py::TestMorseBoundary::"

@@ -282,15 +282,23 @@ class TestBoundaryMatrix:
         b = complexes(5).boundary(3)
         j = b.n_cols if j == "n_cols" else j
         msg = f"column {j} is not one of the {b.n_cols} cells of dimension 3"
-        with pytest.raises(DimensionMismatch, match=msg):
+        with pytest.raises(DimensionMismatch, match=msg) as err:
             b.column_chain(j)
+        assert err.value.dim == 3
         assert b.column_chain(b.n_cols - 1).coeffs == b.cols[b.n_cols - 1]
 
     def test_sign_and_facet_counts_must_agree(self, tables, monkeypatch):
         # a simplex face with m underlines has m facets; one sign short
         monkeypatch.setattr(chains, "simplex_signs", lambda p: (1,) * (len(p) - 1))
-        with pytest.raises(ChainError, match="counts differ in dimension 3"):
+        with pytest.raises(ChainError, match="counts differ in dimension 3") as err:
             boundary_matrix(tables(5), 3)
+        assert err.value.dim == 3
+
+    @pytest.mark.parametrize("d", [-1, 5])
+    def test_no_boundary_outside_0_to_n(self, tables, d):
+        with pytest.raises(DimensionMismatch, match=f"no boundary in dimension {d}$") as err:
+            boundary_matrix(tables(4), d)
+        assert err.value.dim == d
 
     def test_determinism(self, tables):
         t = tables(4)
@@ -329,8 +337,9 @@ class TestApplyBoundary:
         t, m, cx = tables(4), matchings(4), complexes(4)
         chain = ChainVector(1, {0: 1, j: 1})
         msg = f"chain index {j} is not one of the 24 cells of dimension 1"
-        with pytest.raises(DimensionMismatch, match=msg):
+        with pytest.raises(DimensionMismatch, match=msg) as err:
             cx.apply(chain)
+        assert err.value.dim == 1
         with pytest.raises(DimensionMismatch, match=msg):
             solve_cycle(chain, m, t, cx, morse_boundary(m, t, 1, cx))
         with pytest.raises(DimensionMismatch, match=msg):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import halfcube
-from halfcube import cli, faces, morse, snf
+from halfcube import chains, cli, faces, morse, snf
 from halfcube import subcomplex as subc
 from halfcube.chains import ChainError
 from halfcube.cli import main
@@ -317,6 +317,17 @@ class TestBasis:
                           "--out", str(path))
         assert code == 1
         assert lines[-1] == "RESULT fail n=4 k=3 error=ChainError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_chain_error_names_its_dimension(self, capsys, monkeypatch, tmp_path):
+        # one sign dropped from every simplex face's column: the first
+        # boundary the basis builds, of the 3-cells, fails its count check
+        signs = chains.simplex_signs
+        monkeypatch.setattr(chains, "simplex_signs", lambda p: signs(p)[:-1])
+        path = tmp_path / "basis.jsonl"
+        code, lines = run(capsys, "--n", "5", "--k", "3", "basis",
+                          "--out", str(path))
+        assert (code, lines) == (1, ["RESULT fail n=5 k=3 error=ChainError dim=3"])
         assert list(tmp_path.iterdir()) == []
 
     def test_out_file_replaces_old_content(self, capsys, tmp_path):

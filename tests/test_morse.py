@@ -9,7 +9,7 @@ from array import array
 import pytest
 
 import reference
-from halfcube import faces, snf
+from halfcube import faces, morse, snf
 from halfcube.chains import ChainComplex, ChainVector
 from halfcube.faces import EMPTY, FaceTable, Kind, classify
 from halfcube.morse import (
@@ -17,6 +17,7 @@ from halfcube.morse import (
     CyclicPrec,
     InvolutionBroken,
     MorseError,
+    MorseMatching,
     NotACycle,
     NotCodimOne,
     ResidualNonzero,
@@ -476,6 +477,84 @@ class TestAcyclicity:
                 continue
             if m.rule[f] in (3, 4, 7, 8):
                 assert total_and_u(f)[1] == total_and_u(m.partner[f])[1]
+
+
+class TestInducedOrderEntries:
+    """One Kahn pass per level of a matching, held by the matching and
+    read by both `verify_acyclic` and `morse_boundary`."""
+
+    @staticmethod
+    def fresh(tables, matchings, n):
+        # a matching over the built arrays, with no entry made yet
+        m = matchings(n)
+        return MorseMatching(tables(n), m.mate, m.rules)
+
+    @pytest.mark.parametrize("verify_first", [True, False],
+                             ids=["verify-first", "boundary-first"])
+    def test_one_pass_per_level(self, tables, matchings, complexes,
+                                monkeypatch, verify_first):
+        t, cx = tables(6), complexes(6)
+        m = self.fresh(tables, matchings, 6)
+        kahn, levels = morse._induced_order, []
+
+        def counted(m, k):
+            levels.append(k)
+            return kahn(m, k)
+
+        monkeypatch.setattr(morse, "_induced_order", counted)
+        steps = [lambda: verify_acyclic(m, t)]
+        steps += [lambda k=k: morse_boundary(m, t, k, cx) for k in range(6)]
+        for step in steps if verify_first else steps[::-1]:
+            step()
+        assert sorted(levels) == list(range(-1, 6))  # 7 passes, one per level
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_up_ids_are_the_reference_order(self, tables, matchings, complexes, n):
+        # the same order whether verify_acyclic made the entries or
+        # morse_boundary did, and the array is the entry itself
+        t, cx = tables(n), complexes(n)
+        verified = self.fresh(tables, matchings, n)
+        assert verify_acyclic(verified, t)["acyclic"]
+        unverified = self.fresh(tables, matchings, n)
+        for k in range(n):
+            want = reference.morse_boundary(unverified, t, k, cx)[0]
+            for m in (verified, unverified):
+                mb = morse_boundary(m, t, k, cx)
+                assert mb.ups == want, (n, k)
+                assert mb.up_ids is m.induced_order(k)
+
+    def test_copied_arrays_start_with_no_entries(self, tables, matchings,
+                                                 complexes, quadrilateral_pairs):
+        t, cx = tables(4), complexes(4)
+        m = self.fresh(tables, matchings, 4)
+        assert verify_acyclic(m, t)["acyclic"]
+        planted = MorseMatching(t, copied(m.mate), copied(m.rules))
+        for v, e in quadrilateral_pairs.items():
+            i, j = t.index_of(v), t.index_of(e)
+            planted.mate[0][i], planted.mate[1][j] = j, ~i
+        report = verify_acyclic(planted, t)
+        assert report["layers"][1]["cycle"] is not None
+        assert report == reference.verify_acyclic(planted.partner, t)
+        with pytest.raises(CyclicPrec):
+            morse_boundary(planted, t, 0, cx)
+        # the matching copied from keeps its own entries
+        assert morse_boundary(m, t, 0, cx).ups == reference.morse_boundary(m, t, 0, cx)[0]
+        assert verify_acyclic(m, t)["acyclic"]
+
+    def test_an_edited_report_leaves_the_entry(self, tables, complexes,
+                                               quadrilateral_pairs):
+        t, cx = tables(4), complexes(4)
+        with pytest.raises(CyclicPrec) as want:
+            morse_boundary(reference.from_pairs(t, quadrilateral_pairs), t, 0, cx)
+        planted = reference.from_pairs(t, quadrilateral_pairs)
+        cycle = verify_acyclic(planted, t)["layers"][1]["cycle"]
+        before = list(cycle)
+        cycle[0] = "edited"
+        cycle.append("edited")
+        with pytest.raises(CyclicPrec) as got:
+            morse_boundary(planted, t, 0, cx)
+        assert (str(got.value), got.value.face) == (str(want.value), want.value.face)
+        assert verify_acyclic(planted, t)["layers"][1]["cycle"] == before
 
 
 class TestMorseCounts:

@@ -7,6 +7,7 @@ looks face texts up by their codes, holding no map keyed by text; a
 homology basis holds positions of boundary columns, not chains; a face is
 (dimension, position within it) in every layer, the matching included."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -128,7 +129,19 @@ def test_one_induced_order_in_morse():
     # verify_acyclic and morse_boundary read the one Kahn pass of
     # `_induced_order`; no second search walks the layer digraph
     assert not hasattr(halfcube.morse, "_layer_cycle")
-    assert (SRC / "morse.py").read_text().count("heapq.heappop") == 1
+    text = (SRC / "morse.py").read_text()
+    assert text.count("heapq.heappop") == 1
+    # the pass is run only by the matching's per-level entry, and its
+    # array is shared as `MorseBoundary.up_ids`, not copied
+    def passes(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and getattr(c.func, "id", None) == "_induced_order"]
+
+    tree = ast.parse(text)
+    entry = next(f for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and f.name == "induced_order")
+    assert len(passes(tree)) == len(passes(entry)) == 1
+    assert not re.search(r"array\(\s*\"i\"\s*,\s*(order|up_ids)\s*\)", text)
 
 
 def test_the_oracle_does_not_read_the_matching():
