@@ -74,7 +74,7 @@ class _Attached:
                 ends.append(len(flat_d))
             self.bmats[d] = BoundaryMatrix(d, len(cells[d - 1]), len(cells[d]), flat_d,
                                            ends, signs_d)
-        self.table = FaceTable(n, {d: [table.faces(d)[c] for c in cs]
+        self.table = FaceTable(n, {d: table.faces(d).take(cs)
                                    for d, cs in cells.items()})
         self.levels = {d: bytearray(n_left[d]) + bytearray(
             itertools.compress(levels[d], later[d])) for d in cells}
@@ -99,7 +99,7 @@ def family_homology(cx: ChainComplex) -> dict[int, dict]:
     the reduction of C_{n,k} leaves, and that with the k-cells among them
     is reduced as C_{n,k+1} (`snf.py` docstring)."""
     table = cx.table
-    levels = {d: bytearray(STAR in f for f in cells).translate(
+    levels = {d: bytearray(cells.holding(STAR)).translate(
         bytes.maketrans(b"\x01", bytes([d + 1]))) for d, cells in table.cells.items()}
     tops = {k: max(d for d, lv in levels.items() if 1 in lv.translate(_at_most(k)))
             for k in range(3, table.n)}

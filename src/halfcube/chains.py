@@ -118,8 +118,9 @@ def simplex_signs(pattern: str) -> tuple[int, ...]:
     return tuple(s for _, s in sorted(signed))
 
 
-# deletes the plain digits, leaving a simplex face's mask pattern
-_MASK_PATTERN = str.maketrans("", "", PLAIN0 + PLAIN1)
+# a face's '1' digits, counted for a half-cube face's parity, and its
+# plain digits, deleted to leave a simplex face's mask pattern
+_ONE, _DIGITS = PLAIN1.encode(), (PLAIN0 + PLAIN1).encode()
 
 
 @dataclass
@@ -230,11 +231,12 @@ def boundary_matrix(table: FaceTable, d: int) -> BoundaryMatrix:
         # one sign string per face pattern, packed as bytes
         packed: dict[object, bytes] = {}
         parts = []
-        for f in cells:
-            key = f.count(PLAIN1) & 1 if STAR in f else f.translate(_MASK_PATTERN)
+        for star, f in zip(cells.holding(STAR), cells.encoded()):
+            # the parity of the '1' digits, or the underlined symbols in order
+            key = f.count(_ONE) & 1 if star else f.translate(None, _DIGITS)
             b = packed.get(key)
             if b is None:
-                s = halfcube_signs(d, key) if STAR in f else simplex_signs(key)
+                s = halfcube_signs(d, key) if star else simplex_signs(key.decode())
                 b = packed[key] = array("b", s).tobytes()
             parts.append(b)
         signs = array("b", b"".join(parts))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -33,6 +34,10 @@ from . import subcomplex as subc
 from .chains import ChainComplex, ChainError
 
 ORACLE_N_CAP = 9  # SNF cost grows quickly; require --force beyond this
+
+# strings `_Sink.write` joins into one write: few enough that the strings
+# a block holds stay small, many enough that a write is not made per line
+BLOCK = 8192
 
 # the library's own errors; every command reports them as a failed RESULT
 # line instead of a traceback
@@ -129,9 +134,12 @@ class _Sink:
             why = f"create a file in {head or '.'}" if self.tmp else "open it"
             raise ValueError(f"cannot {why} ({e.strerror})") from None
 
-    def write(self, lines: Iterable[str]) -> None:
-        """Write every line, then put the --out file in place."""
-        self.fh.writelines(s + "\n" for s in lines)
+    def write(self, parts: Iterable[str]) -> None:
+        """Write the parts end to end, joined into blocks of `BLOCK`
+        parts, then put the --out file in place."""
+        parts = iter(parts)
+        blocks = iter(lambda: list(itertools.islice(parts, BLOCK)), [])
+        self.fh.writelines(map("".join, blocks))
         if self.path is not None:
             self.fh.close()
         if self.tmp is not None:
@@ -156,7 +164,7 @@ def cmd_enum(args, parser, sink) -> int:
         parser.error(f"--dim must satisfy -1 <= dim <= n, got dim={args.dim}, n={n}")
     table = faces.enumerate_faces(n)  # raises on a census mismatch
     dims = [args.dim] if args.dim is not None else sorted(table.cells)
-    sink.write(faces.face_jsonl(f) for d in dims for f in table.faces(d))
+    sink.write(faces.face_jsonl(f) + "\n" for d in dims for f in table.faces(d))
     for d, count in table.counts().items():
         print(f"dim {d:2d}: {count:8d} ok")
     print(f"RESULT pass n={n} cells={table.size}")
@@ -178,7 +186,7 @@ def cmd_match(args, parser, sink) -> int:
         return 0
     table = faces.enumerate_faces(n)
     m = morse.build_matching(table)
-    sink.write(m.jsonl_lines())
+    sink.write(m.jsonl_parts())
     if args.verify:
         bad = morse.exclusivity_violation(m)
         if bad is not None:
@@ -207,7 +215,7 @@ def cmd_basis(args, parser, sink) -> int:
     table = faces.enumerate_faces(n)
     cx = ChainComplex(table)
     basis = subc.homology_basis(n, k, table, cx)
-    sink.write(basis.jsonl_lines())
+    sink.write(s + "\n" for s in basis.jsonl_lines())
     ok = len(basis.ids) == subc.betti_power(n, k)
     if args.certify:
         verdict = snf.class_independence(basis.chains, subc.subcomplex_faces(k, table), cx)
@@ -269,8 +277,8 @@ def cmd_betti(args, parser, sink) -> int:
         rows += n_rows
         if bad and not failure:
             failure = f" n={n} k={bad[0]} column={bad[1]}"
-    sink.write(["n,k,betti_binomial,betti_power,unmatched,oracle_rank",
-                *(",".join(map(str, row)) for row in rows)])
+    sink.write(["n,k,betti_binomial,betti_power,unmatched,oracle_rank\n",
+                *(",".join(map(str, row)) + "\n" for row in rows)])
     print(f"RESULT {'fail' if failure else 'pass'} rows={len(rows)}{failure}")
     return 1 if failure else 0
 

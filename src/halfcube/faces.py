@@ -21,12 +21,14 @@ symbol.  The empty face is the string "EMPTY" and has dimension -1.
 from __future__ import annotations
 
 import itertools
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from enum import Enum
 from functools import cache
 from math import comb
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 EMPTY = "EMPTY"
@@ -254,35 +256,126 @@ def facet_deltas(f: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _records(data: bytes, width: int) -> Iterator[bytes]:
+    """The width-byte records of data, in order, read by one `struct`
+    iterator rather than a slice per record."""
+    return map(_FIRST, struct.iter_unpack(f"{width}s", data))
+
+
+_FIRST = itemgetter(0)
+
+
+def _width(n: int, d: int) -> int:
+    """Symbols per face of dimension d: n, or those of EMPTY for d < 0."""
+    return n if d >= 0 else len(EMPTY)
+
+
+class FaceList(Sequence):
+    """The faces of one dimension as a read-only sequence over one text:
+    face i is text[i * width:(i + 1) * width].  A slice of it is a tuple,
+    and `take(ids)` lists the faces at the positions ids; a loop over
+    every face reads `text` itself, or iterates, and does not index."""
+
+    __slots__ = ("text", "width")
+
+    def __init__(self, text: str, width: int):
+        self.text = text
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.text) // self.width
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]  # IndexError outside the faces
+        return tuple(self.take(ids)) if isinstance(i, slice) else self.take((ids,))[0]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(bytes.decode, _records(self.text.encode(), self.width))
+
+    def encoded(self) -> Iterator[bytes]:
+        """The faces as ASCII bytes, in order, read from one encoding of
+        the text; bytes are made and compared faster than strings."""
+        return _records(self.text.encode(), self.width)
+
+    def holding(self, symbol: str) -> bytes:
+        """One byte per face, 1 when the face holds `symbol` and 0 when
+        not.  The text is read one position at a time: every face's byte
+        at that position, as one number, or-ed into the result."""
+        table = bytearray(256)
+        table[ord(symbol)] = 1
+        ones = self.text.encode().translate(table)
+        acc, w = 0, self.width
+        for p in range(w):
+            acc |= int.from_bytes(ones[p::w], "big")
+        return acc.to_bytes(len(self), "big")
+
+    def take(self, ids) -> list[str]:
+        """The faces at the positions ids (each 0 <= i < len), in order."""
+        text, w = self.text, self.width
+        return [text[i * w:i * w + w] for i in ids]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FaceList):
+            return self.text == other.text and self.width == other.width
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
     Faces are stored per dimension in lexicographic order of their text
     form, and a face is named by its dimension and its position among the
     faces of that dimension, (d, i); the table order runs by dimension and
-    then lexicographically.  `codes(d)` holds the `face_code` of every
-    d-cell, built on first use; since it ascends, a face text is looked
-    up by its code (`index_of`, `dim_of` and `in`): the text's symbol
-    counts give its dimension, and a bisection of that dimension's codes
-    its place, with no map from texts to positions.  The matching looks
-    partners up among the codes too (`morse.partner_rule` moves a code by
-    a fixed delta per rule).  `facet_index(d)` gives the facets of every
-    d-cell as positions among the (d-1)-cells.  It is computed on the
-    codes: a facet's code is the face's code plus one of the deltas of
-    `facet_deltas`, cached per pattern of marked symbols, and is looked
-    up among the codes of the (d-1)-cells.
+    then lexicographically.  Each dimension is held as one text, its
+    faces written end to end at a fixed width (n symbols, or EMPTY's for
+    d = -1), and `cells[d]` and `faces(d)` read it as a `FaceList`; no
+    string is held per face.  At n=11 the texts hold 24 MB, where a
+    string per face held 142 MB.  The table is built from lists of faces,
+    which it joins, or by the enumeration from the texts themselves
+    (`from_texts`).  `codes(d)` holds the `face_code` of every d-cell,
+    built on first use; since it ascends, a face text is looked up by its
+    code (`index_of`, `dim_of` and `in`): the text's symbol counts give its
+    dimension, and a bisection of that dimension's codes its place, with
+    no map from texts to positions.  The matching looks partners up among
+    the codes too (`morse.partner_rule` moves a code by a fixed delta per
+    rule).  `facet_index(d)` gives the facets of every d-cell as positions
+    among the (d-1)-cells.  It is computed on the codes: a facet's code is
+    the face's code plus one of the deltas of `facet_deltas`, cached per
+    pattern of marked symbols, and is looked up among the codes of the
+    (d-1)-cells.
     """
 
-    def __init__(self, n: int, cells: dict[int, list[str]]):
+    def __init__(self, n: int, cells: dict[int, Sequence[str]]):
+        texts = {}
+        for d, faces in cells.items():
+            w = _width(n, d)
+            bad = next((f for f in faces if len(f) != w), None)
+            if bad is not None:
+                raise FaceError(f"face {bad!r} of dimension {d} is not {w} symbols wide",
+                                bad)
+            texts[d] = "".join(faces)
+        self._hold(n, texts)
+
+    @classmethod
+    def from_texts(cls, n: int, texts: dict[int, str]) -> "FaceTable":
+        """The table whose d-cells are written end to end in texts[d]."""
+        table = cls.__new__(cls)
+        table._hold(n, texts)
+        return table
+
+    def _hold(self, n: int, texts: dict[int, str]) -> None:
         self.n = n
-        dims = range(min(cells), max(cells) + 1)
-        self.cells = {d: tuple(cells.get(d, ())) for d in dims}
+        dims = range(min(texts), max(texts) + 1)
+        self.cells = {d: FaceList(texts.get(d, ""), _width(n, d)) for d in dims}
         self.size = sum(map(len, self.cells.values()))
         self._facets: dict[int, tuple[array, array]] = {}
         self._codes: dict[int, array] = {}
 
-    def faces(self, d: int) -> tuple[str, ...]:
-        return self.cells.get(d, ())
+    def faces(self, d: int) -> FaceList:
+        cells = self.cells.get(d)
+        return cells if cells is not None else FaceList("", _width(self.n, d))
 
     def _locate(self, f) -> tuple[int, int] | None:
         """(dimension, index within it) of the face text f, or None when f
@@ -323,12 +416,17 @@ class FaceTable:
     def codes(self, d: int) -> array:
         """`face_code` of each d-cell, in the table order, so ascending;
         the empty face, which has no text, gets code 0 (a code is unique
-        within a dimension)."""
+        within a dimension).  The dimension's text is translated to digits
+        once, and each face's digits are read in base 5."""
         out = self._codes.get(d)
         if out is None:
             cells = self.faces(d)
-            out = self._codes[d] = array(
-                "q", [0] * len(cells) if d < 0 else map(face_code, cells))
+            if d < 0:
+                out = array("q", [0] * len(cells))
+            else:
+                digits = cells.text.encode().translate(_CODE_DIGITS)
+                out = array("q", map(int, _records(digits, self.n), itertools.repeat(5)))
+            self._codes[d] = out
         return out
 
     def facet_index(self, d: int) -> tuple[array, array]:
@@ -350,24 +448,29 @@ class FaceTable:
                                 cells[0])
             return array("i", bytes(4 * len(cells))), array("i", range(len(cells) + 1))
         below = dict(zip(self.codes(d - 1), itertools.count()))
-        caches: tuple[dict, dict] = ({}, {})  # by parity of the '1' digits
+        n, codes = self.n, self.codes(d)
+        # the marked positions and symbols of every face, and the parity of
+        # its '1' digits: the digits * 0 1 are 0 1 2 and 5 is odd, so a
+        # half-cube face's code is odd exactly when its count of '0', which
+        # is n - d less its count of '1', is; a simplex face's facets do
+        # not depend on the parity, so its code's serves as well
+        patterns = cells.text.encode().translate(_PATTERN)
+        caches: tuple[dict, dict] = ({}, {})
         deltas = []
-        for f in cells:
-            cache = caches[f.count(PLAIN1) & 1]
-            key = f.encode().translate(_PATTERN)
+        for a, key, c in zip(itertools.count(0, n), _records(patterns, n), codes):
+            cache = caches[(c + n + d) & 1]
             ds = cache.get(key)
             if ds is None:
-                ds = cache[key] = facet_deltas(f)
+                ds = cache[key] = facet_deltas(cells.text[a:a + n])
             deltas.append(ds)
         try:
             flat = array("i", map(below.__getitem__,
-                                  (c + x for c, ds in zip(self.codes(d), deltas)
-                                   for x in ds)))
+                                  (c + x for c, ds in zip(codes, deltas) for x in ds)))
         except KeyError:
-            for f, c, ds in zip(cells, self.codes(d), deltas):
+            for f, c, ds in zip(cells, codes, deltas):
                 for x in ds:
                     if c + x not in below:
-                        raise FaceError(f"facet {code_face(c + x, self.n)!r} of {f!r} "
+                        raise FaceError(f"facet {code_face(c + x, n)!r} of {f!r} "
                                         "is not in the table", f) from None
             raise
         offsets = array("i", [0])
@@ -452,37 +555,42 @@ class FaceSubset(Set):
         return sum(m.count(1) for m in self.masks.values())
 
 
-def _prefixed(*parts: tuple[str, list[str] | None]) -> list[str]:
+def _plain_parts(plain: dict, u: int, p: int) -> tuple:
+    """The strings over 0 1 I O one symbol longer than those of `plain`,
+    with u underlines and parity p of their '1' and 'I' digits, as
+    (symbol, suffixes) parts in ASCII order of the symbol."""
+    return ((PLAIN0, plain.get((u, p), [])), (PLAIN1, plain.get((u, 1 - p), [])),
+            (UND1, plain.get((u - 1, 1 - p), [])), (UND0, plain.get((u - 1, p), [])))
+
+
+def _canon_parts(plain: dict, canon: dict, u: int, p: int) -> tuple:
+    """As `_plain_parts`, for 1 <= u <= 2 and only the strings whose
+    rightmost underline is an 'O': an underline put before a suffix with
+    none is the rightmost, so it must be an 'O'."""
+    return ((PLAIN0, canon.get((u, p), [])), (PLAIN1, canon.get((u, 1 - p), [])),
+            (UND1, canon.get((u - 1, 1 - p), [])),
+            (UND0, (canon if u > 1 else plain).get((u - 1, p), [])))
+
+
+def _star_parts(stars: dict, m: int) -> tuple:
+    """As `_plain_parts`, for the strings over * 0 1 with m stars."""
+    return ((STAR, stars.get(m - 1, [])), (PLAIN0, stars.get(m, [])),
+            (PLAIN1, stars.get(m, [])))
+
+
+def _prefixed(parts: tuple) -> list[str]:
     """c + s for every suffix s of each (c, suffixes) part, part by part;
     sorted suffixes under prefixes in ASCII order give a sorted list."""
     out: list[str] = []
     for c, suffixes in parts:
-        if suffixes:
-            out += map(c.__add__, suffixes)
+        out += map(c.__add__, suffixes)
     return out
 
 
-def _grow_plain(plain: dict, u: int, p: int) -> list[str]:
-    """The suffixes over 0 1 I O one symbol longer than those of `plain`
-    with u underlines and parity p of their '1' and 'I' digits."""
-    return _prefixed((PLAIN0, plain.get((u, p))), (PLAIN1, plain.get((u, 1 - p))),
-                     (UND1, plain.get((u - 1, 1 - p))), (UND0, plain.get((u - 1, p))))
-
-
-def _grow_canon(plain: dict, canon: dict, u: int, p: int) -> list[str]:
-    """As `_grow_plain`, for 1 <= u <= 2 and only the suffixes whose
-    rightmost underline is an 'O': an underline put before a suffix with
-    none is the rightmost, so it must be an 'O'."""
-    return _prefixed((PLAIN0, canon.get((u, p))), (PLAIN1, canon.get((u, 1 - p))),
-                     (UND1, canon.get((u - 1, 1 - p))),
-                     (UND0, (canon if u > 1 else plain).get((u - 1, p))))
-
-
-def _grow_stars(stars: dict, m: int) -> list[str]:
-    """The suffixes over * 0 1 one symbol longer than those of `stars`,
-    with m stars."""
-    return _prefixed((STAR, stars.get(m - 1)), (PLAIN0, stars.get(m)),
-                     (PLAIN1, stars.get(m)))
+def _text(parts: tuple) -> str:
+    """The strings of `_prefixed(parts)` written end to end, one block per
+    part, so that no string is made per face."""
+    return "".join(c + c.join(suffixes) for c, suffixes in parts if suffixes)
 
 
 def enumerate_faces(n: int) -> FaceTable:
@@ -497,9 +605,11 @@ def enumerate_faces(n: int) -> FaceTable:
     the classes that are faces are built: no underline and an even parity
     (vertices), two underlines, the rightmost an 'O', and an odd parity
     (canonical edges), k >= 3 underlines and an odd parity (simplex faces)
-    and m >= 3 stars (half-cube faces); the two sorted runs of a dimension
-    d >= 3 are merged.  The result is validated against the closed-form
-    census.
+    and m >= 3 stars (half-cube faces).  They are written straight into
+    each dimension's text, the last symbol put before a whole class of
+    suffixes at once; in a dimension d >= 3 the simplex and half-cube
+    suffixes under a '0', and under a '1', are merged first.  The result
+    is validated against the closed-form census.
     """
     if n < 4:
         raise NTooSmall(f"need n >= 4, got {n}")
@@ -508,15 +618,19 @@ def enumerate_faces(n: int) -> FaceTable:
     stars: dict[int, list[str]] = {0: [""]}
     for length in range(1, n):
         plain, canon, stars = (
-            {(u, p): _grow_plain(plain, u, p) for u in range(length + 1) for p in (0, 1)},
-            {(u, p): _grow_canon(plain, canon, u, p) for u in (1, 2) for p in (0, 1)},
-            {m: _grow_stars(stars, m) for m in range(length + 1)})
-    cells = {-1: [EMPTY], 0: _grow_plain(plain, 0, 0),
-             1: _grow_canon(plain, canon, 2, 1), 2: _grow_plain(plain, 3, 1)}
+            {(u, p): _prefixed(_plain_parts(plain, u, p))
+             for u in range(length + 1) for p in (0, 1)},
+            {(u, p): _prefixed(_canon_parts(plain, canon, u, p)) for u in (1, 2) for p in (0, 1)},
+            {m: _prefixed(_star_parts(stars, m)) for m in range(length + 1)})
+    texts = {-1: EMPTY, 0: _text(_plain_parts(plain, 0, 0)),
+             1: _text(_canon_parts(plain, canon, 2, 1)), 2: _text(_plain_parts(plain, 3, 1))}
     for d in range(3, n):
-        cells[d] = sorted(_grow_plain(plain, d + 1, 1) + _grow_stars(stars, d))
-    cells[n] = _grow_stars(stars, n)
-    table = FaceTable(n, cells)
+        star, (_, zero_star), (_, one_star) = _star_parts(stars, d)
+        (_, zero), (_, one), und1, und0 = _plain_parts(plain, d + 1, 1)
+        texts[d] = _text((star, (PLAIN0, sorted(zero + zero_star)),
+                          (PLAIN1, sorted(one + one_star)), und1, und0))
+    texts[n] = _text(_star_parts(stars, n))
+    table = FaceTable.from_texts(n, texts)
     want = expected_counts(n)
     got = table.counts()
     if got != want:

@@ -263,14 +263,25 @@ class MorseMatching:
             entry = self._induced[k] = _induced_order(self, k)
         return entry
 
-    def jsonl_lines(self) -> Iterator[str]:
-        """One JSON line per face of a complete matching, in table order;
-        faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
-        for d, cells in self.table.cells.items():
-            up, down = self.table.faces(d + 1), self.table.faces(d - 1)
-            for f, p, r in zip(cells, self.mate[d], self.rules[d]):
-                yield '{"face": "%s", "partner": "%s", "rule": %d}' % (
-                    f, up[p] if p >= 0 else down[~p], r)
+    def jsonl_parts(self) -> Iterator[str]:
+        """The JSON lines of a complete matching, one per face in table
+        order, as strings to be written end to end, five per line; each
+        partner's text is sliced from its dimension's text.  Faces hold
+        only '01OI*' or EMPTY, so nothing needs escaping."""
+        return itertools.chain.from_iterable(map(self._jsonl_parts, self.table.cells))
+
+    def _jsonl_parts(self, d: int) -> Iterator[str]:
+        cells, up, down = self.table.faces(d), self.table.faces(d + 1), self.table.faces(d - 1)
+        ut, uw, dt, dw = up.text, up.width, down.text, down.width
+        partners = (ut[p * uw:p * uw + uw] if p >= 0 else dt[~p * dw:~p * dw + dw]
+                    for p in self.mate[d])
+        return itertools.chain.from_iterable(zip(
+            itertools.repeat('{"face": "'), cells, itertools.repeat('", "partner": "'),
+            partners, map(_RULE_TAILS.__getitem__, self.rules[d])))
+
+
+# the end of a matching's JSON line after the partner, by rule number
+_RULE_TAILS = ['", "rule": %d}\n' % r for r in range(12)]
 
 
 def validate_matching(mate: dict, rules: dict, table: FaceTable) -> None:
@@ -278,37 +289,48 @@ def validate_matching(mate: dict, rules: dict, table: FaceTable) -> None:
     every face of the table with another face, involutively and with
     mutually inverse rules, and that each pair is a facet incidence.
     Raises Unpaired, InvolutionBroken or NotCodimOne at the first
-    violation in table order, naming that face as its `face`."""
+    violation in table order, naming that face as its `face`.  The checks
+    read positions only; a face's text is read for a message alone."""
     for d, cells in table.cells.items():
         flat, offsets = table.facet_index(d + 1)
-        # the faces and the `mate` and `rules` entries one dimension up, and down
-        up = table.faces(d + 1), mate.get(d + 1), rules.get(d + 1)
-        down = table.faces(d - 1), mate.get(d - 1), rules.get(d - 1)
-        for i, (f, p, r) in enumerate(zip(cells, mate[d], rules[d])):
+        # the faces, their count and the `mate` and `rules` entries one
+        # dimension up, and down
+        up, down = table.faces(d + 1), table.faces(d - 1)
+        up = up, len(up), mate.get(d + 1), rules.get(d + 1)
+        down = down, len(down), mate.get(d - 1), rules.get(d - 1)
+        for i, (p, r) in enumerate(zip(mate[d], rules[d])):
             if p == UNPAIRED:
-                raise Unpaired(f"face {f!r} has no partner", f)
+                raise Unpaired(f"face {cells[i]!r} has no partner", cells[i])
             # the partner's position j, and the entry that points back from it
             if p >= 0:
-                j, back, (near, near_mate, near_rules) = p, ~i, up
+                j, back, (near, size, near_mate, near_rules) = p, ~i, up
             else:
-                j, back, (near, near_mate, near_rules) = ~p, i, down
-            if j >= len(near):
-                raise InvolutionBroken(f"partner entry {p} of {f!r} is not a face", f)
-            g, q = near[j], near_mate[j]
+                j, back, (near, size, near_mate, near_rules) = ~p, i, down
+            if j >= size:
+                raise InvolutionBroken(f"partner entry {p} of {cells[i]!r} is not a face",
+                                       cells[i])
+            q = near_mate[j]
             if q == UNPAIRED:
-                raise InvolutionBroken(f"partner {g!r} of {f!r} has no partner", f)
+                raise InvolutionBroken(f"partner {near[j]!r} of {cells[i]!r} has no partner",
+                                       cells[i])
             if q != back:
-                e = d + 1 if p >= 0 else d - 1
-                c, k = (e + 1, q) if q >= 0 else (e - 1, ~q)
-                there = repr(table.faces(c)[k]) if k < len(table.faces(c)) else f"entry {q}"
-                raise InvolutionBroken(f"{f!r} -> {g!r} -> {there}", f)
+                raise InvolutionBroken(f"{cells[i]!r} -> {near[j]!r} -> "
+                                       f"{_entry_text(table, d + 1 if p >= 0 else d - 1, q)}",
+                                       cells[i])
             if _INVERSE_RULE.get(r) != near_rules[j]:
                 raise InvolutionBroken(f"rules {r}/{near_rules[j]} of "
-                                       f"{f!r}/{g!r} are not inverse", f)
+                                       f"{cells[i]!r}/{near[j]!r} are not inverse", cells[i])
             # each pair is met first from its lower face, so checking the
             # incidence from there alone raises at the same face
             if p >= 0 and i not in flat[offsets[j]:offsets[j + 1]]:
-                raise NotCodimOne(f"{f!r} is not a facet of {g!r}", f)
+                raise NotCodimOne(f"{cells[i]!r} is not a facet of {near[j]!r}", cells[i])
+
+
+def _entry_text(table: FaceTable, e: int, q: int) -> str:
+    """The face the `mate` entry q of an e-cell points to, as its repr, or
+    the entry itself when it points to no face."""
+    c, k = (e + 1, q) if q >= 0 else (e - 1, ~q)
+    return repr(table.faces(c)[k]) if k < len(table.faces(c)) else f"entry {q}"
 
 
 def build_matching(table: FaceTable) -> MorseMatching:
@@ -393,17 +415,18 @@ def _induced_order(m: MorseMatching, k: int) -> array | tuple[str, ...]:
     if len(order) == len(ups):
         return order
     # a cell is unemitted exactly when its in-degree stayed above 0
-    cells_k, cells_k1 = table.faces(k), table.faces(k + 1)
     e = next(e for t, e in enumerate(ups) if indeg[t])
-    path: list[str] = []
+    path: list[int] = []  # the k-cells of the walk
     seen: dict[int, int] = {}  # k-cell -> its place in path
     while e not in seen:
         seen[e] = len(path)
+        path.append(e)
         j = mate[e]
-        path += [cells_k[e], cells_k1[j]]
         e = next(i for i in flat[offsets[j]:offsets[j + 1]]
                  if i != e and slot[i] >= 0 and indeg[slot[i]])
-    return (*path[seen[e]:], cells_k[e])
+    cycle = path[seen[e]:]
+    downs = table.faces(k + 1).take(mate[i] for i in cycle)
+    return (*itertools.chain(*zip(table.faces(k).take(cycle), downs)), table.faces(k)[e])
 
 
 def verify_acyclic(m: MorseMatching, table: FaceTable) -> dict:
@@ -459,13 +482,11 @@ class MorseBoundary:
 
     @property
     def ups(self) -> list[str]:
-        cells = self.table.faces(self.k)
-        return [cells[i] for i in self.up_ids]
+        return self.table.faces(self.k).take(self.up_ids)
 
     @property
     def downs(self) -> list[str]:
-        cells = self.table.faces(self.k + 1)
-        return [cells[j] for j in self.down_ids]
+        return self.table.faces(self.k + 1).take(self.down_ids)
 
     @property
     def cols(self) -> ColumnView:

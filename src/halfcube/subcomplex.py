@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterator
 
 from .chains import ChainComplex, ChainVector
-from .faces import PLAIN1, STAR, FaceSubset, FaceTable
+from .faces import PLAIN1, STAR, FaceList, FaceSubset, FaceTable
 from .morse import MorseMatching
 
 
@@ -98,8 +98,7 @@ def _levels(table: FaceTable, low: int = 3) -> dict[int, bytearray]:
     holds a '*', and such a face has at least three stars, so that is
     every cell below dimension max(low, 3)."""
     return {d: bytearray(len(cells)) if d < max(low, 3) else
-            bytearray(STAR in f for f in cells).translate(
-                bytes.maketrans(b"\x01", bytes([d + 1])))
+            bytearray(cells.holding(STAR)).translate(bytes.maketrans(b"\x01", bytes([d + 1])))
             for d, cells in table.cells.items()}
 
 
@@ -142,11 +141,12 @@ class SubcomplexSpec:
 
 
 def _first_gaps(table: FaceTable, levels: dict[int, bytearray],
-                ks: range) -> dict[int, tuple[str, str]]:
-    """The first (face, facet), in table order, of a face in C_{n,k} whose
-    facet is not, for each k of ks that has one.  A dimension is scanned
-    once for every k, and only when some facet leaves some C_{n,k}."""
-    gaps: dict[int, tuple[str, str]] = {}
+                ks: range) -> dict[int, tuple[int, int, int]]:
+    """The first face, in table order, of C_{n,k} with a facet outside it,
+    as (d, its position, the facet's position), for each k of ks that has
+    one.  A dimension is scanned once for every k, and only when some
+    facet leaves some C_{n,k}."""
+    gaps: dict[int, tuple[int, int, int]] = {}
     over = _over(ks[0])
     for d in table.cells:
         below = levels.get(d - 1, b"")
@@ -165,7 +165,7 @@ def _first_gaps(table: FaceTable, levels: dict[int, bytearray],
                 first = max(level[i], ks[0])  # the least k of ks that holds the face
                 for s in range(t, end):
                     for k in range(first, min(held[s], ks[-1] + 1)):
-                        gaps.setdefault(k, (table.faces(d)[i], table.faces(d - 1)[flat[s]]))
+                        gaps.setdefault(k, (d, i, flat[s]))
             t = find(1, end)
     return gaps
 
@@ -176,10 +176,11 @@ def _restrict(m: MorseMatching, ks: range) -> dict[int, SubcomplexSpec]:
     table = m.table
     levels = _levels(table, ks[0])
     gaps = _first_gaps(table, levels, ks)
-    # each cell held as (text, dimension, position within it); faces are
-    # unique, so the tuples sort as their texts
+    # each cell held as (code, dimension, position within it); codes of
+    # faces of one length order as their texts, and are unique but for the
+    # empty face's, so the tuples sort as the texts
     found: dict[int, tuple[list, list]] = {k: ([], []) for k in ks}
-    over, mate = _over(ks[0]), m.mate
+    over, mate, codes = _over(ks[0]), m.mate, table.codes
     for d, cells in table.cells.items():
         level = levels[d]
         out_k = level.translate(over)
@@ -192,33 +193,38 @@ def _restrict(m: MorseMatching, ks: range) -> dict[int, SubcomplexSpec]:
             # in it from the partner's level on
             for k in range(max(levels[dg][j], ks[0]), min(level[i], ks[-1] + 1)):
                 unmatched, external = found[k]
-                unmatched.append((table.faces(dg)[j], dg, j))
-                external.append((cells[i], d, i))
+                unmatched.append((codes(dg)[j], dg, j))
+                external.append((codes(d)[i], d, i))
 
     out = {}
     for k in ks:
         gap = gaps.get(k)
         if gap is not None:
-            f, g = gap
-            raise SubcomplexError(f"not facet-closed: {g!r} missing under {f!r}", k, f)
+            d, i, j = gap
+            raise SubcomplexError(f"not facet-closed: {table.faces(d - 1)[j]!r} missing "
+                                  f"under {table.faces(d)[i]!r}", k, table.faces(d)[i])
         unmatched, external = found[k]
         unmatched.sort()
         external.sort()
-        for f, d, _ in unmatched:
-            if d != k - 1:
-                raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}", k, f)
+        stray = next(((d, j) for _, d, j in unmatched if d != k - 1), None)
+        if stray is not None:
+            f = table.faces(stray[0])[stray[1]]
+            raise SubcomplexError(f"unmatched cell {f!r} has dim != {k - 1}", k, f)
         below = levels[k - 1]
         leaks = 1 in below.translate(_over(k))  # some (k-1)-cell is not in C_{n,k}
         flat, offsets = table.facet_index(k)
-        for b, d, i in external:
-            if d != k or STAR not in b:
-                raise SubcomplexError(f"external partner {b!r} is not a k-half-cube", k, b)
+        starred = table.faces(k).holding(STAR)
+        for _, d, i in external:
+            if d != k or not starred[i]:
+                raise SubcomplexError(f"external partner {table.faces(d)[i]!r} is not "
+                                      "a k-half-cube", k, table.faces(d)[i])
             for j in flat[offsets[i]:offsets[i + 1]] if leaks else ():
                 if below[j] > k:
                     raise SupportLeak(f"facet {table.faces(k - 1)[j]!r} of external "
-                                      f"{b!r} left the subcomplex", k, b)
-        out[k] = SubcomplexSpec(table, k, [u[0] for u in unmatched],
-                                [e[0] for e in external])
+                                      f"{table.faces(k)[i]!r} left the subcomplex",
+                                      k, table.faces(k)[i])
+        out[k] = SubcomplexSpec(table, k, table.faces(k - 1).take(u[2] for u in unmatched),
+                                table.faces(k).take(e[2] for e in external))
     return out
 
 
@@ -239,16 +245,20 @@ def build_family(matching: MorseMatching) -> dict[int, SubcomplexSpec]:
     return _restrict(matching, range(3, matching.table.n))
 
 
-def _is_basis_face(f: str) -> bool:
-    """A half-cube face with no '1' strictly right of its rightmost '*'."""
-    return STAR in f and PLAIN1 not in f[f.rfind(STAR) + 1:]
+def _basis_ids(cells: FaceList) -> array:
+    """The positions, ascending, of the half-cube faces among cells with no
+    '1' strictly right of their rightmost '*'; only the faces that hold a
+    '*' are read as text."""
+    starred = list(itertools.compress(range(len(cells)), cells.holding(STAR)))
+    return array("i", [j for j, f in zip(starred, cells.take(starred))
+                       if PLAIN1 not in f[f.rfind(STAR) + 1:]])
 
 
 def basis_faces(k: int, table: FaceTable) -> list[str]:
     """The k-dimensional half-cube faces with no '1' strictly right of the
     rightmost '*', in lexicographic order, for 3 <= k < table.n."""
     _check_range(table.n, k, table)
-    return [f for f in table.faces(k) if _is_basis_face(f)]
+    return table.faces(k).take(_basis_ids(table.faces(k)))
 
 
 @dataclass
@@ -266,7 +276,7 @@ class HomologyBasis:
 
     @property
     def faces(self) -> list[str]:
-        return list(map(self.cx.table.faces(self.k).__getitem__, self.ids))
+        return self.cx.table.faces(self.k).take(self.ids)
 
     @property
     def chains(self) -> list[ChainVector]:
@@ -276,7 +286,8 @@ class HomologyBasis:
         bmat, cells = self.cx.boundary(self.k), self.cx.table.faces(self.k - 1)
         for f, j in zip(self.faces, self.ids):
             coeffs = bmat.column_chain(j).coeffs
-            terms = [{"face": cells[i], "coeff": coeffs[i]} for i in sorted(coeffs)]
+            rows = sorted(coeffs)
+            terms = [{"face": g, "coeff": coeffs[i]} for g, i in zip(cells.take(rows), rows)]
             yield json.dumps({"bface": f, "chain": terms})
 
 
@@ -290,7 +301,7 @@ def homology_basis(n: int, k: int, table: FaceTable,
     boundary chain can touch.  `table` must be `cx.table`."""
     _check_range(n, k, table, cx)
     bmat, cells = cx.boundary(k), table.faces(k)
-    ids = array("i", (j for j, b in enumerate(cells) if _is_basis_face(b)))
+    ids = _basis_ids(cells)
     for j in ids:
         if not cx.apply(bmat.column_chain(j)).is_zero():
             raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle")

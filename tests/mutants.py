@@ -132,17 +132,23 @@ MUTANTS += [
            (REJECTS + "[4-'0021']", REJECTS + "[4-'00io']")),
     # faces.enumerate_faces
     Mutant("O-before-I", FACES,
-           "(UND1, plain.get((u - 1, 1 - p))), (UND0, plain.get((u - 1, p))))",
-           "(UND0, plain.get((u - 1, p))), (UND1, plain.get((u - 1, 1 - p))))",
+           "(UND1, plain.get((u - 1, 1 - p), [])), (UND0, plain.get((u - 1, p), [])))",
+           "(UND0, plain.get((u - 1, p), [])), (UND1, plain.get((u - 1, 1 - p), [])))",
            (ENUMERATION + "test_equals_reference_enumeration[4]",
             "tests/test_faces.py::TestFacetIndex::test_codes_order_as_the_texts")),
     Mutant("canonical-edge-class-dropped", FACES,
-           "1: _grow_canon(plain, canon, 2, 1)", "1: _grow_plain(plain, 2, 1)",
+           "1: _text(_canon_parts(plain, canon, 2, 1))", "1: _text(_plain_parts(plain, 2, 1))",
            (ENUMERATION + "test_n4_counts",
             ENUMERATION + "test_equals_reference_enumeration[4]")),
     Mutant("census-check-dropped", FACES,
            "    if got != want:\n", "    if False:\n",
            (ENUMERATION + "test_census_mismatch_raises",)),
+    # the '0' block of a dimension d >= 3 written as the simplex run, then
+    # the half-cube run: every count stays right, only the order is wrong
+    Mutant("enumeration-star-run-not-merged", FACES,
+           "(PLAIN0, sorted(zero + zero_star))", "(PLAIN0, zero + zero_star)",
+           (ENUMERATION + "test_text_equals_per_face_enumeration[5]",
+            ENUMERATION + "test_equals_reference_enumeration[5]")),
     # chains: the closed-form incidence signs
     Mutant("epsilon-flipped-for-m5-odd", "halfcube/chains.py",
            "return -1 if ((m - 1) // 2 + parity) % 2 else 1",
@@ -173,7 +179,7 @@ MUTANTS += [
            (HOMOLOGY + "test_vertex_needs_the_empty_face",
             HOMOLOGY + "test_full_complex_contractible[4]")),
     Mutant("basis-column-shifted", "halfcube/subcomplex.py",
-           "for j, b in enumerate(cells) if", "for j, b in enumerate(cells, -1) if",
+           "array(\"i\", [j for j, f in zip(starred", "array(\"i\", [j - 1 for j, f in zip(starred",
            (BASIS + "test_chains_are_cycles", BASIS + "test_5_3_has_31_chains")),
     Mutant("basis-cycle-check-dropped", "halfcube/subcomplex.py",
            "if not cx.apply(bmat.column_chain(j)).is_zero():", "if False:",
@@ -194,7 +200,7 @@ MUTANTS += [
             CLI_TESTS + "TestBetti::test_library_error_is_a_fail_line",
             OUT_PATH + "test_out_turned_directory_leaves_no_temporary_file[basis]")),
     Mutant("cli-rename-before-write", CLI,
-           "        self.fh.writelines(s + \"\\n\" for s in lines)\n"
+           "        self.fh.writelines(map(\"\".join, blocks))\n"
            "        if self.path is not None:\n"
            "            self.fh.close()\n"
            "        if self.tmp is not None:\n"
@@ -203,7 +209,7 @@ MUTANTS += [
            "        if self.tmp is not None:\n"
            "            os.replace(self.tmp, self.path)\n"
            "            self.tmp = None\n"
-           "        self.fh.writelines(s + \"\\n\" for s in lines)\n"
+           "        self.fh.writelines(map(\"\".join, blocks))\n"
            "        if self.path is not None:\n"
            "            self.fh.close()\n",
            (CLI_TESTS + "TestBasis::test_failure_mid_write_leaves_no_file",

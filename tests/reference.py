@@ -20,7 +20,10 @@ the diagonal of a Morse boundary.
 `enumerate_cells` lists the faces of each dimension by (odd point, mask)
 and (fixed digits, star mask) iteration, with edge canonicalisation, set
 deduplication and a sort, as `enumerate_faces` did before it grew sorted
-suffix lists.
+suffix lists.  `enumerate_lists` grows the same sorted suffix lists but
+puts the last symbol before each suffix as its own string, and merges the
+two sorted runs of a dimension d >= 3 with a sort of the whole faces, as
+`enumerate_faces` did before it wrote each dimension as one text.
 
 `facet_index` parses `facets()` of every face, the way `FaceTable`
 built its facet index before it moved to integer face codes.
@@ -438,6 +441,50 @@ def enumerate_cells(n: int) -> dict[int, list[str]]:
                     seq[i] = b
                 cells[m].add("".join(seq))
     return {d: sorted(faces) for d, faces in cells.items()}
+
+
+def _prefixed(*parts: tuple[str, list[str] | None]) -> list[str]:
+    """c + s for every suffix s of each (c, suffixes) part, part by part."""
+    out: list[str] = []
+    for c, suffixes in parts:
+        if suffixes:
+            out += map(c.__add__, suffixes)
+    return out
+
+
+def _grow_plain(plain: dict, u: int, p: int) -> list[str]:
+    return _prefixed((PLAIN0, plain.get((u, p))), (PLAIN1, plain.get((u, 1 - p))),
+                     (UND1, plain.get((u - 1, 1 - p))), (UND0, plain.get((u - 1, p))))
+
+
+def _grow_canon(plain: dict, canon: dict, u: int, p: int) -> list[str]:
+    return _prefixed((PLAIN0, canon.get((u, p))), (PLAIN1, canon.get((u, 1 - p))),
+                     (UND1, canon.get((u - 1, 1 - p))),
+                     (UND0, (canon if u > 1 else plain).get((u - 1, p))))
+
+
+def _grow_stars(stars: dict, m: int) -> list[str]:
+    return _prefixed((STAR, stars.get(m - 1)), (PLAIN0, stars.get(m)),
+                     (PLAIN1, stars.get(m)))
+
+
+def enumerate_lists(n: int) -> dict[int, list[str]]:
+    """The faces of each dimension, one string each, in table order, from
+    sorted suffix lists grown right to left (see the module docstring)."""
+    plain: dict[tuple[int, int], list[str]] = {(0, 0): [""]}
+    canon: dict[tuple[int, int], list[str]] = {}
+    stars: dict[int, list[str]] = {0: [""]}
+    for length in range(1, n):
+        plain, canon, stars = (
+            {(u, p): _grow_plain(plain, u, p) for u in range(length + 1) for p in (0, 1)},
+            {(u, p): _grow_canon(plain, canon, u, p) for u in (1, 2) for p in (0, 1)},
+            {m: _grow_stars(stars, m) for m in range(length + 1)})
+    cells = {-1: [EMPTY], 0: _grow_plain(plain, 0, 0),
+             1: _grow_canon(plain, canon, 2, 1), 2: _grow_plain(plain, 3, 1)}
+    for d in range(3, n):
+        cells[d] = sorted(_grow_plain(plain, d + 1, 1) + _grow_stars(stars, d))
+    cells[n] = _grow_stars(stars, n)
+    return cells
 
 
 def facet_index(table: FaceTable, d: int) -> tuple[array, array]:

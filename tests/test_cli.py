@@ -169,13 +169,15 @@ class TestMatch:
         assert a.read_bytes() == b.read_bytes()
 
     def test_dump_is_streamed(self, capsys, tmp_path, tables, matchings):
-        # one JSON line per face, produced one at a time
-        lines = matchings(4).jsonl_lines()
-        assert inspect.isgenerator(lines)
+        # one JSON line per face, produced as parts of lines one at a time
+        # and written in blocks of `cli.BLOCK` parts
+        parts = matchings(4).jsonl_parts()
+        assert iter(parts) is parts and not isinstance(parts, (list, tuple))
         path = tmp_path / "m.jsonl"
         run(capsys, "--n", "4", "match", "--out", str(path))
-        assert path.read_text() == "".join(l + "\n" for l in lines)
-        assert len(path.read_text().splitlines()) == 82
+        parts = list(parts)
+        assert path.read_text() == "".join(parts)
+        assert len(parts) == 5 * 82 and len(path.read_text().splitlines()) == 82
 
     def test_planted_cycle_names_layer_and_face(self, capsys, monkeypatch,
                                                 tables, quadrilateral_pairs):

@@ -220,14 +220,13 @@ class TestFacetIndex:
             assert t.codes(d) == array("q", codes)
         assert t.codes(-1) == array("q", [0]) and t.codes(7) == array("q")
 
-    def test_codes_built_lazily_once_per_dimension(self, monkeypatch):
-        coded = []
-        code = faces.face_code
-        monkeypatch.setattr(faces, "face_code", lambda f: coded.append(f) or code(f))
+    def test_codes_built_lazily_once_per_dimension(self):
+        # read from the dimension's text in one pass, on first use
         t = enumerate_faces(5)
-        assert coded == []
+        assert vars(t)["_codes"] == {}
         codes = t.codes(2)
-        assert coded == list(t.faces(2)) and t.codes(2) is codes
+        assert sorted(vars(t)["_codes"]) == [2] and t.codes(2) is codes
+        assert codes == array("q", map(face_code, t.faces(2)))
 
     def test_facet_deltas_give_the_facet_codes(self, tables):
         t = tables(6)
@@ -392,6 +391,31 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_equals_reference_enumeration(self, n):
         assert enumerate_faces(n).cells == FaceTable(n, reference.enumerate_cells(n)).cells
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_text_equals_per_face_enumeration(self, n):
+        # each dimension written as blocks of one text reads back the
+        # faces the per-face enumeration made one string at a time
+        t, want = enumerate_faces(n), reference.enumerate_lists(n)
+        assert list(t.cells) == list(want)
+        for d, faces_d in want.items():
+            assert tuple(t.faces(d)) == tuple(faces_d), d
+            assert t.faces(d).text == "".join(faces_d)
+
+    def test_tables_from_lists_read_back_their_input(self, tables):
+        # a planted table: an edge and the empty face taken out of n=4
+        t = tables(4)
+        cells = {d: list(c) for d, c in t.cells.items() if d >= 0}
+        del cells[1][5]
+        cut = FaceTable(4, cells)
+        assert {d: tuple(c) for d, c in cut.cells.items()} == {
+            d: tuple(c) for d, c in cells.items()}
+        assert list(cut) == [f for c in cells.values() for f in c]
+        assert cut.size == t.size - 2 and cut.faces(1)[5] == cells[1][5]
+        # a face of the wrong width for its dimension is refused
+        for bad in ({0: ["0000", "000"]}, {-1: ["0000"]}, {2: ["0III", "00III"]}):
+            with pytest.raises(FaceError, match="symbols wide"):
+                FaceTable(4, bad)
 
     def test_census_mismatch_raises(self, monkeypatch):
         want = faces.expected_counts(5)

@@ -5,7 +5,9 @@ from the closed-form rule, never from a determinant; code that only the
 tests use lives in tests/reference.py, not in the package; a face table
 looks face texts up by their codes, holding no map keyed by text; a
 homology basis holds positions of boundary columns, not chains; a face is
-(dimension, position within it) in every layer, the matching included."""
+(dimension, position within it) in every layer, the matching included; a
+face table holds one text per dimension and no string per face, and no
+loop over the faces indexes a face view."""
 
 import ast
 import copy
@@ -194,3 +196,124 @@ def test_guards_see_the_package():
     assert any(fn.__name__ == "morse_boundary" for fn in functions(halfcube.morse))
     assert any("cx" in inspect.signature(fn).parameters
                for fn in functions(halfcube.snf))
+
+
+def _held_strings(value, seen=None) -> list:
+    """The tuples and lists of strings reachable from value through dicts,
+    lists, tuples and the attributes of package objects."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, (list, tuple)):
+        if any(isinstance(v, str) for v in value):
+            return [value]
+        return [x for v in value for x in _held_strings(v, seen)]
+    if isinstance(value, dict):
+        return [x for v in [*value, *value.values()] for x in _held_strings(v, seen)]
+    if type(value).__module__.startswith("halfcube"):
+        slots = getattr(type(value), "__slots__", ())
+        attrs = [getattr(value, a) for a in slots] + list(getattr(value, "__dict__", {}).values())
+        return [x for v in attrs for x in _held_strings(v, seen)]
+    return []
+
+
+def test_the_table_holds_one_text_per_dimension(tables, matchings):
+    table = tables(6)
+    matchings(6)  # codes and facet index built
+    assert _held_strings(table) == []
+    assert all(type(c) is halfcube.faces.FaceList and len(c.text) == len(c) * c.width
+               for c in table.cells.values())
+    planted = halfcube.FaceTable(6, {d: list(c) for d, c in table.cells.items()})
+    assert _held_strings(planted) == []
+    # the guard sees a table that keeps its faces
+    planted.kept = {3: tuple(table.faces(3))}
+    assert _held_strings(planted) != []
+
+
+def test_an_enumerated_table_is_small():
+    # a string per face held 2.08 MB at n=8; the texts hold 0.27 MB
+    tracemalloc.start()
+    try:
+        table = halfcube.enumerate_faces(8)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.size == 33_442 and held < 500_000, held
+
+
+def _loop_face_indexing(tree) -> list[tuple[str, int]]:
+    """(function, line) of each subscript of a face view by a name that a
+    loop around it binds, but for those in a raise, which runs once.  A face view is a `.faces(...)` call, or a name bound to one or
+    to a value of `.cells.items()`."""
+    def is_view_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "faces")
+
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        views = set()
+        for node in ast.walk(fn):
+            pairs = []
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs += zip(target.elts, node.value.elts)
+                    else:
+                        pairs.append((target, node.value))
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                it = node.iter
+                if (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+                        and it.func.attr == "items"
+                        and getattr(it.func.value, "attr", None) == "cells"
+                        and isinstance(node.target, ast.Tuple)):
+                    pairs.append((node.target.elts[1], ast.Call(
+                        func=ast.Attribute(value=it, attr="faces"), args=[], keywords=[])))
+            views |= {t.id for t, v in pairs
+                      if isinstance(t, ast.Name) and is_view_call(v)}
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+        def visit(node, bound):
+            # bound: the names a loop around node binds per step
+            if isinstance(node, ast.Raise) or (
+                    node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda))):
+                return
+            if (isinstance(node, ast.Subscript) and names(node.slice) & bound
+                    and (is_view_call(node.value) or getattr(node.value, "id", None) in views)):
+                found.append((getattr(fn, "name", "<lambda>"), node.lineno))
+            inner = bound
+            if isinstance(node, ast.For):
+                inner = bound | names(node.target)
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                inner = bound.union(*(names(g.target) for g in node.generators))
+            for child in ast.iter_child_nodes(node):
+                # a for loop's iterable is read once, before the loop
+                visit(child, bound if isinstance(node, ast.For) and child is node.iter
+                      else inner)
+
+        visit(fn, frozenset())
+    return found
+
+
+def test_no_loop_over_the_faces_indexes_a_face_view():
+    # a loop reads the text, iterates a view or takes positions with
+    # `take`: indexing a view calls back into Python once per face
+    found = {p.name: _loop_face_indexing(ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+    # the guard sees an indexed view in a loop, by call and by name
+    planted = ast.parse("def f(table, ids):\n"
+                        "    cells = table.faces(3)\n"
+                        "    a = [cells[i] for i in ids]\n"
+                        "    for d, row in table.cells.items():\n"
+                        "        for i in ids:\n"
+                        "            a.append(row[i] + table.faces(d)[i])\n"
+                        "    raise ValueError(cells[ids[0]])\n"
+                        "def g(table, ids):\n"
+                        "    cells = table.faces(2)\n"
+                        "    return cells[ids[0]], [cells[i] for i in ids]\n")
+    assert _loop_face_indexing(planted) == [("f", 3), ("f", 6), ("f", 6), ("g", 10)]

@@ -515,6 +515,23 @@ class TestCofaceIndex:
         for sub, cx in seen:
             self.assert_equal_reference(sub, cx)
 
+    def test_attached_tables_read_back_their_input(self, complexes, monkeypatch):
+        # each attached complex's table is built from lists of faces, and
+        # reads them back as its cells
+        built = []
+
+        def recorded(n, cells):
+            built.append((cells, faces.FaceTable(n, cells)))
+            return built[-1][1]
+
+        monkeypatch.setattr(_family, "FaceTable", recorded)
+        snf.family_homology(complexes(6))
+        assert len(built) == 2
+        for cells, table in built:
+            assert {d: tuple(c) for d, c in table.cells.items()} == {
+                d: tuple(c) for d, c in cells.items()}
+            assert table.size == sum(map(len, cells.values())) > 0
+
     def test_traced_peak_at_8_4(self, tables, complexes):
         # the index built inside the call, on fresh matrices; with coface
         # lists built per call the peak was 5.86 MB
