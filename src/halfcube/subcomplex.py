@@ -35,14 +35,13 @@ and its first offender, and names them as `k` and `face`.
 from __future__ import annotations
 
 import itertools
-import json
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .chains import ChainComplex, ChainVector
+from .chains import BoundaryMatrix, ChainComplex, ChainVector
 from .faces import PLAIN1, STAR, FaceList, FaceSubset, FaceTable
 from .morse import MorseMatching
 
@@ -245,6 +244,16 @@ def build_family(matching: MorseMatching) -> dict[int, SubcomplexSpec]:
     return _restrict(matching, range(3, matching.table.n))
 
 
+# one line term of `HomologyBasis.jsonl_lines`, as json.dumps writes it
+_TERM = '{"face": "%s", "coeff": %d}'
+# translations of boundary signs as bytes, to 1 for a sign other than
+# +-1, for +1 and for -1; and 0 <-> 1 on a 0/1 mask
+_NOT_UNIT = bytes(v not in (1, 255) for v in range(256))
+_PLUS = bytes(v == 1 for v in range(256))
+_MINUS = bytes(v == 255 for v in range(256))
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def _basis_ids(cells: FaceList) -> array:
     """The positions, ascending, of the half-cube faces among cells with no
     '1' strictly right of their rightmost '*'; only the faces that hold a
@@ -283,12 +292,29 @@ class HomologyBasis:
         return list(map(self.cx.boundary(self.k).column_chain, self.ids))
 
     def jsonl_lines(self) -> Iterator[str]:
+        """One JSON line per basis chain, written from the column's slice of
+        the boundary arrays: the facet index lists a column's rows
+        ascending, and faces hold only '01OI*', so nothing needs sorting or
+        escaping."""
         bmat, cells = self.cx.boundary(self.k), self.cx.table.faces(self.k - 1)
+        flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
         for f, j in zip(self.faces, self.ids):
-            coeffs = bmat.column_chain(j).coeffs
-            rows = sorted(coeffs)
-            terms = [{"face": g, "coeff": coeffs[i]} for g, i in zip(cells.take(rows), rows)]
-            yield json.dumps({"bface": f, "chain": terms})
+            a, b = offsets[j], offsets[j + 1]
+            terms = map(_TERM.__mod__, zip(cells.take(flat[a:b]), signs[a:b]))
+            yield '{"bface": "%s", "chain": [%s]}' % (f, ", ".join(terms))
+
+
+def _unit_signs(k: int, bmat: BoundaryMatrix, cells: FaceList) -> bytes:
+    """bmat's signs as bytes (+1 is 0x01, -1 is 0xff), checked to be +1 or
+    -1: another sign raises SubcomplexError naming k and the first of
+    `cells`, bmat's columns, whose column holds it."""
+    signs = bmat.signs.tobytes()
+    t = signs.translate(_NOT_UNIT).find(1)
+    if t >= 0:
+        f = cells[bisect_right(bmat.offsets, t) - 1]
+        raise SubcomplexError(f"boundary of {f!r} holds the sign {bmat.signs[t]}; "
+                              "the cycle check needs every sign +1 or -1", k, f)
+    return signs
 
 
 def homology_basis(n: int, k: int, table: FaceTable,
@@ -296,13 +322,34 @@ def homology_basis(n: int, k: int, table: FaceTable,
     """The positions of the basis faces (those `basis_faces` lists), each
     boundary chain checked to be a cycle.
 
+    The check reads the arrays of `cx.boundary(k)` and `cx.boundary(k-1)`:
+    each (k-2)-face reached from a basis column through one of its facets
+    goes into one of two lists, by whether the two signs on that path
+    agree, and the column's boundary is a cycle exactly when the two sorted
+    lists are equal.  That is exact only while every sign is +1 or -1, so
+    both matrices are checked for that first, and a sign outside it raises
+    SubcomplexError naming k and the first cell whose column holds it.
+
     Each chain lies in the subcomplex without a check: the subcomplex
     keeps every cell of dimension below k, so it holds every (k-1)-cell a
     boundary chain can touch.  `table` must be `cx.table`."""
     _check_range(n, k, table, cx)
-    bmat, cells = cx.boundary(k), table.faces(k)
+    bmat, below, cells = cx.boundary(k), cx.boundary(k - 1), table.faces(k)
+    _unit_signs(k, bmat, cells)
+    signs_below = _unit_signs(k, below, table.faces(k - 1))
+    # by the sign s of a facet, the entries below it whose sign is s
+    agreeing = (None, signs_below.translate(_PLUS), signs_below.translate(_MINUS))
+    flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
+    rows_below, offsets_below = below.flat, below.offsets
     ids = _basis_ids(cells)
     for j in ids:
-        if not cx.apply(bmat.column_chain(j)).is_zero():
-            raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle")
+        rows, agree = [], bytearray()
+        x, y = offsets[j], offsets[j + 1]
+        for i, s in zip(flat[x:y], signs[x:y]):
+            a, b = offsets_below[i], offsets_below[i + 1]
+            rows += rows_below[a:b]
+            agree += agreeing[s][a:b]
+        same = sorted(itertools.compress(rows, agree))
+        if same != sorted(itertools.compress(rows, agree.translate(_FLIP))):
+            raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle", k, cells[j])
     return HomologyBasis(k, cx, ids)

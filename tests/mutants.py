@@ -114,6 +114,7 @@ ACYCLICITY = "tests/test_morse.py::TestAcyclicity::"
 ENTRIES = "tests/test_morse.py::TestInducedOrderEntries::"
 HOMOLOGY = "tests/test_snf.py::TestHomology::"
 BASIS = "tests/test_subcomplex.py::TestHomologyBasis::"
+CYCLE_CHECK = "tests/test_subcomplex.py::TestCycleCheckEqualsReference::"
 
 MUTANTS += [
     # faces.FaceTable._locate: a face text looked up by its code
@@ -182,8 +183,20 @@ MUTANTS += [
            "array(\"i\", [j for j, f in zip(starred", "array(\"i\", [j - 1 for j, f in zip(starred",
            (BASIS + "test_chains_are_cycles", BASIS + "test_5_3_has_31_chains")),
     Mutant("basis-cycle-check-dropped", "halfcube/subcomplex.py",
-           "if not cx.apply(bmat.column_chain(j)).is_zero():", "if False:",
+           "if same != sorted(itertools.compress(rows, agree.translate(_FLIP))):",
+           "if False:",
            (BASIS + "test_boundary_that_is_not_a_cycle_is_an_error",)),
+    # the cycle check's +-1 premise, and its last column
+    Mutant("basis-sign-premise-unchecked", "halfcube/subcomplex.py",
+           "    if t >= 0:\n        f = cells[bisect_right(bmat.offsets, t) - 1]\n",
+           "    if False:\n        f = cells[bisect_right(bmat.offsets, t) - 1]\n",
+           (CYCLE_CHECK + "test_sign_of_two_is_a_premise_error[4-3-k]",
+            CYCLE_CHECK + "test_sign_of_two_is_a_premise_error[7-6-k-1]")),
+    Mutant("basis-last-column-skipped", "halfcube/subcomplex.py",
+           "    for j in ids:\n        rows, agree = [], bytearray()\n",
+           "    for j in ids[:-1]:\n        rows, agree = [], bytearray()\n",
+           (CYCLE_CHECK + "test_flipped_sign_is_rejected_at_the_same_face[4-3-last]",
+            CYCLE_CHECK + "test_flipped_sign_is_rejected_at_the_same_face[7-6-last]")),
 ]
 
 

@@ -15,7 +15,11 @@ give bit-identical matrices.  `boundary_from_cols` and
 `morse_boundary_with_cols` pack column dicts into the package's arrays,
 for the reference and for planted sign defects; `entry` and `incidence`
 read one entry of a boundary by position or by face text, and `diagonal`
-the diagonal of a Morse boundary.
+the diagonal of a Morse boundary.  `with_sign` plants one sign in a
+boundary, and `PlantedComplex` serves planted boundaries in place of a
+complex's own.  `homology_basis` checks each basis chain as a
+`ChainVector` through `ChainComplex.apply`, as the package did before it
+checked ∂∂ = 0 on the boundary arrays.
 
 `enumerate_cells` lists the faces of each dimension by (odd point, mask)
 and (fixed digits, star mask) iteration, with edge canonicalisation, set
@@ -69,6 +73,7 @@ call before each boundary kept its coface index.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from array import array
 from math import gcd
@@ -115,7 +120,7 @@ from halfcube.snf import (
     _sparse_snf,
     check_closed,
 )
-from halfcube.subcomplex import SubcomplexError, SupportLeak, _levels
+from halfcube.subcomplex import HomologyBasis, SubcomplexError, SupportLeak, _levels
 
 
 class NotKType(FaceError):
@@ -416,6 +421,40 @@ def square_defects(b: BoundaryMatrix, bprev: BoundaryMatrix) -> list[tuple[int, 
                 acc[i2] = acc.get(i2, 0) + v * v2
         out += [(j, i2, x) for i2, x in sorted(acc.items()) if x]
     return out
+
+
+def with_sign(b: BoundaryMatrix, t: int, sign: int) -> BoundaryMatrix:
+    """b with the sign of its t-th entry replaced, its arrays shared but
+    for the signs."""
+    signs = array("b", b.signs)
+    signs[t] = sign
+    return dataclasses.replace(b, signs=signs)
+
+
+class PlantedComplex(ChainComplex):
+    """The chain complex of `table` with the boundaries of the dimensions
+    in `planted` replaced by the given matrices."""
+
+    def __init__(self, table: FaceTable, planted: dict[int, BoundaryMatrix]):
+        super().__init__(table)
+        self.planted = planted
+
+    def boundary(self, d: int) -> BoundaryMatrix:
+        return self.planted[d] if d in self.planted else super().boundary(d)
+
+
+def homology_basis(n: int, k: int, table: FaceTable, cx: ChainComplex) -> HomologyBasis:
+    """The homology basis with each chain checked through `cx.apply` on its
+    `ChainVector`, as the package checked it before the check read the
+    boundary arrays; the basis faces are found by their text."""
+    cells = table.faces(k)
+    ids = array("i", [j for j, f in enumerate(cells)
+                      if STAR in f and PLAIN1 not in f[f.rfind(STAR) + 1:]])
+    bmat = cx.boundary(k)
+    for j in ids:
+        if not cx.apply(bmat.column_chain(j)).is_zero():
+            raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle", k, cells[j])
+    return HomologyBasis(k, cx, ids)
 
 
 def enumerate_cells(n: int) -> dict[int, list[str]]:

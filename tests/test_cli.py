@@ -236,6 +236,24 @@ class TestBasis:
         assert lines == ["independent and generating: false",
                          "RESULT fail n=5 k=3 chains=31"]
 
+    @pytest.mark.parametrize("sign,face", [(None, "***0"), (2, "III0")])
+    def test_fail_line_names_the_chain_that_is_not_a_cycle(self, capsys, monkeypatch,
+                                                            sign, face):
+        # one sign of ∂_2 under the first basis chain of C_{4,3}, the one of
+        # the chain's first facet III0: flipped, the line names the chain's
+        # basis face; a 2 breaks the check's premise at III0's column
+        def planted(table):
+            cx = chains.ChainComplex(table)
+            b3, b2 = cx.boundary(3), cx.boundary(2)
+            first = table.index_of(subc.basis_faces(3, table)[0])
+            t = b2.offsets[b3.flat[b3.offsets[first]]]
+            new = -b2.signs[t] if sign is None else sign
+            return reference.PlantedComplex(table, {2: reference.with_sign(b2, t, new)})
+
+        monkeypatch.setattr(cli, "ChainComplex", planted)
+        code, lines = run(capsys, "--n", "4", "--k", "3", "basis")
+        assert (code, lines) == (1, [f"RESULT fail n=4 k=3 error=SubcomplexError face={face}"])
+
     def test_fail_line_names_the_first_face_not_closed(self, capsys, monkeypatch,
                                                         tables):
         # an edge and a triangle of C_{5,4} taken out, their cofaces kept:

@@ -20,7 +20,7 @@ from halfcube.subcomplex import (
     homology_basis,
     subcomplex_faces,
 )
-from reference import boundary_from_cols, facets
+from reference import PlantedComplex, boundary_from_cols, facets, with_sign
 
 
 class TestBettiForms:
@@ -266,5 +266,76 @@ class TestHomologyBasis:
         boundary = cx.boundary
         monkeypatch.setattr(cx, "boundary", lambda d: planted if d == 2 else boundary(d))
         with pytest.raises(SubcomplexError, match=re.escape(
-                f"boundary of {first.faces[0]!r} is not a cycle")):
+                f"boundary of {first.faces[0]!r} is not a cycle")) as e:
             homology_basis(4, 3, t, cx)
+        assert (e.value.k, e.value.face) == (3, first.faces[0])
+
+
+BASIS_NK = [(n, k) for n in range(4, 8) for k in range(3, n)]
+PLACES = ("first", "middle", "last")
+
+
+class TestCycleCheckEqualsReference:
+    """The cycle check on the boundary arrays against the check through
+    `ChainVector`s and `ChainComplex.apply` (`reference.homology_basis`)."""
+
+    @staticmethod
+    def planted_flip(cx, k, ids, place):
+        """The basis position at `place`, and the complex with one sign of
+        ∂_{k-1} flipped: the one of that chain's first facet that no
+        earlier basis chain holds."""
+        pos = {"first": 0, "middle": len(ids) // 2, "last": len(ids) - 1}[place]
+        b, below = cx.boundary(k), cx.boundary(k - 1)
+        earlier = {i for j in ids[:pos] for i in b.flat[b.offsets[j]:b.offsets[j + 1]]}
+        j = ids[pos]
+        i = next(i for i in b.flat[b.offsets[j]:b.offsets[j + 1]] if i not in earlier)
+        t = below.offsets[i]
+        return pos, PlantedComplex(cx.table, {k - 1: with_sign(below, t, -below.signs[t])})
+
+    @pytest.mark.parametrize("n,k", BASIS_NK)
+    def test_every_basis_is_accepted(self, tables, complexes, n, k):
+        t, cx = tables(n), complexes(n)
+        assert homology_basis(n, k, t, cx).ids == reference.homology_basis(n, k, t, cx).ids
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("n,k", BASIS_NK)
+    def test_flipped_sign_is_rejected_at_the_same_face(self, tables, complexes, n, k,
+                                                       place):
+        t, cx = tables(n), complexes(n)
+        ids = reference.homology_basis(n, k, t, cx).ids
+        pos, planted = self.planted_flip(cx, k, ids, place)
+        face = t.faces(k)[ids[pos]]
+        for check in (homology_basis, reference.homology_basis):
+            with pytest.raises(SubcomplexError, match=re.escape(
+                    f"boundary of {face!r} is not a cycle")) as e:
+                check(n, k, t, planted)
+            assert (e.value.k, e.value.face) == (k, face)
+
+    @pytest.mark.parametrize("dim", ["k", "k-1"])
+    @pytest.mark.parametrize("n,k", BASIS_NK)
+    def test_sign_of_two_is_a_premise_error(self, tables, complexes, n, k, dim):
+        # a 2 in the middle basis column of ∂_k, or in its first facet's
+        # column of ∂_{k-1}: the error names that column's cell
+        t, cx = tables(n), complexes(n)
+        ids = reference.homology_basis(n, k, t, cx).ids
+        d, col = k, ids[len(ids) // 2]
+        if dim == "k-1":
+            d, col = k - 1, cx.boundary(k).flat[cx.boundary(k).offsets[col]]
+        b = cx.boundary(d)
+        planted = PlantedComplex(t, {d: with_sign(b, b.offsets[col], 2)})
+        face = t.faces(d)[col]
+        with pytest.raises(SubcomplexError, match=re.escape(
+                f"boundary of {face!r} holds the sign 2; the cycle check needs every "
+                "sign +1 or -1")) as e:
+            homology_basis(n, k, t, planted)
+        assert (e.value.k, e.value.face) == (k, face)
+
+    @pytest.mark.parametrize("n,k", BASIS_NK)
+    def test_jsonl_is_json_dumps_of_the_sorted_chain(self, tables, complexes, n, k):
+        t, cx = tables(n), complexes(n)
+        hb = homology_basis(n, k, t, cx)
+        cells = t.faces(k - 1)
+        assert list(hb.jsonl_lines()) == [
+            json.dumps({"bface": f, "chain": [{"face": cells[i], "coeff": ch.coeffs[i]}
+                                              for i in sorted(ch.coeffs)]})
+            for f, ch in zip(hb.faces, hb.chains)]
