@@ -12,7 +12,7 @@ import itertools
 from array import array
 
 from . import snf
-from .chains import BoundaryMatrix, ChainComplex, ChainVector
+from .chains import BoundaryMatrix, ChainComplex
 from .faces import STAR, FaceSubset, FaceTable
 
 
@@ -26,10 +26,11 @@ class _Attached:
     those of level k + 1 .. n - 1 are attached.  The d-cells are the cells
     left, with their boundaries restricted to each other, then the
     attached d-cells h, each group in table order, with ∂'h = π(∂h): the
-    reduction's chain map π on the part of ∂h that red reduced, and the
-    attached facets as they are.  π maps onto the cells left, so it is 0
-    in a degree where none is left.  `self.levels` holds the level of each
-    cell here, 0 for the cells left."""
+    reduction's chain map π (`red.project`, on h's column read in place)
+    on the part of ∂h that red reduced, and the attached facets as they
+    are.  π maps onto the cells left, so it is 0 in a degree where none
+    is left.  `self.levels` holds the level of each cell here, 0 for the
+    cells left."""
 
     def __init__(self, red: snf._Reduction, levels: dict[int, bytearray], k: int):
         cx, table, left = red.cx, red.cx.table, red.left
@@ -47,12 +48,7 @@ class _Attached:
             attached, below = cells[d][n_left[d]:], later[d - 1]
             pi: dict[int, dict[int, int]] = {}  # attached cell -> {row: value}
             if attached and n_left[d - 1]:
-                lower = []  # the part in the subset of each attached cell's boundary
-                for c in attached:
-                    a, b = offsets[c], offsets[c + 1]
-                    lower.append(ChainVector(d - 1, {
-                        i: v for i, v in zip(flat[a:b], signs[a:b]) if not below[i]}))
-                for i, z in red.project(lower, d - 1).items():
+                for i, z in red.project(bmat, attached).items():
                     for j, v in z.items():
                         pi.setdefault(j, {})[row[i]] = v
             # rows ascend within each column: π's rows are cells left,
@@ -74,7 +70,7 @@ class _Attached:
                 ends.append(len(flat_d))
             self.bmats[d] = BoundaryMatrix(d, len(cells[d - 1]), len(cells[d]), flat_d,
                                            ends, signs_d)
-        self.table = FaceTable(n, {d: table.faces(d).take(cs)
+        self.table = FaceTable(n, {d: "".join(table.faces(d).take(cs))
                                    for d, cs in cells.items()})
         self.levels = {d: bytearray(n_left[d]) + bytearray(
             itertools.compress(levels[d], later[d])) for d in cells}

@@ -218,7 +218,8 @@ def cmd_basis(args, parser, sink) -> int:
     sink.write(s + "\n" for s in basis.jsonl_lines())
     ok = len(basis.ids) == subc.betti_power(n, k)
     if args.certify:
-        verdict = snf.class_independence(basis.chains, subc.subcomplex_faces(k, table), cx)
+        verdict = snf.class_independence(cx.boundary(k), basis.ids,
+                                         subc.subcomplex_faces(k, table), cx)
         print(f"independent and generating: {str(verdict.ok).lower()}")
         if args.verbose:
             print(json.dumps(verdict.detail))

@@ -332,40 +332,24 @@ class FaceTable:
     faces written end to end at a fixed width (n symbols, or EMPTY's for
     d = -1), and `cells[d]` and `faces(d)` read it as a `FaceList`; no
     string is held per face.  At n=11 the texts hold 24 MB, where a
-    string per face held 142 MB.  The table is built from lists of faces,
-    which it joins, or by the enumeration from the texts themselves
-    (`from_texts`).  `codes(d)` holds the `face_code` of every d-cell,
-    built on first use; since it ascends, a face text is looked up by its
-    code (`index_of`, `dim_of` and `in`): the text's symbol counts give its
-    dimension, and a bisection of that dimension's codes its place, with
-    no map from texts to positions.  The matching looks partners up among
-    the codes too (`morse.partner_rule` moves a code by a fixed delta per
-    rule).  `facet_index(d)` gives the facets of every d-cell as positions
-    among the (d-1)-cells.  It is computed on the codes: a facet's code is
-    the face's code plus one of the deltas of `facet_deltas`, cached per
-    pattern of marked symbols, and is looked up among the codes of the
-    (d-1)-cells.
+    string per face held 142 MB.  The table is built from those texts, as
+    the enumeration writes them.  `codes(d)` holds the `face_code` of
+    every d-cell, built on first use; since it ascends, a face text is
+    looked up by its code (`index_of`, `dim_of` and `in`): the text's
+    symbol counts give its dimension, and a bisection of that dimension's
+    codes its place, with no map from texts to positions.  The matching
+    looks partners up among the codes too (`morse.partner_rule` moves a
+    code by a fixed delta per rule).  `facet_index(d)` gives the facets of
+    every d-cell as positions among the (d-1)-cells.  It is computed on
+    the codes: a facet's code is the face's code plus one of the deltas of
+    `facet_deltas`, cached per pattern of marked symbols, and is looked up
+    among the codes of the (d-1)-cells.
     """
 
-    def __init__(self, n: int, cells: dict[int, Sequence[str]]):
-        texts = {}
-        for d, faces in cells.items():
-            w = _width(n, d)
-            bad = next((f for f in faces if len(f) != w), None)
-            if bad is not None:
-                raise FaceError(f"face {bad!r} of dimension {d} is not {w} symbols wide",
-                                bad)
-            texts[d] = "".join(faces)
-        self._hold(n, texts)
-
-    @classmethod
-    def from_texts(cls, n: int, texts: dict[int, str]) -> "FaceTable":
-        """The table whose d-cells are written end to end in texts[d]."""
-        table = cls.__new__(cls)
-        table._hold(n, texts)
-        return table
-
-    def _hold(self, n: int, texts: dict[int, str]) -> None:
+    def __init__(self, n: int, texts: dict[int, str]):
+        ragged = [d for d, text in texts.items() if len(text) % _width(n, d)]
+        if ragged:
+            raise FaceError(f"the text of dimension {ragged[0]} is not a whole number of faces")
         self.n = n
         dims = range(min(texts), max(texts) + 1)
         self.cells = {d: FaceList(texts.get(d, ""), _width(n, d)) for d in dims}
@@ -630,7 +614,7 @@ def enumerate_faces(n: int) -> FaceTable:
         texts[d] = _text((star, (PLAIN0, sorted(zero + zero_star)),
                           (PLAIN1, sorted(one + one_star)), und1, und0))
     texts[n] = _text(_star_parts(stars, n))
-    table = FaceTable.from_texts(n, texts)
+    table = FaceTable(n, texts)
     want = expected_counts(n)
     got = table.counts()
     if got != want:

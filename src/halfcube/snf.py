@@ -44,13 +44,15 @@ b's, in three arrays.  Every C_{n,k} and full
 complex up to n=9 pairs off down to its basis cells, leaving the
 elimination empty matrices.
 
-The certificate's stack [B | Z] of the boundary image and the cycles is
-eliminated on the cells left too, with the cycles carried through the
-pairs in the order they were made (Harker, Mischaikow, Mrozek & Nanda,
-*Discrete Morse theoretic algorithms for computing homology of
-complexes and maps*, FoCM 14, 2014).  For cycles in degree p and a pair
-(a, b) with ε = <∂b, a> = +-1, where ∂'b is b's boundary restricted to
-the cells alive when the pair was made:
+The certificate takes its cycles as columns of a boundary matrix, as a
+basis of `subcomplex` holds them, and reads them in place.  Its stack
+[B | Z] of the boundary image and the cycles is eliminated on the cells
+left too, with the cycles carried through the pairs in the order they
+were made (Harker, Mischaikow, Mrozek & Nanda, *Discrete Morse theoretic
+algorithms for computing homology of complexes and maps*, FoCM 14,
+2014).  For cycles in degree p and a pair (a, b) with ε = <∂b, a> = +-1,
+where ∂'b is b's boundary restricted to the cells alive when the pair
+was made:
 
 * a of degree p: z becomes z - z_a·ε·∂'b, which has no a coefficient;
 * b of degree p: z drops its b coefficient.  After a collapse that
@@ -479,10 +481,12 @@ class _Reduction:
         return SNFResult((1,) * pairs + rest.factors, self.sub.mask(d - 1).count(1),
                          self.sub.mask(d).count(1) + n_extra)
 
-    def project(self, cycles, degree: int) -> dict[int, dict[int, int]]:
-        """The cycles carried through the pairs in the order they were
-        made (module docstring), as rows: index of a `degree`-cell of
-        `left` -> {cycle index: coefficient}.  A row may be empty."""
+    def project(self, cols: BoundaryMatrix, ids) -> dict[int, dict[int, int]]:
+        """The chains in the columns `ids` of `cols` (degree cols.d - 1), read
+        in place, carried through the pairs in the order they were made
+        (module docstring) and restricted to `left`, as rows: index of a
+        cell of `left` -> {position in ids: coefficient}.  A row may be empty."""
+        degree = cols.d - 1
         # which pairs have their upper, or their lower, cell in this degree
         dims = self.dims.tobytes()
         ups = dims.translate(bytes(d == degree for d in range(256)))
@@ -493,8 +497,10 @@ class _Reduction:
         for u in itertools.compress(self.upper, ups):
             alive[u] = 0
         rows: dict[int, dict[int, int]] = {}
-        for j, ch in enumerate(cycles):
-            for i, v in ch.coeffs.items():
+        flat, offsets, signs = cols.flat, cols.offsets, cols.signs
+        for j, c in enumerate(ids):
+            a, b = offsets[c], offsets[c + 1]
+            for i, v in zip(flat[a:b], signs[a:b]):
                 if alive[i]:
                     rows.setdefault(i, {})[j] = v
         if degree < self.top:
@@ -584,9 +590,13 @@ class IndependenceVerdict:
         return self.independent and self.generating
 
 
-def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
-    """Certify that the homology classes of the given cycles form a free
-    basis of the subset's homology in their degree.
+def class_independence(cols: BoundaryMatrix, ids, subset,
+                       cx: ChainComplex) -> IndependenceVerdict:
+    """Certify that the homology classes of the chains in the columns `ids`
+    of `cols`, of degree cols.d - 1, form a free basis of the subset's
+    homology in that degree.  Each column is checked alone, through
+    `cx.apply`: NotCycles names the first (degree-1)-face, in table order,
+    where its boundary is nonzero, or the cell where it leaves the subset.
 
     The certificate compares Smith normal forms of the boundary-image
     matrix and of that matrix stacked with the cycle columns: the classes
@@ -597,18 +607,17 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     the cycles carried through the pairs, plus one unit per pair whose
     upper cell is one degree up (module docstring).
     """
-    if not cycles:
+    if not ids:
         raise NotCycles("no cycles given")
-    degree = cycles[0].dim
+    degree = cols.d - 1
     if degree < 0:
         raise NotCycles(f"degree must be >= 0, got {degree}")
     sub = check_closed(subset, cx.table)
     cells, mask = cx.table.faces(degree), sub.mask(degree)
-    for ch in cycles:
-        if ch.dim != degree:
-            raise NotCycles("cycles of mixed degree")
-        if not cx.apply(ch).is_zero():
-            raise NotCycles("input chain has nonzero boundary")
+    for ch in map(cols.column_chain, ids):
+        if boundary := cx.apply(ch).coeffs:
+            f = cx.table.faces(degree - 1)[min(boundary)]
+            raise NotCycles(f"a cycle's boundary is nonzero at {f!r}", f)
         for i in ch.coeffs:
             if not mask[i]:
                 raise NotCycles(f"cycle leaves the subset at {cells[i]!r}", cells[i])
@@ -616,14 +625,14 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
     red = _Reduction(sub, cx)
     rank_b = red.snf(degree + 1).rank
     kernel_rank = mask.count(1) - red.snf(degree).rank
-    snf_stack = red.snf(degree + 1, red.project(cycles, degree), len(cycles))
+    snf_stack = red.snf(degree + 1, red.project(cols, ids), len(ids))
 
-    independent = snf_stack.rank == rank_b + len(cycles)
+    independent = snf_stack.rank == rank_b + len(ids)
     generating = (snf_stack.rank == kernel_rank
                   and not snf_stack.torsion())
     return IndependenceVerdict(independent, generating, {
         "degree": degree,
-        "cycles": len(cycles),
+        "cycles": len(ids),
         "rank_boundaries": rank_b,
         "rank_stacked": snf_stack.rank,
         "kernel_rank": kernel_rank,

@@ -97,6 +97,12 @@ MUTANTS = [
            "            alive[u] = 0\n", "            pass\n",
            (REDUCTION + "test_random_combinations_equal_reference[4]",
             REDUCTION + "test_verdicts_equal_reference[4]")),
+    # snf.class_independence: each column checked to be a cycle
+    Mutant("certify-cycle-check-dropped", SNF,
+           "            raise NotCycles(f\"a cycle's boundary is nonzero at {f!r}\", f)\n",
+           "            pass\n",
+           ("tests/test_snf.py::TestClassIndependence::test_non_cycle_rejected",
+            "tests/test_cli.py::TestBasis::test_fail_line_names_where_a_boundary_is_nonzero")),
     # snf._sparse_snf: a heap record of a value the entry no longer holds
     Mutant("snf-dead-record-check-dropped", SNF,
            "            if abs(rows[r][c]) != key >> 2 * pbits:\n"
@@ -300,8 +306,9 @@ MUTANTS += [
            (FAMILY + "test_attached_complexes_are_chain_complexes[6]",
             FAMILY + "test_attached_complexes_are_chain_complexes[7]")),
     Mutant("family-h3-attached-without-projection", "halfcube/_family.py",
-           "for i, z in red.project(lower, d - 1).items():",
-           "for i, z in {i: {j: v for j, ch in enumerate(lower) if (v := ch.coeffs.get(i))}\n"
+           "for i, z in red.project(bmat, attached).items():",
+           "for i, z in {i: {j: v for j, c in enumerate(attached)\n"
+           "                                 if (v := bmat.column_chain(c).coeffs.get(i))}\n"
            "                             for i in red.left.indices(d - 1)}.items():",
            (FAMILY + "test_reports_equal_per_subset[5]",
             FAMILY + "test_reports_equal_reference[5]")),

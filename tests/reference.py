@@ -13,7 +13,8 @@ nf*ng * (centroid(g) - centroid(f)) followed by g's frame, and a zero
 determinant raises.  Tests require the package's closed-form sign rule to
 give bit-identical matrices.  `boundary_from_cols` and
 `morse_boundary_with_cols` pack column dicts into the package's arrays,
-for the reference and for planted sign defects; `entry` and `incidence`
+for the reference and for planted sign defects, and `columns` packs
+chains as the columns the certificate reads; `entry` and `incidence`
 read one entry of a boundary by position or by face text, and `diagonal`
 the diagonal of a Morse boundary.  `with_sign` plants one sign in a
 boundary, and `PlantedComplex` serves planted boundaries in place of a
@@ -28,6 +29,8 @@ suffix lists.  `enumerate_lists` grows the same sorted suffix lists but
 puts the last symbol before each suffix as its own string, and merges the
 two sorted runs of a dimension d >= 3 with a sort of the whole faces, as
 `enumerate_faces` did before it wrote each dimension as one text.
+`face_table` joins lists of faces into a table's texts, checking each
+face's width, for planted tables.
 
 `facet_index` parses `facets()` of every face, the way `FaceTable`
 built its facet index before it moved to integer face codes.
@@ -68,7 +71,10 @@ facet-closed subset whole, as the package did before it paired cells by
 coreductions and free-face collapses ahead of the elimination; the
 package must give equal reports and verdicts.  `coface_lists` builds one
 list of cofaces in the subset per cell, as the reduction did on every
-call before each boundary kept its coface index.
+call before each boundary kept its coface index.  `Attached` builds the
+family oracle's attached complexes from one filtered `ChainVector` per
+attached cell, as `_family._Attached` did before the projection read
+boundary columns in place.
 """
 
 from __future__ import annotations
@@ -100,6 +106,7 @@ from halfcube.faces import (
     FaceTable,
     Kind,
     UNDERLINED,
+    _width,
     canonical_edge,
     classify,
 )
@@ -379,6 +386,20 @@ def boundary_from_cols(d: int, n_rows: int, cols) -> BoundaryMatrix:
     return BoundaryMatrix(d, n_rows, len(cols), rows, offsets, signs)
 
 
+def columns(chains) -> BoundaryMatrix:
+    """The chains, all of one degree, as the columns of a boundary matrix
+    one dimension up: rows ascending, signs a list so that coefficients of
+    any size fit.  n_rows is one past the largest row."""
+    (d,) = {ch.dim + 1 for ch in chains}
+    flat, signs, offsets = array("i"), [], array("i", [0])
+    for ch in chains:
+        for i, v in sorted(ch.coeffs.items()):
+            flat.append(i)
+            signs.append(v)
+        offsets.append(len(flat))
+    return BoundaryMatrix(d, max(flat, default=-1) + 1, len(chains), flat, offsets, signs)
+
+
 def morse_boundary_with_cols(mb: MorseBoundary, cols) -> MorseBoundary:
     """mb with its columns replaced by the given dicts."""
     rows, signs, offsets = column_arrays(cols)
@@ -455,6 +476,21 @@ def homology_basis(n: int, k: int, table: FaceTable, cx: ChainComplex) -> Homolo
         if not cx.apply(bmat.column_chain(j)).is_zero():
             raise SubcomplexError(f"boundary of {cells[j]!r} is not a cycle", k, cells[j])
     return HomologyBasis(k, cx, ids)
+
+
+def face_table(n: int, cells) -> FaceTable:
+    """The table holding the faces of each list of `cells` in its
+    dimension, joined into one text, each face checked to have its
+    dimension's width first, as `FaceTable` was built from lists before it
+    took the texts alone."""
+    texts = {}
+    for d, faces in cells.items():
+        w = _width(n, d)
+        bad = next((f for f in faces if len(f) != w), None)
+        if bad is not None:
+            raise FaceError(f"face {bad!r} of dimension {d} is not {w} symbols wide", bad)
+        texts[d] = "".join(faces)
+    return FaceTable(n, texts)
 
 
 def enumerate_cells(n: int) -> dict[int, list[str]]:
@@ -1182,3 +1218,58 @@ def class_independence(cycles, subset, cx: ChainComplex) -> IndependenceVerdict:
         "kernel_rank": kernel_rank,
         "stacked_torsion": list(snf_stack.torsion()),
     })
+
+
+class Attached:
+    """`_family._Attached` as it was built before `_Reduction.project`
+    read boundary columns in place: one `ChainVector` per attached cell,
+    its boundary filtered to the cells red reduced, the chains packed by
+    `columns` for the projection, and the table built from lists of faces
+    by `face_table`."""
+
+    def __init__(self, red, levels: dict[int, bytearray], k: int):
+        cx, table, left = red.cx, red.cx.table, red.left
+        n = table.n
+        attach = bytes(k < v < n for v in range(256))
+        later = {d: lv.translate(attach) for d, lv in levels.items()}
+        cells = {d: left.indices(d) + list(itertools.compress(range(len(m)), m))
+                 for d, m in later.items()}
+        n_left = {d: left.mask(d).count(1) for d in cells}
+        self.bmats = {}
+        for d in range(0, max(d for d, c in cells.items() if c) + 1):
+            row = dict(zip(cells[d - 1], itertools.count()))
+            bmat = cx.boundary(d)
+            flat, offsets, signs = bmat.flat, bmat.offsets, bmat.signs
+            attached, below = cells[d][n_left[d]:], later[d - 1]
+            pi: dict[int, dict[int, int]] = {}
+            if attached and n_left[d - 1]:
+                lower = []
+                for c in attached:
+                    a, b = offsets[c], offsets[c + 1]
+                    lower.append(ChainVector(d - 1, {
+                        i: v for i, v in zip(flat[a:b], signs[a:b]) if not below[i]}))
+                for i, z in red.project(columns(lower), range(len(lower))).items():
+                    for j, v in z.items():
+                        pi.setdefault(j, {})[row[i]] = v
+            flat_d, signs_d = array("i"), []
+            ends = array("i", [0])
+            for j, c in enumerate(cells[d]):
+                fl, sg = flat[offsets[c]:offsets[c + 1]], signs[offsets[c]:offsets[c + 1]]
+                if j < n_left[d]:
+                    keep = bytes(map(row.__contains__, fl))
+                else:
+                    z = pi.get(j - n_left[d], {})
+                    flat_d.extend(sorted(z))
+                    signs_d.extend(z[i] for i in sorted(z))
+                    keep = bytes(map(below.__getitem__, fl))
+                flat_d.extend(map(row.__getitem__, itertools.compress(fl, keep)))
+                signs_d.extend(itertools.compress(sg, keep))
+                ends.append(len(flat_d))
+            self.bmats[d] = BoundaryMatrix(d, len(cells[d - 1]), len(cells[d]), flat_d,
+                                           ends, signs_d)
+        self.table = face_table(n, {d: table.faces(d).take(cs) for d, cs in cells.items()})
+        self.levels = {d: bytearray(n_left[d]) + bytearray(
+            itertools.compress(levels[d], later[d])) for d in cells}
+
+    def boundary(self, d: int) -> BoundaryMatrix:
+        return self.bmats[d]

@@ -159,8 +159,8 @@ def test_criterion_09_basis_certification():
         for k in range(3, n):
             sub = subcomplex_faces(k, table)
             hb = homology_basis(n, k, table, cx)
-            assert len(hb.chains) == betti_power(n, k)
-            verdict = snf.class_independence(hb.chains, sub, cx)
+            assert len(hb.ids) == betti_power(n, k)
+            verdict = snf.class_independence(cx.boundary(k), hb.ids, sub, cx)
             assert verdict.ok, (n, k, verdict.detail)
     report(9, "bases independent and generating, n=4..9", time.monotonic() - t0)
 

@@ -277,15 +277,21 @@ class TestBoundaryMatrix:
                 assert all(v in (1, -1) for v in b.cols[j].values())
 
     @pytest.mark.parametrize("j", [-1, "n_cols"])
-    def test_column_chain_outside_the_cells_raises(self, complexes, j):
-        # index -1 would read the last column and n_cols no column at all
-        b = complexes(5).boundary(3)
+    def test_column_chain_outside_the_cells_raises(self, tables, complexes, j):
+        # index -1 would read the last column and n_cols no column at all;
+        # the certificate reads its columns through column_chain, so an id
+        # outside them raises the same
+        cx = complexes(5)
+        b = cx.boundary(3)
         j = b.n_cols if j == "n_cols" else j
         msg = f"column {j} is not one of the {b.n_cols} cells of dimension 3"
         with pytest.raises(DimensionMismatch, match=msg) as err:
             b.column_chain(j)
         assert err.value.dim == 3
         assert b.column_chain(b.n_cols - 1).coeffs == b.cols[b.n_cols - 1]
+        with pytest.raises(DimensionMismatch, match=msg) as err:
+            class_independence(b, [0, j], subcomplex_faces(3, tables(5)), cx)
+        assert err.value.dim == 3
 
     def test_sign_and_facet_counts_must_agree(self, tables, monkeypatch):
         # a simplex face with m underlines has m facets; one sign short
@@ -342,8 +348,9 @@ class TestApplyBoundary:
         assert err.value.dim == 1
         with pytest.raises(DimensionMismatch, match=msg):
             solve_cycle(chain, m, t, cx, morse_boundary(m, t, 1, cx))
-        with pytest.raises(DimensionMismatch, match=msg):
-            class_independence([chain], subcomplex_faces(3, t), cx)
+        with pytest.raises(DimensionMismatch, match=msg) as err:
+            class_independence(reference.columns([chain]), [0], subcomplex_faces(3, t), cx)
+        assert err.value.dim == 1
 
     def test_empty_face_chain(self, complexes):
         cx = complexes(4)

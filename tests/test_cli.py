@@ -221,13 +221,14 @@ class TestBasis:
         assert "independent and generating: true" in lines
 
     def test_doubled_chain_fails_certification(self, capsys, monkeypatch):
-        # the basis chains are read-only, so chain 3 is doubled where the
+        # the basis columns are read-only, so chain 3 is doubled where the
         # certificate reads it
         certify = snf.class_independence
 
-        def doubled(cycles, subset, cx):
+        def doubled(cols, ids, subset, cx):
+            cycles = list(map(cols.column_chain, ids))
             cycles[3] = add_scaled(cycles[3], cycles[3])
-            return certify(cycles, subset, cx)
+            return certify(reference.columns(cycles), range(len(cycles)), subset, cx)
 
         monkeypatch.setattr(snf, "class_independence", doubled)
         code, lines = run(capsys, "--n", "5", "--k", "3", "basis", "--certify",
@@ -266,7 +267,7 @@ class TestBasis:
                      and any(g not in planted for g in reference.facets(f)))
         certify = snf.class_independence
         monkeypatch.setattr(snf, "class_independence",
-                            lambda cycles, subset, cx: certify(cycles, planted, cx))
+                            lambda cols, ids, subset, cx: certify(cols, ids, planted, cx))
         code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify",
                           "--out", "/dev/null")
         assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotClosed face=00IOO"])
@@ -291,11 +292,34 @@ class TestBasis:
         planted = set(subc.subcomplex_faces(4, t)) - star
         certify = snf.class_independence
         monkeypatch.setattr(snf, "class_independence",
-                            lambda cycles, subset, cx: certify(cycles, planted, cx))
+                            lambda cols, ids, subset, cx: certify(cols, ids, planted, cx))
         code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify",
                           "--out", "/dev/null")
         assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotCycles face=OOOI0"])
         assert lines[0].endswith(f" face={early}")
+
+    def test_fail_line_names_where_a_boundary_is_nonzero(self, capsys, monkeypatch,
+                                                         tables, complexes):
+        # one sign of the first certified column flipped where the
+        # certificate reads it: the column's boundary is then -2·s·∂g for
+        # the facet g at that entry, and the line names the first 2-face,
+        # in table order, of ∂g
+        t, cx = tables(5), complexes(5)
+        b4 = cx.boundary(4)
+        first = subc.homology_basis(5, 4, t, cx).ids[0]
+        e = b4.offsets[first]
+        g = b4.flat[e]
+        want = t.faces(2)[min(cx.boundary(3).column_chain(g).coeffs)]
+        certify = snf.class_independence
+
+        def flipped(cols, ids, subset, cx):
+            return certify(reference.with_sign(cols, e, -cols.signs[e]), ids, subset, cx)
+
+        monkeypatch.setattr(snf, "class_independence", flipped)
+        code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--certify",
+                          "--out", "/dev/null")
+        assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=NotCycles face=III00"])
+        assert lines[0].endswith(f" face={want}")
 
     def test_fail_line_names_the_face_whose_facet_is_missing(self, capsys,
                                                              monkeypatch, tables):
@@ -305,7 +329,7 @@ class TestBasis:
         t = tables(5)
         gone = t.faces(3)[3]
         cells = {d: [f for f in c if f != gone] for d, c in t.cells.items()}
-        monkeypatch.setattr(faces, "enumerate_faces", lambda n: faces.FaceTable(n, cells))
+        monkeypatch.setattr(faces, "enumerate_faces", lambda n: reference.face_table(n, cells))
         first = next(f for f in t.faces(4) if gone in reference.facets(f))
         code, lines = run(capsys, "--n", "5", "--k", "4", "basis", "--out", "/dev/null")
         assert (code, lines) == (1, ["RESULT fail n=5 k=4 error=FaceError face=****1"])

@@ -209,7 +209,7 @@ class TestFacetIndex:
         g = facets(t.faces(2)[0])[0]
         cells[1].remove(g)
         with pytest.raises(FaceError, match=f"facet {g!r} of .* is not in the table"):
-            FaceTable(4, cells).facet_index(2)
+            reference.face_table(4, cells).facet_index(2)
 
     def test_codes_order_as_the_texts(self, tables):
         t = tables(6)
@@ -390,7 +390,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_equals_reference_enumeration(self, n):
-        assert enumerate_faces(n).cells == FaceTable(n, reference.enumerate_cells(n)).cells
+        want = reference.face_table(n, reference.enumerate_cells(n))
+        assert enumerate_faces(n).cells == want.cells
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_text_equals_per_face_enumeration(self, n):
@@ -407,7 +408,7 @@ class TestEnumeration:
         t = tables(4)
         cells = {d: list(c) for d, c in t.cells.items() if d >= 0}
         del cells[1][5]
-        cut = FaceTable(4, cells)
+        cut = reference.face_table(4, cells)
         assert {d: tuple(c) for d, c in cut.cells.items()} == {
             d: tuple(c) for d, c in cells.items()}
         assert list(cut) == [f for c in cells.values() for f in c]
@@ -415,7 +416,17 @@ class TestEnumeration:
         # a face of the wrong width for its dimension is refused
         for bad in ({0: ["0000", "000"]}, {-1: ["0000"]}, {2: ["0III", "00III"]}):
             with pytest.raises(FaceError, match="symbols wide"):
-                FaceTable(4, bad)
+                reference.face_table(4, bad)
+
+    def test_a_text_of_part_faces_is_refused(self, tables):
+        # the table takes one text per dimension, which must hold a whole
+        # number of faces of its width
+        t = tables(4)
+        texts = {d: c.text for d, c in t.cells.items()}
+        assert FaceTable(4, texts).cells == t.cells
+        for d, cut in ((0, texts[0][:-1]), (-1, texts[-1] + "0"), (2, texts[2] + "0II")):
+            with pytest.raises(FaceError, match=f"text of dimension {d} is not a whole number"):
+                FaceTable(4, {**texts, d: cut})
 
     def test_census_mismatch_raises(self, monkeypatch):
         want = faces.expected_counts(5)
@@ -490,11 +501,11 @@ class TestEnumeration:
     def test_lookup_of_a_removed_empty_face(self, tables):
         t = tables(4)
         assert EMPTY in t and t.index_of(EMPTY) == 0 and t.dim_of(EMPTY) == -1
-        cut = FaceTable(4, {d: list(c) for d, c in t.cells.items() if d >= 0})
+        cut = reference.face_table(4, {d: list(c) for d, c in t.cells.items() if d >= 0})
         assert EMPTY not in cut and "0000" in cut and cut._locate("0000") == (0, 0)
         with pytest.raises(KeyError):
             cut.dim_of(EMPTY)
-        cut = FaceTable(4, {**t.cells, -1: []})
+        cut = reference.face_table(4, {**t.cells, -1: []})
         assert EMPTY not in cut and cut._locate("0000") == (0, 0)
         with pytest.raises(KeyError):
             cut.index_of(EMPTY)

@@ -11,7 +11,7 @@ import pytest
 import reference
 from halfcube import faces, morse, snf
 from halfcube.chains import ChainComplex, ChainVector
-from halfcube.faces import EMPTY, FaceTable, Kind, classify
+from halfcube.faces import EMPTY, Kind, classify
 from halfcube.morse import (
     UNPAIRED,
     CyclicPrec,
@@ -121,7 +121,7 @@ class TestPartnerRule:
         cells = {d: [f for f in c if f != gone] for d, c in t.cells.items()}
         with pytest.raises(InvolutionBroken, match=re.escape(
                 f"partner {gone!r} of {m.partner[gone]!r} is not a face")):
-            build_matching(FaceTable(4, cells))
+            build_matching(reference.face_table(4, cells))
 
 
 class TestRuleApplicability:

@@ -7,7 +7,9 @@ looks face texts up by their codes, holding no map keyed by text; a
 homology basis holds positions of boundary columns, not chains; a face is
 (dimension, position within it) in every layer, the matching included; a
 face table holds one text per dimension and no string per face, and no
-loop over the faces indexes a face view."""
+loop over the faces indexes a face view; the package reads a basis as
+columns of a boundary matrix, never as a list of chains, and a face
+table has one constructor, which takes the texts."""
 
 import ast
 import copy
@@ -18,6 +20,7 @@ import tracemalloc
 from pathlib import Path
 
 import halfcube
+import reference
 
 SRC = Path(halfcube.__file__).parent
 MODULES = [importlib.import_module(f"halfcube.{p.stem}")
@@ -67,6 +70,24 @@ def test_a_basis_holds_positions_not_chains(tables, complexes):
               if isinstance(v, (dict, list, halfcube.ChainVector))]
     assert copies == []
     assert held < 16_000  # the chains as dicts kept 552 KB
+
+
+def test_a_basis_is_read_as_columns():
+    # no package code reads a basis's `chains` (the benchmark's digests
+    # do), and the family oracle projects boundary columns in place, so
+    # it builds no ChainVector
+    reads = sorted(f"{p.name}:{node.lineno}" for p in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr == "chains")
+    assert reads == []
+    assert "ChainVector" not in (SRC / "_family.py").read_text()
+    params = list(inspect.signature(halfcube.class_independence).parameters)
+    assert params == ["cols", "ids", "subset", "cx"]
+
+
+def test_a_face_table_has_one_constructor():
+    assert not any(hasattr(halfcube.FaceTable, name) for name in ("from_texts", "_hold"))
+    assert list(inspect.signature(halfcube.FaceTable).parameters) == ["n", "texts"]
 
 
 def test_the_table_is_read_from_its_owner():
@@ -224,7 +245,7 @@ def test_the_table_holds_one_text_per_dimension(tables, matchings):
     assert _held_strings(table) == []
     assert all(type(c) is halfcube.faces.FaceList and len(c.text) == len(c) * c.width
                for c in table.cells.values())
-    planted = halfcube.FaceTable(6, {d: list(c) for d, c in table.cells.items()})
+    planted = reference.face_table(6, {d: list(c) for d, c in table.cells.items()})
     assert _held_strings(planted) == []
     # the guard sees a table that keeps its faces
     planted.kept = {3: tuple(table.faces(3))}

@@ -206,7 +206,7 @@ class TestHeapElimination:
             calls.clear()
             hb = homology_basis(n, k, t, cx)
             sub = subcomplex_faces(k, t)
-            verdict = class_independence(hb.chains, sub, cx)
+            verdict = class_independence(cx.boundary(k), hb.ids, sub, cx)
             assert verdict.ok
             left = snf._Reduction(sub, cx).left
             shape = (left.mask(k - 1).count(1),
@@ -308,19 +308,19 @@ class TestReduction:
     def test_verdicts_equal_reference(self, tables, complexes, n):
         t, cx = tables(n), complexes(n)
         subsets = _subsets(t, n)
-        sphere, top = subsets[-1], cx.boundary(n).column_chain(0)
-        cases = [(homology_basis(n, k, t, cx).chains, sub)
+        # each C_{n,k}'s basis columns, boundaries of 3-cells, a boundary in
+        # the full complex, and the sphere's fundamental cycle, as columns
+        # of the package's boundaries and as chains for the reference
+        sphere, top = subsets[-1], cx.boundary(n)
+        cases = [(cx.boundary(k), homology_basis(n, k, t, cx).ids, sub)
                  for k, sub in zip(range(3, n), subsets)]
-        # boundaries of 3-cells, a boundary in the full complex, and the
-        # sphere's fundamental cycle
-        cases += [([cx.boundary(3).column_chain(j) for j in sub.indices(3)[:5]], sub)
-                  for sub in subsets]
-        cases += [([top], subsets[-2]), ([top], sphere)]
-        for cycles, sub in cases:
-            got = class_independence(cycles, sub, cx)
-            want = reference.class_independence(cycles, sub, cx)
+        cases += [(cx.boundary(3), sub.indices(3)[:5], sub) for sub in subsets]
+        cases += [(top, [0], subsets[-2]), (top, [0], sphere)]
+        for cols, ids, sub in cases:
+            got = class_independence(cols, ids, sub, cx)
+            want = reference.class_independence(list(map(cols.column_chain, ids)), sub, cx)
             assert got == want, (n, got.detail, want.detail)
-        assert class_independence([top], sphere, cx).ok
+        assert class_independence(top, [0], sphere, cx).ok
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_every_cell_pairs_off(self, tables, complexes, monkeypatch, n):
@@ -340,7 +340,7 @@ class TestReduction:
             homology_report(sub, cx)
             assert entries and not any(entries), n
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_random_combinations_equal_reference(self, tables, complexes, n):
         # seeded integer combinations of a basis plus boundaries, carried
         # through the pairs: a unimodular mix certifies, a doubled column
@@ -349,7 +349,7 @@ class TestReduction:
         rng = random.Random(20261019 + n)
         subsets = _subsets(t, n)
         top = cx.boundary(n).column_chain(0)
-        bases = [(homology_basis(n, k, t, cx).chains, sub)
+        bases = [(homology_basis(n, k, t, cx).chains, sub)  # as chains, to combine
                  for k, sub in zip(range(3, n), subsets)]
         bases.append(([top], subsets[-1]))
 
@@ -379,7 +379,8 @@ class TestReduction:
             for cycles, ok, independent, torsion in [
                     (mixed, True, True, []), (doubled, False, True, [2]),
                     (repeated, False, False, []), (pure, False, False, [])]:
-                got = class_independence(cycles, sub, cx)
+                cols = reference.columns(cycles)
+                got = class_independence(cols, range(len(cycles)), sub, cx)
                 want = reference.class_independence(cycles, sub, cx)
                 assert got == want, (n, d, got.detail, want.detail)
                 assert (got.ok, got.independent) == (ok, independent), got.detail
@@ -405,7 +406,7 @@ class TestReduction:
         for k in range(3, n):
             calls.clear()
             hb = homology_basis(n, k, t, cx)
-            assert class_independence(hb.chains, subcomplex_faces(k, t), cx).ok
+            assert class_independence(cx.boundary(k), hb.ids, subcomplex_faces(k, t), cx).ok
             b = betti_power(n, k)
             assert calls == [(b, b)], (n, k)
 
@@ -431,9 +432,8 @@ class TestReduction:
         assert rep == reference.homology_report(full, planted)
         assert rep == {"betti": {d: 0 for d in range(5)}, "torsion": {3: [2]}}
         assert [sorted(map(abs, e.values())) for e in entries if e] == [[2]]
-        fundamental = [top.column_chain(0)]
-        verdict = class_independence(fundamental, full, planted)
-        assert verdict == reference.class_independence(fundamental, full, planted)
+        verdict = class_independence(top, [0], full, planted)
+        assert verdict == reference.class_independence([top.column_chain(0)], full, planted)
         assert not verdict.independent and verdict.detail["rank_boundaries"] == 1
 
     def test_rows_outside_the_set_are_left_out(self, tables, complexes):
@@ -516,21 +516,21 @@ class TestCofaceIndex:
             self.assert_equal_reference(sub, cx)
 
     def test_attached_tables_read_back_their_input(self, complexes, monkeypatch):
-        # each attached complex's table is built from lists of faces, and
-        # reads them back as its cells
+        # each attached complex's table is built from one text per
+        # dimension, and reads it back as its cells
         built = []
 
-        def recorded(n, cells):
-            built.append((cells, faces.FaceTable(n, cells)))
+        def recorded(n, texts):
+            built.append((texts, faces.FaceTable(n, texts)))
             return built[-1][1]
 
         monkeypatch.setattr(_family, "FaceTable", recorded)
         snf.family_homology(complexes(6))
         assert len(built) == 2
-        for cells, table in built:
-            assert {d: tuple(c) for d, c in table.cells.items()} == {
-                d: tuple(c) for d, c in cells.items()}
-            assert table.size == sum(map(len, cells.values())) > 0
+        for texts, table in built:
+            assert {d: c.text for d, c in table.cells.items()} == texts
+            assert table.size == sum(len(texts[d]) // c.width
+                                     for d, c in table.cells.items()) > 0
 
     def test_traced_peak_at_8_4(self, tables, complexes):
         # the index built inside the call, on fresh matrices; with coface
@@ -682,7 +682,7 @@ class TestClassIndependence:
         t, cx = tables(4), complexes(4)
         sub = subcomplex_faces(3, t)
         hb = homology_basis(4, 3, t, cx)
-        verdict = class_independence(hb.chains, sub, cx)
+        verdict = class_independence(cx.boundary(3), hb.ids, sub, cx)
         assert verdict.ok
         assert verdict.detail["cycles"] == 7
 
@@ -691,22 +691,21 @@ class TestClassIndependence:
         t, cx = tables(n), complexes(n)
         sub = subcomplex_faces(k, t)
         hb = homology_basis(n, k, t, cx)
-        verdict = class_independence(hb.chains, sub, cx)
+        verdict = class_independence(cx.boundary(k), hb.ids, sub, cx)
         assert verdict.ok
         assert verdict.detail["cycles"] == betti_power(n, k)
 
     def test_single_boundary_chain_dependent(self, tables, complexes):
         t, cx = tables(4), complexes(4)
         bd = {f for f in t if t.dim_of(f) <= 3}
-        chain = cx.boundary(3).column_chain(0)
-        verdict = class_independence([chain], bd, cx)
+        verdict = class_independence(cx.boundary(3), [0], bd, cx)
         assert not verdict.independent
 
     def test_non_cycle_rejected(self, tables, complexes):
         t, cx = tables(4), complexes(4)
         bd = {f for f in t if t.dim_of(f) <= 3}
         with pytest.raises(NotCycles):
-            class_independence([ChainVector(1, {0: 1})], bd, cx)
+            class_independence(reference.columns([ChainVector(1, {0: 1})]), [0], bd, cx)
 
     def test_negative_degree_is_an_error(self, tables, complexes, monkeypatch):
         # before the degree check a cycle on the empty face raised "cycle
@@ -716,7 +715,8 @@ class TestClassIndependence:
 
         monkeypatch.setattr(snf, "check_closed", no_work)
         with pytest.raises(NotCycles, match="degree must be >= 0, got -1"):
-            class_independence([ChainVector(-1, {0: 1})], set(tables(4)), complexes(4))
+            class_independence(reference.columns([ChainVector(-1, {0: 1})]), [0],
+                               set(tables(4)), complexes(4))
 
     def test_doubled_chain_generates_an_index_two_lattice(self, tables,
                                                           complexes):
@@ -724,7 +724,7 @@ class TestClassIndependence:
         sub = subcomplex_faces(3, t)
         chains = list(homology_basis(5, 3, t, cx).chains)
         chains[4] = add_scaled(chains[4], chains[4])
-        verdict = class_independence(chains, sub, cx)
+        verdict = class_independence(reference.columns(chains), range(len(chains)), sub, cx)
         assert verdict.independent and not verdict.generating
         assert verdict.detail["stacked_torsion"] == [2]
 
@@ -733,14 +733,14 @@ class TestClassIndependence:
         sub = subcomplex_faces(3, t)
         chains = list(homology_basis(5, 3, t, cx).chains)
         chains[0] = add_scaled(chains[1], chains[2])
-        verdict = class_independence(chains, sub, cx)
+        verdict = class_independence(reference.columns(chains), range(len(chains)), sub, cx)
         assert not verdict.independent
 
     def test_dropping_one_chain_stops_generating(self, tables, complexes):
         t, cx = tables(4), complexes(4)
         sub = subcomplex_faces(3, t)
         hb = homology_basis(4, 3, t, cx)
-        verdict = class_independence(hb.chains[:-1], sub, cx)
+        verdict = class_independence(cx.boundary(3), hb.ids[:-1], sub, cx)
         assert verdict.independent and not verdict.generating
 
 
@@ -757,12 +757,14 @@ class TestMixedTables:
     def test_subset_of_another_table_is_not_closed(self, tables, complexes, name):
         t5, cx6 = tables(5), complexes(6)
         sub = subcomplex_faces(3, t5)
-        chains = homology_basis(5, 3, t5, complexes(5)).chains
+        cx5 = complexes(5)
+        ids = homology_basis(5, 3, t5, cx5).ids
         call = {
             "restricted_boundary": lambda: restricted_boundary(sub, 2, cx6),
             "homology": lambda: homology(sub, 2, cx6),
             "homology_report": lambda: homology_report(sub, cx6),
-            "class_independence": lambda: class_independence(chains, sub, cx6),
+            "class_independence": lambda: class_independence(cx5.boundary(3), ids, sub,
+                                                             cx6),
         }[name]
         with pytest.raises(NotClosed, match="is not a face of the table"):
             call()
@@ -818,6 +820,29 @@ class TestFamily:
             for d in att.bmats:
                 if d - 1 in att.bmats:
                     assert not square_defects(att.bmats[d], att.bmats[d - 1]), d
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_attached_complexes_equal_the_chain_route(self, complexes, monkeypatch, n):
+        # the attached cells' columns projected in place give the matrices
+        # and tables that one filtered ChainVector per attached cell gave
+        attached, pairs = _family._Attached, []
+
+        class Recorded(attached):
+            def __init__(self, red, levels, k):
+                super().__init__(red, levels, k)
+                pairs.append((self, reference.Attached(red, levels, k)))
+
+        monkeypatch.setattr(_family, "_Attached", Recorded)
+        snf.family_homology(complexes(n))
+        assert len(pairs) == max(n - 4, 0)
+        for got, want in pairs:
+            assert got.table.cells == want.table.cells
+            assert got.levels == want.levels
+            assert list(got.bmats) == list(want.bmats)
+            for d, b in got.bmats.items():
+                w = want.bmats[d]
+                assert ((b.d, b.n_rows, b.n_cols, b.flat, b.offsets, list(b.signs))
+                        == (w.d, w.n_rows, w.n_cols, w.flat, w.offsets, list(w.signs))), d
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_only_empty_matrices_reach_the_elimination(self, complexes,
