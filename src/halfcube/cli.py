@@ -164,7 +164,7 @@ def cmd_enum(args, parser, sink) -> int:
         parser.error(f"--dim must satisfy -1 <= dim <= n, got dim={args.dim}, n={n}")
     table = faces.enumerate_faces(n)  # raises on a census mismatch
     dims = [args.dim] if args.dim is not None else sorted(table.cells)
-    sink.write(faces.face_jsonl(f) + "\n" for d in dims for f in table.faces(d))
+    sink.write(table.jsonl_parts(dims))
     for d, count in table.counts().items():
         print(f"dim {d:2d}: {count:8d} ok")
     print(f"RESULT pass n={n} cells={table.size}")

@@ -134,24 +134,18 @@ def parse_seq(text: str, n: int) -> str:
         raise FaceError(f"underline mask needs >= 2 positions: {text!r}")
     if (text.count(PLAIN1) + text.count(UND1)) % 2 != 1:
         raise BadParity(f"underlined face needs odd total 1-count: {text!r}")
-    if und == 2:
-        rightmost = max(i for i, c in enumerate(text) if c in UNDERLINED)
-        if text[rightmost] != UND0:
-            raise NonCanonicalEdge(f"rightmost underlined symbol must be 'O': {text!r}")
+    if und == 2 and text.rfind(UND1) > text.rfind(UND0):
+        raise NonCanonicalEdge(f"rightmost underlined symbol must be 'O': {text!r}")
     return text
 
 
 def canonical_edge(f: str) -> str:
     """Canonical encoding of an edge: toggle both underlined digits if the
     rightmost one is 'I'.  Identity on already-canonical edges."""
-    pos = [i for i, c in enumerate(f) if c in UNDERLINED]
-    if f[pos[-1]] == UND0:
-        return f
-    flip = {UND0: UND1, UND1: UND0}
-    out = list(f)
-    for i in pos:
-        out[i] = flip[out[i]]
-    return "".join(out)
+    return f if f.rfind(UND0) > f.rfind(UND1) else f.translate(_TOGGLED)
+
+
+_TOGGLED = str.maketrans(UND0 + UND1, UND1 + UND0)
 
 
 def expected_shape_counts(n: int) -> dict[tuple[Kind, int], int]:
@@ -325,25 +319,16 @@ class FaceList(Sequence):
 class FaceTable:
     """Immutable, deterministic index of every face of the half cube.
 
-    Faces are stored per dimension in lexicographic order of their text
-    form, and a face is named by its dimension and its position among the
-    faces of that dimension, (d, i); the table order runs by dimension and
-    then lexicographically.  Each dimension is held as one text, its
-    faces written end to end at a fixed width (n symbols, or EMPTY's for
-    d = -1), and `cells[d]` and `faces(d)` read it as a `FaceList`; no
-    string is held per face.  At n=11 the texts hold 24 MB, where a
-    string per face held 142 MB.  The table is built from those texts, as
-    the enumeration writes them.  `codes(d)` holds the `face_code` of
-    every d-cell, built on first use; since it ascends, a face text is
-    looked up by its code (`index_of`, `dim_of` and `in`): the text's
-    symbol counts give its dimension, and a bisection of that dimension's
-    codes its place, with no map from texts to positions.  The matching
-    looks partners up among the codes too (`morse.partner_rule` moves a
-    code by a fixed delta per rule).  `facet_index(d)` gives the facets of
-    every d-cell as positions among the (d-1)-cells.  It is computed on
-    the codes: a facet's code is the face's code plus one of the deltas of
-    `facet_deltas`, cached per pattern of marked symbols, and is looked up
-    among the codes of the (d-1)-cells.
+    A face is named by (d, i), its dimension and its place there; the
+    table order runs by dimension, then lexicographically.  Each dimension
+    is one text, its faces end to end at a fixed width (n symbols, or
+    EMPTY's), read by `cells[d]` and `faces(d)` as a `FaceList`: no string
+    is held per face (24 MB at n=11, against 142 MB).  `codes(d)`, built
+    on first use, holds the ascending `face_code`s of the d-cells, so a
+    text is looked up (`index_of`, `dim_of`, `in`) by a bisection of the
+    codes of the dimension its symbol counts give.  `facet_index(d)` gives
+    the facets of every d-cell as positions among the (d-1)-cells, each
+    the face's code plus one of its `facet_deltas`, cached per pattern.
     """
 
     def __init__(self, n: int, texts: dict[int, str]):
@@ -398,10 +383,9 @@ class FaceTable:
         return self._located(f)[0]
 
     def codes(self, d: int) -> array:
-        """`face_code` of each d-cell, in the table order, so ascending;
-        the empty face, which has no text, gets code 0 (a code is unique
-        within a dimension).  The dimension's text is translated to digits
-        once, and each face's digits are read in base 5."""
+        """`face_code` of each d-cell, in the table order, so ascending,
+        and 0 for the empty face, read in base 5 from one translation of
+        the dimension's text to digits."""
         out = self._codes.get(d)
         if out is None:
             cells = self.faces(d)
@@ -470,14 +454,21 @@ class FaceTable:
     def counts(self) -> dict[int, int]:
         return {d: len(faces) for d, faces in self.cells.items()}
 
+    def jsonl_parts(self, dims) -> Iterator[str]:
+        """The `face_jsonl` lines of the faces of dims, three strings a line,
+        with no `classify`: a face that holds a star is a half-cube face."""
+        for d in dims:
+            cells = self.faces(d)
+            kind = (Kind.EMPTY, Kind.VERTEX, Kind.EDGE)[d + 1] if d < 2 else Kind.SIMPLEX
+            tails = (_JSONL_TAIL % (d, kind.value), _JSONL_TAIL % (d, Kind.HALFCUBE.value))
+            yield from itertools.chain.from_iterable(zip(
+                itertools.repeat('{"seq": "'), cells, map(tails.__getitem__, cells.holding(STAR))))
+
 
 class FaceSubset(Set):
     """A set of faces of one table, held as one bytearray mask per
-    dimension: masks[d][i] is 1 when the i-th d-cell belongs to the set.
-
-    Iteration follows the table order: by dimension, then lexicographic.
-    The set operators (&, |, -, ^) return plain frozensets.
-    """
+    dimension (masks[d][i] is 1 when the i-th d-cell is in the set) and
+    iterated in table order; the set operators return plain frozensets."""
 
     def __init__(self, table: FaceTable, masks: dict[int, bytearray]):
         self.table = table
@@ -563,57 +554,67 @@ def _star_parts(stars: dict, m: int) -> tuple:
 
 
 def _prefixed(parts: tuple) -> list[str]:
-    """c + s for every suffix s of each (c, suffixes) part, part by part;
-    sorted suffixes under prefixes in ASCII order give a sorted list."""
+    """A class below length n - _NESTED as a list, c + s for each suffix s
+    of each (c, suffixes) part in turn: sorted parts give a sorted list."""
     out: list[str] = []
     for c, suffixes in parts:
         out += map(c.__add__, suffixes)
     return out
 
 
-def _text(parts: tuple) -> str:
-    """The strings of `_prefixed(parts)` written end to end, one block per
-    part, so that no string is made per face."""
-    return "".join(c + c.join(suffixes) for c, suffixes in parts if suffixes)
+# the last _NESTED lengths keep each class as its (symbol, class) parts; 3
+# was the fastest at n=10 and 11 (ROADMAP.md, "Measured and not worth retrying")
+_NESTED = 3
+
+
+def _text(parts: tuple, prefix: str = "") -> str:
+    """The strings of a class, each under `prefix`, written end to end: a
+    list of suffixes as one block, nested parts by recursion."""
+    return "".join(_text(s, prefix + c) if isinstance(s, tuple)
+                   else prefix + c + (prefix + c).join(s) for c, s in parts if s)
+
+
+def _merge(a, b):
+    """The sorted union of two classes of one length: nested parts merged
+    symbol by symbol, lists under one prefix sorted together."""
+    if not a or not b:
+        return a or b
+    if isinstance(a, list):
+        return sorted(a + b)
+    merged = dict(a)
+    for c, s in b:
+        merged[c] = _merge(merged.get(c), s)
+    return tuple(sorted(merged.items()))
 
 
 def enumerate_faces(n: int) -> FaceTable:
     """Enumerate every face of the half cube on n >= 4 coordinates.
 
     The faces are grown right to left, one symbol at a time, as sorted
-    lists of suffixes: over 0 1 I O by (underline count, parity of the '1'
-    and 'I' digits), the same with one or two underlines and an 'O' as
-    the rightmost underline, and over * 0 1 by star count.  Putting each
-    symbol, in ASCII order, before a sorted list keeps the result sorted,
-    so no face is deduplicated, canonicalised or sorted.  At length n only
-    the classes that are faces are built: no underline and an even parity
-    (vertices), two underlines, the rightmost an 'O', and an odd parity
-    (canonical edges), k >= 3 underlines and an odd parity (simplex faces)
-    and m >= 3 stars (half-cube faces).  They are written straight into
-    each dimension's text, the last symbol put before a whole class of
-    suffixes at once; in a dimension d >= 3 the simplex and half-cube
-    suffixes under a '0', and under a '1', are merged first.  The result
-    is validated against the closed-form census.
+    classes of suffixes: over 0 1 I O by (underline count, parity of the
+    '1' and 'I' digits), the same with an 'O' as the rightmost of one or
+    two underlines, and over * 0 1 by star count.  A symbol put, in ASCII
+    order, before each of a sorted class keeps it sorted, so no face is
+    deduplicated, canonicalised or sorted.  A class is a list of strings
+    below length n - _NESTED and its (symbol, class) parts from there on.
+    The classes that are faces (vertices, canonical edges, odd simplex
+    faces, half-cube faces) are written into the dimension texts by
+    `_text`, those of one dimension merged by `_merge`, and the census is
+    checked against the closed form.
     """
     if n < 4:
         raise NTooSmall(f"need n >= 4, got {n}")
-    plain: dict[tuple[int, int], list[str]] = {(0, 0): [""]}
-    canon: dict[tuple[int, int], list[str]] = {}
-    stars: dict[int, list[str]] = {0: [""]}
+    plain, canon, stars = {(0, 0): [""]}, {}, {0: [""]}
     for length in range(1, n):
+        grow = _prefixed if length < n - _NESTED else tuple  # tuple keeps the parts
         plain, canon, stars = (
-            {(u, p): _prefixed(_plain_parts(plain, u, p))
-             for u in range(length + 1) for p in (0, 1)},
-            {(u, p): _prefixed(_canon_parts(plain, canon, u, p)) for u in (1, 2) for p in (0, 1)},
-            {m: _prefixed(_star_parts(stars, m)) for m in range(length + 1)})
+            {(u, p): grow(_plain_parts(plain, u, p)) for u in range(length + 1) for p in (0, 1)},
+            {(u, p): grow(_canon_parts(plain, canon, u, p)) for u in (1, 2) for p in (0, 1)},
+            {m: grow(_star_parts(stars, m)) for m in range(length + 1)})
     texts = {-1: EMPTY, 0: _text(_plain_parts(plain, 0, 0)),
              1: _text(_canon_parts(plain, canon, 2, 1)), 2: _text(_plain_parts(plain, 3, 1))}
-    for d in range(3, n):
-        star, (_, zero_star), (_, one_star) = _star_parts(stars, d)
-        (_, zero), (_, one), und1, und0 = _plain_parts(plain, d + 1, 1)
-        texts[d] = _text((star, (PLAIN0, sorted(zero + zero_star)),
-                          (PLAIN1, sorted(one + one_star)), und1, und0))
-    texts[n] = _text(_star_parts(stars, n))
+    for d in range(3, n + 1):
+        texts[d] = _text(_merge(_plain_parts(plain, d + 1, 1), _star_parts(stars, d)))
     table = FaceTable(n, texts)
     want = expected_counts(n)
     got = table.counts()
@@ -622,13 +623,12 @@ def enumerate_faces(n: int) -> FaceTable:
     return table
 
 
-def face_json(f: str) -> dict:
-    kind, d = classify(f)
-    return {"seq": f, "dim": d, "kind": kind.value}
+# a face's JSON line after its text
+_JSONL_TAIL = '", "dim": %d, "kind": "%s"}\n'
 
 
 def face_jsonl(f: str) -> str:
-    """`face_json(f)` as one JSON line; faces hold only '01OI*' or EMPTY,
-    so nothing needs escaping."""
+    """The face's JSON line, its "seq", "dim" and "kind", without the
+    newline; faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
     kind, d = classify(f)
-    return '{"seq": "%s", "dim": %d, "kind": "%s"}' % (f, d, kind.value)
+    return '{"seq": "' + f + _JSONL_TAIL[:-1] % (d, kind.value)

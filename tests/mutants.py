@@ -150,10 +150,17 @@ MUTANTS += [
     Mutant("census-check-dropped", FACES,
            "    if got != want:\n", "    if False:\n",
            (ENUMERATION + "test_census_mismatch_raises",)),
-    # the '0' block of a dimension d >= 3 written as the simplex run, then
-    # the half-cube run: every count stays right, only the order is wrong
+    # in a dimension d >= 3, the simplex and half-cube suffixes under one
+    # prefix written one run after the other: every count stays right, only
+    # the order is wrong.  Both sides reach one list only from n = 8, where
+    # the lists of the nested classes hold four symbols
     Mutant("enumeration-star-run-not-merged", FACES,
-           "(PLAIN0, sorted(zero + zero_star))", "(PLAIN0, zero + zero_star)",
+           "        return sorted(a + b)\n", "        return a + b\n",
+           (ENUMERATION + "test_text_equals_per_face_enumeration[8]",
+            ENUMERATION + "test_equals_reference_enumeration[8]")),
+    # the same, one level up: the two sides' parts under one prefix
+    Mutant("enumeration-nested-merge-concatenated", FACES,
+           "    return tuple(sorted(merged.items()))\n", "    return a + b\n",
            (ENUMERATION + "test_text_equals_per_face_enumeration[5]",
             ENUMERATION + "test_equals_reference_enumeration[5]")),
     # chains: the closed-form incidence signs
@@ -274,9 +281,9 @@ MUTANTS += [
            "import importlib\n", "import importlib\n\nfrom .snf import homology\n",
            ("tests/test_package.py::TestLazyImport::"
             "test_enumeration_loads_faces_alone",)),
-    # faces.face_jsonl: the enum line written without json.dumps
+    # faces._JSONL_TAIL: the enum line written without json.dumps
     Mutant("faces-jsonl-spacing", FACES,
-           "'{\"seq\": \"%s\", \"dim\": %d,", "'{\"seq\": \"%s\", \"dim\":%d,",
+           "'\", \"dim\": %d, \"kind\"", "'\", \"dim\":%d, \"kind\"",
            ("tests/test_faces.py::TestJson::test_line_is_the_json_dump[4]",
             GOLDEN + "[--n 4 enum]", GOLDEN + "[--n 5 --dim 2 enum]")),
 ]

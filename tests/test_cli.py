@@ -658,16 +658,16 @@ class TestOutPath:
 
     def test_failure_mid_write_keeps_the_old_file(self, capsys, monkeypatch,
                                                   tmp_path):
-        face_jsonl = faces.face_jsonl
-        written = []
+        # the writer fails as it starts the tenth line, three parts a line
+        jsonl_parts = faces.FaceTable.jsonl_parts
 
-        def broken(f):
-            written.append(f)
-            if len(written) == 10:
-                raise faces.FaceError("planted")
-            return face_jsonl(f)
+        def broken(table, dims):
+            for t, part in enumerate(jsonl_parts(table, dims)):
+                if t == 27:
+                    raise faces.FaceError("planted")
+                yield part
 
-        monkeypatch.setattr(faces, "face_jsonl", broken)
+        monkeypatch.setattr(faces.FaceTable, "jsonl_parts", broken)
         path = tmp_path / "faces.jsonl"
         path.write_text("old\n")
         code, lines = run(capsys, "--n", "4", "enum", "--out", str(path))

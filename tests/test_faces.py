@@ -1,6 +1,8 @@
 import itertools
 import json
 import re
+import sys
+import tracemalloc
 from array import array
 from math import comb
 from pathlib import Path
@@ -31,7 +33,6 @@ from halfcube.faces import (
     enumerate_faces,
     expected_counts,
     face_code,
-    face_json,
     facet_deltas,
     parse_seq,
 )
@@ -393,7 +394,7 @@ class TestEnumeration:
         want = reference.face_table(n, reference.enumerate_cells(n))
         assert enumerate_faces(n).cells == want.cells
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
     def test_text_equals_per_face_enumeration(self, n):
         # each dimension written as blocks of one text reads back the
         # faces the per-face enumeration made one string at a time
@@ -402,6 +403,18 @@ class TestEnumeration:
         for d, faces_d in want.items():
             assert tuple(t.faces(d)) == tuple(faces_d), d
             assert t.faces(d).text == "".join(faces_d)
+
+    def test_traced_peak_at_10(self):
+        # the last lengths are kept as nested parts, not as strings; with
+        # every suffix a string the peak was 4.7 times the texts
+        tracemalloc.start()
+        try:
+            t = enumerate_faces(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(sys.getsizeof(c.text) for c in t.cells.values())
+        assert peak < 1.5 * kept, (peak, kept)
 
     def test_tables_from_lists_read_back_their_input(self, tables):
         # a planted table: an edge and the empty face taken out of n=4
@@ -513,7 +526,7 @@ class TestEnumeration:
 
 class TestJson:
     def test_halfcube_line(self):
-        assert face_json("010**1*010") == {
+        assert json.loads(faces.face_jsonl("010**1*010")) == {
             "seq": "010**1*010", "dim": 3, "kind": "halfcube"}
 
     def test_empty_line(self):
@@ -522,8 +535,19 @@ class TestJson:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_line_is_the_json_dump(self, tables, n):
-        assert [f for f in tables(n)
-                if faces.face_jsonl(f) != json.dumps(face_json(f))] == []
+        def dump(f):
+            kind, d = classify(f)
+            return json.dumps({"seq": f, "dim": d, "kind": kind.value})
+
+        assert [f for f in tables(n) if faces.face_jsonl(f) != dump(f)] == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_dimension_lines_are_the_face_lines(self, tables, n):
+        t = tables(n)
+        for d in t.cells:
+            want = "".join(faces.face_jsonl(f) + "\n" for f in t.faces(d))
+            assert "".join(t.jsonl_parts([d])) == want, d
+        assert "".join(t.jsonl_parts([])) == ""
 
 
 class TestProperties:
