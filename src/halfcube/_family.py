@@ -3,7 +3,8 @@
 One reduction of C_{n,3}, then for each k the half-cube cells of higher
 level attached to what the reduction of C_{n,k} left, reduced as
 C_{n,k+1} by the same engine; the `snf.py` docstring says why this is
-exact.  `snf` loads this module on first use.
+exact.  The levels are `faces.filtration_levels`, so no `morse` or
+`subcomplex` is read.  `snf` loads this module on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from array import array
 
 from . import snf
 from .chains import BoundaryMatrix, ChainComplex
-from .faces import STAR, FaceSubset, FaceTable
+from .faces import FaceSubset, FaceTable, at_most, filtration_levels
 
 
 class _Attached:
@@ -79,35 +80,28 @@ class _Attached:
         return self.bmats[d]
 
 
-def _at_most(k: int) -> bytes:
-    """A translation table taking a level <= k to 1 and the rest to 0."""
-    return bytes(v <= k for v in range(256))
-
-
 def family_homology(cx: ChainComplex) -> dict[int, dict]:
     """`snf.homology_report` of every C_{n,k}, 3 <= k < n, as {k: report}.
 
-    C_{n,k} holds every face but the half-cube shaped faces of dimension
-    >= k, the faces with a '*', so a half-cube d-cell has level d + 1, the
-    least k whose C_{n,k} holds it, and every other face level 0.  C_{n,3}
-    is checked closed, which makes every C_{n,k} closed, and reduced; then
-    for each k the half-cube cells of higher level are attached to what
-    the reduction of C_{n,k} leaves, and that with the k-cells among them
-    is reduced as C_{n,k+1} (`snf.py` docstring)."""
+    The cells' levels (`faces.filtration_levels`) give each C_{n,k}, and
+    every C_{n,k} reports degrees 0 .. n - 1, the top of C_{n,3}, since
+    each holds every simplex face.  C_{n,3} is checked closed, which makes
+    every C_{n,k} closed, and reduced; then for each k the half-cube cells
+    of higher level are attached to what the reduction of C_{n,k} leaves,
+    and that with the k-cells among them is reduced as C_{n,k+1}
+    (`snf.py` docstring)."""
     table = cx.table
-    levels = {d: bytearray(cells.holding(STAR)).translate(
-        bytes.maketrans(b"\x01", bytes([d + 1]))) for d, cells in table.cells.items()}
-    tops = {k: max(d for d, lv in levels.items() if 1 in lv.translate(_at_most(k)))
-            for k in range(3, table.n)}
-    sub = snf.check_closed(FaceSubset(table, {d: lv.translate(_at_most(3))
+    levels = filtration_levels(table)
+    sub = snf.check_closed(FaceSubset(table, {d: lv.translate(at_most(3))
                                               for d, lv in levels.items()}), table)
+    top = max(d for d, m in sub.masks.items() if 1 in m)
     reports = {}
-    for k in tops:
+    for k in range(3, table.n):
         red = snf._Reduction(sub, cx)
-        reports[k] = snf._report(red, tops[k])
-        if k + 1 in tops:
+        reports[k] = snf._report(red, top)
+        if k + 1 < table.n:
             cx = _Attached(red, levels, k)
             levels = cx.levels
-            sub = FaceSubset(cx.table, {d: lv.translate(_at_most(k + 1))
+            sub = FaceSubset(cx.table, {d: lv.translate(at_most(k + 1))
                                         for d, lv in levels.items()})
     return reports

@@ -455,8 +455,9 @@ class FaceTable:
         return {d: len(faces) for d, faces in self.cells.items()}
 
     def jsonl_parts(self, dims) -> Iterator[str]:
-        """The `face_jsonl` lines of the faces of dims, three strings a line,
-        with no `classify`: a face that holds a star is a half-cube face."""
+        """The JSON lines ("seq", "dim", "kind") of the faces of dims, three
+        strings a line, with no `classify`: a face that holds a star is a
+        half-cube face."""
         for d in dims:
             cells = self.faces(d)
             kind = (Kind.EMPTY, Kind.VERTEX, Kind.EDGE)[d + 1] if d < 2 else Kind.SIMPLEX
@@ -528,6 +529,19 @@ class FaceSubset(Set):
 
     def __len__(self) -> int:
         return sum(m.count(1) for m in self.masks.values())
+
+
+def filtration_levels(table: FaceTable) -> dict[int, bytearray]:
+    """The level of every cell, the least k whose C_{n,k} holds it, one
+    bytearray per dimension: C_{n,k} deletes the half-cube shaped faces of
+    dimension >= k, so a d-cell with a '*' has level d + 1, the rest 0."""
+    return {d: bytearray(cells.holding(STAR)).translate(bytes.maketrans(b"\x01", bytes([d + 1])))
+            for d, cells in table.cells.items()}
+
+
+def at_most(k: int) -> bytes:
+    """A translation table taking a level <= k to 1 and the rest to 0."""
+    return bytes(v <= k for v in range(256))
 
 
 def _plain_parts(plain: dict, u: int, p: int) -> tuple:
@@ -623,12 +637,6 @@ def enumerate_faces(n: int) -> FaceTable:
     return table
 
 
-# a face's JSON line after its text
+# a face's JSON line after its text; faces hold only '01OI*' or EMPTY,
+# so nothing needs escaping
 _JSONL_TAIL = '", "dim": %d, "kind": "%s"}\n'
-
-
-def face_jsonl(f: str) -> str:
-    """The face's JSON line, its "seq", "dim" and "kind", without the
-    newline; faces hold only '01OI*' or EMPTY, so nothing needs escaping."""
-    kind, d = classify(f)
-    return '{"seq": "' + f + _JSONL_TAIL[:-1] % (d, kind.value)

@@ -68,14 +68,14 @@ rank B'_p (above) and Z_p / (B_p + <z>) isomorphic to
 Z'_p / (B'_p + <z'>), the stack has rank pairs[p+1] + rank [B' | Z'] and
 the torsion of [B' | Z'].
 
-`family_homology` reports every C_{n,k} of the filtration
-C_{n,3} ⊂ C_{n,4} ⊂ ... ⊂ C_{n,n-1}, where C_{n,k+1} adds the half-cube
-k-cells H_k to C_{n,k}, without reducing each from scratch (Harker,
-Mischaikow, Mrozek & Nanda, above; Sköldberg, *Morse theory from an
-algebraic viewpoint*, Trans. AMS 358, 2006).  C_{n,3} is reduced once.
-Each of its pairs (a, b) is an elimination on a unit entry in any
-complex that holds C_{n,3} as a subcomplex.  Made in order in the whole
-complex, the eliminations change the columns of C_{n,3} only by
+`family_homology` reports every C_{n,k} of the filtration C_{n,3} ⊂
+C_{n,4} ⊂ ... ⊂ C_{n,n-1} (`faces.filtration_levels`), where C_{n,k+1}
+adds the half-cube k-cells H_k to C_{n,k}, without reducing each from
+scratch (Harker, Mischaikow, Mrozek & Nanda, above; Sköldberg, *Morse
+theory from an algebraic viewpoint*, Trans. AMS 358, 2006).  C_{n,3} is
+reduced once.  Each of its pairs (a, b) is an elimination on a unit entry
+in any complex that holds C_{n,3} as a subcomplex.  Made in order in the
+whole complex, the eliminations change the columns of C_{n,3} only by
 restriction, since within C_{n,3} a collapsed a has no other coface left
 and a coreduced b no other facet.  The cells outside C_{n,3} keep their
 boundaries among themselves and meet the pairs only through their parts
@@ -90,9 +90,10 @@ C_{n,3}.  That complex is a second input to the same engine
 the higher half-cube cells to what that leaves, up to C_{n,n-1}.  Each
 complex in the chain is a few basis cells and the half-cube cells above
 them: at n=10, 22,783 cells for C_{10,4} against the 507,649 of
-C_{10,3}.  Ranks and torsion are read off each reduced complex as for a
-subset, in every degree of its C_{n,k}, and only entries the pairs could
-not take reach the elimination.
+C_{10,3}.  Ranks and torsion are read off each reduced complex by
+`_report`, as for a subset, in every degree of its C_{n,k}, and only
+entries the pairs could not take reach the elimination; `homology` is
+`homology_report`'s entry in one degree.
 """
 
 from __future__ import annotations
@@ -429,37 +430,24 @@ class _Reduction:
             pairs[d] += 1
             alive[d - 1][a] = alive[d][b] = 0
             # each count taken off, and each cell whose count falls to 1
-            # queued, in the order: a's facets, a's cofaces, b's facets,
-            # b's cofaces; after a coreduction b has no facet left, after
-            # a collapse a no coface
-            if d > 0:
-                below, count, off = alive[d - 2], n_cofaces[d - 2], offsets[d - 1]
-                for f in flat[d - 1][off[a]:off[a + 1]]:
-                    if below[f]:
-                        count[f] -= 1
-                        if count[f] == 1:
-                            push(f << w | d - 1)
-            if coreduce:
-                above, count, co = alive[d], n_facets[d], cooffsets[d - 1]
-                for c in coflat[d - 1][co[a]:co[a + 1]]:
-                    if above[c]:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            push(c << w | d + 1)
-            else:
-                below, count, off = alive[d - 1], n_cofaces[d - 1], offsets[d]
-                for f in flat[d][off[b]:off[b + 1]]:
-                    if below[f]:
-                        count[f] -= 1
-                        if count[f] == 1:
-                            push(f << w | d)
-            if d < top:
-                above, count, co = alive[d + 1], n_facets[d + 1], cooffsets[d]
-                for c in coflat[d][co[b]:co[b + 1]]:
-                    if above[c]:
-                        count[c] -= 1
-                        if count[c] == 1:
-                            push(c << w | d + 2)
+            # queued: a's facets, a's cofaces, b's facets, b's cofaces; after
+            # a coreduction b has no facet left, after a collapse a no coface
+            for e, x, facets_left, cofaces_left in ((d - 1, a, d > 0, coreduce),
+                                                    (d, b, not coreduce, d < top)):
+                if facets_left:
+                    below, count, off = alive[e - 1], n_cofaces[e - 1], offsets[e]
+                    for f in flat[e][off[x]:off[x + 1]]:
+                        if below[f]:
+                            count[f] -= 1
+                            if count[f] == 1:
+                                push(f << w | e)
+                if cofaces_left:
+                    above, count, co = alive[e + 1], n_facets[e + 1], cooffsets[e]
+                    for c in coflat[e][co[x]:co[x + 1]]:
+                        if above[c]:
+                            count[c] -= 1
+                            if count[c] == 1:
+                                push(c << w | e + 2)
         self.left = FaceSubset(table, {**sub.masks, **alive})
 
     def snf(self, d: int, extra: dict[int, dict[int, int]] | None = None,
@@ -527,37 +515,30 @@ class _Reduction:
         return rows
 
 
-def _degree_homology(sub: FaceSubset, degree: int, snf_d: SNFResult,
-                     snf_next: SNFResult) -> dict:
-    """betti = cells - rank of the degree map - rank of the next boundary;
-    torsion from the next boundary's invariant factors."""
-    n_cells = sub.mask(degree).count(1)
-    return {"degree": degree, "betti": n_cells - snf_d.rank - snf_next.rank,
-            "torsion": list(snf_next.torsion())}
-
-
 def homology(subset, degree: int, cx: ChainComplex) -> dict:
     """Reduced Betti number and torsion coefficients of a facet-closed
-    subset in one degree, 0 or more."""
+    subset in one degree, 0 or more: `homology_report`'s at that degree,
+    betti 0 and no torsion above the subset's top."""
     if degree < 0:
         raise OracleError(f"degree must be >= 0, got {degree}")
-    sub = check_closed(subset, cx.table)
-    red = _Reduction(sub, cx)
-    return _degree_homology(sub, degree, red.snf(degree), red.snf(degree + 1))
+    report = homology_report(subset, cx)
+    return {"degree": degree, "betti": report["betti"].get(degree, 0),
+            "torsion": report["torsion"].get(degree, [])}
 
 
 def _report(red: _Reduction, top: int) -> dict:
     """Per-degree reduced Betti numbers and torsion, in degrees 0..top, of
-    the subset `red` reduced.  Each boundary map is factored once: the
-    map out of degree d serves degree d (its kernel) and d-1 (its image)."""
+    the subset `red` reduced: betti = cells - rank of the degree map -
+    rank of the next boundary, torsion from the next boundary's invariant
+    factors.  Each boundary map is factored once: the map out of degree d
+    serves degree d (its kernel) and d-1 (its image)."""
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     snfs = [red.snf(d) for d in range(0, top + 2)]
     for d in range(0, top + 1):
-        h = _degree_homology(red.sub, d, snfs[d], snfs[d + 1])
-        betti[d] = h["betti"]
-        if h["torsion"]:
-            torsion[d] = h["torsion"]
+        betti[d] = red.sub.mask(d).count(1) - snfs[d].rank - snfs[d + 1].rank
+        if t := snfs[d + 1].torsion():
+            torsion[d] = list(t)
     return {"betti": betti, "torsion": torsion}
 
 

@@ -14,6 +14,8 @@ The subcomplexes form one filtration C_{n,3} ⊂ C_{n,4} ⊂ ... ⊂ C_{n,n-1}:
 each step adds the half-cube cells of one more dimension.  It is held as
 one level per cell, the least k >= 3 whose C_{n,k} holds the cell: d + 1
 for a half-cube shaped d-cell, and 0 for a cell that every C_{n,k} holds.
+`faces.filtration_levels` owns the levels, which the SNF oracle's family
+reads too, and this layer reads them and their masks (`faces.at_most`).
 One pass over the levels and the matching restricts the matching for any
 range of k (`build_family` for all of them, `build_subcomplex` for one),
 and is exact because every fact it reads is a comparison of levels:
@@ -42,7 +44,7 @@ from math import comb
 from typing import Iterator
 
 from .chains import BoundaryMatrix, ChainComplex, ChainVector
-from .faces import PLAIN1, STAR, FaceList, FaceSubset, FaceTable
+from .faces import PLAIN1, STAR, FaceList, FaceSubset, FaceTable, at_most, filtration_levels
 from .morse import MorseMatching
 
 
@@ -90,17 +92,6 @@ def _check_range(n: int, k: int, table: FaceTable, owner=None) -> None:
         raise BadRange(f"need 3 <= k < n, got k={k}, n={n}")
 
 
-def _levels(table: FaceTable, low: int = 3) -> dict[int, bytearray]:
-    """The filtration level of every cell (module docstring), one
-    bytearray per dimension, for the C_{n,k} with k >= low: a cell that
-    all of them hold gets 0.  A face is half-cube shaped exactly when it
-    holds a '*', and such a face has at least three stars, so that is
-    every cell below dimension max(low, 3)."""
-    return {d: bytearray(len(cells)) if d < max(low, 3) else
-            bytearray(cells.holding(STAR)).translate(bytes.maketrans(b"\x01", bytes([d + 1])))
-            for d, cells in table.cells.items()}
-
-
 def _over(k: int) -> bytes:
     """A translation table taking a level above k to 1 and the rest to 0."""
     return bytes(v > k for v in range(256))
@@ -109,8 +100,9 @@ def _over(k: int) -> bytes:
 def subcomplex_faces(k: int, table: FaceTable) -> FaceSubset:
     """Every face of the half cube except the half-cube shaped faces of
     dimension >= k, the cells of level <= k; the empty face is kept."""
-    inside = bytes(v <= k for v in range(256))
-    return FaceSubset(table, {d: lv.translate(inside) for d, lv in _levels(table).items()})
+    inside = at_most(k)
+    return FaceSubset(table, {d: lv.translate(inside)
+                              for d, lv in filtration_levels(table).items()})
 
 
 @dataclass
@@ -173,7 +165,7 @@ def _restrict(m: MorseMatching, ks: range) -> dict[int, SubcomplexSpec]:
     """The subcomplex and restricted matching of every k of ks, checked
     (module docstring); the first k that fails a check raises."""
     table = m.table
-    levels = _levels(table, ks[0])
+    levels = filtration_levels(table)
     gaps = _first_gaps(table, levels, ks)
     # each cell held as (code, dimension, position within it); codes of
     # faces of one length order as their texts, and are unique but for the

@@ -70,6 +70,10 @@ MUTANTS = [
            "for i in reversed(range(len(alive[d]))) if alive[d][i]",
            "for i in range(len(alive[d])) if alive[d][i]",
            (GOLDEN_PAIRS + "[4]", GOLDEN_PAIRS + "[8]")),
+    # the neighbour update after a pair: b's cofaces keep b in their counts
+    Mutant("reduction-b-cofaces-not-counted", SNF,
+           "(d, b, not coreduce, d < top)", "(d, b, not coreduce, False)",
+           (GOLDEN_PAIRS + "[4]", REDUCTION + "test_every_cell_pairs_off[5]")),
     Mutant("pair-count-off-by-a-dimension", SNF,
            "pairs = self.pairs[d] if d < len(self.pairs) else 0",
            "pairs = self.pairs[d - 1] if 0 < d <= len(self.pairs) else 0",

@@ -30,7 +30,8 @@ puts the last symbol before each suffix as its own string, and merges the
 two sorted runs of a dimension d >= 3 with a sort of the whole faces, as
 `enumerate_faces` did before it wrote each dimension as one text.
 `face_table` joins lists of faces into a table's texts, checking each
-face's width, for planted tables.
+face's width, for planted tables.  `face_jsonl` writes one face's JSON
+line from `classify`, the per-face reference of `FaceTable.jsonl_parts`.
 
 `facet_index` parses `facets()` of every face, the way `FaceTable`
 built its facet index before it moved to integer face codes.
@@ -106,9 +107,11 @@ from halfcube.faces import (
     FaceTable,
     Kind,
     UNDERLINED,
+    _JSONL_TAIL,
     _width,
     canonical_edge,
     classify,
+    filtration_levels,
 )
 from halfcube.morse import (
     UNPAIRED,
@@ -127,7 +130,7 @@ from halfcube.snf import (
     _sparse_snf,
     check_closed,
 )
-from halfcube.subcomplex import HomologyBasis, SubcomplexError, SupportLeak, _levels
+from halfcube.subcomplex import HomologyBasis, SubcomplexError, SupportLeak
 
 
 class NotKType(FaceError):
@@ -493,6 +496,14 @@ def face_table(n: int, cells) -> FaceTable:
     return FaceTable(n, texts)
 
 
+def face_jsonl(f: str) -> str:
+    """The face's JSON line, its "seq", "dim" and "kind", without the
+    newline, from `classify`: the line `FaceTable.jsonl_parts` writes for
+    each face of a dimension, as `enum` wrote it before."""
+    kind, d = classify(f)
+    return '{"seq": "' + f + _JSONL_TAIL[:-1] % (d, kind.value)
+
+
 def enumerate_cells(n: int) -> dict[int, list[str]]:
     cells: dict[int, set[str]] = {d: set() for d in range(-1, n + 1)}
     cells[-1].add(EMPTY)
@@ -650,10 +661,10 @@ def build_subcomplex(n: int, k: int, table: FaceTable,
 
 
 def moved_levels(table: FaceTable, face: str, level: int) -> dict[int, bytearray]:
-    """The filtration levels of `halfcube.subcomplex` (the least k whose
-    C_{n,k} holds each cell) with one face moved to `level`: a planted
-    defect of the family."""
-    levels = _levels(table)
+    """The filtration levels of `faces.filtration_levels` (the least k
+    whose C_{n,k} holds each cell) with one face moved to `level`: a
+    planted defect of the family."""
+    levels = filtration_levels(table)
     levels[table.dim_of(face)][table.index_of(face)] = level
     return levels
 
@@ -698,7 +709,7 @@ def planted_defect(tables, matchings, defect):
         t = tables(5)
         h = next(f for f in t.faces(4) if STAR in f)
         s = next(g for g in facets(h) if STAR not in g)
-        return 5, 3, repaired(matchings(5), h, s), _levels(t)
+        return 5, 3, repaired(matchings(5), h, s), filtration_levels(t)
     if defect == "external":
         t, m = tables(4), matchings(4)
         s = next(f for f in t.faces(3)

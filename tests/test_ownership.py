@@ -9,7 +9,9 @@ homology basis holds positions of boundary columns, not chains; a face is
 face table holds one text per dimension and no string per face, and no
 loop over the faces indexes a face view; the package reads a basis as
 columns of a boundary matrix, never as a list of chains, and a face
-table has one constructor, which takes the texts."""
+table has one constructor, which takes the texts; the C_{n,k} filtration
+levels are computed once, in faces, and the oracle reads neither the
+matching nor its restriction."""
 
 import ast
 import copy
@@ -124,12 +126,13 @@ def test_no_test_only_code_in_the_package():
     # so are the planted boundaries' column-dict builders, the text-based
     # `rule_applicability` and the dense-matrix `smith_normal_form`; the
     # oracle computes reduced homology only and dumps no report or boundary
-    # matrix, and a Morse boundary's `diagonal` is read by the tests alone
+    # matrix, a Morse boundary's `diagonal` is read by the tests alone, and
+    # `enum` writes its lines through `FaceTable.jsonl_parts`, not per face
     moved = ("facets", "vertices_of", "total_and_u", "report_json",
              "_rightmost_one", "_one_right_of_mask", "from_pairs", "up_cells",
              "boundary_from_cols", "morse_boundary_with_cols", "column_arrays",
              "incidence", "entry", "smith_normal_form", "rule_applicability",
-             "diagonal")
+             "diagonal", "face_jsonl")
     holders = [f"{m.__name__}.{name}" for m in [halfcube, *MODULES]
                for name in moved if hasattr(m, name)]
     definitions = sorted(p.name for p in SRC.glob("*.py")
@@ -167,15 +170,44 @@ def test_one_induced_order_in_morse():
     assert not re.search(r"array\(\s*\"i\"\s*,\s*(order|up_ids)\s*\)", text)
 
 
+def _imported(path: Path) -> set[str]:
+    """The last part of every module name the file imports, and every name
+    it imports from a module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name.rpartition(".")[2] for a in node.names)
+    return names
+
+
 def test_the_oracle_does_not_read_the_matching():
-    # the SNF oracle and its reduction are an independent check of the
-    # 11-rule matching, so snf must not import morse or hold its names
-    text = (SRC / "snf.py").read_text()
-    assert not re.search(r"^\s*(from|import)\s.*\bmorse\b", text, re.M)
-    held = [name for name, v in vars(halfcube.snf).items()
-            if getattr(v, "__module__", None) == "halfcube.morse"
-            or getattr(v, "__name__", None) == "halfcube.morse"]
+    # the SNF oracle, its reduction and its family are an independent
+    # check of the 11-rule matching and of its restriction to each
+    # C_{n,k}, so neither snf nor _family imports morse or subcomplex, or
+    # holds their names
+    layers = {"morse", "subcomplex"}
+    assert {p: _imported(SRC / p) & layers for p in ("snf.py", "_family.py")} == {
+        "snf.py": set(), "_family.py": set()}
+    held = [f"{module.__name__}.{name}"
+            for module in (halfcube.snf, importlib.import_module("halfcube._family"))
+            for name, v in vars(module).items()
+            if {getattr(v, "__module__", None), getattr(v, "__name__", None)}
+            & {f"halfcube.{layer}" for layer in layers}]
     assert held == []
+    # the guard sees an import of either layer
+    assert _imported(Path(halfcube.subcomplex.__file__)) & layers == {"morse"}
+
+
+def test_one_filtration():
+    # the C_{n,k} levels are computed in faces alone, and the layers that
+    # read them keep no copy of their own
+    counts = {p.name: p.read_text().count("bytes([d + 1])") for p in SRC.glob("*.py")}
+    assert {name: c for name, c in counts.items() if c} == {"faces.py": 1}
+    family = importlib.import_module("halfcube._family")
+    assert not hasattr(halfcube.subcomplex, "_levels") and not hasattr(family, "_at_most")
+    assert halfcube.subcomplex.filtration_levels is family.filtration_levels
 
 
 def test_lookups_add_only_codes_to_the_table():

@@ -651,6 +651,17 @@ class TestHomology:
                 assert rep["torsion"].get(d, []) == h["torsion"]
             assert sorted(rep["betti"]) == list(range(0, top + 1))
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_equals_reference(self, tables, complexes, n):
+        # `homology` reads the report; the reference factors the two whole
+        # restricted maps around the degree, in every degree up to one
+        # above the top, where both give betti 0 and no torsion
+        t, cx = tables(n), complexes(n)
+        for sub in [subcomplex_faces(k, t) for k in range(3, n)] + [set(t)]:
+            top = max(t.dim_of(f) for f in sub)
+            for d in range(0, top + 2):
+                assert homology(sub, d, cx) == reference.homology(sub, d, cx), d
+
     @pytest.mark.parametrize("subset,degree", [("C53", -1), ("C53", -2), ("empty", -1)])
     def test_negative_degree_is_an_error(self, tables, complexes, monkeypatch,
                                          subset, degree):

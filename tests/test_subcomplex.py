@@ -153,7 +153,7 @@ class TestBuildSubcomplex:
         t = tables(5)
         planted = reference.moved_levels(t, t.faces(2)[0], 4)
         assert reference.closure_defects(reference.members(planted, 3, t))
-        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
+        monkeypatch.setattr(subc, "filtration_levels", lambda table: planted)
         with pytest.raises(SubcomplexError, match="not facet-closed"):
             build_subcomplex(5, 3, t, matchings(5))
 
@@ -167,7 +167,7 @@ class TestBuildSubcomplex:
         assert any(g in facets(b) for b in spec.external if b != m.partner[g])
         planted = reference.moved_levels(t, g, 5)
         assert not reference.closure_defects(reference.members(planted, 4, t))
-        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
+        monkeypatch.setattr(subc, "filtration_levels", lambda table: planted)
         with pytest.raises(SupportLeak):
             build_subcomplex(5, 4, t, m)
 
@@ -181,7 +181,7 @@ class TestBuildSubcomplex:
         t = m.table
         with pytest.raises(SubcomplexError) as want:
             reference.build_subcomplex(n, k, t, m, reference.members(planted, k, t))
-        monkeypatch.setattr(subc, "_levels", lambda table, low=3: planted)
+        monkeypatch.setattr(subc, "filtration_levels", lambda table: planted)
         for build in (lambda: build_subcomplex(n, k, t, m), lambda: build_family(m)):
             with pytest.raises(SubcomplexError) as got:
                 build()
